@@ -26,7 +26,7 @@ from scipy.special import logsumexp
 
 from .gaussian import LOG_TWO_PI, AsymptoticRegimeWarning, UpsilonResult, upsilon
 from .linalg import MAX_ENUMERATION_DIM, CorrelationMatrix, IndexSubset
-from .qp import SubsetQpSolver
+from .qp import subset_solver
 
 PARETO_EXACT = "pareto-exact"
 ASYMPTOTIC_ONLY = "asymptotic-only"
@@ -50,6 +50,12 @@ def _positive_real(value, name: str) -> float:
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a positive finite real, got {value!r}")
     return float(value)
+
+
+def _require_eval_t(t, what: str) -> None:
+    """Every limit formula is evaluated only at finite t >= MIN_EVAL_T."""
+    if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= MIN_EVAL_T):
+        raise ValueError(f"{what} is guarded to t >= {MIN_EVAL_T:g}, got {t!r}")
 
 
 def _positive_tuple(values, name: str) -> tuple[float, ...]:
@@ -196,8 +202,7 @@ class AsymptoticEstimate:
 
     def evaluate_log(self, t: float) -> float:
         """Log of the approximation at scale t; guarded to t >= 10."""
-        if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= MIN_EVAL_T):
-            raise ValueError(f"asymptotic evaluation is guarded to t >= {MIN_EVAL_T:g}, got {t!r}")
+        _require_eval_t(t, "asymptotic evaluation")
         if self.is_zero:
             return -math.inf
         return (
@@ -234,21 +239,15 @@ class TailCoefficients:
             )
 
 
-def subset_coefficients(
-    sigma: CorrelationMatrix,
-    subset: IndexSubset,
-    solver: Optional[SubsetQpSolver] = None,
-    seed: int = 0,
-) -> TailCoefficients:
+def subset_coefficients(sigma: CorrelationMatrix, subset: IndexSubset) -> TailCoefficients:
     """Solve the sub-QP for one coordinate subset and attach its tail constant."""
-    solver = solver if solver is not None else SubsetQpSolver(sigma)
-    sol = solver.solve(subset)
+    sol = subset_solver(sigma).solve(subset)
     return TailCoefficients(
         subset=subset,
         gamma=sol.gamma,
         active_set=sol.active_set,
         h=sol.h,
-        upsilon=upsilon(sigma, sol, seed=seed),
+        upsilon=upsilon(sigma, sol),
     )
 
 
@@ -262,11 +261,7 @@ def _set_log_constant(coeff: TailCoefficients, marg: MarginalSpec, log_x_active:
 
 
 def rect_tail_asymptotic(
-    sigma: CorrelationMatrix,
-    marg: MarginalSpec,
-    rect: Rectangular,
-    solver: Optional[SubsetQpSolver] = None,
-    seed: int = 0,
+    sigma: CorrelationMatrix, marg: MarginalSpec, rect: Rectangular
 ) -> AsymptoticEstimate:
     """Decay law of P(X_s > t x_s for all s in subset), |subset| >= 2.
 
@@ -277,7 +272,7 @@ def rect_tail_asymptotic(
     rect.subset.validate_within(sigma.dim)
     if len(rect.subset) < 2:
         raise ValueError("singleton sets go through marginal_tail")
-    coeff = subset_coefficients(sigma, rect.subset, solver=solver, seed=seed)
+    coeff = subset_coefficients(sigma, rect.subset)
     pos = coeff.active_set.positions_in(rect.subset)
     log_x_active = np.log(np.asarray(rect.thresholds))[pos]
     log_const = _set_log_constant(coeff, marg, log_x_active)
@@ -331,8 +326,7 @@ class ConeAnalysis:
 
     def log_scaling_inverse(self, t: float) -> float:
         """Log of the cone-level normalization 1/b_level(t); t >= 10."""
-        if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= MIN_EVAL_T):
-            raise ValueError(f"cone scaling is guarded to t >= {MIN_EVAL_T:g}, got {t!r}")
+        _require_eval_t(t, "cone scaling")
         loglog = math.log(2.0 * self.marginal.alpha * math.log(t))
         return (
             -0.5 * self.gamma * LOG_TWO_PI
@@ -341,13 +335,7 @@ class ConeAnalysis:
         )
 
 
-def cone_analysis(
-    sigma: CorrelationMatrix,
-    marg: MarginalSpec,
-    level: int,
-    solver: Optional[SubsetQpSolver] = None,
-    seed: int = 0,
-) -> ConeAnalysis:
+def cone_analysis(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> ConeAnalysis:
     """Enumerate all subsets of size >= level and extract the minimizers.
 
     Capacity-limited to d <= 12 (2^d sub-QPs share one candidate cache).
@@ -357,7 +345,7 @@ def cone_analysis(
         raise ValueError(f"cone analysis supports d <= {MAX_ENUMERATION_DIM}, got d={d}")
     if not (isinstance(level, int) and 2 <= level <= d):
         raise ValueError(f"level must be an integer in 2..{d}, got {level!r}")
-    solver = solver if solver is not None else SubsetQpSolver(sigma)
+    solver = subset_solver(sigma)
 
     labels = tuple(range(1, d + 1))
     gammas: dict[tuple[int, ...], float] = {}
@@ -371,10 +359,7 @@ def cone_analysis(
         (c for c, g in gammas.items() if g <= gamma_min + tol),
         key=lambda c: (len(c), c),
     )
-    coeffs = tuple(
-        subset_coefficients(sigma, IndexSubset(c), solver=solver, seed=seed)
-        for c in family
-    )
+    coeffs = tuple(subset_coefficients(sigma, IndexSubset(c)) for c in family)
     min_active = min(len(c.active_set) for c in coeffs)
     principal = tuple(c.subset for c in coeffs if len(c.active_set) == min_active)
     principal_active = next(
@@ -445,6 +430,15 @@ def _require_level_gap(cone: ConeAnalysis) -> None:
         )
 
 
+def _at_least_terms(cone: ConeAnalysis, at_least: AtLeastI):
+    """(coefficients, log active thresholds) of each minimizer that carries
+    at-least mass: subset size equal to the level, minimal active set."""
+    x = np.asarray(at_least.thresholds)
+    for coeff in cone.coefficients:
+        if len(coeff.subset) == cone.level and len(coeff.active_set) == cone.min_active_size:
+            yield coeff, np.log(x[coeff.active_set.as_indices()])
+
+
 def mu_i_at_least(cone: ConeAnalysis, at_least: AtLeastI) -> float:
     """Cone-level limit mass of the at-least-level set: sum of the qualifying
     rectangular masses over minimizers of exactly the cone's level size."""
@@ -457,14 +451,8 @@ def mu_i_at_least(cone: ConeAnalysis, at_least: AtLeastI) -> float:
             f"need {cone.dim} thresholds, got {len(at_least.thresholds)}"
         )
     _require_level_gap(cone)
-    x = np.asarray(at_least.thresholds)
     total = 0.0
-    for coeff in cone.coefficients:
-        if len(coeff.subset) != cone.level:
-            continue
-        if len(coeff.active_set) != cone.min_active_size:
-            continue
-        log_x_active = np.log(x[coeff.active_set.as_indices()])
+    for coeff, log_x_active in _at_least_terms(cone, at_least):
         total += _qualifying_mass(coeff, cone.marginal, log_x_active)
     return total
 
@@ -489,17 +477,14 @@ def _additive_estimate(marg: MarginalSpec, thresholds: tuple[float, ...]) -> Asy
 
 
 def asymptotic_estimate(
-    sigma: CorrelationMatrix,
-    marg: MarginalSpec,
-    tail_set: TailSetSpec,
-    seed: int = 0,
+    sigma: CorrelationMatrix, marg: MarginalSpec, tail_set: TailSetSpec
 ) -> AsymptoticEstimate:
     """Dispatch a tail-set specification to its decay law."""
     if isinstance(tail_set, Rectangular):
         tail_set.subset.validate_within(sigma.dim)
         if len(tail_set.subset) == 1:
             return marginal_tail(marg, tail_set.thresholds[0])
-        return rect_tail_asymptotic(sigma, marg, tail_set, seed=seed)
+        return rect_tail_asymptotic(sigma, marg, tail_set)
     if isinstance(tail_set, ComplementBox):
         if len(tail_set.thresholds) != sigma.dim:
             raise ValueError(
@@ -513,26 +498,18 @@ def asymptotic_estimate(
             )
         if tail_set.level == 1:
             return _additive_estimate(marg, tail_set.thresholds)
-        cone = cone_analysis(sigma, marg, tail_set.level, seed=seed)
+        cone = cone_analysis(sigma, marg, tail_set.level)
         mu = mu_i_at_least(cone, tail_set)
         base = 0.5 * cone.gamma * LOG_TWO_PI - cone.gamma * math.log(marg.scale_c)
-        x = np.asarray(tail_set.thresholds)
-        contribs = []
-        for coeff in cone.coefficients:
-            if len(coeff.subset) != cone.level:
-                continue
-            if len(coeff.active_set) != cone.min_active_size:
-                continue
-            log_x_active = np.log(x[coeff.active_set.as_indices()])
-            contribs.append(
-                ContributingSet(
-                    coeff.subset,
-                    coeff.active_set,
-                    coeff.gamma,
-                    base + coeff.upsilon.log_upsilon
-                    - marg.alpha * float(coeff.h @ log_x_active),
-                )
+        contribs = [
+            ContributingSet(
+                coeff.subset,
+                coeff.active_set,
+                coeff.gamma,
+                _set_log_constant(coeff, marg, log_x_active),
             )
+            for coeff, log_x_active in _at_least_terms(cone, tail_set)
+        ]
         return AsymptoticEstimate(
             log_constant=base + math.log(mu),
             power_exponent=marg.alpha * cone.gamma,
@@ -548,15 +525,13 @@ def tail_probability(
     marg: MarginalSpec,
     tail_set: TailSetSpec,
     t: float,
-    seed: int = 0,
 ) -> tuple[float, AsymptoticEstimate]:
     """Log asymptotic probability that X/t lands in the tail set, plus its law.
 
     Requires t >= 10 and warns below t = 100; the formulas are limits and the
     simulation module is the finite-t adjudicator.
     """
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= MIN_EVAL_T):
-        raise ValueError(f"tail_probability requires t >= {MIN_EVAL_T:g}, got {t!r}")
+    _require_eval_t(t, "tail_probability")
     if t < 100.0:
         warnings.warn(
             f"tail probability at t={t:g} < 100 sits at the edge of the "
@@ -564,7 +539,7 @@ def tail_probability(
             AsymptoticRegimeWarning,
             stacklevel=2,
         )
-    est = asymptotic_estimate(sigma, marg, tail_set, seed=seed)
+    est = asymptotic_estimate(sigma, marg, tail_set)
     return est.evaluate_log(t), est
 
 

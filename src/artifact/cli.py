@@ -25,6 +25,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .asymptotics import (
+    MIN_EVAL_T,
     PARETO_EXACT,
     AsymptoticEstimate,
     AtLeastI,
@@ -41,7 +42,6 @@ from .asymptotics import (
     mu_level_one,
 )
 from .linalg import CorrelationMatrix, IndexSubset
-from .qp import SubsetQpSolver
 from .simulate import (
     ConditionalCurve,
     Coordinate,
@@ -51,9 +51,9 @@ from .simulate import (
     SimulationConfig,
     _gaussian_sample,
     conditional_exceedance_curves,
-    default_k_grid,
     derived_series,
     hill_estimator,
+    resolve_k_grid,
     sample_rvgc,
     verify_asymptotics,
     write_conditional_csv,
@@ -208,8 +208,10 @@ def load_job_config(path: str, seed_override: Optional[int] = None) -> JobConfig
     ):
         raise ConfigError("t_grid", "'t_grid' must be a list of numbers")
     t_grid = tuple(float(t) for t in raw_grid)
-    if any(not math.isfinite(t) or t < 10.0 for t in t_grid):
-        raise ConfigError("t_grid", "'t_grid' values must be finite and >= 10 (asymptotic evaluation guard)")
+    if any(not math.isfinite(t) or t < MIN_EVAL_T for t in t_grid):
+        raise ConfigError(
+            "t_grid", f"'t_grid' values must be finite and >= {MIN_EVAL_T:g} (asymptotic evaluation guard)"
+        )
     if any(t_grid[i] >= t_grid[i + 1] for i in range(len(t_grid) - 1)):
         raise ConfigError("t_grid", "'t_grid' must be strictly increasing")
 
@@ -230,7 +232,11 @@ def load_job_config(path: str, seed_override: Optional[int] = None) -> JobConfig
                 isinstance(k, int) and not isinstance(k, bool) for k in raw_k
             ):
                 raise ConfigError("simulation.k_grid", "'k_grid' must be a list of integers")
-            k_grid = tuple(raw_k)
+        try:
+            k_grid = resolve_k_grid(raw_k, n)
+        except ValueError as err:
+            field = "simulation.n" if raw_k is None else "simulation.k_grid"
+            raise ConfigError(field, str(err)) from None
 
     if seed_override is not None:
         if not 0 <= seed_override < 2**64:
@@ -271,12 +277,8 @@ def _cone_mu(job: JobConfig, cones: dict[int, ConeAnalysis], item: TailSetJob) -
 def cmd_analyze(job: JobConfig, out_dir: str) -> int:
     """Cone analysis for every level plus per-set decay laws; writes
     cones.csv and sets.csv."""
-    solver = SubsetQpSolver(job.sigma)
     d = job.sigma.dim
-    cones = {
-        level: cone_analysis(job.sigma, job.marg, level, solver=solver)
-        for level in range(2, d + 1)
-    }
+    cones = {level: cone_analysis(job.sigma, job.marg, level) for level in range(2, d + 1)}
 
     print(f"dimension d={d}, alpha={job.marg.alpha:g}, scale_c={job.marg.scale_c:g}")
     print("== cone analysis ==")
@@ -364,7 +366,6 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     z = _gaussian_sample(cfg)
     x = np.power(ndtr(-z), -1.0 / job.marg.alpha)
 
-    k_grid = job.k_grid if job.k_grid is not None else default_k_grid(cfg.n)
     series: list[tuple[str, object]] = [(f"X{j}", Coordinate(j)) for j in range(1, d + 1)]
     for a in range(1, d + 1):
         for b in range(a + 1, d + 1):
@@ -375,7 +376,7 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     series.append(("max_all", MaxAll()))
 
     curves = [
-        hill_estimator(derived_series(x, selector), k_grid=k_grid, series_label=label)
+        hill_estimator(derived_series(x, selector), k_grid=job.k_grid, series_label=label)
         for label, selector in series
     ]
     write_hill_csv(os.path.join(out_dir, "hill.csv"), curves)
@@ -391,7 +392,7 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
         write_conditional_csv(os.path.join(out_dir, "condprob.csv"), curves_by_side)
 
     print(f"simulated n={cfg.n} seed={cfg.seed} d={d}")
-    print(f"hill.csv: {len(curves)} series over k in [{k_grid[0]}, {k_grid[-1]}]")
+    print(f"hill.csv: {len(curves)} series over k in [{job.k_grid[0]}, {job.k_grid[-1]}]")
     if d >= 2:
         print("condprob.csv: gaussian kappas " + ",".join(f"{k:g}" for k in GAUSSIAN_KAPPAS)
               + " / pareto kappas " + ",".join(f"{k:g}" for k in PARETO_KAPPAS))
@@ -405,6 +406,8 @@ def cmd_verify(job: JobConfig, out_dir: str, tolerance_pct: float) -> int:
         raise ConfigError("sets", "verify requires at least one tail set")
     if not job.t_grid:
         raise ConfigError("t_grid", "verify requires a nonempty t_grid")
+    if not (math.isfinite(tolerance_pct) and tolerance_pct >= 0.0):
+        raise ConfigError("tolerance", f"--tolerance must be a finite percentage >= 0, got {tolerance_pct!r}")
     cfg = _simulation_config(job)
     samples = sample_rvgc(cfg)
 

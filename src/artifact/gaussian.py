@@ -241,13 +241,15 @@ class UpsilonResult:
     orthant_se: float = 0.0
 
 
-def upsilon(sigma: CorrelationMatrix, sol: QpSolution, seed: int = 0) -> UpsilonResult:
+def upsilon(sigma: CorrelationMatrix, sol: QpSolution) -> UpsilonResult:
     """Tail constant for the coordinates in sol.support.
 
     Assembles orthant_factor / ((2 pi)^{|I|/2} |Sigma_I|^{1/2} prod_i h_i)
     in log space, where I is the QP active set. The orthant factor is the
     probability that the conditional normal on the boundary coordinates
     stays nonnegative; strictly interior inactive coordinates contribute 1.
+    With more than 3 boundary coordinates the factor is the orthant QMC
+    estimate at seed 0.
     """
     act = sol.active_set.as_indices()
     entries = sigma.entries
@@ -265,7 +267,7 @@ def upsilon(sigma: CorrelationMatrix, sol: QpSolution, seed: int = 0) -> Upsilon
             fact_active, cross.T
         )
         k_pos = np.flatnonzero(on_boundary)
-        orthant = orthant_probability(conditional[np.ix_(k_pos, k_pos)], seed=seed)
+        orthant = orthant_probability(conditional[np.ix_(k_pos, k_pos)])
     else:
         orthant = OrthantEstimate(1.0, 0.0)
 
@@ -284,12 +286,7 @@ def upsilon(sigma: CorrelationMatrix, sol: QpSolution, seed: int = 0) -> Upsilon
     )
 
 
-def gaussian_joint_tail(
-    sigma: CorrelationMatrix,
-    u: float,
-    z_shift=None,
-    seed: int = 0,
-) -> float:
+def gaussian_joint_tail(sigma: CorrelationMatrix, u: float, z_shift=None) -> float:
     """Log of the joint upper-tail approximation for a correlated normal vector.
 
     Evaluates log Upsilon - |I| log u - gamma u^2 / 2 - (z_shift restricted
@@ -307,7 +304,7 @@ def gaussian_joint_tail(
             stacklevel=2,
         )
     sol = solve_qp(sigma)
-    ups = upsilon(sigma, sol, seed=seed)
+    ups = upsilon(sigma, sol)
     inner = 0.0
     if z_shift is not None:
         shift = np.asarray(z_shift, dtype=float)

@@ -15,6 +15,7 @@ global minimizer; no iterative QP machinery is needed or wanted.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,10 +88,14 @@ class SubsetQpSolver:
     Candidate ingredients depend only on the candidate active set I, not on
     the subset S being solved, so they are cached across calls: a full cone
     scan then costs 2^d factorizations instead of 3^d.
+
+    The solver keeps the entries, not the matrix, so that subset_solver's
+    weak cache can release it together with the matrix.
     """
 
     def __init__(self, sigma: CorrelationMatrix):
-        self.sigma = sigma
+        self._entries = sigma.entries
+        self._dim = sigma.dim
         self._candidates: dict[tuple[int, ...], tuple[float, np.ndarray, bool]] = {}
         self._solutions: dict[tuple[int, ...], QpSolution] = {}
 
@@ -100,7 +105,7 @@ class SubsetQpSolver:
         if cached is not None:
             return cached
         idx = np.asarray(labels, dtype=int) - 1
-        block = self.sigma.entries[np.ix_(idx, idx)]
+        block = self._entries[np.ix_(idx, idx)]
         h = solve_spd(spd_factorize(block), np.ones(len(labels)))
         value = float(np.sum(h))
         ok = bool(np.min(h) > H_TOLERANCE)
@@ -109,7 +114,7 @@ class SubsetQpSolver:
 
     def solve(self, subset: IndexSubset) -> QpSolution:
         """Solve over the coordinates in ``subset`` (labels of the parent matrix)."""
-        subset.validate_within(self.sigma.dim)
+        subset.validate_within(self._dim)
         if len(subset) == 0:
             raise ValueError("cannot solve the program over an empty subset")
         key = subset.members
@@ -124,7 +129,7 @@ class SubsetQpSolver:
                 ranked.append((value, size, combo, h, ok))
         ranked.sort(key=lambda item: (item[0], item[1], item[2]))
 
-        entries = self.sigma.entries
+        entries = self._entries
         for value, _, combo, h, ok in ranked:
             if not ok:
                 continue
@@ -163,6 +168,23 @@ class SubsetQpSolver:
         )
 
 
+_SOLVERS: weakref.WeakKeyDictionary[CorrelationMatrix, SubsetQpSolver] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def subset_solver(sigma: CorrelationMatrix) -> SubsetQpSolver:
+    """The one solver of ``sigma``: every subset of a matrix is solved once.
+
+    CorrelationMatrix is immutable and hashes by identity, so the cache is
+    keyed by the matrix object and drops the solver with the matrix.
+    """
+    solver = _SOLVERS.get(sigma)
+    if solver is None:
+        solver = _SOLVERS[sigma] = SubsetQpSolver(sigma)
+    return solver
+
+
 def solve_qp(sigma: CorrelationMatrix) -> QpSolution:
     """Solve min z' Sigma^{-1} z subject to z >= 1 for the full matrix.
 
@@ -179,7 +201,7 @@ def solve_qp(sigma: CorrelationMatrix) -> QpSolution:
         raise ValueError(
             f"solve_qp supports 2 <= d <= {MAX_ENUMERATION_DIM}, got d={sigma.dim}"
         )
-    return SubsetQpSolver(sigma).solve(IndexSubset.full(sigma.dim))
+    return subset_solver(sigma).solve(IndexSubset.full(sigma.dim))
 
 
 def kkt_residuals(sigma: CorrelationMatrix, sol: QpSolution) -> ResidualReport:

@@ -3,8 +3,8 @@
 Samples heavy-tailed vectors with normal dependence by the exact inverse-cdf
 construction X_j = (1 - Phi(Z_j))^{-1/alpha}, Z ~ N(0, Sigma). Randomness is
 counter-based: every fixed 8192-row block derives its own substream from
-(seed, block index), so output is bit-identical for a given seed no matter
-how generation is chunked or threaded.
+(seed, block index), so output is bit-identical for a given seed, and the
+first rows of a sample do not depend on how many rows follow them.
 
 On top of the sampler: derived per-row series (minima over subsets, order
 statistics), the Hill tail-index estimator, empirical survival curves, the
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -46,38 +44,21 @@ LOW_HIT_THRESHOLD = 50
 
 DEFAULT_HILL_POINTS = 40
 
-THREAD_ENV_VAR = "ARTIFACT_THREADS"
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREAD_ENV_VAR, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREAD_ENV_VAR} must be an integer, got {raw!r}") from None
-    return max(1, value)
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Sampling plan: matrix, marginal, sample count, seed, chunk granularity.
-
-    chunk only groups blocks into parallel tasks; it never changes values.
-    """
+    """Sampling plan: matrix, marginal, sample count, seed."""
 
     sigma: CorrelationMatrix
     marg: MarginalSpec
     n: int
     seed: int
-    chunk: int = 1 << 18
 
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not (isinstance(self.chunk, int) and self.chunk >= 1):
-            raise ValueError(f"chunk must be a positive integer, got {self.chunk!r}")
         if self.marg.family != PARETO_EXACT:
             raise ValueError("simulation requires the pareto-exact marginal family")
 
@@ -92,30 +73,12 @@ def _gaussian_sample(cfg: SimulationConfig) -> np.ndarray:
     """n x d correlated standard normal rows, bit-reproducible per seed."""
     lower = spd_factorize(cfg.sigma).lower
     d = cfg.sigma.dim
-    n_blocks = -(-cfg.n // BLOCK_ROWS)
-
-    def build_block(block: int) -> np.ndarray:
-        rows = min(BLOCK_ROWS, cfg.n - block * BLOCK_ROWS)
+    z = np.empty((cfg.n, d))
+    for block, start in enumerate(range(0, cfg.n, BLOCK_ROWS)):
+        rows = min(BLOCK_ROWS, cfg.n - start)
         eta = _block_rng(cfg.seed, block).standard_normal((rows, d))
-        return eta @ lower.T
-
-    blocks_per_task = max(1, cfg.chunk // BLOCK_ROWS)
-    tasks = [
-        range(start, min(start + blocks_per_task, n_blocks))
-        for start in range(0, n_blocks, blocks_per_task)
-    ]
-
-    def build_task(block_range: range) -> np.ndarray:
-        parts = [build_block(b) for b in block_range]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-
-    threads = _thread_count()
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(build_task, tasks))
-    else:
-        chunks = [build_task(task) for task in tasks]
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
+        z[start : start + rows] = eta @ lower.T
+    return z
 
 
 def sample_rvgc(cfg: SimulationConfig) -> np.ndarray:
@@ -208,6 +171,20 @@ def default_k_grid(n: int) -> tuple[int, ...]:
     return tuple(int(k) for k in ks)
 
 
+def resolve_k_grid(k_grid: Optional[Sequence[int]], n: int) -> tuple[int, ...]:
+    """The Hill grid for n observations: k_grid checked, or the default grid."""
+    if k_grid is None:
+        return default_k_grid(n)
+    ks = tuple(int(k) for k in k_grid)
+    if len(ks) == 0:
+        raise ValueError("k_grid must be nonempty")
+    if any(ks[i] >= ks[i + 1] for i in range(len(ks) - 1)):
+        raise ValueError("k_grid must be strictly increasing")
+    if ks[0] < 1 or ks[-1] > n - 1:
+        raise ValueError(f"k_grid must lie in [1, {n - 1}], got [{ks[0]}, {ks[-1]}]")
+    return ks
+
+
 def hill_estimator(
     data, k_grid: Optional[Sequence[int]] = None, series_label: str = "series"
 ) -> HillCurve:
@@ -217,17 +194,7 @@ def hill_estimator(
         raise ValueError(f"data must be one-dimensional, got shape {x.shape}")
     if x.size == 0 or not np.all(np.isfinite(x)) or np.any(x <= 0):
         raise ValueError("hill estimator needs strictly positive finite data")
-    n = x.size
-    if k_grid is None:
-        ks = default_k_grid(n)
-    else:
-        ks = tuple(int(k) for k in k_grid)
-        if len(ks) == 0:
-            raise ValueError("k_grid must be nonempty")
-        if any(ks[i] >= ks[i + 1] for i in range(len(ks) - 1)):
-            raise ValueError("k_grid must be strictly increasing")
-        if ks[0] < 1 or ks[-1] > n - 1:
-            raise ValueError(f"k_grid must lie in [1, {n - 1}], got [{ks[0]}, {ks[-1]}]")
+    ks = resolve_k_grid(k_grid, x.size)
 
     top_logs = np.log(np.sort(x)[::-1][: ks[-1] + 1])
     csum = np.cumsum(top_logs)
@@ -346,14 +313,11 @@ def verify_asymptotics(
     if samples is None:
         samples = sample_rvgc(cfg)
     stat = _scaling_statistic(np.asarray(samples, dtype=float), tail_set)
-    n = stat.size
+    emp = empirical_tail(stat, ts)
 
     rows = []
     fit_points = []
-    for t in ts:
-        hits = int(np.count_nonzero(stat > t))
-        p = hits / n
-        se = math.sqrt(p * (1.0 - p) / n)
+    for t, p, se, hits in zip(ts, emp.probability, emp.se, emp.hits):
         asym = math.exp(est.evaluate_log(t))
         ratio = p / asym if asym > 0.0 else math.nan
         flag = "ok" if hits >= LOW_HIT_THRESHOLD else "low-hits"

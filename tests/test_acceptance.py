@@ -36,7 +36,7 @@ from artifact.gaussian import (
     rv_quantile_expansion,
 )
 from artifact.linalg import CorrelationMatrix, IndexSubset
-from artifact.qp import SubsetQpSolver, brute_force_qp, kkt_residuals, solve_qp
+from artifact.qp import brute_force_qp, kkt_residuals, solve_qp
 from artifact.simulate import (
     Coordinate,
     MinOverSet,
@@ -277,11 +277,7 @@ def test_criterion_10_property_suites():
     for i in range(200):
         d = int(rng.integers(2, 7))
         sigma = random_correlation(rng, d)
-        solver = SubsetQpSolver(sigma)
-        alphas = [
-            cone_analysis(sigma, PARETO2, level, solver=solver).alpha
-            for level in range(2, d + 1)
-        ]
+        alphas = [cone_analysis(sigma, PARETO2, level).alpha for level in range(2, d + 1)]
         assert all(a <= b + 1e-12 for a, b in zip(alphas, alphas[1:])), (i, alphas)
 
     # multiplier sum rule and limit-mass scaling

@@ -125,6 +125,26 @@ class TestConfigErrors:
         cfg = dict(VERIFY_JOB, simulation={"n": 100, "seed": -3})
         assert_config_error(runner(cfg, "verify"), "simulation.seed")
 
+    def test_simulation_k_grid_above_n(self, runner):
+        cfg = dict(SIMULATE_JOB, simulation={"n": 100, "seed": 1, "k_grid": [10, 200]})
+        result = runner(cfg, "simulate")
+        assert_config_error(result, "simulation.k_grid")
+        assert "[1, 99]" in result[2]
+
+    def test_simulation_k_grid_not_increasing(self, runner):
+        cfg = dict(SIMULATE_JOB, simulation={"n": 100, "seed": 1, "k_grid": [50, 20]})
+        assert_config_error(runner(cfg, "simulate"), "simulation.k_grid")
+
+    def test_simulation_n_below_default_k_grid(self, runner):
+        cfg = dict(SIMULATE_JOB, simulation={"n": 30, "seed": 1})
+        result = runner(cfg, "simulate")
+        assert_config_error(result, "simulation.n")
+        assert "n >= 41" in result[2]
+
+    @pytest.mark.parametrize("value", ["-5", "nan"])
+    def test_tolerance_must_be_finite_nonnegative(self, runner, value):
+        assert_config_error(runner(VERIFY_JOB, "verify", "--tolerance", value), "tolerance")
+
     def test_verify_without_simulation_block(self, runner):
         assert_config_error(runner(IDENTITY_JOB, "verify"), "simulation")
 

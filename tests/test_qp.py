@@ -2,12 +2,15 @@
 grid-search oracle agreement, KKT certification, and breakdown reporting."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import artifact.qp as qp_module
+from artifact.asymptotics import AtLeastI, MarginalSpec, Rectangular, asymptotic_estimate, cone_analysis
 from artifact.linalg import CorrelationMatrix, IndexSubset, principal_submatrix
 from artifact.qp import (
     BOUNDARY_EPS,
@@ -17,6 +20,7 @@ from artifact.qp import (
     brute_force_qp,
     kkt_residuals,
     solve_qp,
+    subset_solver,
 )
 from conftest import coupled_pair_matrix, equi_matrix, near_tie_4x4, random_correlation
 
@@ -121,6 +125,39 @@ class TestSubsetSolver:
     def test_out_of_range_subset(self):
         with pytest.raises(ValueError, match="out of range"):
             SubsetQpSolver(equi_matrix(3, 0.2)).solve(IndexSubset.of(4))
+
+
+class TestSolverCache:
+    def test_one_solver_per_matrix(self, monkeypatch):
+        built = []
+        original = SubsetQpSolver.__init__
+
+        def counting_init(self, sigma):
+            built.append(sigma)
+            original(self, sigma)
+
+        monkeypatch.setattr(SubsetQpSolver, "__init__", counting_init)
+        sigma = equi_matrix(3, 0.5)
+        marg = MarginalSpec(alpha=2.0)
+        for level in (2, 3, 2):
+            cone_analysis(sigma, marg, level)
+        for tail_set in [
+            Rectangular(IndexSubset.of(1, 2), (1.0, 1.0)),
+            Rectangular(IndexSubset.full(3), (1.0, 2.0, 1.0)),
+            AtLeastI((1.0, 1.0, 1.0), 2),
+        ]:
+            asymptotic_estimate(sigma, marg, tail_set)
+        solve_qp(sigma)
+        assert built == [sigma]
+
+    def test_solver_released_with_matrix(self):
+        sigma = equi_matrix(3, 0.5)
+        solver = weakref.ref(subset_solver(sigma))
+        solve_qp(sigma)
+        assert subset_solver(sigma) is solver()
+        del sigma
+        gc.collect()
+        assert solver() is None
 
 
 class TestKktResiduals:

@@ -36,8 +36,8 @@ IDENTITY_1 = CorrelationMatrix(np.eye(1))
 IDENTITY_2 = CorrelationMatrix(np.eye(2))
 
 
-def config(sigma, n, seed, **kw) -> SimulationConfig:
-    return SimulationConfig(sigma=sigma, marg=PARETO2, n=n, seed=seed, **kw)
+def config(sigma, n, seed) -> SimulationConfig:
+    return SimulationConfig(sigma=sigma, marg=PARETO2, n=n, seed=seed)
 
 
 class TestConfig:
@@ -46,8 +46,6 @@ class TestConfig:
             config(IDENTITY_2, 0, 0)
         with pytest.raises(ValueError, match="seed"):
             config(IDENTITY_2, 10, -1)
-        with pytest.raises(ValueError, match="chunk"):
-            config(IDENTITY_2, 10, 0, chunk=0)
 
     def test_requires_exact_marginal(self):
         loose = MarginalSpec(alpha=2.0, scale_c=2.0, family="asymptotic-only")
@@ -77,22 +75,12 @@ class TestSampling:
         c = sample_rvgc(config(IDENTITY_2, 20000, 8))
         assert not np.array_equal(a, c)
 
-    def test_chunk_layout_does_not_change_output(self):
-        base = sample_rvgc(config(IDENTITY_2, 30000, 3))
-        for chunk in [1, 4096, 8192, 65536, 1 << 20]:
-            assert np.array_equal(base, sample_rvgc(config(IDENTITY_2, 30000, 3, chunk=chunk)))
-
-    def test_thread_count_does_not_change_output(self, monkeypatch):
-        monkeypatch.setenv("ARTIFACT_THREADS", "1")
-        base = sample_rvgc(config(coupled_pair_matrix(0.4), 40000, 9, chunk=8192))
-        monkeypatch.setenv("ARTIFACT_THREADS", "4")
-        threaded = sample_rvgc(config(coupled_pair_matrix(0.4), 40000, 9, chunk=8192))
-        assert np.array_equal(base, threaded)
-
-    def test_thread_env_validation(self, monkeypatch):
-        monkeypatch.setenv("ARTIFACT_THREADS", "many")
-        with pytest.raises(ValueError, match="ARTIFACT_THREADS"):
-            sample_rvgc(config(IDENTITY_2, 100, 0))
+    def test_sample_prefix_does_not_depend_on_n(self):
+        # per-block streams: a longer sample extends a shorter one, including
+        # the partial last block of the shorter sample
+        short = sample_rvgc(config(coupled_pair_matrix(0.4), 30000, 9))
+        long = sample_rvgc(config(coupled_pair_matrix(0.4), 40000, 9))
+        assert np.array_equal(long[:30000], short)
 
     def test_marginals_pass_kolmogorov_smirnov(self):
         # exact inverse-CDF coupling: 1% critical value, 20 seeds
