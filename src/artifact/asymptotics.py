@@ -24,7 +24,14 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import logsumexp
 
-from .gaussian import LOG_TWO_PI, AsymptoticRegimeWarning, UpsilonResult, upsilon
+from .gaussian import (
+    LOG_TWO_PI,
+    AsymptoticRegimeWarning,
+    UpsilonResult,
+    _positive_real,
+    _require_t_above_e,
+    upsilon,
+)
 from .linalg import MAX_ENUMERATION_DIM, CorrelationMatrix, IndexSubset
 from .qp import subset_solver
 
@@ -44,12 +51,6 @@ MIN_EVAL_T = 10.0
 class UnsupportedDegeneracy(ValueError):
     """Adjacent cone levels decay at the same rate; the at-least-i constant
     formula assumes a strict gap and is refused rather than silently wrong."""
-
-
-def _positive_real(value, name: str) -> float:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a positive finite real, got {value!r}")
-    return float(value)
 
 
 def _require_eval_t(t, what: str) -> None:
@@ -149,6 +150,17 @@ class ComplementBox:
 TailSetSpec = Union[Rectangular, AtLeastI, ComplementBox]
 
 
+def _check_dimension(tail_set: TailSetSpec, dim: int) -> None:
+    """Raise unless tail_set describes coordinates of a dim-dimensional vector."""
+    if isinstance(tail_set, Rectangular):
+        tail_set.subset.validate_within(dim)
+    elif isinstance(tail_set, (AtLeastI, ComplementBox)):
+        if len(tail_set.thresholds) != dim:
+            raise ValueError(f"need {dim} thresholds, got {len(tail_set.thresholds)}")
+    else:
+        raise TypeError(f"unsupported tail set specification: {tail_set!r}")
+
+
 @dataclass(frozen=True)
 class ContributingSet:
     """One exceedance set's share of an estimate.
@@ -167,9 +179,7 @@ class ContributingSet:
 class AsymptoticEstimate:
     """Decay law log P ~ log_constant + beta log(2 alpha log t) - a log t.
 
-    power_exponent is a, log_log_exponent is beta. An estimate with no
-    contributing sets is the symbolic zero of a measure-null event and
-    evaluates to -inf.
+    power_exponent is a, log_log_exponent is beta.
     """
 
     log_constant: float
@@ -183,28 +193,12 @@ class AsymptoticEstimate:
         _positive_real(self.alpha, "alpha")
         if not math.isfinite(self.log_log_exponent):
             raise ValueError(f"log_log_exponent must be finite, got {self.log_log_exponent!r}")
-        if len(self.contributing_sets) == 0:
-            if self.log_constant != -math.inf:
-                raise ValueError("an estimate without contributing sets must be -inf")
-        elif not math.isfinite(self.log_constant):
+        if not math.isfinite(self.log_constant):
             raise ValueError(f"log_constant must be finite, got {self.log_constant!r}")
-
-    @property
-    def is_zero(self) -> bool:
-        return len(self.contributing_sets) == 0
-
-    @staticmethod
-    def zero(alpha: float, power_exponent: float, log_log_exponent: float = 0.0) -> "AsymptoticEstimate":
-        """Symbolic zero for a measure-null set, flagged by is_zero."""
-        return AsymptoticEstimate(
-            -math.inf, power_exponent, log_log_exponent, alpha, ()
-        )
 
     def evaluate_log(self, t: float) -> float:
         """Log of the approximation at scale t; guarded to t >= 10."""
         _require_eval_t(t, "asymptotic evaluation")
-        if self.is_zero:
-            return -math.inf
         return (
             self.log_constant
             + self.log_log_exponent * math.log(2.0 * self.alpha * math.log(t))
@@ -251,13 +245,17 @@ def subset_coefficients(sigma: CorrelationMatrix, subset: IndexSubset) -> TailCo
     )
 
 
-def _set_log_constant(coeff: TailCoefficients, marg: MarginalSpec, log_x_active: np.ndarray) -> float:
-    return (
-        coeff.upsilon.log_upsilon
-        + 0.5 * coeff.gamma * LOG_TWO_PI
-        - coeff.gamma * math.log(marg.scale_c)
-        - marg.alpha * float(coeff.h @ log_x_active)
-    )
+def _log_scale(gamma: float, marg: MarginalSpec) -> float:
+    """Scale part of a set constant: log((2 pi)^{gamma/2} scale_c^{-gamma})."""
+    return 0.5 * gamma * LOG_TWO_PI - gamma * math.log(marg.scale_c)
+
+
+def _log_mass(coeff: TailCoefficients, marg: MarginalSpec, thresholds) -> float:
+    """Mass part of a set constant: log(Upsilon_S prod_{i in I_S} x_i^{-alpha h_i}),
+    with thresholds parallel to coeff.subset."""
+    pos = coeff.active_set.positions_in(coeff.subset)
+    log_x_active = np.log(np.asarray(thresholds))[pos]
+    return coeff.upsilon.log_upsilon - marg.alpha * float(coeff.h @ log_x_active)
 
 
 def rect_tail_asymptotic(
@@ -273,9 +271,7 @@ def rect_tail_asymptotic(
     if len(rect.subset) < 2:
         raise ValueError("singleton sets go through marginal_tail")
     coeff = subset_coefficients(sigma, rect.subset)
-    pos = coeff.active_set.positions_in(rect.subset)
-    log_x_active = np.log(np.asarray(rect.thresholds))[pos]
-    log_const = _set_log_constant(coeff, marg, log_x_active)
+    log_const = _log_scale(coeff.gamma, marg) + _log_mass(coeff, marg, rect.thresholds)
     return AsymptoticEstimate(
         log_constant=log_const,
         power_exponent=marg.alpha * coeff.gamma,
@@ -389,12 +385,6 @@ def mu_level_one(marg: MarginalSpec, x) -> float:
     return float(sum(xj ** -marg.alpha for xj in thresholds))
 
 
-def _qualifying_mass(coeff: TailCoefficients, marg: MarginalSpec, log_x_active: np.ndarray) -> float:
-    return math.exp(
-        coeff.upsilon.log_upsilon - marg.alpha * float(coeff.h @ log_x_active)
-    )
-
-
 def mu_i_rectangular(cone: ConeAnalysis, rect: Rectangular) -> float:
     """Cone-level limit mass of one rectangular set.
 
@@ -412,9 +402,7 @@ def mu_i_rectangular(cone: ConeAnalysis, rect: Rectangular) -> float:
             continue
         if len(coeff.active_set) != cone.min_active_size:
             return 0.0
-        pos = coeff.active_set.positions_in(rect.subset)
-        log_x_active = np.log(np.asarray(rect.thresholds))[pos]
-        return _qualifying_mass(coeff, cone.marginal, log_x_active)
+        return math.exp(_log_mass(coeff, cone.marginal, rect.thresholds))
     return 0.0
 
 
@@ -431,12 +419,12 @@ def _require_level_gap(cone: ConeAnalysis) -> None:
 
 
 def _at_least_terms(cone: ConeAnalysis, at_least: AtLeastI):
-    """(coefficients, log active thresholds) of each minimizer that carries
-    at-least mass: subset size equal to the level, minimal active set."""
+    """(coefficients, log mass) of each minimizer that carries at-least mass:
+    subset size equal to the level, minimal active set."""
     x = np.asarray(at_least.thresholds)
     for coeff in cone.coefficients:
         if len(coeff.subset) == cone.level and len(coeff.active_set) == cone.min_active_size:
-            yield coeff, np.log(x[coeff.active_set.as_indices()])
+            yield coeff, _log_mass(coeff, cone.marginal, x[coeff.subset.as_indices()])
 
 
 def mu_i_at_least(cone: ConeAnalysis, at_least: AtLeastI) -> float:
@@ -446,23 +434,15 @@ def mu_i_at_least(cone: ConeAnalysis, at_least: AtLeastI) -> float:
         raise ValueError(
             f"set level {at_least.level} does not match cone level {cone.level}"
         )
-    if len(at_least.thresholds) != cone.dim:
-        raise ValueError(
-            f"need {cone.dim} thresholds, got {len(at_least.thresholds)}"
-        )
+    _check_dimension(at_least, cone.dim)
     _require_level_gap(cone)
-    total = 0.0
-    for coeff, log_x_active in _at_least_terms(cone, at_least):
-        total += _qualifying_mass(coeff, cone.marginal, log_x_active)
-    return total
+    return sum((math.exp(log_mass) for _, log_mass in _at_least_terms(cone, at_least)), 0.0)
 
 
 def _additive_estimate(marg: MarginalSpec, thresholds: tuple[float, ...]) -> AsymptoticEstimate:
     """Union-of-marginals law: joint exceedances are lower order, so the box
     complement decays like the sum of the single-coordinate tails."""
-    consts = [
-        -marg.alpha * math.log(xj) - math.log(marg.scale_c) for xj in thresholds
-    ]
+    consts = [marginal_tail(marg, xj).log_constant for xj in thresholds]
     contribs = tuple(
         ContributingSet(IndexSubset.of(j + 1), IndexSubset.of(j + 1), 1.0, c)
         for j, c in enumerate(consts)
@@ -480,44 +460,31 @@ def asymptotic_estimate(
     sigma: CorrelationMatrix, marg: MarginalSpec, tail_set: TailSetSpec
 ) -> AsymptoticEstimate:
     """Dispatch a tail-set specification to its decay law."""
+    _check_dimension(tail_set, sigma.dim)
     if isinstance(tail_set, Rectangular):
-        tail_set.subset.validate_within(sigma.dim)
         if len(tail_set.subset) == 1:
             return marginal_tail(marg, tail_set.thresholds[0])
         return rect_tail_asymptotic(sigma, marg, tail_set)
-    if isinstance(tail_set, ComplementBox):
-        if len(tail_set.thresholds) != sigma.dim:
-            raise ValueError(
-                f"need {sigma.dim} thresholds, got {len(tail_set.thresholds)}"
-            )
+    if isinstance(tail_set, ComplementBox) or tail_set.level == 1:
         return _additive_estimate(marg, tail_set.thresholds)
-    if isinstance(tail_set, AtLeastI):
-        if len(tail_set.thresholds) != sigma.dim:
-            raise ValueError(
-                f"need {sigma.dim} thresholds, got {len(tail_set.thresholds)}"
-            )
-        if tail_set.level == 1:
-            return _additive_estimate(marg, tail_set.thresholds)
-        cone = cone_analysis(sigma, marg, tail_set.level)
-        mu = mu_i_at_least(cone, tail_set)
-        base = 0.5 * cone.gamma * LOG_TWO_PI - cone.gamma * math.log(marg.scale_c)
-        contribs = [
-            ContributingSet(
-                coeff.subset,
-                coeff.active_set,
-                coeff.gamma,
-                _set_log_constant(coeff, marg, log_x_active),
-            )
-            for coeff, log_x_active in _at_least_terms(cone, tail_set)
-        ]
-        return AsymptoticEstimate(
-            log_constant=base + math.log(mu),
-            power_exponent=marg.alpha * cone.gamma,
-            log_log_exponent=0.5 * (cone.gamma - cone.min_active_size),
-            alpha=marg.alpha,
-            contributing_sets=tuple(contribs),
+    cone = cone_analysis(sigma, marg, tail_set.level)
+    mu = mu_i_at_least(cone, tail_set)
+    contribs = tuple(
+        ContributingSet(
+            coeff.subset,
+            coeff.active_set,
+            coeff.gamma,
+            _log_scale(coeff.gamma, marg) + log_mass,
         )
-    raise TypeError(f"unsupported tail set specification: {tail_set!r}")
+        for coeff, log_mass in _at_least_terms(cone, tail_set)
+    )
+    return AsymptoticEstimate(
+        log_constant=_log_scale(cone.gamma, marg) + math.log(mu),
+        power_exponent=marg.alpha * cone.gamma,
+        log_log_exponent=0.5 * (cone.gamma - cone.min_active_size),
+        alpha=marg.alpha,
+        contributing_sets=contribs,
+    )
 
 
 def tail_probability(
@@ -570,8 +537,7 @@ def bivariate_comparison(
     alpha = _positive_real(alpha, "alpha")
     x1 = _positive_real(x1, "x1")
     x2 = _positive_real(x2, "x2")
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > math.e):
-        raise ValueError(f"comparison needs t > e, got {t!r}")
+    _require_t_above_e(t, "comparison")
 
     ratio = min(x1 / x2, x2 / x1)
     x_max = max(x1, x2)

@@ -22,12 +22,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .asymptotics import (
     MIN_EVAL_T,
     PARETO_EXACT,
-    AsymptoticEstimate,
     AtLeastI,
     ComplementBox,
     ConeAnalysis,
@@ -41,7 +39,7 @@ from .asymptotics import (
     mu_i_rectangular,
     mu_level_one,
 )
-from .linalg import CorrelationMatrix, IndexSubset
+from .linalg import MAX_ENUMERATION_DIM, CorrelationMatrix, IndexSubset
 from .simulate import (
     ConditionalCurve,
     Coordinate,
@@ -50,6 +48,7 @@ from .simulate import (
     OrderStatistic,
     SimulationConfig,
     _gaussian_sample,
+    _to_pareto,
     conditional_exceedance_curves,
     derived_series,
     hill_estimator,
@@ -61,7 +60,6 @@ from .simulate import (
     write_verification_csv,
 )
 
-MAX_CONFIG_DIM = 12
 DEFAULT_TOLERANCE_PCT = 15.0
 
 # Fixed curve grids for the simulate command's conditional-probability CSV.
@@ -124,8 +122,10 @@ def _parse_sigma(obj: dict) -> CorrelationMatrix:
         sigma = CorrelationMatrix(entries)
     except ValueError as err:
         raise ConfigError("sigma", f"'sigma' is not a valid correlation matrix: {err}") from None
-    if sigma.dim > MAX_CONFIG_DIM:
-        raise ConfigError("sigma", f"'sigma' dimension {sigma.dim} exceeds the d <= {MAX_CONFIG_DIM} capacity")
+    if sigma.dim > MAX_ENUMERATION_DIM:
+        raise ConfigError(
+            "sigma", f"'sigma' dimension {sigma.dim} exceeds the d <= {MAX_ENUMERATION_DIM} capacity"
+        )
     return sigma
 
 
@@ -261,17 +261,11 @@ def _set_kind(spec: TailSetSpec) -> str:
 def _cone_mu(job: JobConfig, cones: dict[int, ConeAnalysis], item: TailSetJob) -> tuple[float, str]:
     """Cone-level limit mass of a configured set and the cone it lives in."""
     spec = item.spec
-    if isinstance(spec, Rectangular):
-        if len(spec.subset) == 1:
-            return spec.thresholds[0] ** -job.marg.alpha, "level 1"
-        cone = cones[len(spec.subset)]
-        return mu_i_rectangular(cone, spec), f"level {cone.level}"
-    if isinstance(spec, ComplementBox):
-        return mu_level_one(job.marg, spec.thresholds), "level 1"
-    if spec.level == 1:
-        return mu_level_one(job.marg, spec.thresholds), "level 1"
-    cone = cones[spec.level]
-    return mu_i_at_least(cone, spec), f"level {cone.level}"
+    if isinstance(spec, Rectangular) and len(spec.subset) > 1:
+        return mu_i_rectangular(cones[len(spec.subset)], spec), f"level {len(spec.subset)}"
+    if isinstance(spec, AtLeastI) and spec.level > 1:
+        return mu_i_at_least(cones[spec.level], spec), f"level {spec.level}"
+    return mu_level_one(job.marg, spec.thresholds), "level 1"
 
 
 def cmd_analyze(job: JobConfig, out_dir: str) -> int:
@@ -315,7 +309,7 @@ def cmd_analyze(job: JobConfig, out_dir: str) -> int:
         for item in job.sets:
             est = asymptotic_estimate(job.sigma, job.marg, item.spec)
             mu, mu_level = _cone_mu(job, cones, item)
-            flagged = mu == 0.0 and not est.is_zero
+            flagged = mu == 0.0
             mu_flag = "null-at-cone-scale" if flagged else "ok"
             print(
                 f"{item.label}: a={est.power_exponent:.12g} beta={est.log_log_exponent:.12g} "
@@ -364,7 +358,7 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     # One draw feeds both sides: the heavy-tailed sample is the transform of
     # the same normal rows the gaussian-side curves condition on.
     z = _gaussian_sample(cfg)
-    x = np.power(ndtr(-z), -1.0 / job.marg.alpha)
+    x = _to_pareto(z, job.marg.alpha)
 
     series: list[tuple[str, object]] = [(f"X{j}", Coordinate(j)) for j in range(1, d + 1)]
     for a in range(1, d + 1):

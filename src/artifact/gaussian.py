@@ -5,8 +5,8 @@ univariate cdf/quantile/pdf trio, the second-order expansion of the normal
 quantile coupled to a heavy-tailed threshold, multivariate orthant
 probabilities P(Y >= 0) (closed forms for dimension <= 3, randomized
 quasi-Monte Carlo above), the tail constant Upsilon assembled from a QP
-solution, the joint-tail law built on it (first order, and Savage's second
-order), and a slow adaptive-quadrature oracle for small joint tails.
+solution, and the joint-tail law built on it (first order, and Savage's
+second order). The input guards every layer shares live here too.
 
 All probability assembly happens in log space; the constants underflow well
 before the asymptotics lose accuracy.
@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
@@ -32,12 +31,21 @@ ORTHANT_RANDOMIZATIONS = 25
 ORTHANT_BASE_POINTS = 1 << 13
 ORTHANT_TARGET_SE = 1e-4
 
-# exp(-z^2/2) underflows past |z| ~ 38.6; quadrature never needs to look beyond.
-_NORMAL_SUPPORT = 40.0
-
 
 class AsymptoticRegimeWarning(UserWarning):
     """A limit formula was evaluated at a point where the limit may be loose."""
+
+
+def _positive_real(value, name: str) -> float:
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite positive real, got {value!r}")
+    return float(value)
+
+
+def _require_t_above_e(t, what: str) -> None:
+    """Guard of the expansions in log t, which are stated for t > e."""
+    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > math.e):
+        raise ValueError(f"{what} needs t > e, got t={t!r}")
 
 
 def std_normal_cdf(x: float) -> float:
@@ -82,9 +90,7 @@ class QuantileExpansion:
 
     def __post_init__(self):
         for name in ("alpha", "scale_c", "x"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite real, got {value!r}")
+            _positive_real(getattr(self, name), name)
 
 
 def rv_quantile_expansion(q: QuantileExpansion, t: float) -> float:
@@ -94,8 +100,7 @@ def rv_quantile_expansion(q: QuantileExpansion, t: float) -> float:
     / sqrt(2 a log t), the expansion of Phi^{-1}(1 - c (t x)^{-a}). Error
     decays like 1/log t.
     """
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > math.e):
-        raise ValueError(f"quantile expansion needs t > e, got t={t!r}")
+    _require_t_above_e(t, "quantile expansion")
     lead = math.sqrt(2.0 * q.alpha * math.log(t))
     correction = math.log(q.scale_c / math.sqrt(math.log(t))) + math.log(
         q.x**q.alpha / (2.0 * math.sqrt(math.pi * q.alpha))
@@ -312,8 +317,7 @@ def gaussian_joint_tail(
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
-    if not (isinstance(u, (int, float)) and math.isfinite(u) and u > 0):
-        raise ValueError(f"u must be a positive real, got {u!r}")
+    _positive_real(u, "u")
     if u < 3.0:
         warnings.warn(
             f"joint-tail approximation at u={u:g} < 3 is outside the regime "
@@ -361,59 +365,3 @@ def gaussian_joint_tail(
         log_tail -= (0.5 * float(shift @ moved) + float(np.sum(moved / sol.h))) / (u * u)
     return log_tail
 
-
-def _survival2_std(b1: float, b2: float, r: float) -> float:
-    """P(Z1 > b1, Z2 > b2) for standard bivariate normal with correlation r."""
-    if b1 >= _NORMAL_SUPPORT or b2 >= _NORMAL_SUPPORT:
-        return 0.0
-    if abs(r) >= 1.0 - 1e-12:
-        if r > 0:
-            return float(ndtr(-max(b1, b2)))
-        return max(0.0, float(ndtr(-b2)) - float(ndtr(b1)))
-    if b2 > b1:
-        b1, b2 = b2, b1
-    sd = math.sqrt(1.0 - r * r)
-
-    def integrand(z: float) -> float:
-        return std_normal_pdf(z) * float(ndtr(-(b2 - r * z) / sd))
-
-    lower = max(b1, -_NORMAL_SUPPORT)
-    value, _ = integrate.quad(
-        integrand, lower, _NORMAL_SUPPORT, epsabs=1e-16, epsrel=1e-12, limit=400
-    )
-    return value
-
-
-def joint_tail_quadrature(sigma: CorrelationMatrix, u: float) -> float:
-    """P(Z_1 > u, ..., Z_d > u) by adaptive quadrature, exact for d <= 3.
-
-    Deterministic oracle for gaussian_joint_tail with absolute error near
-    1e-15 at moderate u. Dimension capped at 3 (nested quadrature cost).
-    """
-    d = sigma.dim
-    if d > 3:
-        raise ValueError("quadrature oracle supports d <= 3")
-    if u >= _NORMAL_SUPPORT:
-        return 0.0
-    entries = sigma.entries
-    if d == 1:
-        return float(ndtr(-u))
-    if d == 2:
-        return _survival2_std(u, u, float(entries[0, 1]))
-
-    rho12, rho13, rho23 = float(entries[0, 1]), float(entries[0, 2]), float(entries[1, 2])
-    var2 = 1.0 - rho12 * rho12
-    var3 = 1.0 - rho13 * rho13
-    cov23 = rho23 - rho12 * rho13
-    sd2, sd3 = math.sqrt(var2), math.sqrt(var3)
-    r_cond = min(1.0, max(-1.0, cov23 / (sd2 * sd3)))
-
-    def integrand(z: float) -> float:
-        b2 = (u - rho12 * z) / sd2
-        b3 = (u - rho13 * z) / sd3
-        return std_normal_pdf(z) * _survival2_std(b2, b3, r_cond)
-
-    value, _ = integrate.quad(
-        integrand, u, _NORMAL_SUPPORT, epsabs=1e-16, epsrel=1e-12, limit=400
-    )
-    return value

@@ -233,48 +233,3 @@ def kkt_residuals(sigma: CorrelationMatrix, sol: QpSolution) -> ResidualReport:
         max_active_violation=float(np.max(np.abs(sol.e_star[active_pos] - 1.0))),
     )
 
-
-def brute_force_qp(
-    sigma: CorrelationMatrix, grid_halfwidth: float, grid_step: float
-) -> tuple[float, np.ndarray]:
-    """Independent grid-search oracle for solve_qp.
-
-    Minimizes z' Sigma^{-1} z over the lattice {1, 1+step, ..., 1+halfwidth}^d.
-    The returned value is within O(step^2) of gamma when the true minimizer
-    lies inside the grid box (the objective is flat to first order on the
-    inactive coordinates and the active ones sit exactly on a grid point).
-
-    Args:
-        sigma: correlation matrix with d <= 4 (grid cost).
-        grid_halfwidth: box extent above 1.
-        grid_step: lattice spacing.
-
-    Returns:
-        (approximate gamma, approximate minimizer).
-    """
-    if sigma.dim > 4:
-        raise ValueError("brute_force_qp is a d <= 4 oracle")
-    if grid_step <= 0 or grid_halfwidth <= 0:
-        raise ValueError("grid_step and grid_halfwidth must be positive")
-    d = sigma.dim
-    fact = spd_factorize(sigma)
-    precision = solve_spd(fact, np.eye(d))
-    vals = 1.0 + grid_step * np.arange(int(np.floor(grid_halfwidth / grid_step)) + 1)
-
-    if d == 1:
-        return float(precision[0, 0]), np.array([1.0])
-
-    rest = np.stack(
-        [g.ravel() for g in np.meshgrid(*([vals] * (d - 1)), indexing="ij")], axis=1
-    )
-    quad_rest = np.einsum("ij,jk,ik->i", rest, precision[1:, 1:], rest)
-    cross = rest @ precision[0, 1:]
-    best_val = np.inf
-    best_z = None
-    for z1 in vals:
-        total = quad_rest + 2.0 * z1 * cross + precision[0, 0] * z1 * z1
-        pos = int(np.argmin(total))
-        if total[pos] < best_val:
-            best_val = float(total[pos])
-            best_z = np.concatenate(([z1], rest[pos]))
-    return best_val, best_z

@@ -26,13 +26,14 @@ from scipy.special import ndtr
 from .asymptotics import (
     PARETO_EXACT,
     AsymptoticEstimate,
-    AtLeastI,
     ComplementBox,
     MarginalSpec,
     Rectangular,
     TailSetSpec,
+    _check_dimension,
     asymptotic_estimate,
 )
+from .gaussian import _positive_real
 from .linalg import CorrelationMatrix, IndexSubset, spd_factorize
 
 # Substreams are derived per logical block of this many rows. The block size
@@ -81,10 +82,14 @@ def _gaussian_sample(cfg: SimulationConfig) -> np.ndarray:
     return z
 
 
+def _to_pareto(z: np.ndarray, alpha: float) -> np.ndarray:
+    """Exact Pareto(alpha) coordinates of normal ones: survival(z)^{-1/alpha}."""
+    return np.power(ndtr(-z), -1.0 / alpha)
+
+
 def sample_rvgc(cfg: SimulationConfig) -> np.ndarray:
     """n x d sample of the heavy-tailed vector: X_j = survival(Z_j)^{-1/alpha}."""
-    z = _gaussian_sample(cfg)
-    return np.power(ndtr(-z), -1.0 / cfg.marg.alpha)
+    return _to_pareto(_gaussian_sample(cfg), cfg.marg.alpha)
 
 
 @dataclass(frozen=True)
@@ -252,22 +257,13 @@ def empirical_tail(data, t_grid) -> EmpiricalTail:
 def _scaling_statistic(samples: np.ndarray, tail_set: TailSetSpec) -> np.ndarray:
     """Per-row scale at which the row enters the tail set: the event
     {row in t * set} is exactly {statistic > t}."""
-    d = samples.shape[1]
+    _check_dimension(tail_set, samples.shape[1])
+    thresholds = np.asarray(tail_set.thresholds)
     if isinstance(tail_set, Rectangular):
-        tail_set.subset.validate_within(d)
-        scaled = samples[:, tail_set.subset.as_indices()] / np.asarray(tail_set.thresholds)
-        return np.min(scaled, axis=1)
-    if isinstance(tail_set, ComplementBox):
-        if len(tail_set.thresholds) != d:
-            raise ValueError(f"need {d} thresholds, got {len(tail_set.thresholds)}")
-        return np.max(samples / np.asarray(tail_set.thresholds), axis=1)
-    if isinstance(tail_set, AtLeastI):
-        if len(tail_set.thresholds) != d:
-            raise ValueError(f"need {d} thresholds, got {len(tail_set.thresholds)}")
-        scaled = samples / np.asarray(tail_set.thresholds)
-        kth = d - tail_set.level
-        return np.partition(scaled, kth, axis=1)[:, kth]
-    raise TypeError(f"unsupported tail set specification: {tail_set!r}")
+        scaled = samples[:, tail_set.subset.as_indices()] / thresholds
+        return derived_series(scaled, MinOverSet(IndexSubset.full(len(tail_set.subset))))
+    selector = MaxAll() if isinstance(tail_set, ComplementBox) else OrderStatistic(tail_set.level)
+    return derived_series(samples / thresholds, selector)
 
 
 @dataclass(frozen=True)
@@ -370,9 +366,7 @@ def conditional_exceedance_curves(
 
     curves = []
     for kappa in kappas:
-        kappa = float(kappa)
-        if not (math.isfinite(kappa) and kappa > 0):
-            raise ValueError(f"kappa must be a positive real, got {kappa!r}")
+        kappa = _positive_real(float(kappa), "kappa")
         probs, counts = [], []
         for t in ts:
             cond = v2 > kappa * t

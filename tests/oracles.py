@@ -1,0 +1,120 @@
+"""Slow, independent references the library is checked against.
+
+Neither routine is on any library path: the grid search re-derives the QP
+value without the active-set algebra, and the quadrature computes small
+normal joint tails without the asymptotic expansion.
+"""
+
+import math
+
+import numpy as np
+from scipy import integrate
+from scipy.special import ndtr
+
+from artifact.gaussian import std_normal_pdf
+from artifact.linalg import CorrelationMatrix, solve_spd, spd_factorize
+
+# exp(-z^2/2) underflows past |z| ~ 38.6; quadrature never needs to look beyond.
+_NORMAL_SUPPORT = 40.0
+
+
+def brute_force_qp(
+    sigma: CorrelationMatrix, grid_halfwidth: float, grid_step: float
+) -> tuple[float, np.ndarray]:
+    """Grid-search oracle for solve_qp.
+
+    Minimizes z' Sigma^{-1} z over the lattice {1, 1+step, ..., 1+halfwidth}^d.
+    The returned value is within O(step^2) of gamma when the true minimizer
+    lies inside the grid box (the objective is flat to first order on the
+    inactive coordinates and the active ones sit exactly on a grid point).
+    Returns (approximate gamma, approximate minimizer); d <= 4 (grid cost).
+    """
+    if sigma.dim > 4:
+        raise ValueError("brute_force_qp is a d <= 4 oracle")
+    if grid_step <= 0 or grid_halfwidth <= 0:
+        raise ValueError("grid_step and grid_halfwidth must be positive")
+    d = sigma.dim
+    precision = solve_spd(spd_factorize(sigma), np.eye(d))
+    vals = 1.0 + grid_step * np.arange(int(np.floor(grid_halfwidth / grid_step)) + 1)
+
+    if d == 1:
+        return float(precision[0, 0]), np.array([1.0])
+
+    rest = np.stack(
+        [g.ravel() for g in np.meshgrid(*([vals] * (d - 1)), indexing="ij")], axis=1
+    )
+    quad_rest = np.einsum("ij,jk,ik->i", rest, precision[1:, 1:], rest)
+    cross = rest @ precision[0, 1:]
+    best_val = np.inf
+    best_z = None
+    for z1 in vals:
+        total = quad_rest + 2.0 * z1 * cross + precision[0, 0] * z1 * z1
+        pos = int(np.argmin(total))
+        if total[pos] < best_val:
+            best_val = float(total[pos])
+            best_z = np.concatenate(([z1], rest[pos]))
+    return best_val, best_z
+
+
+def _normal_tail_integral(g, b: float) -> float:
+    """Integral of phi(z) g(z) over z > b, to a relative 1e-12.
+
+    For b > 0 it integrates phi(b) exp(-s^2/2 - b s) g(b + s) over s >= 0
+    with a purely relative criterion, so the accuracy does not decay with
+    the size of the tail; for b <= 0 the integral is O(1) and the plain form
+    is used.
+    """
+    if b <= 0.0:
+        value, _ = integrate.quad(
+            lambda z: std_normal_pdf(z) * g(z),
+            max(b, -_NORMAL_SUPPORT), _NORMAL_SUPPORT, epsabs=1e-16, epsrel=1e-12, limit=400,
+        )
+        return value
+    value, _ = integrate.quad(
+        lambda s: math.exp(-0.5 * s * s - b * s) * g(b + s),
+        0.0, _NORMAL_SUPPORT, epsabs=0.0, epsrel=1e-12, limit=400,
+    )
+    return std_normal_pdf(b) * value
+
+
+def _survival2_std(b1: float, b2: float, r: float) -> float:
+    """P(Z1 > b1, Z2 > b2) for standard bivariate normal with correlation r."""
+    if b1 >= _NORMAL_SUPPORT or b2 >= _NORMAL_SUPPORT:
+        return 0.0
+    if abs(r) >= 1.0 - 1e-12:
+        if r > 0:
+            return float(ndtr(-max(b1, b2)))
+        return max(0.0, float(ndtr(-b2)) - float(ndtr(b1)))
+    if b2 > b1:
+        b1, b2 = b2, b1
+    sd = math.sqrt(1.0 - r * r)
+    return _normal_tail_integral(lambda z: float(ndtr(-(b2 - r * z) / sd)), b1)
+
+
+def joint_tail_quadrature(sigma: CorrelationMatrix, u: float) -> float:
+    """P(Z_1 > u, ..., Z_d > u) by adaptive quadrature, d <= 3.
+
+    Deterministic oracle for gaussian_joint_tail, accurate to a relative
+    ~1e-9 however small the tail. Dimension capped at 3 (nested quadrature
+    cost).
+    """
+    d = sigma.dim
+    if d > 3:
+        raise ValueError("quadrature oracle supports d <= 3")
+    if u >= _NORMAL_SUPPORT:
+        return 0.0
+    entries = sigma.entries
+    if d == 1:
+        return float(ndtr(-u))
+    if d == 2:
+        return _survival2_std(u, u, float(entries[0, 1]))
+
+    rho12, rho13, rho23 = float(entries[0, 1]), float(entries[0, 2]), float(entries[1, 2])
+    sd2 = math.sqrt(1.0 - rho12 * rho12)
+    sd3 = math.sqrt(1.0 - rho13 * rho13)
+    r_cond = min(1.0, max(-1.0, (rho23 - rho12 * rho13) / (sd2 * sd3)))
+
+    def conditional(z: float) -> float:
+        return _survival2_std((u - rho12 * z) / sd2, (u - rho13 * z) / sd3, r_cond)
+
+    return _normal_tail_integral(conditional, u)

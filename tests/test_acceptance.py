@@ -32,13 +32,12 @@ from artifact.asymptotics import (
 from artifact.gaussian import (
     QuantileExpansion,
     gaussian_joint_tail,
-    joint_tail_quadrature,
     orthant_probability,
     rv_quantile_expansion,
     std_normal_cdf,
 )
 from artifact.linalg import CorrelationMatrix, IndexSubset
-from artifact.qp import brute_force_qp, kkt_residuals, solve_qp
+from artifact.qp import kkt_residuals, solve_qp
 from artifact.simulate import (
     Coordinate,
     MinOverSet,
@@ -51,6 +50,7 @@ from artifact.simulate import (
     verify_asymptotics,
 )
 from conftest import coupled_pair_matrix, equi_matrix, random_correlation, two_block_6x6
+from oracles import brute_force_qp, joint_tail_quadrature
 
 PARETO2 = MarginalSpec(alpha=2.0)
 

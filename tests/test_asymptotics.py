@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from artifact.asymptotics import (
+    ASYMPTOTIC_ONLY,
     AsymptoticEstimate,
     AsymptoticRegimeWarning,
     AtLeastI,
     ComplementBox,
+    ContributingSet,
     MarginalSpec,
     Rectangular,
     UnsupportedDegeneracy,
@@ -177,22 +179,18 @@ class TestRectangular:
 
 
 class TestEstimateAlgebra:
-    def test_zero_estimate(self):
-        zero = AsymptoticEstimate.zero(alpha=2.0, power_exponent=3.0)
-        assert zero.is_zero
-        assert zero.evaluate_log(100.0) == -math.inf
-
-    def test_zero_requires_inf_constant(self):
-        with pytest.raises(ValueError, match="must be -inf"):
-            AsymptoticEstimate(0.0, 2.0, 0.0, 2.0, ())
+    @staticmethod
+    def law(power_exponent, log_log_exponent):
+        part = ContributingSet(None, None, 1.0, 0.0)
+        return AsymptoticEstimate(0.0, power_exponent, log_log_exponent, 2.0, (part,))
 
     def test_decays_faster_than_orders_by_power_then_loglog(self):
-        slow = AsymptoticEstimate.zero(2.0, 2.0, 0.0)
-        fast = AsymptoticEstimate.zero(2.0, 3.0, 0.0)
+        slow = self.law(2.0, 0.0)
+        fast = self.law(3.0, 0.0)
         assert fast.decays_faster_than(slow)
         assert not slow.decays_faster_than(fast)
-        tie_a = AsymptoticEstimate.zero(2.0, 2.5, -0.875)
-        tie_b = AsymptoticEstimate.zero(2.0, 2.5, -0.375)
+        tie_a = self.law(2.5, -0.875)
+        tie_b = self.law(2.5, -0.375)
         assert tie_a.decays_faster_than(tie_b)
         assert not tie_b.decays_faster_than(tie_a)
 
@@ -352,6 +350,32 @@ class TestLimitMasses:
         cone = cone_analysis(two_block_6x6(), PARETO2, 3)
         value = mu_i_at_least(cone, AtLeastI((1.0,) * 6, 3))
         assert value == pytest.approx(pair_upsilon(0.6), rel=1e-12)
+
+    @pytest.mark.parametrize("scale_c", [1.0, 2.0])
+    @pytest.mark.parametrize(
+        "sigma, level",
+        [
+            (equi_matrix(3, 0.5), 2),
+            (equi_matrix(3, 0.5), 3),
+            (coupled_pair_matrix(0.6), 2),
+            (coupled_pair_matrix(0.6), 3),
+            (two_block_6x6(), 3),
+            (equi_matrix(4, 0.3), 2),
+            (equi_matrix(4, 0.3), 3),
+            (equi_matrix(4, 0.3), 4),
+        ],
+    )
+    def test_cone_scaling_normalizes_law_to_mass(self, sigma, level, scale_c):
+        # P(at least `level` of X exceed t x) / b_level(t) -> mu_level(x); the
+        # decay law has no other t-dependence, so the identity holds at every t
+        marg = MarginalSpec(alpha=1.7, scale_c=scale_c, family=ASYMPTOTIC_ONLY)
+        at_least = AtLeastI(tuple(np.linspace(0.7, 1.6, sigma.dim)), level)
+        cone = cone_analysis(sigma, marg, level)
+        est = asymptotic_estimate(sigma, marg, at_least)
+        log_mu = math.log(mu_i_at_least(cone, at_least))
+        for t in (10.0, 1e3, 1e6):
+            normalized = est.evaluate_log(t) + cone.log_scaling_inverse(t)
+            assert normalized == pytest.approx(log_mu, abs=1e-12)
 
 
 class TestDispatcherAndTailProbability:

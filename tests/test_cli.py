@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -26,6 +27,14 @@ VERIFY_JOB = {
     "sets": [{"type": "rectangular", "subset": [1, 2], "thresholds": [0.3, 0.3]}],
     "t_grid": [10.0, 13.0, 17.0, 22.0, 28.0],
     "simulation": {"n": 300000, "seed": 11},
+}
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+# Float columns compare to a relative 1e-12; every other column exactly.
+GOLDEN_FLOAT_COLUMNS = {
+    "cones.csv": {"gamma", "alpha"},
+    "sets.csv": {"a", "beta", "log_constant", "mu", "t", "log_probability"},
 }
 
 SIMULATE_JOB = {
@@ -236,6 +245,30 @@ class TestAnalyze:
         assert code == 0
         assert "corner: a=4" in out
         assert (out_dir / "sets.csv").read_text().splitlines()[1].startswith("corner,")
+
+
+class TestGoldenAnalyze:
+    """analyze against recorded outputs, at alpha = 1.7, scale_c = 2.5 and
+    non-unit thresholds, so that every part of the set constant (scale,
+    Upsilon, threshold weights) reaches the CSVs; every set kind appears."""
+
+    @pytest.mark.parametrize("name", ["two_block_6x6", "equi4"])
+    def test_matches_recorded_csvs(self, runner, name):
+        job = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+        code, _, _, out_dir = runner(job, "analyze", out_name=name)
+        assert code == 0
+        for csv_name, float_columns in GOLDEN_FLOAT_COLUMNS.items():
+            got = list(csv.DictReader(io.StringIO((out_dir / csv_name).read_text())))
+            want = list(csv.DictReader(io.StringIO((GOLDEN_DIR / name / csv_name).read_text())))
+            assert len(got) == len(want)
+            for got_row, want_row in zip(got, want):
+                assert got_row.keys() == want_row.keys()
+                for key, value in want_row.items():
+                    if key in float_columns:
+                        expected = pytest.approx(float(value), rel=1e-12, abs=0.0)
+                        assert float(got_row[key]) == expected, (csv_name, key, want_row)
+                    else:
+                        assert got_row[key] == value, (csv_name, key, want_row)
 
 
 class TestVerify:

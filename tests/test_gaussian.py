@@ -14,7 +14,6 @@ from artifact.gaussian import (
     QuantileExpansion,
     UpsilonResult,
     gaussian_joint_tail,
-    joint_tail_quadrature,
     orthant_probability,
     rv_quantile_expansion,
     std_normal_cdf,
@@ -25,6 +24,7 @@ from artifact.gaussian import (
 from artifact.linalg import CorrelationMatrix
 from artifact.qp import solve_qp
 from conftest import coupled_pair_matrix, equi_matrix, near_tie_4x4, two_block_6x6
+from oracles import joint_tail_quadrature
 
 
 def quantile_oracle(p) -> float:
@@ -324,7 +324,37 @@ class TestJointTail:
             gaussian_joint_tail(equi_matrix(2, 0.2), 5.0, z_shift=np.ones(3))
 
 
+def scaled_tail_reference(rho: float, u: float) -> float:
+    """P(Z1 > u, Z2 > u) at correlation rho, from 30-digit mpmath quadrature.
+
+    Integrates phi(u) exp(-s^2/2 - u s) Phibar((u - rho (u + s)) / sd) over
+    s >= 0, with breakpoints at multiples of 1/u where the mass sits; a
+    plain quadrature over [u, inf) loses digits at large u.
+    """
+    with mpmath.workdps(30):
+        r, b = mpmath.mpf(rho), mpmath.mpf(u)
+        sd = mpmath.sqrt(1 - r * r)
+
+        def integrand(s):
+            return mpmath.exp(-s * s / 2 - b * s) * mpmath.ncdf(-(b - r * (b + s)) / sd)
+
+        points = [mpmath.mpf(0)] + [mpmath.mpf(k) / b for k in (1, 2, 4, 8, 16, 32)]
+        return float(mpmath.npdf(b) * mpmath.quad(integrand, points + [mpmath.inf]))
+
+
 class TestQuadratureOracle:
+    @pytest.mark.parametrize("rho", [0.3, 0.5, -0.4])
+    @pytest.mark.parametrize("u", [6.3, 8.3, 9.2, 12.2])
+    def test_relative_accuracy_far_in_the_tail(self, rho, u):
+        got = joint_tail_quadrature(equi_matrix(2, rho), u)
+        assert got == pytest.approx(scaled_tail_reference(rho, u), rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("u", [6.0, 8.0])
+    def test_independent_triple_far_in_the_tail(self, u):
+        tail = float(mpmath.ncdf(-u) ** 3)
+        got = joint_tail_quadrature(CorrelationMatrix(np.eye(3)), u)
+        assert got == pytest.approx(tail, rel=1e-8, abs=0.0)
+
     def test_independent_pair(self):
         sigma = equi_matrix(2, 0.0)
         tail = float(mpmath.ncdf(-4.0)) ** 2

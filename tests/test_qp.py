@@ -17,12 +17,12 @@ from artifact.qp import (
     QpSolution,
     SolverInconsistency,
     SubsetQpSolver,
-    brute_force_qp,
     kkt_residuals,
     solve_qp,
     subset_solver,
 )
 from conftest import coupled_pair_matrix, equi_matrix, near_tie_4x4, random_correlation
+from oracles import brute_force_qp
 
 
 class TestClosedForms:
