@@ -7,7 +7,8 @@ Re-running a command with the same config and seed reproduces every output
 byte for byte.
 
 Exit codes: 0 success, 2 config error (message names the offending field),
-3 unsupported degeneracy, 4 verification failure.
+3 unsupported degeneracy, 4 verification failure, 5 numerical breakdown of
+the QP solver.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .asymptotics import (
     mu_level_one,
 )
 from .linalg import MAX_ENUMERATION_DIM, CorrelationMatrix, IndexSubset
+from .qp import SolverInconsistency
 from .simulate import (
     ConditionalCurve,
     Coordinate,
@@ -53,7 +55,6 @@ from .simulate import (
     derived_series,
     hill_estimator,
     resolve_k_grid,
-    sample_rvgc,
     verify_asymptotics,
     write_conditional_csv,
     write_hill_csv,
@@ -403,12 +404,11 @@ def cmd_verify(job: JobConfig, out_dir: str, tolerance_pct: float) -> int:
     if not (math.isfinite(tolerance_pct) and tolerance_pct >= 0.0):
         raise ConfigError("tolerance", f"--tolerance must be a finite percentage >= 0, got {tolerance_pct!r}")
     cfg = _simulation_config(job)
-    samples = sample_rvgc(cfg)
+    tables = verify_asymptotics(cfg, [item.spec for item in job.sets], job.t_grid)
 
     print(f"verification: n={cfg.n} seed={cfg.seed} tolerance={tolerance_pct:g}%")
     failed = False
-    for position, item in enumerate(job.sets, start=1):
-        table = verify_asymptotics(cfg, item.spec, job.t_grid, samples=samples)
+    for position, (item, table) in enumerate(zip(job.sets, tables), start=1):
         target = item.slope_target if item.slope_target is not None else table.slope_target
         if math.isnan(table.slope) or target == 0.0:
             ok = False
@@ -461,6 +461,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UnsupportedDegeneracy as err:
         print(f"unsupported degeneracy: {err}", file=sys.stderr)
         return 3
+    except SolverInconsistency as err:
+        print(f"numerical breakdown: {err}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

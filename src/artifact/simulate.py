@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtr
@@ -70,15 +70,23 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     )
 
 
-def _gaussian_sample(cfg: SimulationConfig) -> np.ndarray:
-    """n x d correlated standard normal rows, bit-reproducible per seed."""
+def _gaussian_blocks(cfg: SimulationConfig) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, block) pairs of correlated standard normal rows, in order:
+    every block but the last has BLOCK_ROWS rows, and together they are the
+    n x d sample."""
     lower = spd_factorize(cfg.sigma).lower
     d = cfg.sigma.dim
-    z = np.empty((cfg.n, d))
     for block, start in enumerate(range(0, cfg.n, BLOCK_ROWS)):
         rows = min(BLOCK_ROWS, cfg.n - start)
         eta = _block_rng(cfg.seed, block).standard_normal((rows, d))
-        z[start : start + rows] = eta @ lower.T
+        yield start, eta @ lower.T
+
+
+def _gaussian_sample(cfg: SimulationConfig) -> np.ndarray:
+    """n x d correlated standard normal rows, bit-reproducible per seed."""
+    z = np.empty((cfg.n, cfg.sigma.dim))
+    for start, block in _gaussian_blocks(cfg):
+        z[start : start + len(block)] = block
     return z
 
 
@@ -235,23 +243,28 @@ def _increasing_grid(t_grid) -> tuple[float, ...]:
     return ts
 
 
+def _exceedance_counts(x: np.ndarray, ts: Sequence[float]) -> np.ndarray:
+    """Number of entries of x above each threshold, as int64."""
+    return np.array([np.count_nonzero(x > t) for t in ts], dtype=np.int64)
+
+
+def _tail_from_hits(ts: tuple[float, ...], hits: np.ndarray, n: int) -> EmpiricalTail:
+    """Survival estimates hits/n with binomial errors sqrt(p(1-p)/n)."""
+    counts = tuple(int(h) for h in hits)
+    probs = tuple(h / n for h in counts)
+    ses = tuple(math.sqrt(p * (1.0 - p) / n) for p in probs)
+    return EmpiricalTail(ts, probs, ses, counts)
+
+
 def empirical_tail(data, t_grid) -> EmpiricalTail:
     """Fraction of data above each threshold, with sqrt(p(1-p)/n) errors."""
     x = np.asarray(data, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"data must be one-dimensional, got shape {x.shape}")
     ts = _increasing_grid(t_grid)
-    n = x.size
-    if n == 0:
+    if x.size == 0:
         raise ValueError("data must be nonempty")
-    probs, ses, hits = [], [], []
-    for t in ts:
-        count = int(np.count_nonzero(x > t))
-        p = count / n
-        probs.append(p)
-        ses.append(math.sqrt(p * (1.0 - p) / n))
-        hits.append(count)
-    return EmpiricalTail(ts, tuple(probs), tuple(ses), tuple(hits))
+    return _tail_from_hits(ts, _exceedance_counts(x, ts), x.size)
 
 
 def _scaling_statistic(samples: np.ndarray, tail_set: TailSetSpec) -> np.ndarray:
@@ -293,27 +306,34 @@ class VerificationTable:
 
 
 def verify_asymptotics(
-    cfg: SimulationConfig,
-    tail_set: TailSetSpec,
-    t_grid,
-    samples: Optional[np.ndarray] = None,
-) -> VerificationTable:
-    """Compare empirical tail frequencies with the asymptotic law on a t grid.
+    cfg: SimulationConfig, tail_sets: Sequence[TailSetSpec], t_grid
+) -> tuple[VerificationTable, ...]:
+    """Compare empirical tail frequencies with the asymptotic law on a t grid,
+    one table per tail set.
 
-    Rows with fewer than LOW_HIT_THRESHOLD exceedances are flagged
-    "low-hits" and excluded from the slope fit. Pass precomputed samples to
-    amortize one draw across several sets.
+    One pass over the sampler's blocks: each block is mapped to the Pareto
+    scale, reduced to every set's scaling statistic and counted against the
+    grid, so memory is bounded by one block, not by n. Rows with fewer than
+    LOW_HIT_THRESHOLD exceedances are flagged "low-hits" and excluded from
+    the slope fit.
     """
     ts = _increasing_grid(t_grid)
-    est = asymptotic_estimate(cfg.sigma, cfg.marg, tail_set)
-    if samples is None:
-        samples = sample_rvgc(cfg)
-    stat = _scaling_statistic(np.asarray(samples, dtype=float), tail_set)
-    emp = empirical_tail(stat, ts)
+    estimates = [asymptotic_estimate(cfg.sigma, cfg.marg, tail_set) for tail_set in tail_sets]
+    hits = np.zeros((len(estimates), len(ts)), dtype=np.int64)
+    for _, z in _gaussian_blocks(cfg):
+        x = _to_pareto(z, cfg.marg.alpha)
+        for counts, tail_set in zip(hits, tail_sets):
+            counts += _exceedance_counts(_scaling_statistic(x, tail_set), ts)
+    return tuple(
+        _verification_table(_tail_from_hits(ts, counts, cfg.n), est)
+        for counts, est in zip(hits, estimates)
+    )
 
+
+def _verification_table(emp: EmpiricalTail, est: AsymptoticEstimate) -> VerificationTable:
     rows = []
     fit_points = []
-    for t, p, se, hits in zip(ts, emp.probability, emp.se, emp.hits):
+    for t, p, se, hits in zip(emp.t_values, emp.probability, emp.se, emp.hits):
         asym = math.exp(est.evaluate_log(t))
         ratio = p / asym if asym > 0.0 else math.nan
         flag = "ok" if hits >= LOW_HIT_THRESHOLD else "low-hits"

@@ -11,6 +11,7 @@ import pathlib
 
 import pytest
 
+import artifact.qp as qp_module
 from artifact.cli import main
 from conftest import coupled_pair_matrix, near_tie_4x4, two_block_6x6
 
@@ -222,6 +223,14 @@ class TestAnalyze:
         code, _, err, _ = runner(cfg, "analyze")
         assert code == 3
         assert err.startswith("unsupported degeneracy: levels 3 and 4 share")
+
+    def test_solver_breakdown_exits_five(self, runner, monkeypatch):
+        # no candidate active set can pass the weight-positivity gate
+        monkeypatch.setattr(qp_module, "H_TOLERANCE", math.inf)
+        code, _, err, _ = runner(IDENTITY_JOB, "analyze")
+        assert code == 5
+        assert err.startswith("numerical breakdown: no candidate active set is feasible")
+        assert "Traceback" not in err
 
     def test_rerun_is_byte_identical(self, runner):
         _, _, _, first = runner(IDENTITY_JOB, "analyze", out_name="a")

@@ -358,12 +358,12 @@ class TestQuadratureOracle:
     def test_independent_pair(self):
         sigma = equi_matrix(2, 0.0)
         tail = float(mpmath.ncdf(-4.0)) ** 2
-        assert joint_tail_quadrature(sigma, 4.0) == pytest.approx(tail, rel=1e-9)
+        assert joint_tail_quadrature(sigma, 4.0) == pytest.approx(tail, rel=1e-9, abs=0.0)
 
     def test_independent_triple(self):
         sigma = CorrelationMatrix(np.eye(3))
         tail = float(mpmath.ncdf(-4.0)) ** 3
-        assert joint_tail_quadrature(sigma, 4.0) == pytest.approx(tail, rel=1e-7)
+        assert joint_tail_quadrature(sigma, 4.0) == pytest.approx(tail, rel=1e-7, abs=0.0)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="d <= 3"):

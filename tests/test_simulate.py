@@ -2,15 +2,17 @@
 empirical tails, verification tables, and conditional exceedance curves."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 from scipy.stats import kstest
 
-from artifact.asymptotics import AtLeastI, MarginalSpec, Rectangular
+from artifact.asymptotics import AtLeastI, ComplementBox, MarginalSpec, Rectangular
 from artifact.linalg import CorrelationMatrix, IndexSubset
 from artifact.simulate import (
+    BLOCK_ROWS,
     Coordinate,
     EmpiricalTail,
     HillCurve,
@@ -18,6 +20,7 @@ from artifact.simulate import (
     MinOverSet,
     OrderStatistic,
     SimulationConfig,
+    _scaling_statistic,
     conditional_exceedance_curves,
     default_k_grid,
     derived_series,
@@ -214,8 +217,8 @@ class TestEmpiricalTail:
 class TestVerifyAsymptotics:
     def test_independence_ratios_near_one(self):
         cfg = config(IDENTITY_2, 300000, 11)
-        table = verify_asymptotics(
-            cfg, Rectangular(IndexSubset.of(1, 2), (0.3, 0.3)), [10.0, 13.0, 17.0, 22.0, 28.0]
+        (table,) = verify_asymptotics(
+            cfg, [Rectangular(IndexSubset.of(1, 2), (0.3, 0.3))], [10.0, 13.0, 17.0, 22.0, 28.0]
         )
         assert table.slope_target == -4.0
         for row in table.rows:
@@ -226,9 +229,9 @@ class TestVerifyAsymptotics:
     def test_correlated_slope_at_scale(self):
         # 10^7-sample slope diagnostic against the -8/3 decay law
         cfg = config(equi_matrix(2, 0.5), 10**7, 0)
-        table = verify_asymptotics(
+        (table,) = verify_asymptotics(
             cfg,
-            Rectangular(IndexSubset.of(1, 2), (1.0, 1.0)),
+            [Rectangular(IndexSubset.of(1, 2), (1.0, 1.0))],
             [10.0, 13.0, 17.0, 22.0, 29.0, 38.0, 50.0],
         )
         assert table.slope_target == pytest.approx(-8.0 / 3.0, rel=1e-12)
@@ -236,25 +239,77 @@ class TestVerifyAsymptotics:
 
     def test_at_least_slope_target(self):
         cfg = config(coupled_pair_matrix(0.6), 50000, 2)
-        table = verify_asymptotics(cfg, AtLeastI((1.0, 1.0, 1.0), 3), [10.0, 14.0, 18.0])
+        (table,) = verify_asymptotics(cfg, [AtLeastI((1.0, 1.0, 1.0), 3)], [10.0, 14.0, 18.0])
         assert table.slope_target == pytest.approx(-2.5, abs=1e-12)
 
     def test_low_hit_rows_flagged_and_excluded(self):
         cfg = config(IDENTITY_2, 2000, 5)
-        table = verify_asymptotics(
-            cfg, Rectangular(IndexSubset.of(1, 2), (1.0, 1.0)), [10.0, 20.0, 1000.0]
+        (table,) = verify_asymptotics(
+            cfg, [Rectangular(IndexSubset.of(1, 2), (1.0, 1.0))], [10.0, 20.0, 1000.0]
         )
         last = table.rows[-1]
         assert last.flag == "low-hits"
         assert last.hits < 50
         assert math.isnan(table.slope)  # fewer than two usable rows
 
-    def test_reuses_provided_samples(self):
-        cfg = config(IDENTITY_2, 20000, 13)
-        samples = sample_rvgc(cfg)
-        a = verify_asymptotics(cfg, Rectangular(IndexSubset.of(1, 2), (0.5, 0.5)), [10.0, 15.0], samples=samples)
-        b = verify_asymptotics(cfg, Rectangular(IndexSubset.of(1, 2), (0.5, 0.5)), [10.0, 15.0], samples=samples)
-        assert a == b
+
+# One set of each kind at d = 3, with thresholds low enough that every t of
+# STREAM_GRID is hit at the larger n.
+STREAM_SETS = (
+    Rectangular(IndexSubset.of(1, 3), (0.2, 0.3)),
+    AtLeastI((0.2, 0.2, 0.2), 2),
+    ComplementBox((1.0, 2.0, 1.0)),
+)
+STREAM_GRID = [10.0, 20.0, 40.0]
+
+
+class TestStreamedVerification:
+    """verify_asymptotics counts block by block; the counts must be those of
+    the whole sample drawn at once."""
+
+    @pytest.mark.parametrize(
+        "n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5]
+    )
+    def test_hits_equal_materialized_counts(self, n):
+        cfg = config(equi_matrix(3, 0.5), n, 17)
+        tables = verify_asymptotics(cfg, STREAM_SETS, STREAM_GRID)
+        x = sample_rvgc(cfg)
+        assert len(tables) == len(STREAM_SETS)
+        for table, tail_set in zip(tables, STREAM_SETS):
+            want = empirical_tail(_scaling_statistic(x, tail_set), STREAM_GRID)
+            assert tuple(row.hits for row in table.rows) == want.hits
+            assert tuple(row.empirical for row in table.rows) == want.probability
+            assert tuple(row.se for row in table.rows) == want.se
+        if n > BLOCK_ROWS:
+            assert all(row.hits > 0 for table in tables for row in table.rows)
+
+    def test_one_pass_equals_one_pass_per_set(self):
+        cfg = config(equi_matrix(3, 0.5), 3 * BLOCK_ROWS + 5, 13)
+        together = verify_asymptotics(cfg, STREAM_SETS, STREAM_GRID)
+        alone = tuple(verify_asymptotics(cfg, [s], STREAM_GRID)[0] for s in STREAM_SETS)
+        assert together == alone
+
+    def test_memory_does_not_grow_with_n(self):
+        # Tracemalloc sees numpy's buffers. A materialized pass would hold
+        # n x d floats: 3.1 MB at the smaller n, 25 MB at the larger.
+        sigma = equi_matrix(6, 0.5)
+        sets = [
+            Rectangular(IndexSubset.of(1, 2), (1.0, 1.0)),
+            AtLeastI((1.0,) * 6, 2),
+            ComplementBox((1.0,) * 6),
+        ]
+        grid = [10.0, 14.0, 20.0, 28.0, 40.0]
+        verify_asymptotics(config(sigma, 1, 1), sets, grid)  # fills the QP cache
+        peaks = []
+        for n in (8 * BLOCK_ROWS + 5, 64 * BLOCK_ROWS + 5):
+            tracemalloc.start()
+            try:
+                verify_asymptotics(config(sigma, n, 1), sets, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.1 * min(peaks), peaks
+        assert max(peaks) < 4 * 2**20, peaks
 
 
 class TestConditionalCurves:
@@ -310,8 +365,8 @@ class TestCsvWriters:
 
     def test_verification_csv_schema(self, tmp_path):
         cfg = config(IDENTITY_2, 20000, 1)
-        table = verify_asymptotics(
-            cfg, Rectangular(IndexSubset.of(1, 2), (0.5, 0.5)), [10.0, 15.0]
+        (table,) = verify_asymptotics(
+            cfg, [Rectangular(IndexSubset.of(1, 2), (0.5, 0.5))], [10.0, 15.0]
         )
         path = tmp_path / "verify.csv"
         write_verification_csv(path, table)
