@@ -302,10 +302,11 @@ class ConeAnalysis:
 
     gamma is the minimal QP value over subsets of size >= level; alpha the
     cone decay index alpha * gamma; minimizing_family every subset attaining
-    it (ties within GAMMA_TIE_REL); min_active_size the smallest active-set
-    size across that family; principal_family the members achieving it (only
-    they carry limit mass). gamma_next is the level+1 minimum from the same
-    enumeration (None at level = d).
+    it (ties within GAMMA_TIE_REL), ordered by size, then labels;
+    min_active_size the smallest active-set size across that family;
+    principal_family the members achieving it (only they carry limit mass).
+    gamma_next is the minimum over subsets of size >= level + 1 (None at
+    level = d).
     """
 
     level: int
@@ -332,9 +333,15 @@ class ConeAnalysis:
 
 
 def cone_analysis(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> ConeAnalysis:
-    """Enumerate all subsets of size >= level and extract the minimizers.
+    """Find the minimizers over all subsets of size >= level.
 
-    Capacity-limited to d <= 12 (2^d sub-QPs share one candidate cache).
+    gamma_S <= gamma_T for S a subset of T (a Schur complement argument), so
+    the minimum over sizes >= level is the minimum over the level-size
+    subsets, every tied subset grows from a tied level-size one a coordinate
+    at a time through tied subsets, and gamma_next is the minimum over the
+    (level + 1)-size subsets. Each subset is solved at most once per matrix
+    through subset_solver. Capacity-limited to d <= 12: a level solves
+    C(d, level) subsets, and cmd_analyze scans every level, 2^d in all.
     """
     d = sigma.dim
     if d > MAX_ENUMERATION_DIM:
@@ -343,18 +350,19 @@ def cone_analysis(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> C
         raise ValueError(f"level must be an integer in 2..{d}, got {level!r}")
     solver = subset_solver(sigma)
 
-    labels = tuple(range(1, d + 1))
-    gammas: dict[tuple[int, ...], float] = {}
-    for size in range(level, d + 1):
-        for combo in itertools.combinations(labels, size):
-            gammas[combo] = solver.solve(IndexSubset(combo)).gamma
+    def gamma(combo: tuple[int, ...]) -> float:
+        return solver.solve(IndexSubset(combo)).gamma
 
-    gamma_min = min(gammas.values())
+    labels = range(1, d + 1)
+    level_gammas = {c: gamma(c) for c in itertools.combinations(labels, level)}
+    gamma_min = min(level_gammas.values())
     tol = GAMMA_TIE_REL * max(1.0, gamma_min)
-    family = sorted(
-        (c for c, g in gammas.items() if g <= gamma_min + tol),
-        key=lambda c: (len(c), c),
-    )
+    tied = [c for c, g in level_gammas.items() if g <= gamma_min + tol]
+    family = list(tied)
+    while tied:
+        grown = sorted({tuple(sorted(c + (j,))) for c in tied for j in labels if j not in c})
+        tied = [c for c in grown if gamma(c) <= gamma_min + tol]
+        family += tied
     coeffs = tuple(subset_coefficients(sigma, IndexSubset(c)) for c in family)
     min_active = min(len(c.active_set) for c in coeffs)
     principal = tuple(c.subset for c in coeffs if len(c.active_set) == min_active)
@@ -363,7 +371,7 @@ def cone_analysis(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> C
     )
     gamma_next = None
     if level < d:
-        gamma_next = min(g for c, g in gammas.items() if len(c) > level)
+        gamma_next = min(gamma(c) for c in itertools.combinations(labels, level + 1))
     return ConeAnalysis(
         level=level,
         dim=d,

@@ -3,12 +3,14 @@
 Everything downstream (the box-constrained quadratic program, the Gaussian
 tail constants, the sampler) runs on principal submatrices of one small
 correlation matrix, so the representation stays dense and the validation
-strict. Dimensions are desk-scale: plain operations accept d <= 64, the
-subset-enumerating consumers cap themselves at d <= 12.
+strict. Dimensions are desk-scale: everything accepts d <= MAX_DIM = 64,
+except the cone scan over all coordinate subsets and the CLI, which write
+every cone level and cap themselves at d <= MAX_ENUMERATION_DIM = 12.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,12 +174,14 @@ def _cholesky_lower(a: np.ndarray) -> np.ndarray:
     d = a.shape[0]
     lower = np.zeros((d, d))
     for j in range(d):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
+        row = lower[j, :j]
+        pivot = a[j, j] - row @ row
         if pivot <= PD_TOLERANCE:
             raise NotPositiveDefinite(minor=j + 1, pivot=float(pivot))
-        lower[j, j] = np.sqrt(pivot)
+        root = math.sqrt(pivot)
+        lower[j, j] = root
         if j + 1 < d:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
+            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ row) / root
     return lower
 
 
@@ -226,16 +230,3 @@ def solve_spd(fact: CholeskyFactor, rhs) -> np.ndarray:
     y = solve_triangular(fact.lower, b, lower=True)
     return solve_triangular(fact.lower.T, y, lower=False)
 
-
-def submatrix(sigma: CorrelationMatrix, rows: IndexSubset, cols: IndexSubset) -> np.ndarray:
-    """Extract sigma[rows, cols] as a plain array (labels are 1-based)."""
-    if len(rows) == 0 or len(cols) == 0:
-        raise ValueError("row and column subsets must be nonempty")
-    rows.validate_within(sigma.dim)
-    cols.validate_within(sigma.dim)
-    return sigma.entries[np.ix_(rows.as_indices(), cols.as_indices())]
-
-
-def principal_submatrix(sigma: CorrelationMatrix, subset: IndexSubset) -> CorrelationMatrix:
-    """Principal submatrix as a CorrelationMatrix (stays positive definite)."""
-    return CorrelationMatrix(submatrix(sigma, subset, subset))

@@ -5,23 +5,49 @@ tail constant downstream: the optimal value gamma, the active coordinate set I
 (where the minimizer sits on the boundary z_i = 1), the inactive set J (where
 it floats above 1), and the positive weights h = Sigma_I^{-1} 1.
 
-The solver enumerates candidate active sets in increasing order of their
-candidate value 1' Sigma_I^{-1} 1 and accepts the first candidate whose
-assembled point is feasible. Any feasible candidate's assembled point attains
-exactly its candidate value, so the first feasible one in value order is the
-global minimizer; no iterative QP machinery is needed or wanted.
+The solver works on the dual. With Sigma = L L', the dual is the nonnegative
+least squares problem lam = argmin ||L' lam - L^{-1} 1||, lam >= 0
+(Lawson & Hanson, "Solving Least Squares Problems", 1974; the program's form
+is the one of Hashorva & Huesler, "On multivariate Gaussian tails", 2003). Its
+solution gives the minimizer e* = Sigma lam, the value gamma = 1' lam and the
+active set I* = {lam > H_TOLERANCE}.
+
+The discrete decisions are those of ranking every candidate active set I by
+(value v = 1' Sigma_I^{-1} 1, size, labels) and accepting the first whose
+weights h = Sigma_I^{-1} 1 exceed H_TOLERANCE and whose assembled point
+z = Sigma_{.I} h is >= 1 - BOUNDARY_EPS off I. Such a candidate is a dual
+point lam_I = h with dual value v, so v <= gamma; z / (1 - BOUNDARY_EPS) is
+feasible, so v >= gamma (1 - BOUNDARY_EPS)^2. Because e* >= 1 and
+(e* - 1)' lam = 0,
+
+    (lam_I - lam)' Sigma (lam_I - lam) <= gamma - v
+                                       <= gamma (1 - (1 - BOUNDARY_EPS)^2) < r^2
+
+with r = 2 sqrt(BOUNDARY_EPS gamma), a factor sqrt(2) above the bound to
+absorb rounding in lam. By Cauchy-Schwarz in that norm, |z_j - e*_j| <= r
+(the diagonal of Sigma is 1) and |h_i - lam_i| <= r sqrt((Sigma^{-1})_ii).
+So only coordinates with e*_j <= 1 + r can join I*, and only weights
+lam_i <= r sqrt((Sigma^{-1})_ii) can leave it. The solver ranks the candidates
+built from those coordinates (one in almost every solve) and accepts the
+first that passes, computing each candidate's weights with spd_factorize and
+solve_spd as the full ranking would, so its decisions and bits are the
+ranking's. The window is exponential in the number of near-degenerate
+coordinates, which only nearly singular matrices have many of.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .linalg import (
-    MAX_ENUMERATION_DIM,
+    MAX_DIM,
+    CholeskyFactor,
     CorrelationMatrix,
     IndexSubset,
     solve_spd,
@@ -42,7 +68,7 @@ H_TOLERANCE = 1e-10
 
 
 class SolverInconsistency(RuntimeError):
-    """No candidate active set passed both feasibility checks.
+    """No candidate active set in the tie window passed both feasibility checks.
 
     Impossible for a valid positive definite correlation matrix; raising this
     signals numerical breakdown, and the message carries a per-candidate dump.
@@ -85,32 +111,57 @@ class ResidualReport:
 class SubsetQpSolver:
     """Solves the program restricted to any coordinate subset of one matrix.
 
-    Candidate ingredients depend only on the candidate active set I, not on
-    the subset S being solved, so they are cached across calls: a full cone
-    scan then costs 2^d factorizations instead of 3^d.
-
-    The solver keeps the entries, not the matrix, so that subset_solver's
-    weak cache can release it together with the matrix.
+    Each subset is solved once; later calls return the cached solution. The
+    solver keeps the entries, not the matrix, so that subset_solver's weak
+    cache can release it together with the matrix.
     """
 
     def __init__(self, sigma: CorrelationMatrix):
         self._entries = sigma.entries
         self._dim = sigma.dim
-        self._candidates: dict[tuple[int, ...], tuple[float, np.ndarray, bool]] = {}
         self._solutions: dict[tuple[int, ...], QpSolution] = {}
+        self._candidates: dict[tuple[int, ...], tuple] = {}
 
-    def _candidate(self, labels: tuple[int, ...]) -> tuple[float, np.ndarray, bool]:
-        """(candidate value, weights h, all-weights-positive) for active set labels."""
+    def _candidate(
+        self, labels: tuple[int, ...], key: tuple[int, ...], fact: CholeskyFactor
+    ) -> tuple:
+        """(value 1'h, size, labels, h = Sigma_I^{-1} 1) of active set labels.
+
+        Cached per matrix, because it depends on I alone and subsets of one
+        scan rank the same I. fact is the factor of the subset key being
+        solved, reused when I is all of it.
+        """
         cached = self._candidates.get(labels)
-        if cached is not None:
-            return cached
-        idx = np.asarray(labels, dtype=int) - 1
-        block = self._entries[np.ix_(idx, idx)]
-        h = solve_spd(spd_factorize(block), np.ones(len(labels)))
-        value = float(np.sum(h))
-        ok = bool(np.min(h) > H_TOLERANCE)
-        self._candidates[labels] = (value, h, ok)
-        return value, h, ok
+        if cached is None:
+            if labels != key:
+                idx = np.asarray(labels, dtype=int) - 1
+                fact = spd_factorize(self._entries[np.ix_(idx, idx)])
+            h = solve_spd(fact, np.ones(len(labels)))
+            cached = self._candidates[labels] = (float(np.sum(h)), len(labels), labels, h)
+        return cached
+
+    def _assemble(self, subset: IndexSubset, value: float, labels: tuple[int, ...], h: np.ndarray):
+        """The solution with active set labels, or None when it fails a check."""
+        if not h.min() > H_TOLERANCE:
+            return None
+        inactive_pos = [p for p, m in enumerate(subset.members) if m not in labels]
+        inactive = tuple(subset.members[p] for p in inactive_pos)
+        e_star = np.ones(len(subset))
+        if inactive:
+            rows = np.asarray(inactive, dtype=int) - 1
+            cols = np.asarray(labels, dtype=int) - 1
+            e_inactive = self._entries[np.ix_(rows, cols)] @ h
+            if e_inactive.min() < 1.0 - BOUNDARY_EPS:
+                return None
+            e_star[inactive_pos] = e_inactive
+        return QpSolution(
+            gamma=value,
+            e_star=e_star,
+            active_set=IndexSubset(labels),
+            inactive_set=IndexSubset(inactive),
+            h=np.array(h),
+            support=subset,
+        )
 
     def solve(self, subset: IndexSubset) -> QpSolution:
         """Solve over the coordinates in ``subset`` (labels of the parent matrix)."""
@@ -122,50 +173,45 @@ class SubsetQpSolver:
         if cached is not None:
             return cached
 
-        ranked = []
-        for size in range(1, len(subset) + 1):
-            for combo in itertools.combinations(subset.members, size):
-                value, h, ok = self._candidate(combo)
-                ranked.append((value, size, combo, h, ok))
-        ranked.sort(key=lambda item: (item[0], item[1], item[2]))
-
-        entries = self._entries
-        for value, _, combo, h, ok in ranked:
-            if not ok:
-                continue
-            inactive = tuple(m for m in subset.members if m not in combo)
-            if inactive:
-                rows = np.asarray(inactive, dtype=int) - 1
-                cols = np.asarray(combo, dtype=int) - 1
-                e_inactive = entries[np.ix_(rows, cols)] @ h
-                if np.min(e_inactive) < 1.0 - BOUNDARY_EPS:
-                    continue
-            else:
-                e_inactive = np.empty(0)
-            e_star = np.ones(len(subset))
-            if inactive:
-                inactive_pos = {m: p for p, m in enumerate(subset.members)}
-                for lab, val in zip(inactive, e_inactive):
-                    e_star[inactive_pos[lab]] = val
-            solution = QpSolution(
-                gamma=value,
-                e_star=e_star,
-                active_set=IndexSubset(combo),
-                inactive_set=IndexSubset(inactive),
-                h=np.array(h),
-                support=subset,
+        idx = np.asarray(key, dtype=int) - 1
+        block = self._entries[np.ix_(idx, idx)]
+        fact = spd_factorize(block)
+        lower_inv = np.linalg.inv(fact.lower)
+        lam, _ = nnls(fact.lower.T, lower_inv.sum(axis=1))
+        e_star = block @ lam
+        gamma = float(np.sum(lam))
+        radius = 2.0 * math.sqrt(BOUNDARY_EPS * gamma)
+        in_dual = lam > H_TOLERANCE
+        # (Sigma^{-1})_ii is the squared norm of column i of L^{-1}.
+        leave = lam <= radius * np.sqrt(np.sum(lower_inv * lower_inv, axis=0))
+        free = np.where(in_dual, leave, e_star <= 1.0 + radius).tolist()
+        fixed = tuple(m for m, a, f in zip(key, in_dual.tolist(), free) if a and not f)
+        loose = [m for m, f in zip(key, free) if f]
+        window = sorted(
+            (
+                self._candidate(tuple(sorted(fixed + extra)), key, fact)
+                for count in range(len(loose) + 1)
+                for extra in itertools.combinations(loose, count)
+                if fixed or extra
+            ),
+            key=lambda item: item[:3],
+        )
+        for value, _, labels, h in window:
+            solution = self._assemble(subset, value, labels, h)
+            if solution is not None:
+                break
+        if solution is None:
+            dump = "; ".join(
+                f"I={labels}: value={value:.6g}, min_h={np.min(h):.3e}, "
+                f"ok={bool(np.min(h) > H_TOLERANCE)}"
+                for value, _, labels, h in window
             )
-            self._solutions[key] = solution
-            return solution
-
-        dump = "; ".join(
-            f"I={combo}: value={value:.6g}, min_h={np.min(h):.3e}, ok={ok}"
-            for value, _, combo, h, ok in ranked
-        )
-        raise SolverInconsistency(
-            f"no candidate active set is feasible over {subset} (numerical "
-            f"breakdown). Candidates: {dump}"
-        )
+            raise SolverInconsistency(
+                f"no candidate active set is feasible over {subset} (numerical "
+                f"breakdown). Candidates: {dump}"
+            )
+        self._solutions[key] = solution
+        return solution
 
 
 _SOLVERS: weakref.WeakKeyDictionary[CorrelationMatrix, SubsetQpSolver] = (
@@ -189,7 +235,7 @@ def solve_qp(sigma: CorrelationMatrix) -> QpSolution:
     """Solve min z' Sigma^{-1} z subject to z >= 1 for the full matrix.
 
     Args:
-        sigma: valid correlation matrix with 2 <= d <= 12.
+        sigma: valid correlation matrix with 2 <= d <= 64.
 
     Returns:
         The unique QpSolution; repeated calls are bit-identical.
@@ -197,10 +243,8 @@ def solve_qp(sigma: CorrelationMatrix) -> QpSolution:
     Raises:
         SolverInconsistency: numerical breakdown (never for valid input).
     """
-    if sigma.dim < 2 or sigma.dim > MAX_ENUMERATION_DIM:
-        raise ValueError(
-            f"solve_qp supports 2 <= d <= {MAX_ENUMERATION_DIM}, got d={sigma.dim}"
-        )
+    if sigma.dim < 2:
+        raise ValueError(f"solve_qp supports 2 <= d <= {MAX_DIM}, got d={sigma.dim}")
     return subset_solver(sigma).solve(IndexSubset.full(sigma.dim))
 
 

@@ -1,18 +1,29 @@
 """Slow, independent references the library is checked against.
 
-Neither routine is on any library path: the grid search re-derives the QP
-value without the active-set algebra, and the quadrature computes small
+None of these routines is on any library path: the grid search re-derives
+the QP value without the active-set algebra, the enumeration makes the QP's
+discrete decisions by ranking every candidate active set, the full cone scan
+finds the cone minimizers without pruning, and the quadrature computes small
 normal joint tails without the asymptotic expansion.
 """
 
+import itertools
 import math
 
 import numpy as np
 from scipy import integrate
 from scipy.special import ndtr
 
+import artifact.qp as qp
+from artifact.asymptotics import (
+    GAMMA_TIE_REL,
+    ConeAnalysis,
+    MarginalSpec,
+    subset_coefficients,
+)
 from artifact.gaussian import std_normal_pdf
-from artifact.linalg import CorrelationMatrix, solve_spd, spd_factorize
+from artifact.linalg import CorrelationMatrix, IndexSubset, solve_spd, spd_factorize
+from artifact.qp import QpSolution
 
 # exp(-z^2/2) underflows past |z| ~ 38.6; quadrature never needs to look beyond.
 _NORMAL_SUPPORT = 40.0
@@ -118,3 +129,80 @@ def joint_tail_quadrature(sigma: CorrelationMatrix, u: float) -> float:
         return _survival2_std((u - rho12 * z) / sd2, (u - rho13 * z) / sd3, r_cond)
 
     return _normal_tail_integral(conditional, u)
+
+
+def enumeration_qp(sigma: CorrelationMatrix, subset: IndexSubset) -> QpSolution:
+    """Enumeration oracle for SubsetQpSolver.solve, |subset| <= 8.
+
+    Ranks every nonempty candidate active set I of the subset by
+    (value 1' Sigma_I^{-1} 1, size, labels) and accepts the first whose
+    weights h = Sigma_I^{-1} 1 all exceed H_TOLERANCE and whose assembled
+    point Sigma_{JI} h on the inactive coordinates J is >= 1 - BOUNDARY_EPS.
+    A feasible candidate's point attains its value, so the first feasible
+    one is the minimizer. The arithmetic of each candidate is the library's
+    (spd_factorize, solve_spd, the same products), so a solution that makes
+    the same decisions matches it bit for bit.
+    """
+    if len(subset) == 0 or len(subset) > 8:
+        raise ValueError(f"enumeration_qp is a 1 <= |S| <= 8 oracle, got {subset}")
+    entries = sigma.entries
+    ranked = []
+    for size in range(1, len(subset) + 1):
+        for combo in itertools.combinations(subset.members, size):
+            idx = np.asarray(combo, dtype=int) - 1
+            h = solve_spd(spd_factorize(entries[np.ix_(idx, idx)]), np.ones(size))
+            ranked.append((float(np.sum(h)), size, combo, h))
+    ranked.sort(key=lambda item: item[:3])
+    for value, _, combo, h in ranked:
+        if not np.min(h) > qp.H_TOLERANCE:
+            continue
+        inactive = tuple(m for m in subset.members if m not in combo)
+        e_star = np.ones(len(subset))
+        if inactive:
+            rows = np.asarray(inactive, dtype=int) - 1
+            cols = np.asarray(combo, dtype=int) - 1
+            e_inactive = entries[np.ix_(rows, cols)] @ h
+            if np.min(e_inactive) < 1.0 - qp.BOUNDARY_EPS:
+                continue
+            e_star[IndexSubset(inactive).positions_in(subset)] = e_inactive
+        return QpSolution(
+            gamma=value,
+            e_star=e_star,
+            active_set=IndexSubset(combo),
+            inactive_set=IndexSubset(inactive),
+            h=np.array(h),
+            support=subset,
+        )
+    raise qp.SolverInconsistency(f"no candidate active set is feasible over {subset}")
+
+
+def full_cone_scan(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> ConeAnalysis:
+    """Oracle for cone_analysis: solves every subset of size >= level and
+    takes the minimum, the tied family and gamma_next from all of them,
+    without the monotonicity of gamma in the subset."""
+    d = sigma.dim
+    solver = qp.subset_solver(sigma)
+    gammas = {
+        combo: solver.solve(IndexSubset(combo)).gamma
+        for size in range(level, d + 1)
+        for combo in itertools.combinations(range(1, d + 1), size)
+    }
+    gamma_min = min(gammas.values())
+    tol = GAMMA_TIE_REL * max(1.0, gamma_min)
+    family = sorted((c for c, g in gammas.items() if g <= gamma_min + tol), key=lambda c: (len(c), c))
+    coeffs = tuple(subset_coefficients(sigma, IndexSubset(c)) for c in family)
+    min_active = min(len(c.active_set) for c in coeffs)
+    principal = tuple(c for c in coeffs if len(c.active_set) == min_active)
+    return ConeAnalysis(
+        level=level,
+        dim=d,
+        gamma=gamma_min,
+        alpha=marg.alpha * gamma_min,
+        min_active_size=min_active,
+        minimizing_family=tuple(IndexSubset(c) for c in family),
+        principal_family=tuple(c.subset for c in principal),
+        coefficients=coeffs,
+        principal_active=principal[0].active_set,
+        marginal=marg,
+        gamma_next=min((g for c, g in gammas.items() if len(c) > level), default=None),
+    )

@@ -2,6 +2,7 @@
 sets, cone-level analysis with limit masses, and the bivariate normal-versus-
 Pareto comparison."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from artifact.asymptotics import (
     AsymptoticRegimeWarning,
     AtLeastI,
     ComplementBox,
+    ConeAnalysis,
     ContributingSet,
     MarginalSpec,
     Rectangular,
@@ -35,6 +37,7 @@ from conftest import (
     random_correlation,
     two_block_6x6,
 )
+from oracles import full_cone_scan
 
 PARETO2 = MarginalSpec(alpha=2.0)
 
@@ -195,6 +198,22 @@ class TestEstimateAlgebra:
         assert not tie_b.decays_faster_than(tie_a)
 
 
+def assert_scans_agree(sigma: CorrelationMatrix) -> None:
+    """cone_analysis equals the unpruned scan in every field at every level."""
+    for level in range(2, sigma.dim + 1):
+        got = cone_analysis(sigma, PARETO2, level)
+        want = full_cone_scan(sigma, PARETO2, level)
+        for field in dataclasses.fields(ConeAnalysis):
+            if field.name != "coefficients":
+                assert getattr(got, field.name) == getattr(want, field.name), field.name
+        assert len(got.coefficients) == len(want.coefficients)
+        for a, b in zip(got.coefficients, want.coefficients):
+            assert (a.subset, a.gamma, a.active_set, a.upsilon) == (
+                b.subset, b.gamma, b.active_set, b.upsilon
+            )
+            assert np.array_equal(a.h, b.h)
+
+
 class TestConeAnalysis:
     @pytest.mark.parametrize("rho", [-0.3, 0.25, 0.5])
     def test_equicorrelation_levels(self, rho):
@@ -259,6 +278,26 @@ class TestConeAnalysis:
             cone_analysis(sigma, PARETO2, 4)
         with pytest.raises(ValueError, match="d <= 12"):
             cone_analysis(CorrelationMatrix(np.eye(13)), PARETO2, 2)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            near_tie_4x4,
+            two_block_6x6,
+            lambda: coupled_pair_matrix(0.2),
+            lambda: coupled_pair_matrix(0.45),
+            lambda: coupled_pair_matrix(1.0 / (2.0 * math.sqrt(2.0) - 1.0)),
+            lambda: coupled_pair_matrix(0.6),
+            lambda: equi_matrix(4, 0.3),
+        ],
+        ids=["near_tie_4x4", "two_block_6x6", "cp_0.2", "cp_0.45", "cp_threshold", "cp_0.6", "equi4"],
+    )
+    def test_pruned_scan_matches_full_scan(self, make):
+        assert_scans_agree(make())
+
+    def test_pruned_scan_matches_full_scan_random(self, rng):
+        for _ in range(20):
+            assert_scans_agree(random_correlation(rng, int(rng.integers(3, 8))))
 
     def test_monotone_indices_random(self, rng):
         for _ in range(25):

@@ -1,5 +1,5 @@
 """Validated dense symmetric linear algebra: construction gates, factorization,
-solves, and submatrix extraction."""
+solves, and principal blocks."""
 
 import math
 
@@ -13,12 +13,10 @@ from artifact.linalg import (
     CorrelationMatrix,
     IndexSubset,
     NotPositiveDefinite,
-    principal_submatrix,
     solve_spd,
     spd_factorize,
-    submatrix,
 )
-from conftest import coupled_pair_matrix, equi_matrix, random_correlation
+from conftest import equi_matrix, random_correlation
 
 
 class TestIndexSubset:
@@ -187,38 +185,7 @@ class TestSolveSpd:
 
 
 class TestSubmatrix:
-    def test_identity_principal_block(self):
-        sigma = CorrelationMatrix(np.eye(3))
-        block = submatrix(sigma, IndexSubset.of(1, 3), IndexSubset.of(1, 3))
-        assert np.array_equal(block, np.eye(2))
-
-    def test_coupled_pair_principal_block(self):
-        rho = 0.3
-        sigma = coupled_pair_matrix(rho)
-        block = submatrix(sigma, IndexSubset.of(1, 2), IndexSubset.of(1, 2))
-        assert np.array_equal(block, [[1.0, rho], [rho, 1.0]])
-
-    def test_coupled_pair_cross_block(self):
-        rho = 0.3
-        sigma = coupled_pair_matrix(rho)
-        cross = submatrix(sigma, IndexSubset.of(3), IndexSubset.of(1, 2))
-        assert np.array_equal(cross, [[math.sqrt(2.0) * rho] * 2])
-
-    def test_out_of_range_label(self):
-        sigma = CorrelationMatrix(np.eye(3))
-        with pytest.raises(ValueError, match="out of range"):
-            submatrix(sigma, IndexSubset.of(4), IndexSubset.of(1))
-
-    def test_empty_subset_rejected(self):
-        sigma = CorrelationMatrix(np.eye(3))
-        with pytest.raises(ValueError, match="nonempty"):
-            submatrix(sigma, IndexSubset(()), IndexSubset.of(1))
-
-    def test_principal_submatrix_is_valid_correlation(self, rng):
-        sigma = random_correlation(rng, 6)
-        sub = principal_submatrix(sigma, IndexSubset.of(2, 4, 5))
-        assert isinstance(sub, CorrelationMatrix)
-        assert sub.dim == 3
+    """Every library path factors principal blocks of one matrix."""
 
     def test_every_principal_block_factorizes(self, rng):
         import itertools
@@ -226,7 +193,8 @@ class TestSubmatrix:
         sigma = random_correlation(rng, 5)
         for r in range(1, 6):
             for combo in itertools.combinations(range(1, 6), r):
-                spd_factorize(principal_submatrix(sigma, IndexSubset(combo)))
+                idx = np.asarray(combo) - 1
+                spd_factorize(CorrelationMatrix(sigma.entries[np.ix_(idx, idx)]))
 
 
 def test_equi_matrix_positive_definite_boundary():

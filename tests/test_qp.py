@@ -1,8 +1,10 @@
 """Structural solver for min z' Sigma^{-1} z subject to z >= 1: closed forms,
-grid-search oracle agreement, KKT certification, and breakdown reporting."""
+bit parity with the enumeration oracle, grid-search oracle agreement, KKT
+certification beyond the enumeration's reach, and breakdown reporting."""
 
 import dataclasses
 import gc
+import itertools
 import math
 import weakref
 
@@ -10,8 +12,15 @@ import numpy as np
 import pytest
 
 import artifact.qp as qp_module
-from artifact.asymptotics import AtLeastI, MarginalSpec, Rectangular, asymptotic_estimate, cone_analysis
-from artifact.linalg import CorrelationMatrix, IndexSubset, principal_submatrix
+from artifact.asymptotics import (
+    AtLeastI,
+    MarginalSpec,
+    Rectangular,
+    asymptotic_estimate,
+    cone_analysis,
+    rect_tail_asymptotic,
+)
+from artifact.linalg import CorrelationMatrix, IndexSubset, spd_factorize
 from artifact.qp import (
     BOUNDARY_EPS,
     QpSolution,
@@ -21,8 +30,14 @@ from artifact.qp import (
     solve_qp,
     subset_solver,
 )
-from conftest import coupled_pair_matrix, equi_matrix, near_tie_4x4, random_correlation
-from oracles import brute_force_qp
+from conftest import (
+    coupled_pair_matrix,
+    equi_matrix,
+    near_tie_4x4,
+    random_correlation,
+    two_block_6x6,
+)
+from oracles import brute_force_qp, enumeration_qp
 
 
 class TestClosedForms:
@@ -71,10 +86,9 @@ class TestClosedForms:
         assert seen >= 10
 
     def test_dimension_validation(self):
-        with pytest.raises(ValueError, match="2 <= d <= 12"):
+        with pytest.raises(ValueError, match="2 <= d <= 64"):
             solve_qp(CorrelationMatrix(np.eye(1)))
-        with pytest.raises(ValueError, match="2 <= d <= 12"):
-            solve_qp(CorrelationMatrix(np.eye(13)))
+        assert solve_qp(CorrelationMatrix(np.eye(13))).gamma == 13.0
 
     def test_repeat_calls_bit_identical(self):
         sigma = coupled_pair_matrix(0.45)
@@ -96,7 +110,8 @@ class TestSubsetSolver:
         solver = SubsetQpSolver(sigma)
         for members in [(1, 2), (1, 3), (2, 3), (1, 2, 3)]:
             sub_sol = solver.solve(IndexSubset(members))
-            ref = solve_qp(principal_submatrix(sigma, IndexSubset(members)))
+            idx = np.asarray(members) - 1
+            ref = solve_qp(CorrelationMatrix(sigma.entries[np.ix_(idx, idx)]))
             assert sub_sol.gamma == ref.gamma
             assert np.array_equal(np.sort(sub_sol.h), np.sort(ref.h))
             assert sub_sol.support.members == members
@@ -112,19 +127,107 @@ class TestSubsetSolver:
         with pytest.raises(ValueError, match="empty subset"):
             SubsetQpSolver(equi_matrix(2, 0.1)).solve(IndexSubset(()))
 
-    def test_solution_and_candidate_caches(self):
-        solver = SubsetQpSolver(coupled_pair_matrix(0.3))
+    def test_solution_and_candidate_caches(self, monkeypatch):
+        factored = []
+
+        def counting_factorize(m):
+            factored.append(len(m))
+            return spd_factorize(m)
+
+        monkeypatch.setattr(qp_module, "spd_factorize", counting_factorize)
+        solver = SubsetQpSolver(coupled_pair_matrix(0.6))
+        solver.solve(IndexSubset.of(1, 2))
         full = solver.solve(IndexSubset.full(3))
         assert solver.solve(IndexSubset.full(3)) is full
-        # the full solve enumerated all 7 nonempty candidate active sets;
-        # a later subset solve reuses them instead of refactorizing
-        assert len(solver._candidates) == 7
-        solver.solve(IndexSubset.of(1, 2))
-        assert len(solver._candidates) == 7
+        assert full.active_set.members == (1, 2)
+        # one factor per subset, for its dual: the full solve takes the
+        # weights of its active set {1,2} from the pair's solve
+        assert factored == [2, 3]
 
     def test_out_of_range_subset(self):
         with pytest.raises(ValueError, match="out of range"):
             SubsetQpSolver(equi_matrix(3, 0.2)).solve(IndexSubset.of(4))
+
+
+def factor_correlation(rng: np.random.Generator, d: int) -> CorrelationMatrix:
+    """Normalized A A' + s I with A of rank 1..3 and s in [1e-3, 1]: strong
+    correlations, so inactive and boundary coordinates are common."""
+    a = rng.standard_normal((d, int(rng.integers(1, 4))))
+    s = a @ a.T + 10.0 ** rng.uniform(-3.0, 0.0) * np.eye(d)
+    inv_sd = 1.0 / np.sqrt(np.diagonal(s))
+    lower = np.tril(s * inv_sd[:, None] * inv_sd[None, :], -1)
+    return CorrelationMatrix(lower + lower.T + np.eye(d))
+
+
+def assert_same_solution(got: QpSolution, want: QpSolution) -> None:
+    assert got.gamma == want.gamma
+    assert np.array_equal(got.e_star, want.e_star)
+    assert np.array_equal(got.h, want.h)
+    assert got.active_set == want.active_set
+    assert got.inactive_set == want.inactive_set
+    assert got.support == want.support
+
+
+PARITY_FIXTURES = {
+    "near_tie_4x4": near_tie_4x4,
+    "two_block_6x6": two_block_6x6,
+    "coupled_pair_0.2": lambda: coupled_pair_matrix(0.2),
+    "coupled_pair_0.45": lambda: coupled_pair_matrix(0.45),
+    "coupled_pair_threshold": lambda: coupled_pair_matrix(1.0 / (2.0 * math.sqrt(2.0) - 1.0)),
+    "coupled_pair_0.6": lambda: coupled_pair_matrix(0.6),
+}
+
+
+class TestEnumerationParity:
+    """The dual solve with its tie window makes the enumeration's decisions,
+    bit for bit, near-ties and boundary coordinates included."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_FIXTURES))
+    def test_every_subset_of_fixture(self, name):
+        sigma = PARITY_FIXTURES[name]()
+        solver = SubsetQpSolver(sigma)
+        for size in range(1, sigma.dim + 1):
+            for combo in itertools.combinations(range(1, sigma.dim + 1), size):
+                subset = IndexSubset(combo)
+                assert_same_solution(solver.solve(subset), enumeration_qp(sigma, subset))
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(20261018)
+        for i in range(120):
+            d = 2 + i % 7
+            sigma = random_correlation(rng, d) if i % 2 else factor_correlation(rng, d)
+            subsets = [IndexSubset.full(d)]
+            if d <= 5:
+                subsets = [
+                    IndexSubset(combo)
+                    for size in range(1, d + 1)
+                    for combo in itertools.combinations(range(1, d + 1), size)
+                ]
+            solver = SubsetQpSolver(sigma)
+            for subset in subsets:
+                assert_same_solution(solver.solve(subset), enumeration_qp(sigma, subset))
+
+
+class TestBeyondEnumeration:
+    """Dimensions the 3^d ranking could not reach, certified by kkt_residuals."""
+
+    @pytest.mark.parametrize("d", [12, 24, 40, 64])
+    def test_wishart_solutions_certify(self, d):
+        sigma = random_correlation(np.random.default_rng(d), d)
+        report = kkt_residuals(sigma, solve_qp(sigma))
+        assert report.stationarity < 1e-9
+        assert report.min_h > 0.0
+        assert report.min_inactive_slack >= -BOUNDARY_EPS
+        assert report.gamma_gap < 1e-10
+        assert report.max_active_violation == 0.0
+
+    def test_rectangular_law_and_cone_cap_at_d_40(self):
+        sigma = random_correlation(np.random.default_rng(40), 40)
+        marg = MarginalSpec(alpha=2.0)
+        est = rect_tail_asymptotic(sigma, marg, Rectangular(IndexSubset.full(40), (1.0,) * 40))
+        assert est.power_exponent == pytest.approx(2.0 * solve_qp(sigma).gamma, rel=1e-15)
+        with pytest.raises(ValueError, match="cone analysis supports d <= 12, got d=40"):
+            cone_analysis(sigma, marg, 2)
 
 
 class TestSolverCache:
