@@ -180,6 +180,8 @@ class SubsetQpSolver:
         lam, _ = nnls(fact.lower.T, lower_inv.sum(axis=1))
         e_star = block @ lam
         gamma = float(np.sum(lam))
+        # The tie window of the module docstring: every candidate the ranking
+        # could accept is built from I* and the free coordinates.
         radius = 2.0 * math.sqrt(BOUNDARY_EPS * gamma)
         in_dual = lam > H_TOLERANCE
         # (Sigma^{-1})_ii is the squared norm of column i of L^{-1}.
@@ -196,6 +198,7 @@ class SubsetQpSolver:
             ),
             key=lambda item: item[:3],
         )
+        solution = None
         for value, _, labels, h in window:
             solution = self._assemble(subset, value, labels, h)
             if solution is not None:
