@@ -4,8 +4,8 @@ Everything downstream (the box-constrained quadratic program, the Gaussian
 tail constants, the sampler) runs on principal submatrices of one small
 correlation matrix, so the representation stays dense and the validation
 strict. Dimensions are desk-scale: everything accepts d <= MAX_DIM = 64,
-except the cone scan over all coordinate subsets and the CLI, which write
-every cone level and cap themselves at d <= MAX_ENUMERATION_DIM = 12.
+except cone_analysis and the CLI's sigma, which stop at
+d <= MAX_ENUMERATION_DIM = 12 because analyze scans every cone level.
 """
 
 from __future__ import annotations
