@@ -23,22 +23,21 @@ feasible, so v >= gamma (1 - BOUNDARY_EPS)^2. Because e* >= 1 and
     (lam_I - lam)' Sigma (lam_I - lam) <= gamma - v
                                        <= gamma (1 - (1 - BOUNDARY_EPS)^2) < r^2
 
-with r = 2 sqrt(BOUNDARY_EPS gamma), a factor sqrt(2) above the bound to
-absorb rounding in lam. By Cauchy-Schwarz in that norm, |z_j - e*_j| <= r
-(the diagonal of Sigma is 1) and |h_i - lam_i| <= r sqrt((Sigma^{-1})_ii).
-So only coordinates with e*_j <= 1 + r can join I*, and only weights
-lam_i <= r sqrt((Sigma^{-1})_ii) can leave it. The solver ranks the candidates
-built from those coordinates (one in almost every solve) and accepts the
-first that passes, computing each candidate's weights with spd_factorize and
-solve_spd as the full ranking would, so its decisions and bits are the
-ranking's. The window is exponential in the number of near-degenerate
-coordinates, which only nearly singular matrices have many of.
+with r^2 = 4 BOUNDARY_EPS gamma, twice the bound to absorb rounding in lam.
+A candidate that drops a set R from I* has lam_I = 0 on R, and one that adds
+a set A has z = Sigma lam_I = 1 on A. The least (lam_I - lam)' Sigma
+(lam_I - lam) under both constraints is d(R) + d(A), with
+d(R) = lam_R' ((Sigma^{-1})_RR)^{-1} lam_R and
+d(A) = (e*_A - 1)' (Sigma_AA)^{-1} (e*_A - 1), since the two constraint sets
+are orthogonal in that inner product. So only candidates with
+d(R) + d(A) < r^2 can pass. The solver ranks that window (I* alone in almost
+every solve) and accepts the first candidate that passes, computing each
+candidate's weights with spd_factorize and solve_spd as the full ranking
+would, so its decisions and bits are the ranking's.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import weakref
 from dataclasses import dataclass
 
@@ -180,24 +179,20 @@ class SubsetQpSolver:
         lam, _ = nnls(fact.lower.T, lower_inv.sum(axis=1))
         e_star = block @ lam
         gamma = float(np.sum(lam))
-        # The tie window of the module docstring: every candidate the ranking
-        # could accept is built from I* and the free coordinates.
-        radius = 2.0 * math.sqrt(BOUNDARY_EPS * gamma)
+        # The tie window of the module docstring: the candidates that drop a
+        # set R of positions from I* and add a set A with d(R) + d(A) <= r^2.
+        budget = 4.0 * BOUNDARY_EPS * gamma
         in_dual = lam > H_TOLERANCE
-        # (Sigma^{-1})_ii is the squared norm of column i of L^{-1}.
-        leave = lam <= radius * np.sqrt(np.sum(lower_inv * lower_inv, axis=0))
-        free = np.where(in_dual, leave, e_star <= 1.0 + radius).tolist()
-        fixed = tuple(m for m, a, f in zip(key, in_dual.tolist(), free) if a and not f)
-        loose = [m for m, f in zip(key, free) if f]
-        window = sorted(
-            (
-                self._candidate(tuple(sorted(fixed + extra)), key, fact)
-                for count in range(len(loose) + 1)
-                for extra in itertools.combinations(loose, count)
-                if fixed or extra
-            ),
-            key=lambda item: item[:3],
-        )
+        drops = _within(lower_inv.T @ lower_inv, lam, in_dual, budget)
+        adds = _within(block, e_star - 1.0, ~in_dual, budget)
+        window = []
+        for drop, d_drop in drops.items():
+            kept = [m for p, m in enumerate(key) if in_dual[p] and p not in drop]
+            for add, d_add in adds.items():
+                labels = tuple(sorted(kept + [key[p] for p in add]))
+                if labels and d_drop + d_add <= budget:
+                    window.append(self._candidate(labels, key, fact))
+        window.sort(key=lambda item: item[:3])
         solution = None
         for value, _, labels, h in window:
             solution = self._assemble(subset, value, labels, h)
@@ -215,6 +210,33 @@ class SubsetQpSolver:
             )
         self._solutions[key] = solution
         return solution
+
+
+def _within(gram: np.ndarray, vec: np.ndarray, mask: np.ndarray, budget: float) -> dict:
+    """Every set P of positions where mask holds with vec_P' gram_PP^{-1} vec_P
+    <= budget, mapped to that form.
+
+    The form only grows with P, so every such set is grown one position at a
+    time from a smaller one within the budget, starting from the empty set;
+    in almost every solve no single position is within it.
+    """
+    singles = np.flatnonzero(mask & (vec * vec <= budget * np.diagonal(gram))).tolist()
+    found = {(): 0.0}
+    frontier = [()]
+    while frontier:
+        grown = []
+        for base in frontier:
+            for q in singles:
+                if base and q <= base[-1]:
+                    continue
+                pos = base + (q,)
+                v = vec[list(pos)]
+                form = float(v @ np.linalg.solve(gram[np.ix_(pos, pos)], v))
+                if form <= budget:
+                    found[pos] = form
+                    grown.append(pos)
+        frontier = grown
+    return found
 
 
 _SOLVERS: weakref.WeakKeyDictionary[CorrelationMatrix, SubsetQpSolver] = (

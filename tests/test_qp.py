@@ -159,6 +159,18 @@ def factor_correlation(rng: np.random.Generator, d: int) -> CorrelationMatrix:
     return CorrelationMatrix(lower + lower.T + np.eye(d))
 
 
+def nearly_singular_correlation(rng: np.random.Generator, d: int) -> CorrelationMatrix:
+    """Correlation matrix whose 1..3 smallest eigenvalues are pushed to
+    1e-9.5..1e-7 before normalizing: many coordinates sit near a tie."""
+    a = rng.standard_normal((d, d))
+    w, v = np.linalg.eigh(a @ a.T)
+    w[: int(rng.integers(1, 4))] = 10.0 ** rng.uniform(-9.5, -7.0)
+    s = v @ np.diag(w) @ v.T
+    inv_sd = 1.0 / np.sqrt(np.diagonal(s))
+    lower = np.tril(s * inv_sd[:, None] * inv_sd[None, :], -1)
+    return CorrelationMatrix(lower + lower.T + np.eye(d))
+
+
 def assert_same_solution(got: QpSolution, want: QpSolution) -> None:
     assert got.gamma == want.gamma
     assert np.array_equal(got.e_star, want.e_star)
@@ -193,9 +205,10 @@ class TestEnumerationParity:
 
     def test_random_matrices(self):
         rng = np.random.default_rng(20261018)
+        families = (random_correlation, factor_correlation, nearly_singular_correlation)
         for i in range(120):
             d = 2 + i % 7
-            sigma = random_correlation(rng, d) if i % 2 else factor_correlation(rng, d)
+            sigma = families[i % 3](rng, d)
             subsets = [IndexSubset.full(d)]
             if d <= 5:
                 subsets = [
@@ -216,6 +229,25 @@ class TestBeyondEnumeration:
         sigma = random_correlation(np.random.default_rng(d), d)
         report = kkt_residuals(sigma, solve_qp(sigma))
         assert report.stationarity < 1e-9
+        assert report.min_h > 0.0
+        assert report.min_inactive_slack >= -BOUNDARY_EPS
+        assert report.gamma_gap < 1e-10
+        assert report.max_active_violation == 0.0
+
+    def test_nearly_singular_window_stays_small(self, monkeypatch):
+        # 22 coordinates pass the single-coordinate test here, so ranking
+        # every combination of them would take 2^22 candidates
+        sigma = nearly_singular_correlation(np.random.default_rng(0), 40)
+        ranked = []
+        original = SubsetQpSolver._candidate
+
+        def counting(self, *args):
+            ranked.append(args[0])
+            return original(self, *args)
+
+        monkeypatch.setattr(SubsetQpSolver, "_candidate", counting)
+        report = kkt_residuals(sigma, solve_qp(sigma))
+        assert len(ranked) < 1000
         assert report.min_h > 0.0
         assert report.min_inactive_slack >= -BOUNDARY_EPS
         assert report.gamma_gap < 1e-10
