@@ -139,7 +139,9 @@ class SubsetQpSolver:
             cached = self._candidates[labels] = (float(np.sum(h)), len(labels), labels, h)
         return cached
 
-    def _assemble(self, subset: IndexSubset, value: float, labels: tuple[int, ...], h: np.ndarray):
+    def _assemble(
+        self, subset: IndexSubset, value: float, labels: tuple[int, ...], h: np.ndarray
+    ) -> QpSolution | None:
         """The solution with active set labels, or None when it fails a check."""
         if not h.min() > H_TOLERANCE:
             return None
@@ -212,7 +214,9 @@ class SubsetQpSolver:
         return solution
 
 
-def _within(gram: np.ndarray, vec: np.ndarray, mask: np.ndarray, budget: float) -> dict:
+def _within(
+    gram: np.ndarray, vec: np.ndarray, mask: np.ndarray, budget: float
+) -> dict[tuple[int, ...], float]:
     """Every set P of positions where mask holds with vec_P' gram_PP^{-1} vec_P
     <= budget, mapped to that form.
 
