@@ -339,9 +339,14 @@ def cone_analysis(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> C
     the minimum over sizes >= level is the minimum over the level-size
     subsets, every tied subset grows from a tied level-size one a coordinate
     at a time through tied subsets, and gamma_next is the minimum over the
-    (level + 1)-size subsets. Each subset is solved at most once per matrix
-    through subset_solver. Capacity-limited to d <= 12: a level solves
-    C(d, level) subsets, and cmd_analyze scans every level, 2^d in all.
+    (level + 1)-size subsets. The same order bounds each subset's gamma from
+    below by its solved subsets one coordinate smaller; a size scan solves
+    its subsets in the order of that bound and stops once the bound passes
+    the running minimum (plus the tie tolerance). Each subset is solved at
+    most once per matrix through subset_solver, so scanning the levels in
+    increasing order, as cmd_analyze does, skips most subsets that cannot
+    tie. Capacity-limited to d <= 12: a level solves up to C(d, level)
+    subsets, and cmd_analyze scans every level.
     """
     d = sigma.dim
     if d > MAX_ENUMERATION_DIM:
@@ -349,15 +354,30 @@ def cone_analysis(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> C
     if not (isinstance(level, int) and 2 <= level <= d):
         raise ValueError(f"level must be an integer in 2..{d}, got {level!r}")
     solver = subset_solver(sigma)
+    labels = range(1, d + 1)
 
     def gamma(combo: tuple[int, ...]) -> float:
         return solver.solve(IndexSubset(combo)).gamma
 
-    labels = range(1, d + 1)
-    level_gammas = {c: gamma(c) for c in itertools.combinations(labels, level)}
+    def bound(combo: tuple[int, ...]) -> float:
+        smaller = (solver.solved(combo[:i] + combo[i + 1 :]) for i in range(len(combo)))
+        return max((sol.gamma for sol in smaller if sol is not None), default=1.0)
+
+    def scan(size: int, slack) -> dict[tuple[int, ...], float]:
+        """gamma of every size-subset that can lie within slack(min) of the minimum."""
+        found: dict[tuple[int, ...], float] = {}
+        best = math.inf
+        for low, combo in sorted((bound(c), c) for c in itertools.combinations(labels, size)):
+            if low > best + slack(best):
+                break
+            found[combo] = gamma(combo)
+            best = min(best, found[combo])
+        return found
+
+    level_gammas = scan(level, lambda g: GAMMA_TIE_REL * max(1.0, g))
     gamma_min = min(level_gammas.values())
     tol = GAMMA_TIE_REL * max(1.0, gamma_min)
-    tied = [c for c, g in level_gammas.items() if g <= gamma_min + tol]
+    tied = sorted(c for c, g in level_gammas.items() if g <= gamma_min + tol)
     family = list(tied)
     while tied:
         grown = sorted({tuple(sorted(c + (j,))) for c in tied for j in labels if j not in c})
@@ -371,7 +391,7 @@ def cone_analysis(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> C
     )
     gamma_next = None
     if level < d:
-        gamma_next = min(gamma(c) for c in itertools.combinations(labels, level + 1))
+        gamma_next = min(scan(level + 1, lambda g: 0.0).values())
     return ConeAnalysis(
         level=level,
         dim=d,

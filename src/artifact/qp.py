@@ -164,6 +164,10 @@ class SubsetQpSolver:
             support=subset,
         )
 
+    def solved(self, members: tuple[int, ...]) -> QpSolution | None:
+        """The solution over the subset with these sorted labels, if solved."""
+        return self._solutions.get(members)
+
     def solve(self, subset: IndexSubset) -> QpSolution:
         """Solve over the coordinates in ``subset`` (labels of the parent matrix)."""
         subset.validate_within(self._dim)

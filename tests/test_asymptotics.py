@@ -30,6 +30,7 @@ from artifact.asymptotics import (
     tail_probability,
 )
 from artifact.linalg import CorrelationMatrix, IndexSubset
+from artifact.qp import subset_solver
 from conftest import (
     coupled_pair_matrix,
     equi_matrix,
@@ -199,9 +200,14 @@ class TestEstimateAlgebra:
 
 
 def assert_scans_agree(sigma: CorrelationMatrix) -> None:
-    """cone_analysis equals the unpruned scan in every field at every level."""
-    for level in range(2, sigma.dim + 1):
-        got = cone_analysis(sigma, PARETO2, level)
+    """cone_analysis equals the unpruned scan in every field at every level.
+
+    The levels are scanned in increasing order first, as cmd_analyze does,
+    so each level is bounded only by the subsets the levels before it solved.
+    """
+    levels = range(2, sigma.dim + 1)
+    cones = [cone_analysis(sigma, PARETO2, level) for level in levels]
+    for level, got in zip(levels, cones):
         want = full_cone_scan(sigma, PARETO2, level)
         for field in dataclasses.fields(ConeAnalysis):
             if field.name != "coefficients":
@@ -294,6 +300,14 @@ class TestConeAnalysis:
     )
     def test_pruned_scan_matches_full_scan(self, make):
         assert_scans_agree(make())
+
+    def test_level_scans_skip_subsets_that_cannot_tie(self):
+        sigma = two_block_6x6()
+        for level in range(2, 7):
+            cone_analysis(sigma, PARETO2, level)
+        # 57 subsets have size >= 2; the bounds from the smaller solved
+        # subsets rule out the rest
+        assert len(subset_solver(sigma)._solutions) == 45
 
     def test_pruned_scan_matches_full_scan_random(self, rng):
         for _ in range(20):
