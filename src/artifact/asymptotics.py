@@ -19,7 +19,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.special import logsumexp
@@ -339,14 +339,15 @@ def cone_analysis(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> C
     the minimum over sizes >= level is the minimum over the level-size
     subsets, every tied subset grows from a tied level-size one a coordinate
     at a time through tied subsets, and gamma_next is the minimum over the
-    (level + 1)-size subsets. The same order bounds each subset's gamma from
-    below by its solved subsets one coordinate smaller; a size scan solves
-    its subsets in the order of that bound and stops once the bound passes
-    the running minimum (plus the tie tolerance). Each subset is solved at
-    most once per matrix through subset_solver, so scanning the levels in
-    increasing order, as cmd_analyze does, skips most subsets that cannot
-    tie. Capacity-limited to d <= 12: a level solves up to C(d, level)
-    subsets, and cmd_analyze scans every level.
+    (level + 1)-size subsets. Monotonicity also bounds each subset's gamma
+    from below by the subsets one coordinate smaller that are already
+    solved (and by 1, a singleton's value); a size scan solves its subsets
+    in the order of that bound and stops once the bound passes the running
+    minimum (plus the tie tolerance). Each subset is solved at most once per
+    matrix through subset_solver, so scanning the levels in increasing
+    order, as cmd_analyze does, skips most subsets that cannot tie.
+    Capacity-limited to d <= 12: a level solves up to C(d, level) subsets,
+    and cmd_analyze scans every level.
     """
     d = sigma.dim
     if d > MAX_ENUMERATION_DIM:
@@ -363,7 +364,7 @@ def cone_analysis(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> C
         smaller = (solver.solved(combo[:i] + combo[i + 1 :]) for i in range(len(combo)))
         return max((sol.gamma for sol in smaller if sol is not None), default=1.0)
 
-    def scan(size: int, slack) -> dict[tuple[int, ...], float]:
+    def scan(size: int, slack: Callable[[float], float]) -> dict[tuple[int, ...], float]:
         """gamma of every size-subset that can lie within slack(min) of the minimum."""
         found: dict[tuple[int, ...], float] = {}
         best = math.inf
