@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtri
 
 from .gaussian import (
     LOG_TWO_PI,
@@ -159,6 +159,26 @@ def _check_dimension(tail_set: TailSetSpec, dim: int) -> None:
             raise ValueError(f"need {dim} thresholds, got {len(tail_set.thresholds)}")
     else:
         raise TypeError(f"unsupported tail set specification: {tail_set!r}")
+
+
+def _normal_event(
+    tail_set: TailSetSpec, dim: int, alpha: float, ts
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """The tail set scaled by each t of ts, as an event on the normal rows Z
+    of the exact Pareto(alpha) model X_j = survival(Z_j)^{-1/alpha}.
+
+    Returns (indices S, count k, thresholds c): X is in t_m * set exactly
+    when at least k of the Z_j, j in S, exceed c[j, m] = -Phi^{-1}((t_m x_j)^{-alpha}).
+    A coordinate with t_m x_j <= 1 always exceeds (c = -inf).
+    """
+    _check_dimension(tail_set, dim)
+    if isinstance(tail_set, Rectangular):
+        indices, k = tail_set.subset.as_indices(), len(tail_set.subset)
+    else:
+        indices = np.arange(dim)
+        k = 1 if isinstance(tail_set, ComplementBox) else tail_set.level
+    survival = np.power(np.outer(tail_set.thresholds, ts), -alpha)
+    return indices, k, -ndtri(np.minimum(1.0, survival))
 
 
 @dataclass(frozen=True)

@@ -44,10 +44,6 @@ from .linalg import MAX_ENUMERATION_DIM, CorrelationMatrix, IndexSubset
 from .qp import SolverInconsistency
 from .simulate import (
     ConditionalCurve,
-    Coordinate,
-    MaxAll,
-    MinOverSet,
-    OrderStatistic,
     SimulationConfig,
     _gaussian_sample,
     _to_pareto,
@@ -361,18 +357,19 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     z = _gaussian_sample(cfg)
     x = _to_pareto(z, job.marg.alpha)
 
-    series: list[tuple[str, object]] = [(f"X{j}", Coordinate(j)) for j in range(1, d + 1)]
+    full = IndexSubset.full(d)
+    series = [(f"X{j}", IndexSubset.of(j), 1) for j in range(1, d + 1)]
     for a in range(1, d + 1):
         for b in range(a + 1, d + 1):
-            series.append((f"min(X{a},X{b})", MinOverSet(IndexSubset.of(a, b))))
+            series.append((f"min(X{a},X{b})", IndexSubset.of(a, b), 2))
     if d >= 2:
-        series.append(("X_(2)", OrderStatistic(2)))
-    series.append(("min_all", MinOverSet(IndexSubset.full(d))))
-    series.append(("max_all", MaxAll()))
+        series.append(("X_(2)", full, 2))
+    series.append(("min_all", full, d))
+    series.append(("max_all", full, 1))
 
     curves = [
-        hill_estimator(derived_series(x, selector), k_grid=job.k_grid, series_label=label)
-        for label, selector in series
+        hill_estimator(derived_series(x, subset, rank), k_grid=job.k_grid, series_label=label)
+        for label, subset, rank in series
     ]
     write_hill_csv(os.path.join(out_dir, "hill.csv"), curves)
 

@@ -100,7 +100,7 @@ class QpSolution:
 class ResidualReport:
     """Max violation per solution invariant, for post-hoc certification."""
 
-    stationarity: float        # max |(Sigma^{-1} e*)_J|, 0 when J empty
+    stationarity: float        # max |Sigma_S lam - e*|, lam = h on I and 0 on J
     min_h: float               # min_i h_i
     min_inactive_slack: float  # min_j (e*_j - 1) over J, +inf when J empty
     gamma_gap: float           # |gamma - 1' Sigma_I^{-1} 1| recomputed fresh
@@ -290,20 +290,18 @@ def kkt_residuals(sigma: CorrelationMatrix, sol: QpSolution) -> ResidualReport:
     labels = sol.support
     idx = labels.as_indices()
     block = sigma.entries[np.ix_(idx, idx)]
-    fact = spd_factorize(block)
-    grad = solve_spd(fact, sol.e_star)
-
     active_pos = sol.active_set.positions_in(labels)
     inactive_pos = sol.inactive_set.positions_in(labels)
 
-    stationarity = float(np.max(np.abs(grad[inactive_pos]))) if len(inactive_pos) else 0.0
+    lam = np.zeros(len(labels))
+    lam[active_pos] = sol.h
     slack = (
         float(np.min(sol.e_star[inactive_pos] - 1.0)) if len(inactive_pos) else float("inf")
     )
     sub = block[np.ix_(active_pos, active_pos)]
     h_fresh = solve_spd(spd_factorize(sub), np.ones(len(active_pos)))
     return ResidualReport(
-        stationarity=stationarity,
+        stationarity=float(np.max(np.abs(block @ lam - sol.e_star))),
         min_h=float(np.min(sol.h)),
         min_inactive_slack=slack,
         gamma_gap=abs(sol.gamma - float(np.sum(h_fresh))),

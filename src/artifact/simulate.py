@@ -6,11 +6,14 @@ counter-based: every fixed 8192-row block derives its own substream from
 (seed, block index), so output is bit-identical for a given seed, and the
 first rows of a sample do not depend on how many rows follow them.
 
-On top of the sampler: derived per-row series (minima over subsets, order
-statistics), the Hill tail-index estimator, empirical survival curves, the
-conditional exceedance curves P(V1 > t | V2 > kappa t), and the
-empirical-versus-asymptotic verification table with its log-log slope
-diagnostic.
+On top of the sampler: derived per-row series (the rank-th largest value
+over a coordinate subset), the Hill tail-index estimator, the conditional
+exceedance curves P(V1 > t | V2 > kappa t), and the empirical-versus-
+asymptotic verification table with its log-log slope diagnostic. Because
+every coordinate shares one increasing map Z_j -> X_j, verification counts
+each tail set on the normal rows directly: X in t * set is the event that
+at least k of the coordinates in a subset S exceed per-coordinate normal
+thresholds.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -26,11 +29,9 @@ from scipy.special import ndtr
 from .asymptotics import (
     PARETO_EXACT,
     AsymptoticEstimate,
-    ComplementBox,
     MarginalSpec,
-    Rectangular,
     TailSetSpec,
-    _check_dimension,
+    _normal_event,
     asymptotic_estimate,
 )
 from .gaussian import _positive_real
@@ -100,64 +101,22 @@ def sample_rvgc(cfg: SimulationConfig) -> np.ndarray:
     return _to_pareto(_gaussian_sample(cfg), cfg.marg.alpha)
 
 
-@dataclass(frozen=True)
-class MinOverSet:
-    """Rowwise minimum over a coordinate subset."""
-
-    subset: IndexSubset
-
-
-@dataclass(frozen=True)
-class OrderStatistic:
-    """Rowwise rank-th largest coordinate (rank 1 is the maximum)."""
-
-    rank: int
-
-    def __post_init__(self):
-        if not (isinstance(self.rank, int) and self.rank >= 1):
-            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
-
-
-@dataclass(frozen=True)
-class MaxAll:
-    """Rowwise maximum over all coordinates."""
-
-
-@dataclass(frozen=True)
-class Coordinate:
-    """One raw coordinate, 1-based label."""
-
-    label: int
-
-    def __post_init__(self):
-        if not (isinstance(self.label, int) and self.label >= 1):
-            raise ValueError(f"label must be a positive integer, got {self.label!r}")
-
-
-SeriesSelector = Union[MinOverSet, OrderStatistic, MaxAll, Coordinate]
-
-
-def derived_series(samples: np.ndarray, selector: SeriesSelector) -> np.ndarray:
-    """Reduce each sample row to the scalar the selector describes."""
+def derived_series(samples: np.ndarray, subset: IndexSubset, rank: int) -> np.ndarray:
+    """Rowwise rank-th largest value over the coordinates in subset: rank 1
+    is the maximum, rank |subset| the minimum."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ValueError(f"samples must be an n x d matrix, got shape {samples.shape}")
-    d = samples.shape[1]
-    if isinstance(selector, MinOverSet):
-        selector.subset.validate_within(d)
-        return np.min(samples[:, selector.subset.as_indices()], axis=1)
-    if isinstance(selector, OrderStatistic):
-        if selector.rank > d:
-            raise ValueError(f"rank {selector.rank} exceeds dimension {d}")
-        kth = d - selector.rank
-        return np.partition(samples, kth, axis=1)[:, kth]
-    if isinstance(selector, MaxAll):
-        return np.max(samples, axis=1)
-    if isinstance(selector, Coordinate):
-        if selector.label > d:
-            raise ValueError(f"label {selector.label} exceeds dimension {d}")
-        return samples[:, selector.label - 1]
-    raise TypeError(f"unsupported series selector: {selector!r}")
+    subset.validate_within(samples.shape[1])
+    size = len(subset)
+    if not (isinstance(rank, int) and 1 <= rank <= size):
+        raise ValueError(f"rank must be an integer in 1..{size}, got {rank!r}")
+    values = samples if size == samples.shape[1] else samples[:, subset.as_indices()]
+    if rank == 1:
+        return np.max(values, axis=1)
+    if rank == size:
+        return np.min(values, axis=1)
+    return np.partition(values, size - rank, axis=1)[:, size - rank]
 
 
 @dataclass(frozen=True)
@@ -222,16 +181,6 @@ def hill_estimator(
     return HillCurve(tuple(kept), tuple(alphas), series_label, tuple(excluded))
 
 
-@dataclass(frozen=True)
-class EmpiricalTail:
-    """Survival estimates over a threshold grid with binomial standard errors."""
-
-    t_values: tuple[float, ...]
-    probability: tuple[float, ...]
-    se: tuple[float, ...]
-    hits: tuple[int, ...]
-
-
 def _increasing_grid(t_grid) -> tuple[float, ...]:
     ts = tuple(float(t) for t in t_grid)
     if len(ts) == 0:
@@ -241,42 +190,6 @@ def _increasing_grid(t_grid) -> tuple[float, ...]:
     if any(ts[i] >= ts[i + 1] for i in range(len(ts) - 1)):
         raise ValueError("t_grid must be strictly increasing")
     return ts
-
-
-def _exceedance_counts(x: np.ndarray, ts: Sequence[float]) -> np.ndarray:
-    """Number of entries of x above each threshold, as int64."""
-    return np.array([np.count_nonzero(x > t) for t in ts], dtype=np.int64)
-
-
-def _tail_from_hits(ts: tuple[float, ...], hits: np.ndarray, n: int) -> EmpiricalTail:
-    """Survival estimates hits/n with binomial errors sqrt(p(1-p)/n)."""
-    counts = tuple(int(h) for h in hits)
-    probs = tuple(h / n for h in counts)
-    ses = tuple(math.sqrt(p * (1.0 - p) / n) for p in probs)
-    return EmpiricalTail(ts, probs, ses, counts)
-
-
-def empirical_tail(data, t_grid) -> EmpiricalTail:
-    """Fraction of data above each threshold, with sqrt(p(1-p)/n) errors."""
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"data must be one-dimensional, got shape {x.shape}")
-    ts = _increasing_grid(t_grid)
-    if x.size == 0:
-        raise ValueError("data must be nonempty")
-    return _tail_from_hits(ts, _exceedance_counts(x, ts), x.size)
-
-
-def _scaling_statistic(samples: np.ndarray, tail_set: TailSetSpec) -> np.ndarray:
-    """Per-row scale at which the row enters the tail set: the event
-    {row in t * set} is exactly {statistic > t}."""
-    _check_dimension(tail_set, samples.shape[1])
-    thresholds = np.asarray(tail_set.thresholds)
-    if isinstance(tail_set, Rectangular):
-        scaled = samples[:, tail_set.subset.as_indices()] / thresholds
-        return derived_series(scaled, MinOverSet(IndexSubset.full(len(tail_set.subset))))
-    selector = MaxAll() if isinstance(tail_set, ComplementBox) else OrderStatistic(tail_set.level)
-    return derived_series(samples / thresholds, selector)
 
 
 @dataclass(frozen=True)
@@ -311,29 +224,37 @@ def verify_asymptotics(
     """Compare empirical tail frequencies with the asymptotic law on a t grid,
     one table per tail set.
 
-    One pass over the sampler's blocks: each block is mapped to the Pareto
-    scale, reduced to every set's scaling statistic and counted against the
-    grid, so memory is bounded by one block, not by n. Rows with fewer than
-    LOW_HIT_THRESHOLD exceedances are flagged "low-hits" and excluded from
-    the slope fit.
+    One pass over the sampler's normal blocks: each set at each t is the
+    event "at least k of the coordinates in S exceed their thresholds" on the
+    normal rows, so no row is mapped to the Pareto scale, and memory is
+    bounded by one block, not by n. Rows with fewer than LOW_HIT_THRESHOLD
+    exceedances are flagged "low-hits" and excluded from the slope fit.
     """
     ts = _increasing_grid(t_grid)
     estimates = [asymptotic_estimate(cfg.sigma, cfg.marg, tail_set) for tail_set in tail_sets]
-    hits = np.zeros((len(estimates), len(ts)), dtype=np.int64)
+    events = [
+        _normal_event(tail_set, cfg.sigma.dim, cfg.marg.alpha, ts) for tail_set in tail_sets
+    ]
+    hits = np.zeros((len(events), len(ts)), dtype=np.int64)
     for _, z in _gaussian_blocks(cfg):
-        x = _to_pareto(z, cfg.marg.alpha)
-        for counts, tail_set in zip(hits, tail_sets):
-            counts += _exceedance_counts(_scaling_statistic(x, tail_set), ts)
+        for counts, (indices, k, c) in zip(hits, events):
+            z_set = z[:, indices]
+            for m in range(len(ts)):
+                counts[m] += np.count_nonzero(np.count_nonzero(z_set > c[:, m], axis=1) >= k)
     return tuple(
-        _verification_table(_tail_from_hits(ts, counts, cfg.n), est)
-        for counts, est in zip(hits, estimates)
+        _verification_table(ts, counts, cfg.n, est) for counts, est in zip(hits, estimates)
     )
 
 
-def _verification_table(emp: EmpiricalTail, est: AsymptoticEstimate) -> VerificationTable:
+def _verification_table(
+    ts: tuple[float, ...], counts: np.ndarray, n: int, est: AsymptoticEstimate
+) -> VerificationTable:
+    """Rows hits/n with binomial errors sqrt(p(1-p)/n) against the law."""
     rows = []
     fit_points = []
-    for t, p, se, hits in zip(emp.t_values, emp.probability, emp.se, emp.hits):
+    for t, hits in zip(ts, counts.tolist()):
+        p = hits / n
+        se = math.sqrt(p * (1.0 - p) / n)
         asym = math.exp(est.evaluate_log(t))
         ratio = p / asym if asym > 0.0 else math.nan
         flag = "ok" if hits >= LOW_HIT_THRESHOLD else "low-hits"

@@ -3,12 +3,15 @@
 None of these routines is on any library path: the grid search re-derives
 the QP value without the active-set algebra, the enumeration makes the QP's
 discrete decisions by ranking every candidate active set, the full cone scan
-finds the cone minimizers without pruning, and the quadrature computes small
-normal joint tails without the asymptotic expansion.
+finds the cone minimizers without pruning, the quadrature computes small
+normal joint tails without the asymptotic expansion, and the scaling
+statistic counts tail-set hits on Pareto-scale rows instead of on the
+normal rows that verify_asymptotics counts.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -17,13 +20,17 @@ from scipy.special import ndtr
 import artifact.qp as qp
 from artifact.asymptotics import (
     GAMMA_TIE_REL,
+    ComplementBox,
     ConeAnalysis,
     MarginalSpec,
+    Rectangular,
+    TailSetSpec,
     subset_coefficients,
 )
 from artifact.gaussian import std_normal_pdf
 from artifact.linalg import CorrelationMatrix, IndexSubset, solve_spd, spd_factorize
 from artifact.qp import QpSolution
+from artifact.simulate import _increasing_grid
 
 # exp(-z^2/2) underflows past |z| ~ 38.6; quadrature never needs to look beyond.
 _NORMAL_SUPPORT = 40.0
@@ -206,3 +213,37 @@ def full_cone_scan(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> 
         marginal=marg,
         gamma_next=min((g for c, g in gammas.items() if len(c) > level), default=None),
     )
+
+
+def scaling_statistic(samples: np.ndarray, tail_set: TailSetSpec) -> np.ndarray:
+    """Per-row scale at which a Pareto-scale row enters the tail set: the
+    event {row in t * set} is exactly {statistic > t}."""
+    if isinstance(tail_set, Rectangular):
+        scaled = samples[:, tail_set.subset.as_indices()] / np.asarray(tail_set.thresholds)
+        return np.min(scaled, axis=1)
+    rank = 1 if isinstance(tail_set, ComplementBox) else tail_set.level
+    return np.sort(samples / np.asarray(tail_set.thresholds), axis=1)[:, -rank]
+
+
+@dataclass(frozen=True)
+class EmpiricalTail:
+    """Survival estimates over a threshold grid with binomial standard errors."""
+
+    t_values: tuple[float, ...]
+    probability: tuple[float, ...]
+    se: tuple[float, ...]
+    hits: tuple[int, ...]
+
+
+def empirical_tail(data, t_grid) -> EmpiricalTail:
+    """Fraction of data above each threshold, with sqrt(p(1-p)/n) errors."""
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"data must be one-dimensional, got shape {x.shape}")
+    ts = _increasing_grid(t_grid)
+    if x.size == 0:
+        raise ValueError("data must be nonempty")
+    hits = tuple(int(np.count_nonzero(x > t)) for t in ts)
+    probs = tuple(h / x.size for h in hits)
+    ses = tuple(math.sqrt(p * (1.0 - p) / x.size) for p in probs)
+    return EmpiricalTail(ts, probs, ses, hits)

@@ -39,9 +39,6 @@ from artifact.gaussian import (
 from artifact.linalg import CorrelationMatrix, IndexSubset
 from artifact.qp import kkt_residuals, solve_qp
 from artifact.simulate import (
-    Coordinate,
-    MinOverSet,
-    OrderStatistic,
     SimulationConfig,
     conditional_exceedance_curves,
     derived_series,
@@ -184,13 +181,14 @@ def test_criterion_07_independence_exactness():
 def test_criterion_08_hill_slope_reproduction():
     start = time.perf_counter()
     k_grid = list(range(200, 1001, 50))
+    # (subset, rank): the rank-th largest value over the subset
     selectors = {
-        "X1": Coordinate(1),
-        "X2": Coordinate(2),
-        "X3": Coordinate(3),
-        "pair12": MinOverSet(IndexSubset.of(1, 2)),
-        "order2": OrderStatistic(2),
-        "min_all": MinOverSet(IndexSubset.full(3)),
+        "X1": (IndexSubset.of(1), 1),
+        "X2": (IndexSubset.of(2), 1),
+        "X3": (IndexSubset.of(3), 1),
+        "pair12": (IndexSubset.of(1, 2), 2),
+        "order2": (IndexSubset.full(3), 2),
+        "min_all": (IndexSubset.full(3), 3),
     }
 
     def medians(rho):
@@ -199,8 +197,8 @@ def test_criterion_08_hill_slope_reproduction():
         for seed in range(20):
             cfg = SimulationConfig(sigma=sigma, marg=PARETO2, n=20000, seed=seed)
             x = sample_rvgc(cfg)
-            for name, selector in selectors.items():
-                curve = hill_estimator(derived_series(x, selector), k_grid=k_grid)
+            for name, (subset, rank) in selectors.items():
+                curve = hill_estimator(derived_series(x, subset, rank), k_grid=k_grid)
                 per_seed[name].append(float(np.median(curve.alpha_hat)))
         return {name: float(np.median(values)) for name, values in per_seed.items()}
 

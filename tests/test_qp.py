@@ -248,6 +248,7 @@ class TestBeyondEnumeration:
         monkeypatch.setattr(SubsetQpSolver, "_candidate", counting)
         report = kkt_residuals(sigma, solve_qp(sigma))
         assert len(ranked) < 1000
+        assert report.stationarity < 1e-9
         assert report.min_h > 0.0
         assert report.min_inactive_slack >= -BOUNDARY_EPS
         assert report.gamma_gap < 1e-10

@@ -13,18 +13,11 @@ from artifact.asymptotics import AtLeastI, ComplementBox, MarginalSpec, Rectangu
 from artifact.linalg import CorrelationMatrix, IndexSubset
 from artifact.simulate import (
     BLOCK_ROWS,
-    Coordinate,
-    EmpiricalTail,
     HillCurve,
-    MaxAll,
-    MinOverSet,
-    OrderStatistic,
     SimulationConfig,
-    _scaling_statistic,
     conditional_exceedance_curves,
     default_k_grid,
     derived_series,
-    empirical_tail,
     hill_estimator,
     sample_rvgc,
     verify_asymptotics,
@@ -33,6 +26,7 @@ from artifact.simulate import (
     write_verification_csv,
 )
 from conftest import coupled_pair_matrix, equi_matrix
+from oracles import EmpiricalTail, empirical_tail, scaling_statistic
 
 PARETO2 = MarginalSpec(alpha=2.0)
 IDENTITY_1 = CorrelationMatrix(np.eye(1))
@@ -110,34 +104,46 @@ class TestDerivedSeries:
     ROW = np.array([[3.0, 1.0, 2.0]])
 
     def test_order_statistic(self):
-        assert derived_series(self.ROW, OrderStatistic(2))[0] == 2.0
-        assert derived_series(self.ROW, OrderStatistic(1))[0] == 3.0
+        assert derived_series(self.ROW, IndexSubset.full(3), 2)[0] == 2.0
+        assert derived_series(self.ROW, IndexSubset.full(3), 1)[0] == 3.0
 
     def test_min_over_set(self):
-        assert derived_series(self.ROW, MinOverSet(IndexSubset.of(1, 3)))[0] == 2.0
+        assert derived_series(self.ROW, IndexSubset.of(1, 3), 2)[0] == 2.0
 
     def test_max_and_coordinate(self):
-        assert derived_series(self.ROW, MaxAll())[0] == 3.0
-        assert derived_series(self.ROW, Coordinate(2))[0] == 1.0
+        assert derived_series(self.ROW, IndexSubset.full(3), 1)[0] == 3.0
+        assert derived_series(self.ROW, IndexSubset.of(2), 1)[0] == 1.0
 
     def test_rowwise_order_relation(self, rng):
         samples = rng.pareto(2.0, size=(500, 4)) + 1.0
-        top = derived_series(samples, MaxAll())
-        second = derived_series(samples, OrderStatistic(2))
-        bottom = derived_series(samples, MinOverSet(IndexSubset.full(4)))
+        top = derived_series(samples, IndexSubset.full(4), 1)
+        second = derived_series(samples, IndexSubset.full(4), 2)
+        bottom = derived_series(samples, IndexSubset.full(4), 4)
         assert np.all(top >= second) and np.all(second >= bottom)
 
+    def test_every_rank_over_a_subset_is_the_sorted_column(self, rng):
+        samples = rng.pareto(2.0, size=(500, 6)) + 1.0
+        subset = IndexSubset.of(1, 3, 4, 6)
+        ordered = np.sort(samples[:, subset.as_indices()], axis=1)[:, ::-1]
+        for rank in range(1, 5):
+            assert np.array_equal(derived_series(samples, subset, rank), ordered[:, rank - 1])
+
     def test_validation(self):
-        with pytest.raises(ValueError, match="rank 5 exceeds"):
-            derived_series(self.ROW, OrderStatistic(5))
-        with pytest.raises(ValueError, match="label 4 exceeds"):
-            derived_series(self.ROW, Coordinate(4))
+        with pytest.raises(ValueError, match=r"rank must be an integer in 1\.\.3, got 5"):
+            derived_series(self.ROW, IndexSubset.full(3), 5)
         with pytest.raises(ValueError, match="out of range"):
-            derived_series(self.ROW, MinOverSet(IndexSubset.of(5)))
-        with pytest.raises(TypeError, match="unsupported series selector"):
-            derived_series(self.ROW, "max")
+            derived_series(self.ROW, IndexSubset.of(4), 1)
+        with pytest.raises(ValueError, match="out of range"):
+            derived_series(self.ROW, IndexSubset.of(5), 1)
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            derived_series(self.ROW, IndexSubset.full(3), "max")
         with pytest.raises(ValueError, match="n x d"):
-            derived_series(np.ones(3), MaxAll())
+            derived_series(np.ones(3), IndexSubset.full(3), 1)
+
+    @pytest.mark.parametrize("rank", [0, -1, 3])
+    def test_rank_out_of_range(self, rank):
+        with pytest.raises(ValueError, match=r"rank must be an integer in 1\.\.2"):
+            derived_series(self.ROW, IndexSubset.of(1, 3), rank)
 
 
 class TestHill:
@@ -276,12 +282,45 @@ class TestStreamedVerification:
         x = sample_rvgc(cfg)
         assert len(tables) == len(STREAM_SETS)
         for table, tail_set in zip(tables, STREAM_SETS):
-            want = empirical_tail(_scaling_statistic(x, tail_set), STREAM_GRID)
+            want = empirical_tail(scaling_statistic(x, tail_set), STREAM_GRID)
             assert tuple(row.hits for row in table.rows) == want.hits
             assert tuple(row.empirical for row in table.rows) == want.probability
             assert tuple(row.se for row in table.rows) == want.se
         if n > BLOCK_ROWS:
             assert all(row.hits > 0 for table in tables for row in table.rows)
+
+    def test_thresholds_below_one_over_t_hit_every_row(self):
+        # At t = 10 every coordinate with threshold 0.05 or 0.08 is certain
+        # (t x_j < 1, so its normal threshold is -inf): the rectangle and the
+        # box complement hold on every row. At t = 20, 20 * 0.05 = 1 exactly.
+        sets = (
+            Rectangular(IndexSubset.of(1, 2), (0.05, 0.08)),
+            AtLeastI((0.05, 0.3, 2.0), 2),
+            ComplementBox((0.05, 1.0, 1.0)),
+        )
+        n = 2 * BLOCK_ROWS + 7
+        cfg = config(equi_matrix(3, 0.5), n, 23)
+        tables = verify_asymptotics(cfg, sets, STREAM_GRID)
+        x = sample_rvgc(cfg)
+        for table, tail_set in zip(tables, sets):
+            want = empirical_tail(scaling_statistic(x, tail_set), STREAM_GRID)
+            assert tuple(row.hits for row in table.rows) == want.hits
+        assert tables[0].rows[0].hits == n
+        assert tables[2].rows[0].hits == n
+        assert 0 < tables[1].rows[0].hits < n
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.3, 3.5])
+    def test_hits_equal_materialized_counts_for_other_alpha(self, alpha):
+        n = 3 * BLOCK_ROWS + 5
+        cfg = SimulationConfig(
+            sigma=equi_matrix(3, 0.5), marg=MarginalSpec(alpha=alpha), n=n, seed=29
+        )
+        tables = verify_asymptotics(cfg, STREAM_SETS, STREAM_GRID)
+        x = sample_rvgc(cfg)
+        for table, tail_set in zip(tables, STREAM_SETS):
+            want = empirical_tail(scaling_statistic(x, tail_set), STREAM_GRID)
+            assert tuple(row.hits for row in table.rows) == want.hits
+            assert tuple(row.empirical for row in table.rows) == want.probability
 
     def test_one_pass_equals_one_pass_per_set(self):
         cfg = config(equi_matrix(3, 0.5), 3 * BLOCK_ROWS + 5, 13)
