@@ -45,7 +45,7 @@ from .qp import SolverInconsistency
 from .simulate import (
     ConditionalCurve,
     SimulationConfig,
-    _gaussian_sample,
+    _gaussian_blocks,
     _to_pareto,
     conditional_exceedance_curves,
     derived_series,
@@ -352,10 +352,16 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     derived series) and condprob.csv (conditional exceedance curves)."""
     cfg = _simulation_config(job)
     d = job.sigma.dim
-    # One draw feeds both sides: the heavy-tailed sample is the transform of
-    # the same normal rows the gaussian-side curves condition on.
-    z = _gaussian_sample(cfg)
-    x = _to_pareto(z, job.marg.alpha)
+    # One pass over one draw feeds both sides: the heavy-tailed sample is the
+    # transform of the same normal rows the gaussian-side curves condition
+    # on, and only those two normal columns are kept. x is column-major so
+    # that every derived series reads whole columns.
+    x = np.empty((cfg.n, d), order="F")
+    z12 = np.empty((cfg.n, min(d, 2)))
+    for start, z in _gaussian_blocks(cfg):
+        rows = slice(start, start + len(z))
+        x[rows] = _to_pareto(z, job.marg.alpha)
+        z12[rows] = z[:, :2]
 
     full = IndexSubset.full(d)
     series = [(f"X{j}", IndexSubset.of(j), 1) for j in range(1, d + 1)]
@@ -376,7 +382,7 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     curves_by_side: dict[str, list[ConditionalCurve]] = {}
     if d >= 2:
         curves_by_side["gaussian"] = conditional_exceedance_curves(
-            cfg, GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID, side="gaussian", samples=z
+            cfg, GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID, side="gaussian", samples=z12
         )
         curves_by_side["pareto"] = conditional_exceedance_curves(
             cfg, PARETO_KAPPAS, PARETO_T_GRID, side="pareto", samples=x

@@ -7,13 +7,16 @@ counter-based: every fixed 8192-row block derives its own substream from
 first rows of a sample do not depend on how many rows follow them.
 
 On top of the sampler: derived per-row series (the rank-th largest value
-over a coordinate subset), the Hill tail-index estimator, the conditional
-exceedance curves P(V1 > t | V2 > kappa t), and the empirical-versus-
-asymptotic verification table with its log-log slope diagnostic. Because
-every coordinate shares one increasing map Z_j -> X_j, verification counts
-each tail set on the normal rows directly: X in t * set is the event that
-at least k of the coordinates in a subset S exceed per-coordinate normal
-thresholds.
+over a coordinate subset, merged column by column), the Hill tail-index
+estimator, the conditional exceedance curves P(V1 > t | V2 > kappa t), and
+the empirical-versus-asymptotic verification table with its log-log slope
+diagnostic. Because every coordinate shares one increasing map
+Z_j -> X_j, verification counts each tail set on the normal rows directly:
+X in t * set is the event that at least k of the coordinates in a subset S
+exceed per-coordinate normal thresholds. The conditional curves are
+integer counts too: each value is binned once by how many grid thresholds
+it exceeds, so one pass over the blocks (or over a given sample) fills
+every (kappa, t) cell.
 """
 
 from __future__ import annotations
@@ -103,7 +106,15 @@ def sample_rvgc(cfg: SimulationConfig) -> np.ndarray:
 
 def derived_series(samples: np.ndarray, subset: IndexSubset, rank: int) -> np.ndarray:
     """Rowwise rank-th largest value over the coordinates in subset: rank 1
-    is the maximum, rank |subset| the minimum."""
+    is the maximum, rank |subset| the minimum.
+
+    The columns of the subset are merged one at a time into a rowwise sorted
+    buffer of the rank largest values (or of the |subset| - rank + 1
+    smallest, when that is shorter) by elementwise maximum and minimum, so a
+    column-major (order="F") sample is read column by column and never
+    copied. A single-coordinate result is a view of that column of samples,
+    not a copy; every other result is a new array.
+    """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ValueError(f"samples must be an n x d matrix, got shape {samples.shape}")
@@ -111,12 +122,20 @@ def derived_series(samples: np.ndarray, subset: IndexSubset, rank: int) -> np.nd
     size = len(subset)
     if not (isinstance(rank, int) and 1 <= rank <= size):
         raise ValueError(f"rank must be an integer in 1..{size}, got {rank!r}")
-    values = samples if size == samples.shape[1] else samples[:, subset.as_indices()]
-    if rank == 1:
-        return np.max(values, axis=1)
-    if rank == size:
-        return np.min(values, axis=1)
-    return np.partition(values, size - rank, axis=1)[:, size - rank]
+    if rank <= size - rank + 1:
+        depth, keep, displace = rank, np.maximum, np.minimum
+    else:
+        depth, keep, displace = size - rank + 1, np.minimum, np.maximum
+    kept: list[np.ndarray] = []
+    for j in subset.as_indices():
+        value = samples[:, j]
+        for i, held in enumerate(kept):
+            kept[i] = keep(held, value)
+            if i + 1 < depth:
+                value = displace(held, value)
+        if len(kept) < depth:
+            kept.append(value)
+    return kept[-1]
 
 
 @dataclass(frozen=True)
@@ -164,11 +183,17 @@ def hill_estimator(
     x = np.asarray(data, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"data must be one-dimensional, got shape {x.shape}")
-    if x.size == 0 or not np.all(np.isfinite(x)) or np.any(x <= 0):
+    # min and max propagate nan, which fails both comparisons.
+    if x.size == 0 or not (x.min() > 0.0 and x.max() < math.inf):
         raise ValueError("hill estimator needs strictly positive finite data")
     ks = resolve_k_grid(k_grid, x.size)
 
-    top_logs = np.log(np.sort(x)[::-1][: ks[-1] + 1])
+    # Only the top k_max + 1 values are sorted, in place in the partitioned
+    # copy: the same array as the leading entries of the full descending sort.
+    cut = x.size - ks[-1] - 1
+    top = np.partition(x, cut)[cut:]
+    top.sort()
+    top_logs = np.log(top[::-1])
     csum = np.cumsum(top_logs)
     kept, alphas, excluded = [], [], []
     for k in ks:
@@ -293,30 +318,75 @@ def conditional_exceedance_curves(
     side "gaussian" conditions the underlying correlated normal pair, side
     "pareto" the heavy-tailed output. Grid values may be small: these are
     purely empirical curves. Cells with an empty conditioning event are nan.
+
+    Only the first two columns of samples are read. Without samples the
+    curves are counted block by block on the sampler's rows, so memory is
+    bounded by one block, not by n.
     """
     if cfg.sigma.dim < 2:
         raise ValueError("conditional curves need at least two coordinates")
     ts = _increasing_grid(t_grid)
-    if side == "gaussian":
-        data = _gaussian_sample(cfg) if samples is None else np.asarray(samples)
-    elif side == "pareto":
-        data = sample_rvgc(cfg) if samples is None else np.asarray(samples)
-    else:
+    if side not in ("gaussian", "pareto"):
         raise ValueError(f"side must be 'gaussian' or 'pareto', got {side!r}")
-    v1, v2 = data[:, 0], data[:, 1]
+    counter = _ConditionalCounter(
+        [_positive_real(float(kappa), "kappa") for kappa in kappas], ts
+    )
+    if samples is not None:
+        data = np.asarray(samples)
+        counter.add(data[:, 0], data[:, 1])
+    else:
+        for _, z in _gaussian_blocks(cfg):
+            pair = z[:, :2] if side == "gaussian" else _to_pareto(z[:, :2], cfg.marg.alpha)
+            counter.add(pair[:, 0], pair[:, 1])
+    return counter.curves()
 
-    curves = []
-    for kappa in kappas:
-        kappa = _positive_real(float(kappa), "kappa")
-        probs, counts = [], []
-        for t in ts:
-            cond = v2 > kappa * t
-            denom = int(np.count_nonzero(cond))
-            joint = int(np.count_nonzero(cond & (v1 > t)))
-            probs.append(joint / denom if denom else math.nan)
-            counts.append(denom)
-        curves.append(ConditionalCurve(kappa, ts, tuple(probs), tuple(counts)))
-    return curves
+
+def _thresholds_exceeded(thresholds: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per value, the number of the nondecreasing thresholds strictly below
+    it (0 for nan, which exceeds nothing)."""
+    counts = np.searchsorted(thresholds, values, side="left")
+    counts[np.isnan(values)] = 0
+    return counts
+
+
+class _ConditionalCounter:
+    """Integer counts behind P(V1 > t | V2 > kappa t) on one t grid.
+
+    Each value is binned by how many grid thresholds it strictly exceeds.
+    V2 > kappa t_m holds for the first above2 grid points and both events
+    for the first min(above1, above2), so the counts at t_m are suffix sums
+    of the bin counts past m. The thresholds are the float products
+    kappa * t, the numbers a direct comparison uses.
+    """
+
+    def __init__(self, kappas: Sequence[float], ts: tuple[float, ...]):
+        self.kappas = tuple(kappas)
+        self.ts = ts
+        self.grid = np.array(ts)
+        bins = (len(self.kappas), len(ts) + 1)
+        self.conditioning = np.zeros(bins, dtype=np.int64)
+        self.joint = np.zeros(bins, dtype=np.int64)
+
+    def add(self, v1: np.ndarray, v2: np.ndarray) -> None:
+        bins = len(self.ts) + 1
+        above1 = _thresholds_exceeded(self.grid, v1)
+        for kappa, conditioning, joint in zip(self.kappas, self.conditioning, self.joint):
+            above2 = _thresholds_exceeded(kappa * self.grid, v2)
+            conditioning += np.bincount(above2, minlength=bins)
+            joint += np.bincount(np.minimum(above1, above2), minlength=bins)
+
+    def curves(self) -> list[ConditionalCurve]:
+        def beyond(counts: np.ndarray) -> list[list[int]]:
+            # beyond[:, m] = sum of counts[:, m + 1:]
+            return np.cumsum(counts[:, ::-1], axis=1)[:, ::-1][:, 1:].tolist()
+
+        curves = []
+        for kappa, denoms, joints in zip(
+            self.kappas, beyond(self.conditioning), beyond(self.joint)
+        ):
+            probs = tuple(j / c if c else math.nan for j, c in zip(joints, denoms))
+            curves.append(ConditionalCurve(kappa, self.ts, probs, tuple(denoms)))
+        return curves
 
 
 def write_hill_csv(path, curves: Sequence[HillCurve]) -> None:

@@ -6,7 +6,9 @@ discrete decisions by ranking every candidate active set, the full cone scan
 finds the cone minimizers without pruning, the quadrature computes small
 normal joint tails without the asymptotic expansion, and the scaling
 statistic counts tail-set hits on Pareto-scale rows instead of on the
-normal rows that verify_asymptotics counts.
+normal rows that verify_asymptotics counts. The conditional curves are
+counted with one pair of boolean masks per cell instead of by binning each
+value once, and the Hill curve sorts the whole series.
 """
 
 import itertools
@@ -30,7 +32,7 @@ from artifact.asymptotics import (
 from artifact.gaussian import std_normal_pdf
 from artifact.linalg import CorrelationMatrix, IndexSubset, solve_spd, spd_factorize
 from artifact.qp import QpSolution
-from artifact.simulate import _increasing_grid
+from artifact.simulate import ConditionalCurve, HillCurve, _increasing_grid, resolve_k_grid
 
 # exp(-z^2/2) underflows past |z| ~ 38.6; quadrature never needs to look beyond.
 _NORMAL_SUPPORT = 40.0
@@ -247,3 +249,39 @@ def empirical_tail(data, t_grid) -> EmpiricalTail:
     probs = tuple(h / x.size for h in hits)
     ses = tuple(math.sqrt(p * (1.0 - p) / x.size) for p in probs)
     return EmpiricalTail(ts, probs, ses, hits)
+
+
+def masked_conditional_curves(samples: np.ndarray, kappas, t_grid) -> list[ConditionalCurve]:
+    """P(V1 > t | V2 > kappa t) on columns 1 and 2, one pair of masks per
+    (kappa, t) cell; nan where the conditioning event is empty."""
+    ts = _increasing_grid(t_grid)
+    v1, v2 = samples[:, 0], samples[:, 1]
+    curves = []
+    for kappa in kappas:
+        kappa = float(kappa)
+        probs, counts = [], []
+        for t in ts:
+            cond = v2 > kappa * t
+            denom = int(np.count_nonzero(cond))
+            joint = int(np.count_nonzero(cond & (v1 > t)))
+            probs.append(joint / denom if denom else math.nan)
+            counts.append(denom)
+        curves.append(ConditionalCurve(kappa, ts, tuple(probs), tuple(counts)))
+    return curves
+
+
+def sorted_hill_estimator(data, k_grid=None, series_label: str = "series") -> HillCurve:
+    """Hill curve from the full descending sort of the data."""
+    x = np.asarray(data, dtype=float)
+    ks = resolve_k_grid(k_grid, x.size)
+    top_logs = np.log(np.sort(x)[::-1][: ks[-1] + 1])
+    csum = np.cumsum(top_logs)
+    kept, alphas, excluded = [], [], []
+    for k in ks:
+        mean_excess = csum[k - 1] / k - top_logs[k]
+        if mean_excess <= 0.0:
+            excluded.append(k)
+        else:
+            kept.append(k)
+            alphas.append(1.0 / mean_excess)
+    return HillCurve(tuple(kept), tuple(alphas), series_label, tuple(excluded))

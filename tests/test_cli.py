@@ -9,11 +9,28 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 import artifact.qp as qp_module
-from artifact.cli import main
-from conftest import coupled_pair_matrix, near_tie_4x4, two_block_6x6
+from artifact.asymptotics import MarginalSpec
+from artifact.cli import (
+    GAUSSIAN_KAPPAS,
+    GAUSSIAN_T_GRID,
+    PARETO_KAPPAS,
+    PARETO_T_GRID,
+    main,
+)
+from artifact.simulate import (
+    BLOCK_ROWS,
+    SimulationConfig,
+    _gaussian_sample,
+    sample_rvgc,
+    write_conditional_csv,
+    write_hill_csv,
+)
+from conftest import coupled_pair_matrix, equi_matrix, near_tie_4x4, two_block_6x6
+from oracles import masked_conditional_curves, sorted_hill_estimator
 
 IDENTITY_JOB = {
     "sigma": [[1.0, 0.0], [0.0, 1.0]],
@@ -329,3 +346,41 @@ class TestSimulate:
 
     def test_simulate_without_block_is_config_error(self, runner):
         assert_config_error(runner(IDENTITY_JOB, "simulate"), "simulation")
+
+
+class TestOnePassSimulate:
+    """cmd_simulate fills its samples block by block; its CSVs must be those
+    of the whole sample drawn at once, reduced by the reference routines."""
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+    def test_csvs_equal_materialized_reference(self, runner, tmp_path, n):
+        sigma = equi_matrix(3, 0.5)
+        job = dict(SIMULATE_JOB, sigma=sigma.entries.tolist(), simulation={"n": n, "seed": 5})
+        code, _, _, out = runner(job, "simulate")
+        assert code == 0
+
+        cfg = SimulationConfig(sigma=sigma, marg=MarginalSpec(alpha=2.0), n=n, seed=5)
+        x = sample_rvgc(cfg)
+        ordered = np.sort(x, axis=1)[:, ::-1]
+
+        def pair_min(a, b):
+            return np.minimum(x[:, a - 1], x[:, b - 1])
+
+        series = [(f"X{j}", x[:, j - 1]) for j in (1, 2, 3)]
+        series += [(f"min(X{a},X{b})", pair_min(a, b)) for a, b in ((1, 2), (1, 3), (2, 3))]
+        series += [("X_(2)", ordered[:, 1]), ("min_all", ordered[:, 2]), ("max_all", ordered[:, 0])]
+        write_hill_csv(
+            tmp_path / "hill.csv",
+            [sorted_hill_estimator(values, series_label=label) for label, values in series],
+        )
+        write_conditional_csv(
+            tmp_path / "condprob.csv",
+            {
+                "gaussian": masked_conditional_curves(
+                    _gaussian_sample(cfg), GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID
+                ),
+                "pareto": masked_conditional_curves(x, PARETO_KAPPAS, PARETO_T_GRID),
+            },
+        )
+        for name in ("hill.csv", "condprob.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name

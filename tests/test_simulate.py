@@ -15,6 +15,7 @@ from artifact.simulate import (
     BLOCK_ROWS,
     HillCurve,
     SimulationConfig,
+    _gaussian_sample,
     conditional_exceedance_curves,
     default_k_grid,
     derived_series,
@@ -26,7 +27,13 @@ from artifact.simulate import (
     write_verification_csv,
 )
 from conftest import coupled_pair_matrix, equi_matrix
-from oracles import EmpiricalTail, empirical_tail, scaling_statistic
+from oracles import (
+    EmpiricalTail,
+    empirical_tail,
+    masked_conditional_curves,
+    scaling_statistic,
+    sorted_hill_estimator,
+)
 
 PARETO2 = MarginalSpec(alpha=2.0)
 IDENTITY_1 = CorrelationMatrix(np.eye(1))
@@ -128,6 +135,24 @@ class TestDerivedSeries:
         for rank in range(1, 5):
             assert np.array_equal(derived_series(samples, subset, rank), ordered[:, rank - 1])
 
+    @pytest.mark.parametrize("members", [(4,), (2, 5), (1, 3, 4, 6), (1, 2, 3, 4, 5, 6)])
+    def test_column_major_input_gives_the_same_values(self, rng, members):
+        samples = rng.pareto(2.0, size=(300, 6)) + 1.0
+        column_major = np.asfortranarray(samples)
+        subset = IndexSubset.of(*members)
+        ordered = np.sort(samples[:, subset.as_indices()], axis=1)[:, ::-1]
+        for rank in range(1, len(members) + 1):
+            by_rows = derived_series(samples, subset, rank)
+            by_columns = derived_series(column_major, subset, rank)
+            assert np.array_equal(by_rows, ordered[:, rank - 1])
+            assert np.array_equal(by_columns, ordered[:, rank - 1])
+
+    def test_single_coordinate_is_a_view(self, rng):
+        samples = np.asfortranarray(rng.pareto(2.0, size=(50, 3)) + 1.0)
+        column = derived_series(samples, IndexSubset.of(2), 1)
+        assert np.shares_memory(column, samples)
+        assert not np.shares_memory(derived_series(samples, IndexSubset.of(1, 2), 1), samples)
+
     def test_validation(self):
         with pytest.raises(ValueError, match=r"rank must be an integer in 1\.\.3, got 5"):
             derived_series(self.ROW, IndexSubset.full(3), 5)
@@ -171,6 +196,22 @@ class TestHill:
         assert hits >= 13
         assert 1.8 <= float(np.median(values)) <= 2.2
 
+    def test_partition_equals_full_sort(self, rng):
+        data = rng.pareto(2.0, size=4001) + 1.0
+        for k_grid in (None, [1, 7, 4000], [4000]):  # [.., n - 1]: nothing is cut off
+            assert hill_estimator(data, k_grid) == sorted_hill_estimator(data, k_grid)
+
+    def test_constant_upper_tail_matches_full_sort(self, rng):
+        data = np.concatenate([rng.uniform(1.0, 4.0, size=200), np.full(30, 5.0)])
+        rng.shuffle(data)
+        k_grid = [1, 2, 5, 29, 30, 31, 100, 229]
+        curve = hill_estimator(data, k_grid)
+        assert curve == sorted_hill_estimator(data, k_grid)
+        # k = 1 and 2 subtract log 5 from itself exactly; from k = 30 on the
+        # (k + 1)-th value is below the constant.
+        assert curve.excluded_k[:2] == (1, 2)
+        assert curve.k_values[-4:] == (30, 31, 100, 229)
+
     def test_default_grid(self):
         grid = default_k_grid(20000)
         assert grid[0] == 10 and grid[-1] == 5000
@@ -189,8 +230,9 @@ class TestHill:
             hill_estimator(data, k_grid=[])
 
     def test_data_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            hill_estimator([1.0, -2.0, 3.0], k_grid=[1])
+        for bad in ([1.0, -2.0, 3.0], [1.0, 0.0, 3.0], [1.0, math.nan, 3.0], [1.0, math.inf, 3.0]):
+            with pytest.raises(ValueError, match="positive"):
+                hill_estimator(bad, k_grid=[1])
         with pytest.raises(ValueError, match="one-dimensional"):
             hill_estimator(np.ones((3, 3)), k_grid=[1])
 
@@ -387,6 +429,110 @@ class TestConditionalCurves:
         cfg = config(IDENTITY_2, 100, 0)
         with pytest.raises(ValueError, match="kappa"):
             conditional_exceedance_curves(cfg, [0.0], [1.0])
+
+
+def assert_same_curves(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.kappa, a.t_values, a.conditioning_count) == (
+            b.kappa,
+            b.t_values,
+            b.conditioning_count,
+        )
+        assert np.array_equal(a.probability, b.probability, equal_nan=True)
+
+
+class TestConditionalCounting:
+    """The binned counts must be the per-cell mask counts, cell for cell."""
+
+    KAPPAS = (1.0, 2.0, 2.5, 3.0)
+    GRID = (0.3, 0.7, 1.0, 1.1, 2.0, 5.0)
+
+    def test_values_on_the_thresholds(self):
+        ts = np.array(self.GRID)
+        edges = np.concatenate([ts] + [kappa * ts for kappa in self.KAPPAS])
+        values = np.unique(
+            np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        )
+        v1, v2 = np.meshgrid(values, values)
+        samples = np.column_stack([v1.ravel(), v2.ravel()])
+        got = conditional_exceedance_curves(
+            config(IDENTITY_2, 1, 0), self.KAPPAS, self.GRID, samples=samples
+        )
+        assert_same_curves(got, masked_conditional_curves(samples, self.KAPPAS, self.GRID))
+
+    def test_gaussian_grid_values(self, rng):
+        grid = tuple(round(0.1 * i, 1) for i in range(1, 21))
+        kappas = (1.0, 2.0, 2.5)
+        ts = np.array(grid)
+        on_grid = np.concatenate([ts] + [kappa * ts for kappa in kappas])
+        samples = np.concatenate(
+            [
+                np.column_stack([on_grid, on_grid[::-1]]),
+                np.column_stack([on_grid[::-1], on_grid]),
+                rng.standard_normal((5000, 2)) * 1.5,
+            ]
+        )
+        got = conditional_exceedance_curves(
+            config(IDENTITY_2, 1, 0), kappas, grid, side="gaussian", samples=samples
+        )
+        assert_same_curves(got, masked_conditional_curves(samples, kappas, grid))
+
+    def test_nan_exceeds_nothing(self):
+        samples = np.array([[np.nan, 3.0], [3.0, np.nan], [3.0, 3.0], [np.nan, np.nan]])
+        got = conditional_exceedance_curves(
+            config(IDENTITY_2, 1, 0), [1.0], [1.0, 2.0], samples=samples
+        )
+        assert_same_curves(got, masked_conditional_curves(samples, [1.0], [1.0, 2.0]))
+        assert got[0].conditioning_count == (2, 2)
+
+    def test_empty_conditioning_event(self):
+        samples = np.array([[10.0, 1.0], [20.0, 2.0]])
+        got = conditional_exceedance_curves(
+            config(IDENTITY_2, 1, 0), [1.0, 4.0], [0.5, 1.0], samples=samples
+        )
+        assert_same_curves(got, masked_conditional_curves(samples, [1.0, 4.0], [0.5, 1.0]))
+        assert got[0].conditioning_count == (2, 1)
+        assert got[0].probability == (1.0, 1.0)
+        assert got[1].conditioning_count == (0, 0)
+        assert all(math.isnan(p) for p in got[1].probability)
+
+    @pytest.mark.parametrize(
+        "n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5]
+    )
+    def test_streamed_curves_equal_materialized_masks(self, n):
+        cfg = config(equi_matrix(3, 0.5), n, 31)
+        grids = {
+            "gaussian": ((1.0, 2.0, 2.5), [0.1, 0.5, 1.0, 1.5, 2.0]),
+            "pareto": ((1.0, 3.0, 5.0), [1.0, 2.0, 5.0, 10.0, 30.0]),
+        }
+        samples = {"gaussian": _gaussian_sample(cfg), "pareto": sample_rvgc(cfg)}
+        for side, (kappas, grid) in grids.items():
+            want = masked_conditional_curves(samples[side], kappas, grid)
+            streamed = conditional_exceedance_curves(cfg, kappas, grid, side=side)
+            given = conditional_exceedance_curves(
+                cfg, kappas, grid, side=side, samples=samples[side]
+            )
+            assert_same_curves(streamed, want)
+            assert_same_curves(given, want)
+
+    @pytest.mark.parametrize("side", ["gaussian", "pareto"])
+    def test_memory_does_not_grow_with_n(self, side):
+        # A materialized sample would hold n x d floats: 1.6 MB at the
+        # smaller n, 12.6 MB at the larger.
+        sigma = equi_matrix(3, 0.5)
+        peaks = []
+        for n in (8 * BLOCK_ROWS + 5, 64 * BLOCK_ROWS + 5):
+            tracemalloc.start()
+            try:
+                conditional_exceedance_curves(
+                    config(sigma, n, 1), [1.0, 2.0], [0.5, 1.0, 2.0], side=side
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.1 * min(peaks), peaks
+        assert max(peaks) < 2**20, peaks
 
 
 class TestCsvWriters:
