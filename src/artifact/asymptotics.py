@@ -169,7 +169,10 @@ def _normal_event(
 
     Returns (indices S, count k, thresholds c): X is in t_m * set exactly
     when at least k of the Z_j, j in S, exceed c[j, m] = -Phi^{-1}((t_m x_j)^{-alpha}).
-    A coordinate with t_m x_j <= 1 always exceeds (c = -inf).
+    A coordinate with t_m x_j <= 1 always exceeds (c = -inf). Each row of c
+    is nondecreasing in t, as the events are nested: rounding in the power
+    and in ndtri can lower a threshold by an ulp between grid points a few
+    ulps apart, and the running maximum undoes that.
     """
     _check_dimension(tail_set, dim)
     if isinstance(tail_set, Rectangular):
@@ -178,7 +181,7 @@ def _normal_event(
         indices = np.arange(dim)
         k = 1 if isinstance(tail_set, ComplementBox) else tail_set.level
     survival = np.power(np.outer(tail_set.thresholds, ts), -alpha)
-    return indices, k, -ndtri(np.minimum(1.0, survival))
+    return indices, k, np.maximum.accumulate(-ndtri(np.minimum(1.0, survival)), axis=1)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,13 @@ the empirical-versus-asymptotic verification table with its log-log slope
 diagnostic. Because every coordinate shares one increasing map
 Z_j -> X_j, verification counts each tail set on the normal rows directly:
 X in t * set is the event that at least k of the coordinates in a subset S
-exceed per-coordinate normal thresholds. The conditional curves are
-integer counts too: each value is binned once by how many grid thresholds
-it exceeds, so one pass over the blocks (or over a given sample) fills
-every (kappa, t) cell.
+exceed per-coordinate normal thresholds, which are nondecreasing in t.
+Both counters bin instead of testing each grid point on its own: a value is
+binned once by how many grid thresholds it exceeds, and the count at each
+grid point is a suffix sum of the bins. Verification ranks each coordinate
+once per block and takes a set's rank as the rowwise k-th largest over S;
+the conditional curves bin V1 and V2 against t and kappa * t, so one pass
+over the blocks (or over a given sample) fills every (kappa, t) cell.
 """
 
 from __future__ import annotations
@@ -60,9 +63,11 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if isinstance(self.n, bool) or not (isinstance(self.n, int) and self.n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if isinstance(self.seed, bool) or not (
+            isinstance(self.seed, int) and 0 <= self.seed < 2**64
+        ):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.marg.family != PARETO_EXACT:
             raise ValueError("simulation requires the pareto-exact marginal family")
@@ -108,9 +113,7 @@ def derived_series(samples: np.ndarray, subset: IndexSubset, rank: int) -> np.nd
     """Rowwise rank-th largest value over the coordinates in subset: rank 1
     is the maximum, rank |subset| the minimum.
 
-    The columns of the subset are merged one at a time into a rowwise sorted
-    buffer of the rank largest values (or of the |subset| - rank + 1
-    smallest, when that is shorter) by elementwise maximum and minimum, so a
+    The columns of the subset are merged by _rowwise_kth_largest, so a
     column-major (order="F") sample is read column by column and never
     copied. A single-coordinate result is a view of that column of samples,
     not a copy; every other result is a new array.
@@ -122,13 +125,24 @@ def derived_series(samples: np.ndarray, subset: IndexSubset, rank: int) -> np.nd
     size = len(subset)
     if not (isinstance(rank, int) and 1 <= rank <= size):
         raise ValueError(f"rank must be an integer in 1..{size}, got {rank!r}")
-    if rank <= size - rank + 1:
-        depth, keep, displace = rank, np.maximum, np.minimum
+    return _rowwise_kth_largest([samples[:, j] for j in subset.as_indices()], rank)
+
+
+def _rowwise_kth_largest(columns: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """Rowwise k-th largest of equal-length columns, 1 <= k <= len(columns).
+
+    The columns are merged one at a time into a rowwise sorted buffer of the
+    k largest values (or of the len(columns) - k + 1 smallest, when that is
+    shorter) by elementwise maximum and minimum. A single column is returned
+    as it is; every other result is a new array.
+    """
+    size = len(columns)
+    if k <= size - k + 1:
+        depth, keep, displace = k, np.maximum, np.minimum
     else:
-        depth, keep, displace = size - rank + 1, np.minimum, np.maximum
+        depth, keep, displace = size - k + 1, np.minimum, np.maximum
     kept: list[np.ndarray] = []
-    for j in subset.as_indices():
-        value = samples[:, j]
+    for value in columns:
         for i, held in enumerate(kept):
             kept[i] = keep(held, value)
             if i + 1 < depth:
@@ -136,6 +150,13 @@ def derived_series(samples: np.ndarray, subset: IndexSubset, rank: int) -> np.nd
         if len(kept) < depth:
             kept.append(value)
     return kept[-1]
+
+
+def _beyond(counts: np.ndarray) -> np.ndarray:
+    """Suffix sums past each bin along the last axis: [..., m] is the sum of
+    counts[..., m + 1:]. For values binned by how many nondecreasing grid
+    thresholds they exceed, that is the number above threshold m."""
+    return np.cumsum(counts[..., ::-1], axis=-1)[..., ::-1][..., 1:]
 
 
 @dataclass(frozen=True)
@@ -252,23 +273,63 @@ def verify_asymptotics(
     One pass over the sampler's normal blocks: each set at each t is the
     event "at least k of the coordinates in S exceed their thresholds" on the
     normal rows, so no row is mapped to the Pareto scale, and memory is
-    bounded by one block, not by n. Rows with fewer than LOW_HIT_THRESHOLD
+    bounded by one block, not by n. The events are counted by grid rank
+    (_TailSetCounter): one comparison pass per coordinate and threshold,
+    shared by every set that uses it. Rows with fewer than LOW_HIT_THRESHOLD
     exceedances are flagged "low-hits" and excluded from the slope fit.
     """
     ts = _increasing_grid(t_grid)
     estimates = [asymptotic_estimate(cfg.sigma, cfg.marg, tail_set) for tail_set in tail_sets]
-    events = [
-        _normal_event(tail_set, cfg.sigma.dim, cfg.marg.alpha, ts) for tail_set in tail_sets
-    ]
-    hits = np.zeros((len(events), len(ts)), dtype=np.int64)
-    for _, z in _gaussian_blocks(cfg):
-        for counts, (indices, k, c) in zip(hits, events):
-            z_set = z[:, indices]
-            for m in range(len(ts)):
-                counts[m] += np.count_nonzero(np.count_nonzero(z_set > c[:, m], axis=1) >= k)
-    return tuple(
-        _verification_table(ts, counts, cfg.n, est) for counts, est in zip(hits, estimates)
+    counter = _TailSetCounter(
+        [_normal_event(tail_set, cfg.sigma.dim, cfg.marg.alpha, ts) for tail_set in tail_sets],
+        len(ts),
     )
+    for _, z in _gaussian_blocks(cfg):
+        counter.add(z)
+    return tuple(
+        _verification_table(ts, counts, cfg.n, est)
+        for counts, est in zip(counter.hits(), estimates)
+    )
+
+
+class _TailSetCounter:
+    """Hit counts of the events "at least k of the Z_j, j in S, exceed
+    c[j, m]" at each of the grid points m of one t grid.
+
+    Each coordinate j with its threshold row c_j is ranked once per block,
+    rank_j = #{m : Z_j > c[j, m]}, and the rank is shared by every event
+    that uses the same (j, c_j). The rows of c are nondecreasing, so
+    Z_j > c[j, m] exactly when rank_j > m, and an event holds at m exactly
+    when the rowwise k-th largest rank_j over S exceeds m: its hits at m are
+    the suffix sums past m of the bin counts of that rank.
+    """
+
+    def __init__(self, events: Sequence[tuple[np.ndarray, int, np.ndarray]], points: int):
+        # The largest rank is the number of grid points.
+        self.rank_type = np.min_scalar_type(points)
+        slots: dict[tuple[int, tuple[float, ...]], int] = {}
+        self.events: list[tuple[list[int], int]] = []
+        for indices, k, c in events:
+            keys = [(j, tuple(row.tolist())) for j, row in zip(indices.tolist(), c)]
+            self.events.append(([slots.setdefault(key, len(slots)) for key in keys], k))
+        self.columns = list(slots)
+        self.bins = np.zeros((len(self.events), points + 1), dtype=np.int64)
+
+    def add(self, z: np.ndarray) -> None:
+        z = np.asfortranarray(z)
+        ranks = []
+        for j, thresholds in self.columns:
+            column = z[:, j]
+            rank = np.zeros(len(column), dtype=self.rank_type)
+            for c in thresholds:
+                rank += column > c
+            ranks.append(rank)
+        for bins, (members, k) in zip(self.bins, self.events):
+            rank = _rowwise_kth_largest([ranks[i] for i in members], k)
+            bins += np.bincount(rank, minlength=len(bins))
+
+    def hits(self) -> np.ndarray:
+        return _beyond(self.bins)
 
 
 def _verification_table(
@@ -376,13 +437,9 @@ class _ConditionalCounter:
             joint += np.bincount(np.minimum(above1, above2), minlength=bins)
 
     def curves(self) -> list[ConditionalCurve]:
-        def beyond(counts: np.ndarray) -> list[list[int]]:
-            # beyond[:, m] = sum of counts[:, m + 1:]
-            return np.cumsum(counts[:, ::-1], axis=1)[:, ::-1][:, 1:].tolist()
-
         curves = []
         for kappa, denoms, joints in zip(
-            self.kappas, beyond(self.conditioning), beyond(self.joint)
+            self.kappas, _beyond(self.conditioning).tolist(), _beyond(self.joint).tolist()
         ):
             probs = tuple(j / c if c else math.nan for j, c in zip(joints, denoms))
             curves.append(ConditionalCurve(kappa, self.ts, probs, tuple(denoms)))

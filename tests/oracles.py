@@ -6,7 +6,9 @@ discrete decisions by ranking every candidate active set, the full cone scan
 finds the cone minimizers without pruning, the quadrature computes small
 normal joint tails without the asymptotic expansion, and the scaling
 statistic counts tail-set hits on Pareto-scale rows instead of on the
-normal rows that verify_asymptotics counts. The conditional curves are
+normal rows that verify_asymptotics counts, and the masked event hits count
+those normal-row events with one mask per grid point instead of by grid
+rank. The conditional curves are
 counted with one pair of boolean masks per cell instead of by binning each
 value once, and the Hill curve sorts the whole series.
 """
@@ -225,6 +227,19 @@ def scaling_statistic(samples: np.ndarray, tail_set: TailSetSpec) -> np.ndarray:
         return np.min(scaled, axis=1)
     rank = 1 if isinstance(tail_set, ComplementBox) else tail_set.level
     return np.sort(samples / np.asarray(tail_set.thresholds), axis=1)[:, -rank]
+
+
+def masked_event_hits(z: np.ndarray, events) -> list[list[int]]:
+    """Hits of each normal-row event (S, k, c) at each grid point m: the rows
+    where at least k of the z[:, j], j in S, exceed c[j, m], one mask per
+    (event, m)."""
+    return [
+        [
+            int(np.count_nonzero(np.count_nonzero(z[:, indices] > c[:, m], axis=1) >= k))
+            for m in range(c.shape[1])
+        ]
+        for indices, k, c in events
+    ]
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,20 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import kstest
 
-from artifact.asymptotics import AtLeastI, ComplementBox, MarginalSpec, Rectangular
+from artifact.asymptotics import (
+    AtLeastI,
+    ComplementBox,
+    MarginalSpec,
+    Rectangular,
+    _normal_event,
+)
 from artifact.linalg import CorrelationMatrix, IndexSubset
 from artifact.simulate import (
     BLOCK_ROWS,
     HillCurve,
     SimulationConfig,
     _gaussian_sample,
+    _TailSetCounter,
     conditional_exceedance_curves,
     default_k_grid,
     derived_series,
@@ -31,6 +38,7 @@ from oracles import (
     EmpiricalTail,
     empirical_tail,
     masked_conditional_curves,
+    masked_event_hits,
     scaling_statistic,
     sorted_hill_estimator,
 )
@@ -50,6 +58,11 @@ class TestConfig:
             config(IDENTITY_2, 0, 0)
         with pytest.raises(ValueError, match="seed"):
             config(IDENTITY_2, 10, -1)
+        # bool is an int subclass; the CLI rejects it, and so does the config
+        with pytest.raises(ValueError, match="n must be a positive integer, got True"):
+            config(IDENTITY_2, True, 0)
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer, got False"):
+            config(IDENTITY_2, 10, False)
 
     def test_requires_exact_marginal(self):
         loose = MarginalSpec(alpha=2.0, scale_c=2.0, family="asymptotic-only")
@@ -310,6 +323,31 @@ STREAM_SETS = (
 )
 STREAM_GRID = [10.0, 20.0, 40.0]
 
+# Sets whose coordinates share or split grid ranks, and a grid too long for
+# a uint8 rank (its last 44 points lie past 255).
+SHARED_RANK_CASES = {
+    "same-coordinate-other-threshold": (
+        equi_matrix(3, 0.5),
+        (
+            Rectangular(IndexSubset.of(1, 3), (0.2, 0.3)),
+            Rectangular(IndexSubset.of(1), (0.3,)),
+            Rectangular(IndexSubset.of(3), (0.3,)),
+        ),
+        STREAM_GRID,
+    ),
+    "at-least-2-and-3-of-4": (
+        equi_matrix(4, 0.5),
+        (AtLeastI((0.2,) * 4, 2), AtLeastI((0.2, 0.3, 0.2, 0.3), 3), AtLeastI((0.2,) * 4, 3)),
+        STREAM_GRID,
+    ),
+    "full-rectangle-and-at-least-d": (
+        equi_matrix(3, 0.5),
+        (Rectangular(IndexSubset.full(3), (0.2, 0.2, 0.2)), AtLeastI((0.2, 0.2, 0.2), 3)),
+        STREAM_GRID,
+    ),
+    "300-point-grid": (equi_matrix(3, 0.5), STREAM_SETS, np.geomspace(10.0, 40.0, 300).tolist()),
+}
+
 
 class TestStreamedVerification:
     """verify_asymptotics counts block by block; the counts must be those of
@@ -363,6 +401,57 @@ class TestStreamedVerification:
             want = empirical_tail(scaling_statistic(x, tail_set), STREAM_GRID)
             assert tuple(row.hits for row in table.rows) == want.hits
             assert tuple(row.empirical for row in table.rows) == want.probability
+
+    @pytest.mark.parametrize("case", list(SHARED_RANK_CASES))
+    def test_hits_equal_materialized_counts_for_shared_ranks(self, case):
+        sigma, sets, grid = SHARED_RANK_CASES[case]
+        cfg = config(sigma, 3 * BLOCK_ROWS + 5, 31)
+        tables = verify_asymptotics(cfg, sets, grid)
+        x = sample_rvgc(cfg)
+        for table, tail_set in zip(tables, sets):
+            want = empirical_tail(scaling_statistic(x, tail_set), grid)
+            assert tuple(row.hits for row in table.rows) == want.hits
+            assert tuple(row.empirical for row in table.rows) == want.probability
+            assert tuple(row.se for row in table.rows) == want.se
+        assert all(row.hits > 0 for table in tables for row in table.rows)
+
+    def test_counts_equal_direct_comparisons_on_the_thresholds(self, rng):
+        # Every coordinate takes values exactly on its thresholds and one
+        # ulp either side, so the strict > of each grid point is checked.
+        sets = STREAM_SETS + (
+            AtLeastI((0.2, 0.3, 0.4), 3),
+            Rectangular(IndexSubset.of(2), (0.3,)),
+        )
+        events = [_normal_event(tail_set, 3, 2.0, STREAM_GRID) for tail_set in sets]
+        on = np.concatenate([c.ravel() for _, _, c in events])
+        values = np.unique(np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf)]))
+        z = rng.choice(values, size=(20000, 3))
+        counter = _TailSetCounter(events, len(STREAM_GRID))
+        counter.add(z[:7])
+        counter.add(z[7:])
+        assert counter.hits().tolist() == masked_event_hits(z, events)
+
+    def test_thresholds_are_nondecreasing_on_an_ulp_grid(self):
+        # At these t the rounded normal threshold falls by an ulp from one
+        # float to the next; the events are nested, so the thresholds may not.
+        grid = [35.65216314007357]
+        for _ in range(3):
+            grid.append(float(np.nextafter(grid[-1], np.inf)))
+        raw = -ndtri(np.power(np.array(grid), -2.0))
+        assert np.any(np.diff(raw) < 0)
+        events = [_normal_event(Rectangular(IndexSubset.of(1), (1.0,)), 1, 2.0, grid)]
+        c = events[0][2]
+        assert np.all(np.diff(c, axis=1) >= 0)
+        z = np.unique(np.concatenate([raw, np.nextafter(raw, -np.inf), np.nextafter(raw, np.inf)]))
+        counter = _TailSetCounter(events, len(grid))
+        counter.add(z[:, None])
+        hits = counter.hits()[0]
+        assert np.all(np.diff(hits) <= 0)
+        assert hits.tolist() == masked_event_hits(z[:, None], events)[0]
+        (table,) = verify_asymptotics(
+            config(IDENTITY_1, 5 * BLOCK_ROWS, 3), [Rectangular(IndexSubset.of(1), (1.0,))], grid
+        )
+        assert np.all(np.diff([row.hits for row in table.rows]) <= 0)
 
     def test_one_pass_equals_one_pass_per_set(self):
         cfg = config(equi_matrix(3, 0.5), 3 * BLOCK_ROWS + 5, 13)
