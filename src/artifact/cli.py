@@ -108,6 +108,21 @@ def _field_positive_real(obj: dict, key: str, default=None) -> float:
     return float(value)
 
 
+def _is_list_of(value, kinds) -> bool:
+    """Whether value is a list of instances of kinds; bool, a subclass of
+    int, counts as none of them."""
+    return isinstance(value, list) and all(
+        isinstance(v, kinds) and not isinstance(v, bool) for v in value
+    )
+
+
+def _parse_thresholds(raw: dict, field: str) -> list:
+    thresholds = raw.get("thresholds", [])
+    if not _is_list_of(thresholds, (int, float)):
+        raise ConfigError(f"{field}.thresholds", "'thresholds' must be a list of numbers")
+    return thresholds
+
+
 def _parse_sigma(obj: dict) -> CorrelationMatrix:
     if "sigma" not in obj:
         raise ConfigError("sigma", "missing required field 'sigma'")
@@ -143,24 +158,23 @@ def _parse_tail_set(raw, position: int, dim: int) -> TailSetJob:
     try:
         if kind == "rectangular":
             members = raw.get("subset")
-            if not isinstance(members, list) or not members:
-                raise ConfigError(f"{field}.subset", "'subset' must be a nonempty list of labels")
-            spec = Rectangular(
-                IndexSubset(tuple(int(m) for m in members)),
-                tuple(raw.get("thresholds", ())),
-            )
+            if not _is_list_of(members, int) or not members:
+                raise ConfigError(
+                    f"{field}.subset", "'subset' must be a nonempty list of integer labels"
+                )
+            spec = Rectangular(IndexSubset(tuple(members)), _parse_thresholds(raw, field))
             spec.subset.validate_within(dim)
             default_label = f"rect{spec.subset}"
         elif kind == "at-least":
             level = raw.get("level")
             if not isinstance(level, int) or isinstance(level, bool):
                 raise ConfigError(f"{field}.level", "'level' must be an integer")
-            spec = AtLeastI(tuple(raw.get("thresholds", ())), level)
+            spec = AtLeastI(_parse_thresholds(raw, field), level)
             if len(spec.thresholds) != dim:
                 raise ConfigError(f"{field}.thresholds", f"need {dim} thresholds, got {len(spec.thresholds)}")
             default_label = f"atleast{level}"
         elif kind == "complement-box":
-            spec = ComplementBox(tuple(raw.get("thresholds", ())))
+            spec = ComplementBox(_parse_thresholds(raw, field))
             if len(spec.thresholds) != dim:
                 raise ConfigError(f"{field}.thresholds", f"need {dim} thresholds, got {len(spec.thresholds)}")
             default_label = "box-complement"
@@ -200,9 +214,7 @@ def load_job_config(path: str, seed_override: Optional[int] = None) -> JobConfig
     sets = tuple(_parse_tail_set(raw, i, sigma.dim) for i, raw in enumerate(raw_sets))
 
     raw_grid = obj.get("t_grid", [])
-    if not isinstance(raw_grid, list) or not all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) for t in raw_grid
-    ):
+    if not _is_list_of(raw_grid, (int, float)):
         raise ConfigError("t_grid", "'t_grid' must be a list of numbers")
     t_grid = tuple(float(t) for t in raw_grid)
     if any(not math.isfinite(t) or t < MIN_EVAL_T for t in t_grid):
@@ -225,9 +237,7 @@ def load_job_config(path: str, seed_override: Optional[int] = None) -> JobConfig
             raise ConfigError("simulation.seed", f"'seed' must be a 64-bit unsigned integer, got {seed!r}")
         raw_k = sim.get("k_grid")
         if raw_k is not None:
-            if not isinstance(raw_k, list) or not all(
-                isinstance(k, int) and not isinstance(k, bool) for k in raw_k
-            ):
+            if not _is_list_of(raw_k, int):
                 raise ConfigError("simulation.k_grid", "'k_grid' must be a list of integers")
         try:
             k_grid = resolve_k_grid(raw_k, n)
@@ -354,10 +364,11 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     d = job.sigma.dim
     # One pass over one draw feeds both sides: the heavy-tailed sample is the
     # transform of the same normal rows the gaussian-side curves condition
-    # on, and only those two normal columns are kept. x is column-major so
-    # that every derived series reads whole columns.
+    # on, and only those two normal columns are kept. x and z12 are
+    # column-major so that every derived series and the curve counter read
+    # whole columns without a copy.
     x = np.empty((cfg.n, d), order="F")
-    z12 = np.empty((cfg.n, min(d, 2)))
+    z12 = np.empty((cfg.n, min(d, 2)), order="F")
     for start, z in _gaussian_blocks(cfg):
         rows = slice(start, start + len(z))
         x[rows] = _to_pareto(z, job.marg.alpha)

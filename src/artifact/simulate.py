@@ -14,12 +14,14 @@ diagnostic. Because every coordinate shares one increasing map
 Z_j -> X_j, verification counts each tail set on the normal rows directly:
 X in t * set is the event that at least k of the coordinates in a subset S
 exceed per-coordinate normal thresholds, which are nondecreasing in t.
-Both counters bin instead of testing each grid point on its own: a value is
-binned once by how many grid thresholds it exceeds, and the count at each
-grid point is a suffix sum of the bins. Verification ranks each coordinate
-once per block and takes a set's rank as the rowwise k-th largest over S;
-the conditional curves bin V1 and V2 against t and kappa * t, so one pass
-over the blocks (or over a given sample) fills every (kappa, t) cell.
+The conditional curves are events of the same form: V2 > kappa t is "at
+least 1 of {V2} exceeds kappa t", and V1 > t, V2 > kappa t is "at least 2
+of {V1, V2} exceed (t, kappa t)". One counter (_EventCounter) counts both
+kinds without testing each grid point on its own: a value is ranked once
+by how many grid thresholds it exceeds, an event's rank is the rowwise
+k-th largest over S, and the count at each grid point is a suffix sum of
+the rank's bins, so one pass over the blocks (or over a given sample)
+fills every grid cell.
 """
 
 from __future__ import annotations
@@ -152,13 +154,6 @@ def _rowwise_kth_largest(columns: Sequence[np.ndarray], k: int) -> np.ndarray:
     return kept[-1]
 
 
-def _beyond(counts: np.ndarray) -> np.ndarray:
-    """Suffix sums past each bin along the last axis: [..., m] is the sum of
-    counts[..., m + 1:]. For values binned by how many nondecreasing grid
-    thresholds they exceed, that is the number above threshold m."""
-    return np.cumsum(counts[..., ::-1], axis=-1)[..., ::-1][..., 1:]
-
-
 @dataclass(frozen=True)
 class HillCurve:
     """Tail-index estimates along the number of order statistics used.
@@ -274,13 +269,14 @@ def verify_asymptotics(
     event "at least k of the coordinates in S exceed their thresholds" on the
     normal rows, so no row is mapped to the Pareto scale, and memory is
     bounded by one block, not by n. The events are counted by grid rank
-    (_TailSetCounter): one comparison pass per coordinate and threshold,
-    shared by every set that uses it. Rows with fewer than LOW_HIT_THRESHOLD
-    exceedances are flagged "low-hits" and excluded from the slope fit.
+    (_EventCounter, which also counts the conditional curves): one
+    comparison pass per coordinate and threshold, shared by every set that
+    uses it. Rows with fewer than LOW_HIT_THRESHOLD exceedances are flagged
+    "low-hits" and excluded from the slope fit.
     """
     ts = _increasing_grid(t_grid)
     estimates = [asymptotic_estimate(cfg.sigma, cfg.marg, tail_set) for tail_set in tail_sets]
-    counter = _TailSetCounter(
+    counter = _EventCounter(
         [_normal_event(tail_set, cfg.sigma.dim, cfg.marg.alpha, ts) for tail_set in tail_sets],
         len(ts),
     )
@@ -292,16 +288,17 @@ def verify_asymptotics(
     )
 
 
-class _TailSetCounter:
-    """Hit counts of the events "at least k of the Z_j, j in S, exceed
-    c[j, m]" at each of the grid points m of one t grid.
+class _EventCounter:
+    """Hit counts of the events "at least k of the V_j, j in S, exceed
+    c[j, m]" at each of the grid points m of one grid.
 
     Each coordinate j with its threshold row c_j is ranked once per block,
-    rank_j = #{m : Z_j > c[j, m]}, and the rank is shared by every event
-    that uses the same (j, c_j). The rows of c are nondecreasing, so
-    Z_j > c[j, m] exactly when rank_j > m, and an event holds at m exactly
-    when the rowwise k-th largest rank_j over S exceeds m: its hits at m are
-    the suffix sums past m of the bin counts of that rank.
+    rank_j = #{m : V_j > c[j, m]} (0 for nan, which exceeds nothing), and
+    the rank is shared by every event that uses the same (j, c_j). The rows
+    of c are nondecreasing, so V_j > c[j, m] exactly when rank_j > m, and an
+    event holds at m exactly when the rowwise k-th largest rank_j over S
+    exceeds m: its hits at m are the suffix sums past m of the bin counts of
+    that rank.
     """
 
     def __init__(self, events: Sequence[tuple[np.ndarray, int, np.ndarray]], points: int):
@@ -329,7 +326,8 @@ class _TailSetCounter:
             bins += np.bincount(rank, minlength=len(bins))
 
     def hits(self) -> np.ndarray:
-        return _beyond(self.bins)
+        """events x points hit counts: [e, m] sums the bins past m."""
+        return np.cumsum(self.bins[:, ::-1], axis=1)[:, ::-1][:, 1:]
 
 
 def _verification_table(
@@ -380,70 +378,43 @@ def conditional_exceedance_curves(
     "pareto" the heavy-tailed output. Grid values may be small: these are
     purely empirical curves. Cells with an empty conditioning event are nan.
 
-    Only the first two columns of samples are read. Without samples the
-    curves are counted block by block on the sampler's rows, so memory is
-    bounded by one block, not by n.
+    Per kappa, the conditioning event V2 > kappa t and the joint event
+    V1 > t, V2 > kappa t are counted on the t grid by _EventCounter, the
+    counter verify_asymptotics uses; the thresholds are the float products
+    kappa * t that a direct comparison uses. Only the first two columns of
+    samples are read, so a column-major sample is not copied. Without
+    samples the curves are counted block by block on the sampler's rows, so
+    memory is bounded by one block, not by n.
     """
     if cfg.sigma.dim < 2:
         raise ValueError("conditional curves need at least two coordinates")
     ts = _increasing_grid(t_grid)
     if side not in ("gaussian", "pareto"):
         raise ValueError(f"side must be 'gaussian' or 'pareto', got {side!r}")
-    counter = _ConditionalCounter(
-        [_positive_real(float(kappa), "kappa") for kappa in kappas], ts
-    )
+    kappas = [_positive_real(float(kappa), "kappa") for kappa in kappas]
+    grid = np.array(ts)
+    events = []
+    for kappa in kappas:
+        conditioning = kappa * grid
+        events.append((np.array([1]), 1, conditioning[None]))
+        events.append((np.array([0, 1]), 2, np.stack([grid, conditioning])))
+    counter = _EventCounter(events, len(ts))
     if samples is not None:
-        data = np.asarray(samples)
-        counter.add(data[:, 0], data[:, 1])
+        samples = np.asarray(samples)
+        if samples.ndim != 2 or samples.shape[1] < 2:
+            raise ValueError(
+                f"samples must be an n x d matrix with d >= 2, got shape {samples.shape}"
+            )
+        counter.add(samples[:, :2])
     else:
         for _, z in _gaussian_blocks(cfg):
-            pair = z[:, :2] if side == "gaussian" else _to_pareto(z[:, :2], cfg.marg.alpha)
-            counter.add(pair[:, 0], pair[:, 1])
-    return counter.curves()
-
-
-def _thresholds_exceeded(thresholds: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per value, the number of the nondecreasing thresholds strictly below
-    it (0 for nan, which exceeds nothing)."""
-    counts = np.searchsorted(thresholds, values, side="left")
-    counts[np.isnan(values)] = 0
-    return counts
-
-
-class _ConditionalCounter:
-    """Integer counts behind P(V1 > t | V2 > kappa t) on one t grid.
-
-    Each value is binned by how many grid thresholds it strictly exceeds.
-    V2 > kappa t_m holds for the first above2 grid points and both events
-    for the first min(above1, above2), so the counts at t_m are suffix sums
-    of the bin counts past m. The thresholds are the float products
-    kappa * t, the numbers a direct comparison uses.
-    """
-
-    def __init__(self, kappas: Sequence[float], ts: tuple[float, ...]):
-        self.kappas = tuple(kappas)
-        self.ts = ts
-        self.grid = np.array(ts)
-        bins = (len(self.kappas), len(ts) + 1)
-        self.conditioning = np.zeros(bins, dtype=np.int64)
-        self.joint = np.zeros(bins, dtype=np.int64)
-
-    def add(self, v1: np.ndarray, v2: np.ndarray) -> None:
-        bins = len(self.ts) + 1
-        above1 = _thresholds_exceeded(self.grid, v1)
-        for kappa, conditioning, joint in zip(self.kappas, self.conditioning, self.joint):
-            above2 = _thresholds_exceeded(kappa * self.grid, v2)
-            conditioning += np.bincount(above2, minlength=bins)
-            joint += np.bincount(np.minimum(above1, above2), minlength=bins)
-
-    def curves(self) -> list[ConditionalCurve]:
-        curves = []
-        for kappa, denoms, joints in zip(
-            self.kappas, _beyond(self.conditioning).tolist(), _beyond(self.joint).tolist()
-        ):
-            probs = tuple(j / c if c else math.nan for j, c in zip(joints, denoms))
-            curves.append(ConditionalCurve(kappa, self.ts, probs, tuple(denoms)))
-        return curves
+            counter.add(z[:, :2] if side == "gaussian" else _to_pareto(z[:, :2], cfg.marg.alpha))
+    hits = counter.hits().tolist()
+    curves = []
+    for kappa, denoms, joints in zip(kappas, hits[0::2], hits[1::2]):
+        probs = tuple(j / c if c else math.nan for j, c in zip(joints, denoms))
+        curves.append(ConditionalCurve(kappa, ts, probs, tuple(denoms)))
+    return curves
 
 
 def write_hill_csv(path, curves: Sequence[HillCurve]) -> None:

@@ -134,6 +134,28 @@ class TestConfigErrors:
         assert_config_error(result, "sets[0].thresholds")
         assert "need 2 thresholds, got 1" in result[2]
 
+    @pytest.mark.parametrize(
+        "tail_set, field",
+        [
+            ({"type": "rectangular", "subset": [None, 2], "thresholds": [1.0, 1.0]}, "subset"),
+            ({"type": "rectangular", "subset": [1.7, 2], "thresholds": [1.0, 1.0]}, "subset"),
+            ({"type": "rectangular", "subset": [True, 2], "thresholds": [1.0, 1.0]}, "subset"),
+            ({"type": "rectangular", "subset": "12", "thresholds": [1.0, 1.0]}, "subset"),
+            ({"type": "rectangular", "subset": [1, 2], "thresholds": [None, 1]}, "thresholds"),
+            ({"type": "rectangular", "subset": [1, 2], "thresholds": 5}, "thresholds"),
+            ({"type": "rectangular", "subset": [1, 2], "thresholds": "11"}, "thresholds"),
+            ({"type": "rectangular", "subset": [1, 2], "thresholds": [True, 1.0]}, "thresholds"),
+            ({"type": "at-least", "level": 1, "thresholds": [None, 1]}, "thresholds"),
+            ({"type": "at-least", "level": 1, "thresholds": "11"}, "thresholds"),
+            ({"type": "complement-box", "thresholds": 5}, "thresholds"),
+            ({"type": "complement-box", "thresholds": [1.0, False]}, "thresholds"),
+        ],
+    )
+    def test_set_members_and_thresholds_are_typed(self, runner, tail_set, field):
+        result = runner(dict(IDENTITY_JOB, sets=[tail_set]), "analyze")
+        assert_config_error(result, f"sets[0].{field}")
+        assert "Traceback" not in result[2]
+
     def test_t_grid_below_guard(self, runner):
         cfg = dict(IDENTITY_JOB, t_grid=[5.0, 100.0])
         result = runner(cfg, "analyze")

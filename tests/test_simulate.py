@@ -22,7 +22,7 @@ from artifact.simulate import (
     HillCurve,
     SimulationConfig,
     _gaussian_sample,
-    _TailSetCounter,
+    _EventCounter,
     conditional_exceedance_curves,
     default_k_grid,
     derived_series,
@@ -426,7 +426,7 @@ class TestStreamedVerification:
         on = np.concatenate([c.ravel() for _, _, c in events])
         values = np.unique(np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf)]))
         z = rng.choice(values, size=(20000, 3))
-        counter = _TailSetCounter(events, len(STREAM_GRID))
+        counter = _EventCounter(events, len(STREAM_GRID))
         counter.add(z[:7])
         counter.add(z[7:])
         assert counter.hits().tolist() == masked_event_hits(z, events)
@@ -443,7 +443,7 @@ class TestStreamedVerification:
         c = events[0][2]
         assert np.all(np.diff(c, axis=1) >= 0)
         z = np.unique(np.concatenate([raw, np.nextafter(raw, -np.inf), np.nextafter(raw, np.inf)]))
-        counter = _TailSetCounter(events, len(grid))
+        counter = _EventCounter(events, len(grid))
         counter.add(z[:, None])
         hits = counter.hits()[0]
         assert np.all(np.diff(hits) <= 0)
@@ -519,6 +519,12 @@ class TestConditionalCurves:
         with pytest.raises(ValueError, match="kappa"):
             conditional_exceedance_curves(cfg, [0.0], [1.0])
 
+    @pytest.mark.parametrize("shape", [(10,), (10, 1), (0,), (2, 3, 2)])
+    def test_samples_validation(self, shape):
+        cfg = config(IDENTITY_2, 100, 0)
+        with pytest.raises(ValueError, match="samples"):
+            conditional_exceedance_curves(cfg, [1.0], [1.0], samples=np.ones(shape))
+
 
 def assert_same_curves(got, want):
     assert len(got) == len(want)
@@ -574,6 +580,19 @@ class TestConditionalCounting:
         )
         assert_same_curves(got, masked_conditional_curves(samples, [1.0], [1.0, 2.0]))
         assert got[0].conditioning_count == (2, 2)
+
+    def test_wide_grid_with_infinities_and_nan(self, rng):
+        # 320 grid points: a value can exceed more thresholds than a uint8
+        # rank holds.
+        grid = tuple(float(t) for t in np.linspace(0.5, 40.0, 320))
+        kappas = (1.0, 1.5)
+        special = [np.inf, -np.inf, np.nan, 100.0]
+        edges = np.array([[a, b] for a in special for b in special])
+        samples = np.concatenate([edges, rng.uniform(0.0, 80.0, (5000, 2))])
+        got = conditional_exceedance_curves(
+            config(IDENTITY_2, 1, 0), kappas, grid, samples=samples
+        )
+        assert_same_curves(got, masked_conditional_curves(samples, kappas, grid))
 
     def test_empty_conditioning_event(self):
         samples = np.array([[10.0, 1.0], [20.0, 2.0]])
