@@ -116,10 +116,15 @@ def _is_list_of(value, kinds) -> bool:
     )
 
 
-def _parse_thresholds(raw: dict, field: str) -> list:
-    thresholds = raw.get("thresholds", [])
+def _parse_thresholds(raw: dict, field: str, count: int) -> list:
+    where = f"{field}.thresholds"
+    if "thresholds" not in raw:
+        raise ConfigError(where, "missing required field 'thresholds'")
+    thresholds = raw["thresholds"]
     if not _is_list_of(thresholds, (int, float)):
-        raise ConfigError(f"{field}.thresholds", "'thresholds' must be a list of numbers")
+        raise ConfigError(where, "'thresholds' must be a list of numbers")
+    if len(thresholds) != count:
+        raise ConfigError(where, f"need {count} thresholds, got {len(thresholds)}")
     return thresholds
 
 
@@ -151,8 +156,14 @@ def _parse_tail_set(raw, position: int, dim: int) -> TailSetJob:
         raise ConfigError(f"{field}.label", "'label' must be a string")
     slope_target = raw.get("slope_target")
     if slope_target is not None:
-        if not isinstance(slope_target, (int, float)) or isinstance(slope_target, bool):
-            raise ConfigError(f"{field}.slope_target", "'slope_target' must be a number")
+        if (
+            not isinstance(slope_target, (int, float))
+            or isinstance(slope_target, bool)
+            or not math.isfinite(slope_target)
+        ):
+            raise ConfigError(
+                f"{field}.slope_target", f"'slope_target' must be a finite number, got {slope_target!r}"
+            )
         slope_target = float(slope_target)
 
     try:
@@ -162,21 +173,18 @@ def _parse_tail_set(raw, position: int, dim: int) -> TailSetJob:
                 raise ConfigError(
                     f"{field}.subset", "'subset' must be a nonempty list of integer labels"
                 )
-            spec = Rectangular(IndexSubset(tuple(members)), _parse_thresholds(raw, field))
+            thresholds = _parse_thresholds(raw, field, len(members))
+            spec = Rectangular(IndexSubset(tuple(members)), thresholds)
             spec.subset.validate_within(dim)
             default_label = f"rect{spec.subset}"
         elif kind == "at-least":
             level = raw.get("level")
             if not isinstance(level, int) or isinstance(level, bool):
                 raise ConfigError(f"{field}.level", "'level' must be an integer")
-            spec = AtLeastI(_parse_thresholds(raw, field), level)
-            if len(spec.thresholds) != dim:
-                raise ConfigError(f"{field}.thresholds", f"need {dim} thresholds, got {len(spec.thresholds)}")
+            spec = AtLeastI(_parse_thresholds(raw, field, dim), level)
             default_label = f"atleast{level}"
         elif kind == "complement-box":
-            spec = ComplementBox(_parse_thresholds(raw, field))
-            if len(spec.thresholds) != dim:
-                raise ConfigError(f"{field}.thresholds", f"need {dim} thresholds, got {len(spec.thresholds)}")
+            spec = ComplementBox(_parse_thresholds(raw, field, dim))
             default_label = "box-complement"
         else:
             raise ConfigError(

@@ -4,9 +4,11 @@ Everything the asymptotic layer needs from the Gaussian side lives here: the
 univariate cdf/quantile/pdf trio, the second-order expansion of the normal
 quantile coupled to a heavy-tailed threshold, multivariate orthant
 probabilities P(Y >= 0) (closed forms for dimension <= 3, randomized
-quasi-Monte Carlo above), the tail constant Upsilon assembled from a QP
-solution, and the joint-tail law built on it (first order, and Savage's
-second order). The input guards every layer shares live here too.
+quasi-Monte Carlo up to dimension 64 above, on an in-house scrambled Sobol'
+engine that keeps scipy.stats off the import path), the tail constant
+Upsilon assembled from a QP solution, and the joint-tail law built on it
+(first order, and Savage's second order). The input guards every layer
+shares live here too.
 
 All probability assembly happens in log space; the constants underflow well
 before the asymptotics lose accuracy.
@@ -14,15 +16,15 @@ before the asymptotics lose accuracy.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-from scipy.stats import qmc
 
-from .linalg import CorrelationMatrix, IndexSubset, solve_spd, spd_factorize
+from .linalg import MAX_DIM, CorrelationMatrix, IndexSubset, solve_spd, spd_factorize
 from .qp import BOUNDARY_EPS, QpSolution, solve_qp
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -175,6 +177,102 @@ def _sov_orthant(lower: np.ndarray, w: np.ndarray) -> np.ndarray:
     return prob
 
 
+# Joe & Kuo's direction numbers (SIAM J. Sci. Comput. 30, 2008, search
+# criterion 6) for Sobol' dimensions 2..64: the primitive polynomial with its
+# x^deg coefficient as the top bit, and the initial odd m_1..m_deg.
+# Dimension 1 is van der Corput's (every m_j = 1).
+_JOE_KUO = (
+    (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)), (19, (1, 1, 3, 3)),
+    (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)), (41, (1, 1, 5, 5, 5)),
+    (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)), (59, (1, 1, 1, 3, 11)),
+    (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)), (91, (1, 1, 1, 15, 21, 21)),
+    (97, (1, 3, 1, 13, 27, 49)), (103, (1, 1, 1, 15, 7, 5)),
+    (109, (1, 3, 1, 15, 13, 25)), (115, (1, 1, 5, 5, 19, 61)),
+    (131, (1, 3, 7, 11, 23, 15, 103)), (137, (1, 3, 7, 13, 13, 15, 69)),
+    (143, (1, 1, 3, 13, 7, 35, 63)), (145, (1, 3, 5, 9, 1, 25, 53)),
+    (157, (1, 3, 1, 13, 9, 35, 107)), (167, (1, 3, 1, 5, 27, 61, 31)),
+    (171, (1, 1, 5, 11, 19, 41, 61)), (185, (1, 3, 5, 3, 3, 13, 69)),
+    (191, (1, 1, 7, 13, 1, 19, 1)), (193, (1, 3, 7, 5, 13, 19, 59)),
+    (203, (1, 1, 3, 9, 25, 29, 41)), (211, (1, 3, 5, 13, 23, 1, 55)),
+    (213, (1, 3, 7, 3, 13, 59, 17)), (229, (1, 3, 1, 3, 5, 53, 69)),
+    (239, (1, 1, 5, 5, 23, 33, 13)), (241, (1, 1, 7, 7, 1, 61, 123)),
+    (247, (1, 1, 7, 9, 13, 61, 49)), (253, (1, 3, 3, 5, 3, 55, 33)),
+    (285, (1, 3, 1, 15, 31, 13, 49, 245)), (299, (1, 3, 5, 15, 31, 59, 63, 97)),
+    (301, (1, 3, 1, 11, 11, 11, 77, 249)), (333, (1, 3, 1, 11, 27, 43, 71, 9)),
+    (351, (1, 1, 7, 15, 21, 11, 81, 45)), (355, (1, 3, 7, 3, 25, 31, 65, 79)),
+    (357, (1, 3, 1, 1, 19, 11, 3, 205)), (361, (1, 1, 5, 9, 19, 21, 29, 157)),
+    (369, (1, 3, 7, 11, 1, 33, 89, 185)), (391, (1, 3, 3, 3, 15, 9, 79, 71)),
+    (397, (1, 3, 7, 11, 15, 39, 119, 27)), (425, (1, 1, 3, 1, 11, 31, 97, 225)),
+    (451, (1, 1, 1, 3, 23, 43, 57, 177)), (463, (1, 3, 7, 7, 17, 17, 37, 71)),
+    (487, (1, 3, 1, 5, 27, 63, 123, 213)), (501, (1, 1, 3, 5, 11, 43, 53, 133)),
+    (529, (1, 3, 5, 5, 29, 17, 47, 173, 479)), (539, (1, 3, 3, 11, 3, 1, 109, 9, 69)),
+    (545, (1, 1, 1, 5, 17, 39, 23, 5, 343)), (557, (1, 3, 1, 5, 25, 15, 31, 103, 499)),
+    (563, (1, 1, 1, 11, 11, 17, 63, 105, 183)),
+    (601, (1, 1, 5, 11, 9, 29, 97, 231, 363)), (607, (1, 1, 5, 15, 19, 45, 41, 7, 383)),
+    (617, (1, 3, 7, 7, 31, 19, 83, 137, 221)),
+    (623, (1, 1, 1, 3, 23, 15, 111, 223, 83)),
+    (631, (1, 1, 5, 13, 31, 15, 55, 25, 161)),
+    (637, (1, 1, 3, 13, 25, 47, 39, 87, 257)),
+)
+_SOBOL_BITS = 30
+# Bit positions from the most significant down: column j of a direction
+# table carries m_j << _SOBOL_MSB_FIRST[j].
+_SOBOL_MSB_FIRST = np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+
+
+@functools.cache
+def _sobol_directions(dim: int) -> np.ndarray:
+    """Unscrambled direction numbers v[k, j] = m_j 2^(29 - j), as (dim, 30) uint32."""
+    v = np.empty((dim, _SOBOL_BITS), dtype=np.uint32)
+    v[0] = 1
+    for k in range(1, dim):
+        poly, m_init = _JOE_KUO[k - 1]
+        deg = len(m_init)
+        m = list(m_init)
+        # m_j = m_{j-deg} ^ XOR_{i=1..deg} a_i 2^i m_{j-i}, a_i the bit of x^(deg-i).
+        for j in range(deg, _SOBOL_BITS):
+            new = m[j - deg]
+            for i in range(1, deg + 1):
+                if (poly >> (deg - i)) & 1:
+                    new ^= m[j - i] << i
+            m.append(new)
+        v[k] = m
+    v <<= _SOBOL_MSB_FIRST
+    v.flags.writeable = False
+    return v
+
+
+def _scrambled_sobol(dim: int, n: int, seq: np.random.SeedSequence) -> np.ndarray:
+    """First n points of a scrambled dim-dimensional Sobol' sequence, as (n, dim).
+
+    The direction numbers get a left linear matrix scramble plus a digital
+    shift (Matousek, J. Complexity 14, 1998) in 30 bits, drawn from a
+    generator on seq's first child: the shift bits first, then the lower
+    triangular matrices. Points come in Gray-code order, point i being the
+    shift XOR the directions of ctz(1), ..., ctz(i). The points are bit for
+    bit those of scipy.stats.qmc.Sobol(dim, rng=np.random.default_rng(seq)),
+    without importing scipy.stats.
+    """
+    rng = np.random.Generator(np.random.PCG64(seq.spawn(1)[0]))
+    shift_bits = rng.integers(2, size=(dim, _SOBOL_BITS), dtype=np.uint32)
+    shift = shift_bits @ (np.uint32(1) << _SOBOL_MSB_FIRST[::-1])
+    lms = np.tril(rng.integers(2, size=(dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    diagonal = np.arange(_SOBOL_BITS)
+    lms[:, diagonal, diagonal] = 1
+    # Output bit p (from the top) is the parity of lms[p] with the input
+    # bits, so each digit mixes in only the more significant ones.
+    bits = (_sobol_directions(dim)[:, None, :] >> _SOBOL_MSB_FIRST[:, None]) & 1
+    mixed = (lms @ bits) & 1
+    directions = np.bitwise_or.reduce(mixed << _SOBOL_MSB_FIRST[:, None], axis=1)
+    index = np.arange(1, n)
+    trailing_zeros = np.frexp(index & -index)[1] - 1
+    points = np.empty((n, dim), dtype=np.uint32)
+    points[0] = shift
+    points[1:] = directions[:, trailing_zeros].T
+    np.bitwise_xor.accumulate(points, axis=0, out=points)
+    return points * 2.0**-_SOBOL_BITS
+
+
 def _rqmc_orthant(corr: np.ndarray, seed: int) -> OrthantEstimate:
     lower = _semidefinite_cholesky(corr)
     m = corr.shape[0]
@@ -185,8 +283,8 @@ def _rqmc_orthant(corr: np.ndarray, seed: int) -> OrthantEstimate:
         root = np.random.SeedSequence(entropy=seed, spawn_key=(level,))
         means = np.empty(ORTHANT_RANDOMIZATIONS)
         for r, child in enumerate(root.spawn(ORTHANT_RANDOMIZATIONS)):
-            sob = qmc.Sobol(d=m - 1, scramble=True, seed=np.random.default_rng(child))
-            means[r] = float(np.mean(_sov_orthant(lower, sob.random(n_points))))
+            points = _scrambled_sobol(m - 1, n_points, child)
+            means[r] = float(np.mean(_sov_orthant(lower, points)))
         value = float(np.mean(means))
         se = float(np.std(means, ddof=1) / math.sqrt(ORTHANT_RANDOMIZATIONS))
         if se <= ORTHANT_TARGET_SE:
@@ -199,14 +297,19 @@ def orthant_probability(cov, seed: int = 0) -> OrthantEstimate:
     """P(Y >= 0) for a centered normal Y with the given covariance.
 
     Closed forms for dimension m <= 3 (arcsine formulas); randomized
-    quasi-Monte Carlo with 25 scrambled replications for m >= 4, targeting
-    standard error 1e-4 and reporting the one achieved. Same seed, same
-    result; distinct seeds are independent replications.
+    quasi-Monte Carlo with 25 scrambled replications for 4 <= m <= 64,
+    targeting standard error 1e-4 and reporting the one achieved. Each
+    replication integrates over m - 1 dimensions of the in-house scrambled
+    Sobol' engine, whose direction table stops at dimension 64. Same seed,
+    same result; distinct seeds are independent replications.
 
-    Raises ValueError when cov is not symmetric positive semidefinite.
+    Raises ValueError when cov is not symmetric positive semidefinite, and
+    when m > 64.
     """
     c = _as_psd(cov)
     m = c.shape[0]
+    if m > MAX_DIM:
+        raise ValueError(f"orthant_probability supports m <= {MAX_DIM}, got m={m}")
     if m == 0:
         return OrthantEstimate(1.0, 0.0)
     diag = np.diag(c).copy()

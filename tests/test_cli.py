@@ -7,7 +7,10 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -79,6 +82,15 @@ def runner(tmp_path, capsys):
     return run
 
 
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats costs about half a second to import; no command needs it.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    probe = "import sys, artifact.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def assert_config_error(result, field):
     code, _, err, _ = result
     assert code == 2
@@ -130,6 +142,40 @@ class TestConfigErrors:
 
     def test_threshold_count_mismatch(self, runner):
         cfg = dict(IDENTITY_JOB, sets=[{"type": "complement-box", "thresholds": [1.0]}])
+        result = runner(cfg, "analyze")
+        assert_config_error(result, "sets[0].thresholds")
+        assert "need 2 thresholds, got 1" in result[2]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_slope_target_must_be_finite(self, runner, value):
+        cfg = dict(VERIFY_JOB, sets=[{**VERIFY_JOB["sets"][0], "slope_target": value}])
+        result = runner(cfg, "verify")
+        assert_config_error(result, "sets[0].slope_target")
+        assert "finite number" in result[2]
+        assert result[1] == ""
+
+    @pytest.mark.parametrize(
+        "tail_set",
+        [
+            {"type": "rectangular", "subset": [1, 2]},
+            {"type": "at-least", "level": 1},
+            {"type": "complement-box"},
+        ],
+    )
+    def test_missing_thresholds_names_the_field(self, runner, tail_set):
+        result = runner(dict(IDENTITY_JOB, sets=[tail_set]), "analyze")
+        assert_config_error(result, "sets[0].thresholds")
+        assert "missing required field 'thresholds'" in result[2]
+
+    def test_at_least_checks_threshold_count_before_level(self, runner):
+        cfg = dict(IDENTITY_JOB, sets=[{"type": "at-least", "level": 2, "thresholds": [1.0]}])
+        result = runner(cfg, "analyze")
+        assert_config_error(result, "sets[0].thresholds")
+        assert "need 2 thresholds, got 1" in result[2]
+        assert "level" not in result[2]
+
+    def test_rectangular_threshold_count_names_the_field(self, runner):
+        cfg = dict(IDENTITY_JOB, sets=[{"type": "rectangular", "subset": [1, 2], "thresholds": [1.0]}])
         result = runner(cfg, "analyze")
         assert_config_error(result, "sets[0].thresholds")
         assert "need 2 thresholds, got 1" in result[2]

@@ -2,6 +2,7 @@
 orthant probabilities, and the joint-tail constant and its evaluation."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from artifact.gaussian import (
     OrthantEstimate,
     QuantileExpansion,
     UpsilonResult,
+    _scrambled_sobol,
     gaussian_joint_tail,
     orthant_probability,
     rv_quantile_expansion,
@@ -180,6 +182,44 @@ class TestOrthant:
             orthant_probability([[1.0, 0.2], [0.4, 1.0]])
         with pytest.raises(ValueError, match="square"):
             orthant_probability(np.ones((2, 3)))
+
+    def test_qmc_value_pinned(self):
+        # The analyze-d10 benchmark's 4x4 boundary block; the value was
+        # recorded with scipy.stats.qmc.Sobol as the point engine.
+        est = orthant_probability(equi_matrix(4, 0.2).entries, seed=0)
+        assert est.value == 0.11301207317564645
+
+    def test_dimension_cap(self):
+        with pytest.raises(ValueError, match="m <= 64"):
+            orthant_probability(np.eye(65))
+
+
+class TestScrambledSobol:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 7, 12, 31, 63])
+    def test_bit_identical_to_scipy(self, dim):
+        from scipy.stats import qmc
+
+        for entropy in (0, 3, 2**40 + 7):
+            for n in (1, 5, 8192, 32768):
+                # Spawning advances a SeedSequence, so each engine gets its own copy.
+                child = np.random.SeedSequence(entropy, spawn_key=(1,)).spawn(3)[2]
+                twin = np.random.SeedSequence(entropy, spawn_key=(1,)).spawn(3)[2]
+                engine = qmc.Sobol(d=dim, scramble=True, rng=np.random.default_rng(twin))
+                with warnings.catch_warnings():
+                    # n = 5 breaks the balance properties; scipy says so.
+                    warnings.simplefilter("ignore", UserWarning)
+                    expected = engine.random(n)
+                got = _scrambled_sobol(dim, n, child)
+                assert got.dtype == np.float64 and got.shape == (n, dim)
+                assert np.array_equal(got, expected), (entropy, n)
+
+    def test_points_are_stratified(self):
+        # Scrambling keeps the (0, m, 1)-net property: each coordinate of
+        # 2^k points puts exactly one point in every interval [j, j+1) / 2^k.
+        points = _scrambled_sobol(5, 1024, np.random.SeedSequence(9))
+        cells = np.floor(points * 1024).astype(int)
+        for column in cells.T:
+            assert np.array_equal(np.sort(column), np.arange(1024))
 
 
 RHO_BOUNDARY = 1.0 / (2.0 * math.sqrt(2.0) - 1.0)
