@@ -28,15 +28,13 @@ from .gaussian import (
     LOG_TWO_PI,
     AsymptoticRegimeWarning,
     UpsilonResult,
+    _finite_real,
     _positive_real,
     _require_t_above_e,
     upsilon,
 )
 from .linalg import MAX_ENUMERATION_DIM, CorrelationMatrix, IndexSubset
 from .qp import subset_solver
-
-PARETO_EXACT = "pareto-exact"
-ASYMPTOTIC_ONLY = "asymptotic-only"
 
 # Two QP values tie (same cone family) when they differ by less than this,
 # relative to max(1, gamma). Membership is a discrete decision fed by
@@ -55,16 +53,16 @@ class UnsupportedDegeneracy(ValueError):
 
 def _require_eval_t(t, what: str) -> None:
     """Every limit formula is evaluated only at finite t >= MIN_EVAL_T."""
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= MIN_EVAL_T):
+    if not _finite_real(t, "t") >= MIN_EVAL_T:
         raise ValueError(f"{what} is guarded to t >= {MIN_EVAL_T:g}, got {t!r}")
 
 
 def _positive_tuple(values, name: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
+    out = tuple(_finite_real(v, name) for v in values)
     if len(out) == 0:
         raise ValueError(f"{name} must be nonempty")
     for v in out:
-        if not (math.isfinite(v) and v > 0):
+        if not v > 0:
             raise ValueError(f"{name} must be strictly positive reals, got {v!r}")
     return out
 
@@ -73,26 +71,17 @@ def _positive_tuple(values, name: str) -> tuple[float, ...]:
 class MarginalSpec:
     """Shared marginal tail: survival(s) ~ s^{-alpha} / scale_c.
 
-    family "pareto-exact" pins the law to exactly s^{-alpha} on s >= 1
-    (scale_c must be 1; the simulator needs the exact inverse cdf), while
-    "asymptotic-only" promises just the tail shape, which is all the limit
-    formulas use.
+    The limit formulas use only this tail shape. scale_c = 1 is also the
+    exact Pareto law s^{-alpha} on s >= 1, the one the simulator draws by
+    its inverse cdf.
     """
 
     alpha: float
     scale_c: float = 1.0
-    family: str = PARETO_EXACT
 
     def __post_init__(self):
         _positive_real(self.alpha, "alpha")
         _positive_real(self.scale_c, "scale_c")
-        if self.family not in (PARETO_EXACT, ASYMPTOTIC_ONLY):
-            raise ValueError(
-                f"family must be {PARETO_EXACT!r} or {ASYMPTOTIC_ONLY!r}, "
-                f"got {self.family!r}"
-            )
-        if self.family == PARETO_EXACT and self.scale_c != 1.0:
-            raise ValueError("pareto-exact family requires scale_c = 1")
 
     def log_b_inverse(self, t: float) -> float:
         """log(1 / survival(t)) = log scale_c + alpha log t."""
@@ -214,10 +203,8 @@ class AsymptoticEstimate:
     def __post_init__(self):
         _positive_real(self.power_exponent, "power_exponent")
         _positive_real(self.alpha, "alpha")
-        if not math.isfinite(self.log_log_exponent):
-            raise ValueError(f"log_log_exponent must be finite, got {self.log_log_exponent!r}")
-        if not math.isfinite(self.log_constant):
-            raise ValueError(f"log_constant must be finite, got {self.log_constant!r}")
+        _finite_real(self.log_log_exponent, "log_log_exponent")
+        _finite_real(self.log_constant, "log_constant")
 
     def evaluate_log(self, t: float) -> float:
         """Log of the approximation at scale t; guarded to t >= 10."""

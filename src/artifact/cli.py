@@ -25,8 +25,6 @@ from typing import Optional
 import numpy as np
 
 from .asymptotics import (
-    MIN_EVAL_T,
-    PARETO_EXACT,
     AtLeastI,
     ComplementBox,
     ConeAnalysis,
@@ -34,18 +32,24 @@ from .asymptotics import (
     Rectangular,
     TailSetSpec,
     UnsupportedDegeneracy,
+    _positive_tuple,
+    _require_eval_t,
     asymptotic_estimate,
     cone_analysis,
     mu_i_at_least,
     mu_i_rectangular,
     mu_level_one,
 )
+from .gaussian import _finite_real, _positive_real
 from .linalg import MAX_ENUMERATION_DIM, CorrelationMatrix, IndexSubset
 from .qp import SolverInconsistency
 from .simulate import (
     ConditionalCurve,
     SimulationConfig,
     _gaussian_blocks,
+    _increasing_grid,
+    _require_n,
+    _require_seed,
     _to_pareto,
     conditional_exceedance_curves,
     derived_series,
@@ -95,17 +99,13 @@ class JobConfig:
     k_grid: Optional[tuple[int, ...]]
 
 
-def _field_positive_real(obj: dict, key: str, default=None) -> float:
-    if key not in obj:
-        if default is not None:
-            return default
-        raise ConfigError(key, f"missing required field '{key}'")
-    value = obj[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(key, f"'{key}' must be a number, got {value!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(key, f"'{key}' must be a positive finite real, got {value!r}")
-    return float(value)
+def _checked(field: str, check, *args):
+    """check(*args), with the ValueError of a failed library check reported
+    as a config error in field."""
+    try:
+        return check(*args)
+    except ValueError as err:
+        raise ConfigError(field, str(err)) from None
 
 
 def _is_list_of(value, kinds) -> bool:
@@ -116,7 +116,7 @@ def _is_list_of(value, kinds) -> bool:
     )
 
 
-def _parse_thresholds(raw: dict, field: str, count: int) -> list:
+def _parse_thresholds(raw: dict, field: str, count: int) -> tuple[float, ...]:
     where = f"{field}.thresholds"
     if "thresholds" not in raw:
         raise ConfigError(where, "missing required field 'thresholds'")
@@ -125,7 +125,7 @@ def _parse_thresholds(raw: dict, field: str, count: int) -> list:
         raise ConfigError(where, "'thresholds' must be a list of numbers")
     if len(thresholds) != count:
         raise ConfigError(where, f"need {count} thresholds, got {len(thresholds)}")
-    return thresholds
+    return _checked(where, _positive_tuple, thresholds, "thresholds")
 
 
 def _parse_sigma(obj: dict) -> CorrelationMatrix:
@@ -133,7 +133,7 @@ def _parse_sigma(obj: dict) -> CorrelationMatrix:
         raise ConfigError("sigma", "missing required field 'sigma'")
     try:
         entries = np.asarray(obj["sigma"], dtype=float)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError("sigma", f"'sigma' is not a numeric matrix: {err}") from None
     try:
         sigma = CorrelationMatrix(entries)
@@ -156,15 +156,7 @@ def _parse_tail_set(raw, position: int, dim: int) -> TailSetJob:
         raise ConfigError(f"{field}.label", "'label' must be a string")
     slope_target = raw.get("slope_target")
     if slope_target is not None:
-        if (
-            not isinstance(slope_target, (int, float))
-            or isinstance(slope_target, bool)
-            or not math.isfinite(slope_target)
-        ):
-            raise ConfigError(
-                f"{field}.slope_target", f"'slope_target' must be a finite number, got {slope_target!r}"
-            )
-        slope_target = float(slope_target)
+        slope_target = _checked(f"{field}.slope_target", _finite_real, slope_target, "slope_target")
 
     try:
         if kind == "rectangular":
@@ -205,16 +197,17 @@ def load_job_config(path: str, seed_override: Optional[int] = None) -> JobConfig
             obj = json.load(fh)
     except OSError as err:
         raise ConfigError("config", f"cannot read config: {err}") from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an int of over 4300 digits
         raise ConfigError("config", f"config is not valid JSON: {err}") from None
     if not isinstance(obj, dict):
         raise ConfigError("config", "config root must be an object")
 
     sigma = _parse_sigma(obj)
-    alpha = _field_positive_real(obj, "alpha")
-    scale_c = _field_positive_real(obj, "scale_c", default=1.0)
-    family = PARETO_EXACT if scale_c == 1.0 else "asymptotic-only"
-    marg = MarginalSpec(alpha=alpha, scale_c=scale_c, family=family)
+    if "alpha" not in obj:
+        raise ConfigError("alpha", "missing required field 'alpha'")
+    alpha = _checked("alpha", _positive_real, obj["alpha"], "alpha")
+    scale_c = _checked("scale_c", _positive_real, obj.get("scale_c", 1.0), "scale_c")
+    marg = MarginalSpec(alpha=alpha, scale_c=scale_c)
 
     raw_sets = obj.get("sets", [])
     if not isinstance(raw_sets, list):
@@ -224,13 +217,10 @@ def load_job_config(path: str, seed_override: Optional[int] = None) -> JobConfig
     raw_grid = obj.get("t_grid", [])
     if not _is_list_of(raw_grid, (int, float)):
         raise ConfigError("t_grid", "'t_grid' must be a list of numbers")
-    t_grid = tuple(float(t) for t in raw_grid)
-    if any(not math.isfinite(t) or t < MIN_EVAL_T for t in t_grid):
-        raise ConfigError(
-            "t_grid", f"'t_grid' values must be finite and >= {MIN_EVAL_T:g} (asymptotic evaluation guard)"
-        )
-    if any(t_grid[i] >= t_grid[i + 1] for i in range(len(t_grid) - 1)):
-        raise ConfigError("t_grid", "'t_grid' must be strictly increasing")
+    t_grid = ()
+    if raw_grid:
+        t_grid = _checked("t_grid", _increasing_grid, raw_grid)
+        _checked("t_grid", _require_eval_t, t_grid[0], "t_grid")
 
     n = seed = k_grid = None
     sim = obj.get("simulation")
@@ -238,24 +228,17 @@ def load_job_config(path: str, seed_override: Optional[int] = None) -> JobConfig
         if not isinstance(sim, dict):
             raise ConfigError("simulation", "'simulation' must be an object")
         n = sim.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ConfigError("simulation.n", f"'n' must be a positive integer, got {n!r}")
+        _checked("simulation.n", _require_n, n)
         seed = sim.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-            raise ConfigError("simulation.seed", f"'seed' must be a 64-bit unsigned integer, got {seed!r}")
+        _checked("simulation.seed", _require_seed, seed)
         raw_k = sim.get("k_grid")
-        if raw_k is not None:
-            if not _is_list_of(raw_k, int):
-                raise ConfigError("simulation.k_grid", "'k_grid' must be a list of integers")
-        try:
-            k_grid = resolve_k_grid(raw_k, n)
-        except ValueError as err:
-            field = "simulation.n" if raw_k is None else "simulation.k_grid"
-            raise ConfigError(field, str(err)) from None
+        if raw_k is not None and not _is_list_of(raw_k, int):
+            raise ConfigError("simulation.k_grid", "'k_grid' must be a list of integers")
+        field = "simulation.n" if raw_k is None else "simulation.k_grid"
+        k_grid = _checked(field, resolve_k_grid, raw_k, n)
 
     if seed_override is not None:
-        if not 0 <= seed_override < 2**64:
-            raise ConfigError("seed", f"--seed must be a 64-bit unsigned integer, got {seed_override}")
+        _checked("seed", _require_seed, seed_override)
         seed = seed_override
 
     return JobConfig(sigma=sigma, marg=marg, sets=sets, t_grid=t_grid, n=n, seed=seed, k_grid=k_grid)
@@ -360,7 +343,7 @@ def cmd_analyze(job: JobConfig, out_dir: str) -> int:
 def _simulation_config(job: JobConfig) -> SimulationConfig:
     if job.n is None or job.seed is None:
         raise ConfigError("simulation", "this command requires the 'simulation' block")
-    if job.marg.family != PARETO_EXACT:
+    if job.marg.scale_c != 1.0:
         raise ConfigError("scale_c", "simulation requires the exact Pareto marginal (scale_c = 1)")
     return SimulationConfig(sigma=job.sigma, marg=job.marg, n=job.n, seed=job.seed)
 
@@ -401,11 +384,9 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     curves_by_side: dict[str, list[ConditionalCurve]] = {}
     if d >= 2:
         curves_by_side["gaussian"] = conditional_exceedance_curves(
-            cfg, GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID, side="gaussian", samples=z12
+            [z12], GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID
         )
-        curves_by_side["pareto"] = conditional_exceedance_curves(
-            cfg, PARETO_KAPPAS, PARETO_T_GRID, side="pareto", samples=x
-        )
+        curves_by_side["pareto"] = conditional_exceedance_curves([x], PARETO_KAPPAS, PARETO_T_GRID)
         write_conditional_csv(os.path.join(out_dir, "condprob.csv"), curves_by_side)
 
     print(f"simulated n={cfg.n} seed={cfg.seed} d={d}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -38,15 +39,29 @@ class AsymptoticRegimeWarning(UserWarning):
     """A limit formula was evaluated at a point where the limit may be loose."""
 
 
+def _finite_real(value, name: str) -> float:
+    """value as a float: a real number, not a bool, that is finite as a float
+    (an int too large for a float is not). Anything else raises ValueError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            out = float(value)
+        except OverflowError:
+            out = math.inf
+        if math.isfinite(out):
+            return out
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def _positive_real(value, name: str) -> float:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    out = _finite_real(value, name)
+    if not out > 0:
         raise ValueError(f"{name} must be a finite positive real, got {value!r}")
-    return float(value)
+    return out
 
 
 def _require_t_above_e(t, what: str) -> None:
     """Guard of the expansions in log t, which are stated for t > e."""
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > math.e):
+    if not _finite_real(t, "t") > math.e:
         raise ValueError(f"{what} needs t > e, got t={t!r}")
 
 

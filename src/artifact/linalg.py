@@ -11,6 +11,7 @@ d <= MAX_ENUMERATION_DIM = 12 because analyze scans every cone level.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,14 @@ class IndexSubset:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        normalized = tuple(int(m) for m in self.members)
+        # operator.index takes numpy integers but not 1.7; bool it would take.
+        try:
+            members = tuple(self.members)
+            if any(isinstance(m, bool) for m in members):
+                raise TypeError
+            normalized = tuple(map(operator.index, members))
+        except TypeError:
+            raise ValueError(f"index labels must be integers, got {self.members!r}") from None
         if any(m < 1 for m in normalized):
             raise ValueError(f"index labels must be >= 1, got {normalized}")
         if len(set(normalized)) != len(normalized):

@@ -14,13 +14,13 @@ diagnostic. Because every coordinate shares one increasing map
 Z_j -> X_j, verification counts each tail set on the normal rows directly:
 X in t * set is the event that at least k of the coordinates in a subset S
 exceed per-coordinate normal thresholds, which are nondecreasing in t.
-The conditional curves are events of the same form: V2 > kappa t is "at
-least 1 of {V2} exceeds kappa t", and V1 > t, V2 > kappa t is "at least 2
-of {V1, V2} exceed (t, kappa t)". One counter (_EventCounter) counts both
-kinds without testing each grid point on its own: a value is ranked once
-by how many grid thresholds it exceeds, an event's rank is the rowwise
-k-th largest over S, and the count at each grid point is a suffix sum of
-the rank's bins, so one pass over the blocks (or over a given sample)
+The conditional curves are events of the same form on the rows they are
+given: V2 > kappa t is "at least 1 of {V2} exceeds kappa t", and
+V1 > t, V2 > kappa t is "at least 2 of {V1, V2} exceed (t, kappa t)". One
+counter (_EventCounter) counts both kinds without testing each grid point
+on its own: a value is ranked once by how many grid thresholds it exceeds,
+an event's rank is the rowwise k-th largest over S, and the count at each
+grid point is a suffix sum of the rank's bins, so one pass over the blocks
 fills every grid cell.
 """
 
@@ -35,14 +35,13 @@ import numpy as np
 from scipy.special import ndtr
 
 from .asymptotics import (
-    PARETO_EXACT,
     AsymptoticEstimate,
     MarginalSpec,
     TailSetSpec,
     _normal_event,
     asymptotic_estimate,
 )
-from .gaussian import _positive_real
+from .gaussian import _finite_real, _positive_real
 from .linalg import CorrelationMatrix, IndexSubset, spd_factorize
 
 # Substreams are derived per logical block of this many rows. The block size
@@ -65,14 +64,21 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if isinstance(self.seed, bool) or not (
-            isinstance(self.seed, int) and 0 <= self.seed < 2**64
-        ):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.marg.family != PARETO_EXACT:
-            raise ValueError("simulation requires the pareto-exact marginal family")
+        _require_n(self.n)
+        _require_seed(self.seed)
+        if self.marg.scale_c != 1.0:
+            raise ValueError("simulation requires the pareto-exact marginal (scale_c = 1)")
+
+
+def _require_n(n) -> None:
+    """A sample size: the hit counters are int64, so n < 2**63."""
+    if isinstance(n, bool) or not (isinstance(n, int) and 1 <= n < 2**63):
+        raise ValueError(f"n must be a positive integer, got {n!r} (at most 2**63 - 1)")
+
+
+def _require_seed(seed) -> None:
+    if isinstance(seed, bool) or not (isinstance(seed, int) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -223,10 +229,10 @@ def hill_estimator(
 
 
 def _increasing_grid(t_grid) -> tuple[float, ...]:
-    ts = tuple(float(t) for t in t_grid)
+    ts = tuple(_finite_real(t, "t_grid") for t in t_grid)
     if len(ts) == 0:
         raise ValueError("t_grid must be nonempty")
-    if any(not math.isfinite(t) or t <= 0 for t in ts):
+    if any(t <= 0 for t in ts):
         raise ValueError("t_grid must be strictly positive finite reals")
     if any(ts[i] >= ts[i + 1] for i in range(len(ts) - 1)):
         raise ValueError("t_grid must be strictly increasing")
@@ -365,33 +371,22 @@ class ConditionalCurve:
     conditioning_count: tuple[int, ...]
 
 
-def conditional_exceedance_curves(
-    cfg: SimulationConfig,
-    kappas,
-    t_grid,
-    side: str = "pareto",
-    samples: Optional[np.ndarray] = None,
-) -> list[ConditionalCurve]:
-    """Conditional exceedance of coordinate 1 given coordinate 2, per kappa.
-
-    side "gaussian" conditions the underlying correlated normal pair, side
-    "pareto" the heavy-tailed output. Grid values may be small: these are
-    purely empirical curves. Cells with an empty conditioning event are nan.
+def conditional_exceedance_curves(blocks, kappas, t_grid) -> list[ConditionalCurve]:
+    """Empirical P(V1 > t | V2 > kappa t) of columns 1 and 2, per kappa, over
+    the rows of blocks: an iterable of n_i x d arrays with d >= 2, so a
+    whole sample is [x], and a generator of the sampler's blocks keeps
+    memory bounded by one block, not by n. Grid values may be small: these
+    are purely empirical curves. Cells with an empty conditioning event are
+    nan.
 
     Per kappa, the conditioning event V2 > kappa t and the joint event
     V1 > t, V2 > kappa t are counted on the t grid by _EventCounter, the
     counter verify_asymptotics uses; the thresholds are the float products
     kappa * t that a direct comparison uses. Only the first two columns of
-    samples are read, so a column-major sample is not copied. Without
-    samples the curves are counted block by block on the sampler's rows, so
-    memory is bounded by one block, not by n.
+    a block are read, so a column-major block is not copied.
     """
-    if cfg.sigma.dim < 2:
-        raise ValueError("conditional curves need at least two coordinates")
     ts = _increasing_grid(t_grid)
-    if side not in ("gaussian", "pareto"):
-        raise ValueError(f"side must be 'gaussian' or 'pareto', got {side!r}")
-    kappas = [_positive_real(float(kappa), "kappa") for kappa in kappas]
+    kappas = [_positive_real(kappa, "kappa") for kappa in kappas]
     grid = np.array(ts)
     events = []
     for kappa in kappas:
@@ -399,16 +394,13 @@ def conditional_exceedance_curves(
         events.append((np.array([1]), 1, conditioning[None]))
         events.append((np.array([0, 1]), 2, np.stack([grid, conditioning])))
     counter = _EventCounter(events, len(ts))
-    if samples is not None:
-        samples = np.asarray(samples)
-        if samples.ndim != 2 or samples.shape[1] < 2:
+    for block in blocks:
+        block = np.asarray(block)
+        if block.ndim != 2 or block.shape[1] < 2:
             raise ValueError(
-                f"samples must be an n x d matrix with d >= 2, got shape {samples.shape}"
+                f"blocks must be n x d arrays of samples with d >= 2, got shape {block.shape}"
             )
-        counter.add(samples[:, :2])
-    else:
-        for _, z in _gaussian_blocks(cfg):
-            counter.add(z[:, :2] if side == "gaussian" else _to_pareto(z[:, :2], cfg.marg.alpha))
+        counter.add(block[:, :2])
     hits = counter.hits().tolist()
     curves = []
     for kappa, denoms, joints in zip(kappas, hits[0::2], hits[1::2]):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from artifact import CorrelationMatrix
+from artifact.simulate import _gaussian_blocks, _to_pareto
 
 
 def equi_matrix(d: int, rho: float) -> CorrelationMatrix:
@@ -72,6 +73,16 @@ def random_correlation(rng: np.random.Generator, d: int) -> CorrelationMatrix:
     c = s * inv_sd[:, None] * inv_sd[None, :]
     lower = np.tril(c, -1)
     return CorrelationMatrix(lower + lower.T + np.eye(d))
+
+
+def normal_blocks(cfg):
+    """The sampler's normal rows, one block at a time."""
+    return (z for _, z in _gaussian_blocks(cfg))
+
+
+def pareto_blocks(cfg):
+    """Coordinates 1-2 of the sampler's heavy-tailed rows, one block at a time."""
+    return (_to_pareto(z[:, :2], cfg.marg.alpha) for _, z in _gaussian_blocks(cfg))
 
 
 @pytest.fixture

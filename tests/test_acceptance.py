@@ -46,7 +46,14 @@ from artifact.simulate import (
     sample_rvgc,
     verify_asymptotics,
 )
-from conftest import coupled_pair_matrix, equi_matrix, random_correlation, two_block_6x6
+from conftest import (
+    coupled_pair_matrix,
+    equi_matrix,
+    normal_blocks,
+    pareto_blocks,
+    random_correlation,
+    two_block_6x6,
+)
 from oracles import brute_force_qp, joint_tail_quadrature
 
 PARETO2 = MarginalSpec(alpha=2.0)
@@ -228,14 +235,10 @@ def test_criterion_08_hill_slope_reproduction():
 
 def test_criterion_09_conditional_exceedance_curves():
     cfg = SimulationConfig(sigma=equi_matrix(2, 2.0 / 3.0), marg=PARETO2, n=10**6, seed=1)
-    (diagonal,) = conditional_exceedance_curves(
-        cfg, [1.0], [0.5, 1.0, 1.5, 2.0], side="gaussian"
-    )
-    (doubled,) = conditional_exceedance_curves(
-        cfg, [2.0], [1.5, 1.75, 2.0], side="gaussian"
-    )
+    (diagonal,) = conditional_exceedance_curves(normal_blocks(cfg), [1.0], [0.5, 1.0, 1.5, 2.0])
+    (doubled,) = conditional_exceedance_curves(normal_blocks(cfg), [2.0], [1.5, 1.75, 2.0])
     pareto_curves = conditional_exceedance_curves(
-        cfg, [1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 5.0, 10.0, 20.0], side="pareto"
+        pareto_blocks(cfg), [1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 5.0, 10.0, 20.0]
     )
 
     # The model's exact diagonal curve P(Z1>t | Z2>t) = P(Z1>t, Z2>t) / P(Z2>t).

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from artifact.asymptotics import (
-    ASYMPTOTIC_ONLY,
     AsymptoticEstimate,
     AsymptoticRegimeWarning,
     AtLeastI,
@@ -50,19 +49,19 @@ def pair_upsilon(rho: float) -> float:
 class TestMarginalSpec:
     def test_defaults(self):
         assert PARETO2.scale_c == 1.0
-        assert PARETO2.family == "pareto-exact"
 
-    def test_exact_family_requires_unit_scale(self):
-        with pytest.raises(ValueError, match="scale_c = 1"):
-            MarginalSpec(alpha=2.0, scale_c=3.0, family="pareto-exact")
-        MarginalSpec(alpha=2.0, scale_c=3.0, family="asymptotic-only")
-
-    def test_family_tag_validated(self):
-        with pytest.raises(ValueError, match="family"):
-            MarginalSpec(alpha=2.0, family="lognormal")
+    @pytest.mark.parametrize("field", ["alpha", "scale_c"])
+    @pytest.mark.parametrize(
+        "value",
+        [True, "2", 10**400, math.inf, math.nan, 0.0],
+        ids=["bool", "str", "huge-int", "inf", "nan", "zero"],
+    )
+    def test_parameters_are_finite_positive_reals(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MarginalSpec(**{"alpha": 2.0, field: value})
 
     def test_log_b_inverse(self):
-        marg = MarginalSpec(alpha=1.5, scale_c=2.0, family="asymptotic-only")
+        marg = MarginalSpec(alpha=1.5, scale_c=2.0)
         assert marg.log_b_inverse(100.0) == pytest.approx(
             math.log(2.0) + 1.5 * math.log(100.0), rel=1e-15
         )
@@ -96,7 +95,7 @@ class TestMarginalTail:
         assert math.exp(est3.evaluate_log(10.0)) == pytest.approx(1.0 / 900.0, rel=1e-12)
 
     def test_scale_constant(self):
-        marg = MarginalSpec(alpha=1.0, scale_c=2.0, family="asymptotic-only")
+        marg = MarginalSpec(alpha=1.0, scale_c=2.0)
         est = marginal_tail(marg, 1.0)
         assert math.exp(est.evaluate_log(100.0)) == pytest.approx(0.005, rel=1e-12)
 
@@ -180,6 +179,10 @@ class TestRectangular:
         )
         with pytest.raises(ValueError, match="t >= 10"):
             est.evaluate_log(5.0)
+        # An int too large for a float is not a finite t.
+        for t in (10**400, math.inf, True, "100"):
+            with pytest.raises(ValueError, match="finite number"):
+                est.evaluate_log(t)
 
 
 class TestEstimateAlgebra:
@@ -421,7 +424,7 @@ class TestLimitMasses:
     def test_cone_scaling_normalizes_law_to_mass(self, sigma, level, scale_c):
         # P(at least `level` of X exceed t x) / b_level(t) -> mu_level(x); the
         # decay law has no other t-dependence, so the identity holds at every t
-        marg = MarginalSpec(alpha=1.7, scale_c=scale_c, family=ASYMPTOTIC_ONLY)
+        marg = MarginalSpec(alpha=1.7, scale_c=scale_c)
         at_least = AtLeastI(tuple(np.linspace(0.7, 1.6, sigma.dim)), level)
         cone = cone_analysis(sigma, marg, level)
         est = asymptotic_estimate(sigma, marg, at_least)

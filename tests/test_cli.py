@@ -58,6 +58,18 @@ GOLDEN_FLOAT_COLUMNS = {
     "sets.csv": {"a", "beta", "log_constant", "mu", "t", "log_probability"},
 }
 
+# 1e400 written out: a JSON integer too large for a float, one field at a time.
+HUGE = 10**400
+OVERSIZED = {
+    "sigma": dict(VERIFY_JOB, sigma=[[HUGE, 0.0], [0.0, 1.0]]),
+    "alpha": dict(VERIFY_JOB, alpha=HUGE),
+    "scale_c": dict(VERIFY_JOB, scale_c=HUGE),
+    "sets[0].thresholds": dict(VERIFY_JOB, sets=[{**VERIFY_JOB["sets"][0], "thresholds": [0.3, HUGE]}]),
+    "sets[0].slope_target": dict(VERIFY_JOB, sets=[{**VERIFY_JOB["sets"][0], "slope_target": HUGE}]),
+    "t_grid": dict(VERIFY_JOB, t_grid=[10.0, HUGE]),
+    "simulation.n": dict(VERIFY_JOB, simulation={"n": HUGE, "seed": 1}),
+}
+
 SIMULATE_JOB = {
     "sigma": [[1.0, 0.5], [0.5, 1.0]],
     "alpha": 2.0,
@@ -249,6 +261,20 @@ class TestConfigErrors:
 
     def test_seed_override_range(self, runner):
         assert_config_error(runner(SIMULATE_JOB, "simulate", "--seed", "-1"), "seed")
+
+    @pytest.mark.parametrize("field", list(OVERSIZED))
+    def test_integer_too_large_for_a_float(self, runner, field):
+        result = runner(OVERSIZED[field], "analyze")
+        assert_config_error(result, field)
+        assert "Traceback" not in result[2]
+
+    def test_integer_too_long_to_parse(self, tmp_path, capsys):
+        # Python's int parser stops at 4300 digits.
+        cfg = tmp_path / "long.json"
+        cfg.write_text('{"sigma": [[1.0]], "alpha": ' + "1" * 5000 + "}")
+        code = main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error in field 'config':" in capsys.readouterr().err
 
     def test_argparse_rejects_unknown_command(self, tmp_path):
         with pytest.raises(SystemExit):

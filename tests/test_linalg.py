@@ -58,6 +58,16 @@ class TestIndexSubset:
         assert list(s) == [1, 3]
         assert 3 in s and 2 not in s
 
+    @pytest.mark.parametrize("members", [(1.7, 2), (True, 2), (1, np.True_), ("1", 2)])
+    def test_labels_must_be_integers(self, members):
+        with pytest.raises(ValueError, match="index labels must be integers"):
+            IndexSubset(members)
+
+    def test_numpy_integer_labels(self):
+        s = IndexSubset((np.int64(3), np.int32(1)))
+        assert s.members == (1, 3)
+        assert all(type(m) is int for m in s.members)
+
 
 class TestCorrelationMatrix:
     def test_identity_accepted(self):

@@ -23,6 +23,7 @@ from artifact.simulate import (
     SimulationConfig,
     _gaussian_sample,
     _EventCounter,
+    _increasing_grid,
     conditional_exceedance_curves,
     default_k_grid,
     derived_series,
@@ -33,7 +34,7 @@ from artifact.simulate import (
     write_hill_csv,
     write_verification_csv,
 )
-from conftest import coupled_pair_matrix, equi_matrix
+from conftest import coupled_pair_matrix, equi_matrix, normal_blocks, pareto_blocks
 from oracles import (
     EmpiricalTail,
     empirical_tail,
@@ -64,8 +65,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer, got False"):
             config(IDENTITY_2, 10, False)
 
+    def test_n_fits_the_int64_hit_counters(self):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            config(IDENTITY_2, 2**63, 0)
+        assert config(IDENTITY_2, 2**63 - 1, 0).n == 2**63 - 1
+
     def test_requires_exact_marginal(self):
-        loose = MarginalSpec(alpha=2.0, scale_c=2.0, family="asymptotic-only")
+        loose = MarginalSpec(alpha=2.0, scale_c=2.0)
         with pytest.raises(ValueError, match="pareto-exact"):
             SimulationConfig(sigma=IDENTITY_2, marg=loose, n=10, seed=0)
 
@@ -273,6 +279,18 @@ class TestEmpiricalTail:
             empirical_tail([1.0, 2.0], [3.0, 2.0])
         with pytest.raises(ValueError, match="nonempty"):
             empirical_tail([1.0], [])
+
+
+class TestIncreasingGrid:
+    @pytest.mark.parametrize("grid", [["10", "20"], [True, 2.0], [1.0, 10**400], [1.0, math.nan]])
+    def test_values_are_finite_reals(self, grid):
+        with pytest.raises(ValueError, match="t_grid must be a finite number"):
+            _increasing_grid(grid)
+
+    def test_values_become_floats(self):
+        grid = _increasing_grid([1, np.float64(2.5)])
+        assert grid == (1.0, 2.5)
+        assert all(type(t) is float for t in grid)
 
 
 class TestVerifyAsymptotics:
@@ -485,7 +503,9 @@ class TestStreamedVerification:
 class TestConditionalCurves:
     def test_pareto_diagonal_decreases_toward_zero(self):
         cfg = config(equi_matrix(2, 2.0 / 3.0), 200000, 5)
-        (curve,) = conditional_exceedance_curves(cfg, [1.0], [1.0, 2.0, 5.0, 10.0, 20.0])
+        (curve,) = conditional_exceedance_curves(
+            pareto_blocks(cfg), [1.0], [1.0, 2.0, 5.0, 10.0, 20.0]
+        )
         probs = curve.probability
         assert probs[0] > 0.9
         assert all(a >= b - 0.02 for a, b in zip(probs, probs[1:]))
@@ -493,37 +513,23 @@ class TestConditionalCurves:
 
     def test_gaussian_margin_dominated_kappa_stabilizes(self):
         cfg = config(equi_matrix(2, 2.0 / 3.0), 200000, 5)
-        (curve,) = conditional_exceedance_curves(
-            cfg, [2.0], [0.5, 1.0, 1.5, 2.0], side="gaussian"
-        )
+        (curve,) = conditional_exceedance_curves(normal_blocks(cfg), [2.0], [0.5, 1.0, 1.5, 2.0])
         assert all(p > 0.5 for p in curve.probability)
 
     def test_empty_conditioning_yields_nan(self):
         cfg = config(IDENTITY_2, 1000, 0)
-        (curve,) = conditional_exceedance_curves(cfg, [50.0], [1.0, 2.0], side="gaussian")
+        (curve,) = conditional_exceedance_curves(normal_blocks(cfg), [50.0], [1.0, 2.0])
         assert all(math.isnan(p) for p in curve.probability)
         assert curve.conditioning_count == (0, 0)
 
-    def test_side_validation(self):
-        cfg = config(IDENTITY_2, 100, 0)
-        with pytest.raises(ValueError, match="side must be"):
-            conditional_exceedance_curves(cfg, [1.0], [1.0], side="cauchy")
-
-    def test_needs_two_coordinates(self):
-        cfg = config(IDENTITY_1, 100, 0)
-        with pytest.raises(ValueError, match="two coordinates"):
-            conditional_exceedance_curves(cfg, [1.0], [1.0])
-
     def test_kappa_validation(self):
-        cfg = config(IDENTITY_2, 100, 0)
         with pytest.raises(ValueError, match="kappa"):
-            conditional_exceedance_curves(cfg, [0.0], [1.0])
+            conditional_exceedance_curves([np.ones((10, 2))], [0.0], [1.0])
 
     @pytest.mark.parametrize("shape", [(10,), (10, 1), (0,), (2, 3, 2)])
     def test_samples_validation(self, shape):
-        cfg = config(IDENTITY_2, 100, 0)
         with pytest.raises(ValueError, match="samples"):
-            conditional_exceedance_curves(cfg, [1.0], [1.0], samples=np.ones(shape))
+            conditional_exceedance_curves([np.ones(shape)], [1.0], [1.0])
 
 
 def assert_same_curves(got, want):
@@ -551,9 +557,7 @@ class TestConditionalCounting:
         )
         v1, v2 = np.meshgrid(values, values)
         samples = np.column_stack([v1.ravel(), v2.ravel()])
-        got = conditional_exceedance_curves(
-            config(IDENTITY_2, 1, 0), self.KAPPAS, self.GRID, samples=samples
-        )
+        got = conditional_exceedance_curves([samples], self.KAPPAS, self.GRID)
         assert_same_curves(got, masked_conditional_curves(samples, self.KAPPAS, self.GRID))
 
     def test_gaussian_grid_values(self, rng):
@@ -568,16 +572,12 @@ class TestConditionalCounting:
                 rng.standard_normal((5000, 2)) * 1.5,
             ]
         )
-        got = conditional_exceedance_curves(
-            config(IDENTITY_2, 1, 0), kappas, grid, side="gaussian", samples=samples
-        )
+        got = conditional_exceedance_curves([samples], kappas, grid)
         assert_same_curves(got, masked_conditional_curves(samples, kappas, grid))
 
     def test_nan_exceeds_nothing(self):
         samples = np.array([[np.nan, 3.0], [3.0, np.nan], [3.0, 3.0], [np.nan, np.nan]])
-        got = conditional_exceedance_curves(
-            config(IDENTITY_2, 1, 0), [1.0], [1.0, 2.0], samples=samples
-        )
+        got = conditional_exceedance_curves([samples], [1.0], [1.0, 2.0])
         assert_same_curves(got, masked_conditional_curves(samples, [1.0], [1.0, 2.0]))
         assert got[0].conditioning_count == (2, 2)
 
@@ -589,16 +589,12 @@ class TestConditionalCounting:
         special = [np.inf, -np.inf, np.nan, 100.0]
         edges = np.array([[a, b] for a in special for b in special])
         samples = np.concatenate([edges, rng.uniform(0.0, 80.0, (5000, 2))])
-        got = conditional_exceedance_curves(
-            config(IDENTITY_2, 1, 0), kappas, grid, samples=samples
-        )
+        got = conditional_exceedance_curves([samples], kappas, grid)
         assert_same_curves(got, masked_conditional_curves(samples, kappas, grid))
 
     def test_empty_conditioning_event(self):
         samples = np.array([[10.0, 1.0], [20.0, 2.0]])
-        got = conditional_exceedance_curves(
-            config(IDENTITY_2, 1, 0), [1.0, 4.0], [0.5, 1.0], samples=samples
-        )
+        got = conditional_exceedance_curves([samples], [1.0, 4.0], [0.5, 1.0])
         assert_same_curves(got, masked_conditional_curves(samples, [1.0, 4.0], [0.5, 1.0]))
         assert got[0].conditioning_count == (2, 1)
         assert got[0].probability == (1.0, 1.0)
@@ -615,17 +611,16 @@ class TestConditionalCounting:
             "pareto": ((1.0, 3.0, 5.0), [1.0, 2.0, 5.0, 10.0, 30.0]),
         }
         samples = {"gaussian": _gaussian_sample(cfg), "pareto": sample_rvgc(cfg)}
+        blocks = {"gaussian": normal_blocks, "pareto": pareto_blocks}
         for side, (kappas, grid) in grids.items():
             want = masked_conditional_curves(samples[side], kappas, grid)
-            streamed = conditional_exceedance_curves(cfg, kappas, grid, side=side)
-            given = conditional_exceedance_curves(
-                cfg, kappas, grid, side=side, samples=samples[side]
-            )
+            streamed = conditional_exceedance_curves(blocks[side](cfg), kappas, grid)
+            given = conditional_exceedance_curves([samples[side]], kappas, grid)
             assert_same_curves(streamed, want)
             assert_same_curves(given, want)
 
-    @pytest.mark.parametrize("side", ["gaussian", "pareto"])
-    def test_memory_does_not_grow_with_n(self, side):
+    @pytest.mark.parametrize("blocks", [normal_blocks, pareto_blocks], ids=["gaussian", "pareto"])
+    def test_memory_does_not_grow_with_n(self, blocks):
         # A materialized sample would hold n x d floats: 1.6 MB at the
         # smaller n, 12.6 MB at the larger.
         sigma = equi_matrix(3, 0.5)
@@ -634,7 +629,7 @@ class TestConditionalCounting:
             tracemalloc.start()
             try:
                 conditional_exceedance_curves(
-                    config(sigma, n, 1), [1.0, 2.0], [0.5, 1.0, 2.0], side=side
+                    blocks(config(sigma, n, 1)), [1.0, 2.0], [0.5, 1.0, 2.0]
                 )
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
@@ -670,7 +665,7 @@ class TestCsvWriters:
 
     def test_conditional_csv_schema(self, tmp_path):
         cfg = config(IDENTITY_2, 5000, 2)
-        curves = conditional_exceedance_curves(cfg, [1.0], [1.0, 2.0])
+        curves = conditional_exceedance_curves(pareto_blocks(cfg), [1.0], [1.0, 2.0])
         path = tmp_path / "cond.csv"
         write_conditional_csv(path, {"pareto": curves})
         lines = path.read_text().splitlines()
