@@ -4,33 +4,27 @@ dependence, with a seeded Monte Carlo verification harness.
 Layering: linalg (validated correlation matrices, index subsets, Cholesky)
 -> qp (the structural box-constrained quadratic program behind every tail
 constant) -> gaussian (normal special functions, orthant probabilities, the
-tail constant Upsilon) -> asymptotics (decay laws for rectangular,
-at-least-i, and box-complement tail sets; cone analysis; the bivariate
-normal-versus-Pareto comparison) -> simulate (sampling, Hill curves,
+tail constant Upsilon) -> asymptotics (one tail-set type, "at least k of
+the coordinates in S exceed their thresholds", which covers rectangles,
+at-least-i sets and box complements, with one decay law and one limit mass
+per set; cone analysis; the bivariate normal-versus-Pareto comparison) -> simulate (sampling, Hill curves,
 verification tables) -> cli (config-driven batch front end).
 """
 
 from .asymptotics import (
     GAMMA_TIE_REL,
     AsymptoticEstimate,
-    AtLeastI,
     BivariateComparison,
-    ComplementBox,
     ConeAnalysis,
     ContributingSet,
     MarginalSpec,
-    Rectangular,
     TailCoefficients,
-    TailSetSpec,
+    TailSet,
     UnsupportedDegeneracy,
     asymptotic_estimate,
     bivariate_comparison,
     cone_analysis,
-    marginal_tail,
-    mu_i_at_least,
-    mu_i_rectangular,
-    mu_level_one,
-    rect_tail_asymptotic,
+    limit_mass,
     subset_coefficients,
     tail_probability,
 )
@@ -86,12 +80,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticEstimate",
     "AsymptoticRegimeWarning",
-    "AtLeastI",
     "BLOCK_ROWS",
     "BOUNDARY_EPS",
     "BivariateComparison",
     "CholeskyFactor",
-    "ComplementBox",
     "ConditionalCurve",
     "ConeAnalysis",
     "ContributingSet",
@@ -106,13 +98,12 @@ __all__ = [
     "OrthantEstimate",
     "QpSolution",
     "QuantileExpansion",
-    "Rectangular",
     "ResidualReport",
     "SimulationConfig",
     "SolverInconsistency",
     "SubsetQpSolver",
     "TailCoefficients",
-    "TailSetSpec",
+    "TailSet",
     "UnsupportedDegeneracy",
     "UpsilonResult",
     "VerificationRow",
@@ -125,12 +116,8 @@ __all__ = [
     "derived_series",
     "gaussian_joint_tail",
     "hill_estimator",
-    "marginal_tail",
-    "mu_i_at_least",
-    "mu_i_rectangular",
-    "mu_level_one",
+    "limit_mass",
     "orthant_probability",
-    "rect_tail_asymptotic",
     "rv_quantile_expansion",
     "sample_rvgc",
     "solve_qp",

@@ -1,25 +1,28 @@
 """Asymptotic tail probabilities for heavy-tailed vectors with normal dependence.
 
 The model: each coordinate has survival function ~ s^{-alpha} / scale_c and the
-joint law is a multivariate normal copula with correlation matrix Sigma. For a
-tail event at scale t (rectangular exceedance, at-least-i exceedances, or
-complement of a box) the probability decays like
+joint law is a multivariate normal copula with correlation matrix Sigma. Every
+tail set is one TailSet: at least k of the coordinates in a subset S exceed
+their thresholds (a rectangle, "at least i of d", or the complement of a box).
+At scale t its probability decays like
 
     constant * (2 alpha log t)^beta * t^{-a},
 
 and this module computes (constant, a, beta) exactly from the structural QP
-solution of each exceedance set: a = alpha * gamma_S, beta = (gamma_S - |I_S|)/2,
-and the constant combines the tail constant Upsilon_S with the thresholds
-weighted by h. Everything is carried in log space.
+solutions of the exceedance sets inside S: a = alpha * gamma, beta =
+(gamma - |I|)/2, and the constant combines the tail constants Upsilon_T with
+the thresholds weighted by h. Everything is carried in log space.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 import warnings
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import logsumexp, ndtri
@@ -54,7 +57,7 @@ class UnsupportedDegeneracy(ValueError):
 def _require_eval_t(t, what: str) -> None:
     """Every limit formula is evaluated only at finite t >= MIN_EVAL_T."""
     if not _finite_real(t, "t") >= MIN_EVAL_T:
-        raise ValueError(f"{what} is guarded to t >= {MIN_EVAL_T:g}, got {t!r}")
+        raise ValueError(f"{what} is guarded to t >= {MIN_EVAL_T:g}, got {reprlib.repr(t)}")
 
 
 def _positive_tuple(values, name: str) -> tuple[float, ...]:
@@ -63,7 +66,7 @@ def _positive_tuple(values, name: str) -> tuple[float, ...]:
         raise ValueError(f"{name} must be nonempty")
     for v in out:
         if not v > 0:
-            raise ValueError(f"{name} must be strictly positive reals, got {v!r}")
+            raise ValueError(f"{name} must be strictly positive reals, got {reprlib.repr(v)}")
     return out
 
 
@@ -89,69 +92,35 @@ class MarginalSpec:
 
 
 @dataclass(frozen=True)
-class Rectangular:
-    """Joint exceedance {y : y_s > x_s for every s in subset}."""
+class TailSet:
+    """The event that at least k of the coordinates in subset exceed their
+    thresholds (one per member of subset, in label order); k is the set's
+    level.
+
+    The paper's three kinds of tail set are all of this form: a rectangle
+    {y_s > x_s for every s in S} is k = |S|, "at least i of d" is S = 1..d
+    with k = i, and the complement of the box [0, x] is S = 1..d with k = 1.
+    """
 
     subset: IndexSubset
     thresholds: tuple[float, ...]
+    k: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "thresholds", _positive_tuple(self.thresholds, "thresholds")
-        )
-        if len(self.thresholds) != len(self.subset):
+        thresholds = _positive_tuple(self.thresholds, "thresholds")
+        object.__setattr__(self, "thresholds", thresholds)
+        size = len(self.subset)
+        if len(thresholds) != size:
             raise ValueError(
-                f"need one threshold per coordinate of {self.subset}, "
-                f"got {len(self.thresholds)}"
+                f"need {size} thresholds, one threshold per coordinate of "
+                f"{self.subset}, got {len(thresholds)}"
             )
-
-
-@dataclass(frozen=True)
-class AtLeastI:
-    """At least ``level`` coordinates exceed their componentwise thresholds."""
-
-    thresholds: tuple[float, ...]
-    level: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "thresholds", _positive_tuple(self.thresholds, "thresholds")
-        )
-        if not (isinstance(self.level, int) and 1 <= self.level <= len(self.thresholds)):
-            raise ValueError(
-                f"level must be an integer in 1..{len(self.thresholds)}, "
-                f"got {self.level!r}"
-            )
-
-
-@dataclass(frozen=True)
-class ComplementBox:
-    """Complement of the box [0, x]: some coordinate exceeds its threshold."""
-
-    thresholds: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "thresholds", _positive_tuple(self.thresholds, "thresholds")
-        )
-
-
-TailSetSpec = Union[Rectangular, AtLeastI, ComplementBox]
-
-
-def _check_dimension(tail_set: TailSetSpec, dim: int) -> None:
-    """Raise unless tail_set describes coordinates of a dim-dimensional vector."""
-    if isinstance(tail_set, Rectangular):
-        tail_set.subset.validate_within(dim)
-    elif isinstance(tail_set, (AtLeastI, ComplementBox)):
-        if len(tail_set.thresholds) != dim:
-            raise ValueError(f"need {dim} thresholds, got {len(tail_set.thresholds)}")
-    else:
-        raise TypeError(f"unsupported tail set specification: {tail_set!r}")
+        if isinstance(self.k, bool) or not (isinstance(self.k, int) and 1 <= self.k <= size):
+            raise ValueError(f"level must be an integer in 1..{size}, got {reprlib.repr(self.k)}")
 
 
 def _normal_event(
-    tail_set: TailSetSpec, dim: int, alpha: float, ts
+    tail_set: TailSet, dim: int, alpha: float, ts
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """The tail set scaled by each t of ts, as an event on the normal rows Z
     of the exact Pareto(alpha) model X_j = survival(Z_j)^{-1/alpha}.
@@ -163,26 +132,21 @@ def _normal_event(
     and in ndtri can lower a threshold by an ulp between grid points a few
     ulps apart, and the running maximum undoes that.
     """
-    _check_dimension(tail_set, dim)
-    if isinstance(tail_set, Rectangular):
-        indices, k = tail_set.subset.as_indices(), len(tail_set.subset)
-    else:
-        indices = np.arange(dim)
-        k = 1 if isinstance(tail_set, ComplementBox) else tail_set.level
+    tail_set.subset.validate_within(dim)
     survival = np.power(np.outer(tail_set.thresholds, ts), -alpha)
-    return indices, k, np.maximum.accumulate(-ndtri(np.minimum(1.0, survival)), axis=1)
+    return (
+        tail_set.subset.as_indices(),
+        tail_set.k,
+        np.maximum.accumulate(-ndtri(np.minimum(1.0, survival)), axis=1),
+    )
 
 
 @dataclass(frozen=True)
 class ContributingSet:
-    """One exceedance set's share of an estimate.
+    """One exceedance set's share of an estimate."""
 
-    subset/active_set are None for a bare marginal contribution with no
-    attached coordinate label.
-    """
-
-    subset: Optional[IndexSubset]
-    active_set: Optional[IndexSubset]
+    subset: IndexSubset
+    active_set: IndexSubset
     gamma: float
     log_constant: float
 
@@ -243,16 +207,28 @@ class TailCoefficients:
             )
 
 
+# Tail coefficients of each subset, per matrix: computed once, and released
+# together with the matrix, as subset_solver's solutions are.
+_COEFFICIENTS: weakref.WeakKeyDictionary[
+    CorrelationMatrix, dict[tuple[int, ...], TailCoefficients]
+] = weakref.WeakKeyDictionary()
+
+
 def subset_coefficients(sigma: CorrelationMatrix, subset: IndexSubset) -> TailCoefficients:
-    """Solve the sub-QP for one coordinate subset and attach its tail constant."""
-    sol = subset_solver(sigma).solve(subset)
-    return TailCoefficients(
-        subset=subset,
-        gamma=sol.gamma,
-        active_set=sol.active_set,
-        h=sol.h,
-        upsilon=upsilon(sigma, sol),
-    )
+    """Solve the sub-QP for one coordinate subset and attach its tail
+    constant; each subset of a matrix is computed once."""
+    cached = _COEFFICIENTS.setdefault(sigma, {})
+    coeff = cached.get(subset.members)
+    if coeff is None:
+        sol = subset_solver(sigma).solve(subset)
+        coeff = cached[subset.members] = TailCoefficients(
+            subset=subset,
+            gamma=sol.gamma,
+            active_set=sol.active_set,
+            h=sol.h,
+            upsilon=upsilon(sigma, sol),
+        )
+    return coeff
 
 
 def _log_scale(gamma: float, marg: MarginalSpec) -> float:
@@ -268,44 +244,6 @@ def _log_mass(coeff: TailCoefficients, marg: MarginalSpec, thresholds) -> float:
     return coeff.upsilon.log_upsilon - marg.alpha * float(coeff.h @ log_x_active)
 
 
-def rect_tail_asymptotic(
-    sigma: CorrelationMatrix, marg: MarginalSpec, rect: Rectangular
-) -> AsymptoticEstimate:
-    """Decay law of P(X_s > t x_s for all s in subset), |subset| >= 2.
-
-    a = alpha gamma_S, beta = (gamma_S - |I_S|)/2, and the constant folds
-    Upsilon_S, (2 pi)^{gamma_S/2}, scale_c^{-gamma_S}, and the active
-    thresholds x_s^{-alpha h_s}.
-    """
-    rect.subset.validate_within(sigma.dim)
-    if len(rect.subset) < 2:
-        raise ValueError("singleton sets go through marginal_tail")
-    coeff = subset_coefficients(sigma, rect.subset)
-    log_const = _log_scale(coeff.gamma, marg) + _log_mass(coeff, marg, rect.thresholds)
-    return AsymptoticEstimate(
-        log_constant=log_const,
-        power_exponent=marg.alpha * coeff.gamma,
-        log_log_exponent=0.5 * (coeff.gamma - len(coeff.active_set)),
-        alpha=marg.alpha,
-        contributing_sets=(
-            ContributingSet(rect.subset, coeff.active_set, coeff.gamma, log_const),
-        ),
-    )
-
-
-def marginal_tail(marg: MarginalSpec, x: float) -> AsymptoticEstimate:
-    """Decay law of a single marginal exceedance: x^{-alpha}/scale_c * t^{-alpha}."""
-    x = _positive_real(x, "x")
-    log_const = -marg.alpha * math.log(x) - math.log(marg.scale_c)
-    return AsymptoticEstimate(
-        log_constant=log_const,
-        power_exponent=marg.alpha,
-        log_log_exponent=0.0,
-        alpha=marg.alpha,
-        contributing_sets=(ContributingSet(None, None, 1.0, log_const),),
-    )
-
-
 @dataclass(frozen=True)
 class ConeAnalysis:
     """Which exceedance sets rule the requested simultaneity level.
@@ -316,7 +254,7 @@ class ConeAnalysis:
     min_active_size the smallest active-set size across that family;
     principal_family the members achieving it (only they carry limit mass).
     gamma_next is the minimum over subsets of size >= level + 1 (None at
-    level = d).
+    the largest level).
     """
 
     level: int
@@ -341,6 +279,19 @@ class ConeAnalysis:
             + self.gamma * self.marginal.log_b_inverse(t)
         )
 
+    def carriers(self, tail_set: TailSet) -> tuple[TailCoefficients, ...]:
+        """The principal members of size k inside the set's subset: the sets
+        that carry its limit mass at this cone's scale (level k). None means
+        the set is null at that scale: it decays faster than the cone."""
+        inside = set(tail_set.subset.members)
+        return tuple(
+            c
+            for c in self.coefficients
+            if len(c.subset) == tail_set.k
+            and len(c.active_set) == self.min_active_size
+            and inside.issuperset(c.subset.members)
+        )
+
 
 def cone_analysis(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> ConeAnalysis:
     """Find the minimizers over all subsets of size >= level.
@@ -356,16 +307,27 @@ def cone_analysis(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> C
     minimum (plus the tie tolerance). Each subset is solved at most once per
     matrix through subset_solver, so scanning the levels in increasing
     order, as cmd_analyze does, skips most subsets that cannot tie.
-    Capacity-limited to d <= 12: a level solves up to C(d, level) subsets,
-    and cmd_analyze scans every level.
+    Capacity-limited to d <= 12 below level d: a level solves up to
+    C(d, level) subsets, and cmd_analyze scans every level.
     """
     d = sigma.dim
-    if d > MAX_ENUMERATION_DIM:
-        raise ValueError(f"cone analysis supports d <= {MAX_ENUMERATION_DIM}, got d={d}")
     if not (isinstance(level, int) and 2 <= level <= d):
-        raise ValueError(f"level must be an integer in 2..{d}, got {level!r}")
+        raise ValueError(f"level must be an integer in 2..{d}, got {reprlib.repr(level)}")
+    return _cone(sigma, marg, level, IndexSubset.full(d))
+
+
+def _cone(
+    sigma: CorrelationMatrix, marg: MarginalSpec, level: int, scanned: IndexSubset
+) -> ConeAnalysis:
+    """cone_analysis over the subsets of scanned only: the cone of "at least
+    level of scanned". At level = |scanned| it is the one subset scanned,
+    which has no cap."""
+    if level < len(scanned) and len(scanned) > MAX_ENUMERATION_DIM:
+        raise ValueError(
+            f"cone analysis supports d <= {MAX_ENUMERATION_DIM}, got d={len(scanned)}"
+        )
     solver = subset_solver(sigma)
-    labels = range(1, d + 1)
+    labels = scanned.members
 
     def gamma(combo: tuple[int, ...]) -> float:
         return solver.solve(IndexSubset(combo)).gamma
@@ -401,11 +363,11 @@ def cone_analysis(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> C
         c.active_set for c in coeffs if len(c.active_set) == min_active
     )
     gamma_next = None
-    if level < d:
+    if level < len(labels):
         gamma_next = min(scan(level + 1, lambda g: 0.0).values())
     return ConeAnalysis(
         level=level,
-        dim=d,
+        dim=sigma.dim,
         gamma=gamma_min,
         alpha=marg.alpha * gamma_min,
         min_active_size=min_active,
@@ -416,33 +378,6 @@ def cone_analysis(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> C
         marginal=marg,
         gamma_next=gamma_next,
     )
-
-
-def mu_level_one(marg: MarginalSpec, x) -> float:
-    """Limit mass of the box complement under the level-1 scaling: sum x_j^{-alpha}."""
-    thresholds = _positive_tuple(x, "x")
-    return float(sum(xj ** -marg.alpha for xj in thresholds))
-
-
-def mu_i_rectangular(cone: ConeAnalysis, rect: Rectangular) -> float:
-    """Cone-level limit mass of one rectangular set.
-
-    Nonzero only when the set is in the minimizing family AND its active set
-    has the minimal size; every other set is null at this scaling even though
-    its own decay law (rect_tail_asymptotic) is nonzero at a faster rate.
-    """
-    rect.subset.validate_within(cone.dim)
-    if len(rect.subset) < cone.level:
-        raise ValueError(
-            f"set of size {len(rect.subset)} cannot enter the level-{cone.level} cone"
-        )
-    for coeff in cone.coefficients:
-        if coeff.subset.members != rect.subset.members:
-            continue
-        if len(coeff.active_set) != cone.min_active_size:
-            return 0.0
-        return math.exp(_log_mass(coeff, cone.marginal, rect.thresholds))
-    return 0.0
 
 
 def _require_level_gap(cone: ConeAnalysis) -> None:
@@ -457,37 +392,56 @@ def _require_level_gap(cone: ConeAnalysis) -> None:
         )
 
 
-def _at_least_terms(cone: ConeAnalysis, at_least: AtLeastI):
-    """(coefficients, log mass) of each minimizer that carries at-least mass:
-    subset size equal to the level, minimal active set."""
-    x = np.asarray(at_least.thresholds)
-    for coeff in cone.coefficients:
-        if len(coeff.subset) == cone.level and len(coeff.active_set) == cone.min_active_size:
-            yield coeff, _log_mass(coeff, cone.marginal, x[coeff.subset.as_indices()])
+def _log_masses(
+    cone: ConeAnalysis, marg: MarginalSpec, tail_set: TailSet
+) -> list[tuple[TailCoefficients, float]]:
+    """(coefficients, log mass) of each carrier of the set in the level-k
+    cone. Below k = |S| the formula needs a strict gap to level k + 1."""
+    if tail_set.k < len(tail_set.subset):
+        _require_level_gap(cone)
+    x = np.asarray(tail_set.thresholds)
+    return [
+        (c, _log_mass(c, marg, x[c.subset.positions_in(tail_set.subset)]))
+        for c in cone.carriers(tail_set)
+    ]
 
 
-def mu_i_at_least(cone: ConeAnalysis, at_least: AtLeastI) -> float:
-    """Cone-level limit mass of the at-least-level set: sum of the qualifying
-    rectangular masses over minimizers of exactly the cone's level size."""
-    if at_least.level != cone.level:
+def limit_mass(marg: MarginalSpec, cone: Optional[ConeAnalysis], tail_set: TailSet) -> float:
+    """Limit mass of the tail set under the scaling of its level k.
+
+    At k = 1 the scaling is the marginal one and the mass is
+    sum_{j in S} x_j^{-alpha}; no cone is needed (cone may be None). At
+    k >= 2, cone is the level-k cone and the mass sums the rectangular
+    masses Upsilon_T prod_{i in I_T} x_i^{-alpha h_i} of its carriers T; it
+    is 0 for a set with no carrier, whose own decay law
+    (asymptotic_estimate) is nonzero at a faster rate.
+    """
+    if tail_set.k == 1:
+        return float(sum(xj ** -marg.alpha for xj in tail_set.thresholds))
+    if tail_set.k != cone.level:
         raise ValueError(
-            f"set level {at_least.level} does not match cone level {cone.level}"
+            f"set level {tail_set.k} does not match cone level {cone.level}: "
+            f"the set cannot enter the level-{cone.level} cone"
         )
-    _check_dimension(at_least, cone.dim)
-    _require_level_gap(cone)
-    return sum((math.exp(log_mass) for _, log_mass in _at_least_terms(cone, at_least)), 0.0)
+    tail_set.subset.validate_within(cone.dim)
+    return sum((math.exp(log_mass) for _, log_mass in _log_masses(cone, marg, tail_set)), 0.0)
 
 
-def _additive_estimate(marg: MarginalSpec, thresholds: tuple[float, ...]) -> AsymptoticEstimate:
-    """Union-of-marginals law: joint exceedances are lower order, so the box
-    complement decays like the sum of the single-coordinate tails."""
-    consts = [marginal_tail(marg, xj).log_constant for xj in thresholds]
+def _additive_estimate(marg: MarginalSpec, tail_set: TailSet) -> AsymptoticEstimate:
+    """Union-of-marginals law: joint exceedances are lower order, so "at
+    least 1 of S" decays like the sum of its single-coordinate tails
+    x_j^{-alpha} t^{-alpha} / scale_c."""
     contribs = tuple(
-        ContributingSet(IndexSubset.of(j + 1), IndexSubset.of(j + 1), 1.0, c)
-        for j, c in enumerate(consts)
+        ContributingSet(
+            IndexSubset.of(j),
+            IndexSubset.of(j),
+            1.0,
+            -marg.alpha * math.log(xj) - math.log(marg.scale_c),
+        )
+        for j, xj in zip(tail_set.subset, tail_set.thresholds)
     )
     return AsymptoticEstimate(
-        log_constant=float(logsumexp(consts)),
+        log_constant=float(logsumexp([c.log_constant for c in contribs])),
         power_exponent=marg.alpha,
         log_log_exponent=0.0,
         alpha=marg.alpha,
@@ -496,40 +450,40 @@ def _additive_estimate(marg: MarginalSpec, thresholds: tuple[float, ...]) -> Asy
 
 
 def asymptotic_estimate(
-    sigma: CorrelationMatrix, marg: MarginalSpec, tail_set: TailSetSpec
+    sigma: CorrelationMatrix, marg: MarginalSpec, tail_set: TailSet
 ) -> AsymptoticEstimate:
-    """Dispatch a tail-set specification to its decay law."""
-    _check_dimension(tail_set, sigma.dim)
-    if isinstance(tail_set, Rectangular):
-        if len(tail_set.subset) == 1:
-            return marginal_tail(marg, tail_set.thresholds[0])
-        return rect_tail_asymptotic(sigma, marg, tail_set)
-    if isinstance(tail_set, ComplementBox) or tail_set.level == 1:
-        return _additive_estimate(marg, tail_set.thresholds)
-    cone = cone_analysis(sigma, marg, tail_set.level)
-    mu = mu_i_at_least(cone, tail_set)
-    contribs = tuple(
-        ContributingSet(
-            coeff.subset,
-            coeff.active_set,
-            coeff.gamma,
-            _log_scale(coeff.gamma, marg) + log_mass,
-        )
-        for coeff, log_mass in _at_least_terms(cone, tail_set)
-    )
+    """Decay law of P(X in t * tail_set).
+
+    k = 1 is the additive law of the coordinates in S. For k >= 2 the
+    level-k cone over the subsets of S rules: a = alpha gamma and
+    beta = (gamma - |I|)/2, with gamma its minimal QP value and |I| its
+    minimal active size, and the constant is (2 pi)^{gamma/2}
+    scale_c^{-gamma} times the sum of the carriers' rectangular masses,
+    summed in log space. A rectangle (k = |S|) has the one carrier S, so
+    its constant folds Upsilon_S, (2 pi)^{gamma_S/2}, scale_c^{-gamma_S}
+    and the active thresholds x_s^{-alpha h_s}.
+    """
+    tail_set.subset.validate_within(sigma.dim)
+    if tail_set.k == 1:
+        return _additive_estimate(marg, tail_set)
+    cone = _cone(sigma, marg, tail_set.k, tail_set.subset)
+    terms = _log_masses(cone, marg, tail_set)
     return AsymptoticEstimate(
-        log_constant=_log_scale(cone.gamma, marg) + math.log(mu),
+        log_constant=_log_scale(cone.gamma, marg) + float(logsumexp([m for _, m in terms])),
         power_exponent=marg.alpha * cone.gamma,
         log_log_exponent=0.5 * (cone.gamma - cone.min_active_size),
         alpha=marg.alpha,
-        contributing_sets=contribs,
+        contributing_sets=tuple(
+            ContributingSet(c.subset, c.active_set, c.gamma, _log_scale(c.gamma, marg) + m)
+            for c, m in terms
+        ),
     )
 
 
 def tail_probability(
     sigma: CorrelationMatrix,
     marg: MarginalSpec,
-    tail_set: TailSetSpec,
+    tail_set: TailSet,
     t: float,
 ) -> tuple[float, AsymptoticEstimate]:
     """Log asymptotic probability that X/t lands in the tail set, plus its law.

@@ -25,20 +25,14 @@ from typing import Optional
 import numpy as np
 
 from .asymptotics import (
-    AtLeastI,
-    ComplementBox,
-    ConeAnalysis,
     MarginalSpec,
-    Rectangular,
-    TailSetSpec,
+    TailSet,
     UnsupportedDegeneracy,
     _positive_tuple,
     _require_eval_t,
     asymptotic_estimate,
     cone_analysis,
-    mu_i_at_least,
-    mu_i_rectangular,
-    mu_level_one,
+    limit_mass,
 )
 from .gaussian import _finite_real, _positive_real
 from .linalg import MAX_ENUMERATION_DIM, CorrelationMatrix, IndexSubset
@@ -80,10 +74,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class TailSetJob:
-    """One configured tail set: its spec, display label, and an optional
-    override for the verification slope target."""
+    """One configured tail set: its config type, the set, its display label,
+    and an optional override for the verification slope target."""
 
-    spec: TailSetSpec
+    kind: str
+    spec: TailSet
     label: str
     slope_target: Optional[float] = None
 
@@ -166,17 +161,17 @@ def _parse_tail_set(raw, position: int, dim: int) -> TailSetJob:
                     f"{field}.subset", "'subset' must be a nonempty list of integer labels"
                 )
             thresholds = _parse_thresholds(raw, field, len(members))
-            spec = Rectangular(IndexSubset(tuple(members)), thresholds)
+            spec = TailSet(IndexSubset(tuple(members)), thresholds, len(members))
             spec.subset.validate_within(dim)
             default_label = f"rect{spec.subset}"
         elif kind == "at-least":
             level = raw.get("level")
             if not isinstance(level, int) or isinstance(level, bool):
                 raise ConfigError(f"{field}.level", "'level' must be an integer")
-            spec = AtLeastI(_parse_thresholds(raw, field, dim), level)
+            spec = TailSet(IndexSubset.full(dim), _parse_thresholds(raw, field, dim), level)
             default_label = f"atleast{level}"
         elif kind == "complement-box":
-            spec = ComplementBox(_parse_thresholds(raw, field, dim))
+            spec = TailSet(IndexSubset.full(dim), _parse_thresholds(raw, field, dim), 1)
             default_label = "box-complement"
         else:
             raise ConfigError(
@@ -187,7 +182,9 @@ def _parse_tail_set(raw, position: int, dim: int) -> TailSetJob:
         raise
     except ValueError as err:
         raise ConfigError(field, str(err)) from None
-    return TailSetJob(spec=spec, label=label or f"{default_label}#{position + 1}", slope_target=slope_target)
+    return TailSetJob(
+        kind=kind, spec=spec, label=label or f"{default_label}#{position + 1}", slope_target=slope_target
+    )
 
 
 def load_job_config(path: str, seed_override: Optional[int] = None) -> JobConfig:
@@ -248,24 +245,6 @@ def _family_text(family) -> str:
     return " ".join(str(s) for s in family)
 
 
-def _set_kind(spec: TailSetSpec) -> str:
-    if isinstance(spec, Rectangular):
-        return "rectangular"
-    if isinstance(spec, AtLeastI):
-        return "at-least"
-    return "complement-box"
-
-
-def _cone_mu(job: JobConfig, cones: dict[int, ConeAnalysis], item: TailSetJob) -> tuple[float, str]:
-    """Cone-level limit mass of a configured set and the cone it lives in."""
-    spec = item.spec
-    if isinstance(spec, Rectangular) and len(spec.subset) > 1:
-        return mu_i_rectangular(cones[len(spec.subset)], spec), f"level {len(spec.subset)}"
-    if isinstance(spec, AtLeastI) and spec.level > 1:
-        return mu_i_at_least(cones[spec.level], spec), f"level {spec.level}"
-    return mu_level_one(job.marg, spec.thresholds), "level 1"
-
-
 def cmd_analyze(job: JobConfig, out_dir: str) -> int:
     """Cone analysis for every level plus per-set decay laws; writes
     cones.csv and sets.csv."""
@@ -305,21 +284,22 @@ def cmd_analyze(job: JobConfig, out_dir: str) -> int:
             ["set", "type", "a", "beta", "log_constant", "mu", "mu_flag", "t", "log_probability"]
         )
         for item in job.sets:
-            est = asymptotic_estimate(job.sigma, job.marg, item.spec)
-            mu, mu_level = _cone_mu(job, cones, item)
-            flagged = mu == 0.0
+            spec = item.spec
+            est = asymptotic_estimate(job.sigma, job.marg, spec)
+            # The level-k cone; the level-1 mass needs none.
+            cone = cones.get(spec.k)
+            mu = limit_mass(job.marg, cone, spec)
+            flagged = cone is not None and not cone.carriers(spec)
             mu_flag = "null-at-cone-scale" if flagged else "ok"
             print(
                 f"{item.label}: a={est.power_exponent:.12g} beta={est.log_log_exponent:.12g} "
-                f"log_constant={est.log_constant:.12g} mu[{mu_level}]={mu:.12g}"
+                f"log_constant={est.log_constant:.12g} mu[level {spec.k}]={mu:.12g}"
                 + (" (mass null at the cone scale; set decays faster than the cone)" if flagged else "")
             )
             for contrib in est.contributing_sets:
-                where = str(contrib.subset) if contrib.subset is not None else "(marginal)"
-                active = str(contrib.active_set) if contrib.active_set is not None else "-"
                 print(
-                    f"  contributing {where}: active={active} gamma={contrib.gamma:.12g} "
-                    f"log_constant={contrib.log_constant:.12g}"
+                    f"  contributing {contrib.subset}: active={contrib.active_set} "
+                    f"gamma={contrib.gamma:.12g} log_constant={contrib.log_constant:.12g}"
                 )
             for t in job.t_grid:
                 log_p = est.evaluate_log(t)
@@ -327,7 +307,7 @@ def cmd_analyze(job: JobConfig, out_dir: str) -> int:
                 writer.writerow(
                     [
                         item.label,
-                        _set_kind(item.spec),
+                        item.kind,
                         repr(est.power_exponent),
                         repr(est.log_log_exponent),
                         repr(est.log_constant),
@@ -343,9 +323,7 @@ def cmd_analyze(job: JobConfig, out_dir: str) -> int:
 def _simulation_config(job: JobConfig) -> SimulationConfig:
     if job.n is None or job.seed is None:
         raise ConfigError("simulation", "this command requires the 'simulation' block")
-    if job.marg.scale_c != 1.0:
-        raise ConfigError("scale_c", "simulation requires the exact Pareto marginal (scale_c = 1)")
-    return SimulationConfig(sigma=job.sigma, marg=job.marg, n=job.n, seed=job.seed)
+    return _checked("scale_c", SimulationConfig, job.sigma, job.marg, job.n, job.seed)
 
 
 def cmd_simulate(job: JobConfig, out_dir: str) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import reprlib
 import warnings
 from dataclasses import dataclass
 
@@ -49,20 +50,20 @@ def _finite_real(value, name: str) -> float:
             out = math.inf
         if math.isfinite(out):
             return out
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
+    raise ValueError(f"{name} must be a finite number, got {reprlib.repr(value)}")
 
 
 def _positive_real(value, name: str) -> float:
     out = _finite_real(value, name)
     if not out > 0:
-        raise ValueError(f"{name} must be a finite positive real, got {value!r}")
+        raise ValueError(f"{name} must be a finite positive real, got {reprlib.repr(value)}")
     return out
 
 
 def _require_t_above_e(t, what: str) -> None:
     """Guard of the expansions in log t, which are stated for t > e."""
     if not _finite_real(t, "t") > math.e:
-        raise ValueError(f"{what} needs t > e, got t={t!r}")
+        raise ValueError(f"{what} needs t > e, got t={reprlib.repr(t)}")
 
 
 def std_normal_cdf(x: float) -> float:

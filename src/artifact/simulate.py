@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -37,7 +38,7 @@ from scipy.special import ndtr
 from .asymptotics import (
     AsymptoticEstimate,
     MarginalSpec,
-    TailSetSpec,
+    TailSet,
     _normal_event,
     asymptotic_estimate,
 )
@@ -73,12 +74,12 @@ class SimulationConfig:
 def _require_n(n) -> None:
     """A sample size: the hit counters are int64, so n < 2**63."""
     if isinstance(n, bool) or not (isinstance(n, int) and 1 <= n < 2**63):
-        raise ValueError(f"n must be a positive integer, got {n!r} (at most 2**63 - 1)")
+        raise ValueError(f"n must be a positive integer, got {reprlib.repr(n)} (at most 2**63 - 1)")
 
 
 def _require_seed(seed) -> None:
     if isinstance(seed, bool) or not (isinstance(seed, int) and 0 <= seed < 2**64):
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {reprlib.repr(seed)}")
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -266,7 +267,7 @@ class VerificationTable:
 
 
 def verify_asymptotics(
-    cfg: SimulationConfig, tail_sets: Sequence[TailSetSpec], t_grid
+    cfg: SimulationConfig, tail_sets: Sequence[TailSet], t_grid
 ) -> tuple[VerificationTable, ...]:
     """Compare empirical tail frequencies with the asymptotic law on a t grid,
     one table per tail set.

@@ -5,8 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from artifact import CorrelationMatrix
+from artifact import CorrelationMatrix, IndexSubset, TailSet
 from artifact.simulate import _gaussian_blocks, _to_pareto
+
+
+def rect(members, thresholds) -> TailSet:
+    """The rectangle {y_s > x_s for every s in members}: k = |S|."""
+    return TailSet(IndexSubset(tuple(members)), tuple(thresholds), len(members))
+
+
+def at_least(thresholds, level) -> TailSet:
+    """At least level of all coordinates exceed their thresholds."""
+    return TailSet(IndexSubset.full(len(thresholds)), tuple(thresholds), level)
+
+
+def box_complement(thresholds) -> TailSet:
+    """Some coordinate exceeds its threshold: k = 1 over all coordinates."""
+    return TailSet(IndexSubset.full(len(thresholds)), tuple(thresholds), 1)
 
 
 def equi_matrix(d: int, rho: float) -> CorrelationMatrix:

@@ -24,11 +24,9 @@ from scipy.special import ndtr
 import artifact.qp as qp
 from artifact.asymptotics import (
     GAMMA_TIE_REL,
-    ComplementBox,
     ConeAnalysis,
     MarginalSpec,
-    Rectangular,
-    TailSetSpec,
+    TailSet,
     subset_coefficients,
 )
 from artifact.gaussian import std_normal_pdf
@@ -219,14 +217,12 @@ def full_cone_scan(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> 
     )
 
 
-def scaling_statistic(samples: np.ndarray, tail_set: TailSetSpec) -> np.ndarray:
-    """Per-row scale at which a Pareto-scale row enters the tail set: the
-    event {row in t * set} is exactly {statistic > t}."""
-    if isinstance(tail_set, Rectangular):
-        scaled = samples[:, tail_set.subset.as_indices()] / np.asarray(tail_set.thresholds)
-        return np.min(scaled, axis=1)
-    rank = 1 if isinstance(tail_set, ComplementBox) else tail_set.level
-    return np.sort(samples / np.asarray(tail_set.thresholds), axis=1)[:, -rank]
+def scaling_statistic(samples: np.ndarray, tail_set: TailSet) -> np.ndarray:
+    """Per-row scale at which a Pareto-scale row enters the tail set, the
+    k-th largest of y_s / x_s over s in S: the event {row in t * set} is
+    exactly {statistic > t}."""
+    scaled = samples[:, tail_set.subset.as_indices()] / np.asarray(tail_set.thresholds)
+    return np.sort(scaled, axis=1)[:, -tail_set.k]
 
 
 def masked_event_hits(z: np.ndarray, events) -> list[list[int]]:

@@ -24,10 +24,9 @@ from scipy.linalg import block_diag
 
 from artifact.asymptotics import (
     MarginalSpec,
-    Rectangular,
     asymptotic_estimate,
     cone_analysis,
-    mu_i_rectangular,
+    limit_mass,
 )
 from artifact.gaussian import (
     QuantileExpansion,
@@ -52,6 +51,7 @@ from conftest import (
     normal_blocks,
     pareto_blocks,
     random_correlation,
+    rect,
     two_block_6x6,
 )
 from oracles import brute_force_qp, joint_tail_quadrature
@@ -104,10 +104,10 @@ def test_criterion_03_two_block_tie_and_subdominance():
 
     # equal power decay, but the fully active block loses at the log-log level
     pair_block = asymptotic_estimate(
-        sigma, PARETO2, Rectangular(IndexSubset.of(1, 2, 3), (1.0, 1.0, 1.0))
+        sigma, PARETO2, rect(IndexSubset.of(1, 2, 3), (1.0, 1.0, 1.0))
     )
     full_block = asymptotic_estimate(
-        sigma, PARETO2, Rectangular(IndexSubset.of(4, 5, 6), (1.0, 1.0, 1.0))
+        sigma, PARETO2, rect(IndexSubset.of(4, 5, 6), (1.0, 1.0, 1.0))
     )
     assert abs(pair_block.power_exponent - full_block.power_exponent) <= 1e-12
     assert full_block.decays_faster_than(pair_block)
@@ -171,15 +171,15 @@ def test_criterion_06_quantile_expansion_accuracy():
 def test_criterion_07_independence_exactness():
     for d, x, t_grid in ((2, 0.3, [10.0, 14.0, 18.0]), (3, 0.2, [10.0, 12.0, 14.0])):
         sigma = CorrelationMatrix(np.eye(d))
-        rect = Rectangular(IndexSubset.full(d), (x,) * d)
-        est = asymptotic_estimate(sigma, PARETO2, rect)
+        corner = rect(IndexSubset.full(d), (x,) * d)
+        est = asymptotic_estimate(sigma, PARETO2, corner)
         for t in (10.0, 50.0, 1e4, 1e8):
             exact = -PARETO2.alpha * d * math.log(t * x)
             dev = abs(est.evaluate_log(t) - exact)
             assert dev <= 1e-12 * max(1.0, abs(exact)), f"d={d} t={t}: dev={dev:.3g}"
 
         cfg = SimulationConfig(sigma=sigma, marg=PARETO2, n=10**6, seed=7)
-        (table,) = verify_asymptotics(cfg, [rect], t_grid)
+        (table,) = verify_asymptotics(cfg, [corner], t_grid)
         rows = [(row.t, row.ratio, row.hits) for row in table.rows]
         assert all(row.flag == "ok" for row in table.rows), rows
         assert all(0.9 <= row.ratio <= 1.1 for row in table.rows), rows
@@ -322,13 +322,13 @@ def test_criterion_10_property_suites():
         members = tuple(sorted(rng.choice(np.arange(1, d + 1), size=level, replace=False).tolist()))
         thresholds = tuple(float(v) for v in rng.uniform(0.5, 3.0, size=level))
         cone = cone_analysis(sigma, PARETO2, level)
-        mass = mu_i_rectangular(cone, Rectangular(IndexSubset(members), thresholds))
+        mass = limit_mass(PARETO2, cone, rect(IndexSubset(members), thresholds))
         if mass == 0.0:
             continue
         positive_mass_cases += 1
         scale = float(rng.uniform(1.5, 4.0))
-        scaled_mass = mu_i_rectangular(
-            cone, Rectangular(IndexSubset(members), tuple(scale * v for v in thresholds))
+        scaled_mass = limit_mass(
+            PARETO2, cone, rect(IndexSubset(members), tuple(scale * v for v in thresholds))
         )
         got = math.log(scaled_mass) - math.log(mass)
         want = -PARETO2.alpha * cone.gamma * math.log(scale)
@@ -343,10 +343,10 @@ def test_criterion_10_property_suites():
         permuted = CorrelationMatrix(sigma.entries[np.ix_(perm, perm)])
         thresholds = rng.uniform(0.5, 3.0, size=d)
         base = asymptotic_estimate(
-            sigma, PARETO2, Rectangular(IndexSubset.full(d), tuple(thresholds))
+            sigma, PARETO2, rect(IndexSubset.full(d), tuple(thresholds))
         )
         relabeled = asymptotic_estimate(
-            permuted, PARETO2, Rectangular(IndexSubset.full(d), tuple(thresholds[perm]))
+            permuted, PARETO2, rect(IndexSubset.full(d), tuple(thresholds[perm]))
         )
         assert abs(base.power_exponent - relabeled.power_exponent) <= 1e-9
         assert abs(base.log_log_exponent - relabeled.log_log_exponent) <= 1e-9

@@ -1,9 +1,11 @@
-"""Decay laws for rectangular / at-least-level / box-complement exceedance
-sets, cone-level analysis with limit masses, and the bivariate normal-versus-
-Pareto comparison."""
+"""Decay laws for tail sets "at least k of S exceed x_S" (rectangles,
+at-least-level sets, box complements), cone-level analysis with limit
+masses, and the bivariate normal-versus-Pareto comparison."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,35 +13,36 @@ import pytest
 from artifact.asymptotics import (
     AsymptoticEstimate,
     AsymptoticRegimeWarning,
-    AtLeastI,
-    ComplementBox,
     ConeAnalysis,
     ContributingSet,
     MarginalSpec,
-    Rectangular,
+    TailSet,
     UnsupportedDegeneracy,
+    _log_mass,
+    _log_scale,
     asymptotic_estimate,
     bivariate_comparison,
     cone_analysis,
-    marginal_tail,
-    mu_i_at_least,
-    mu_i_rectangular,
-    mu_level_one,
-    rect_tail_asymptotic,
+    limit_mass,
+    subset_coefficients,
     tail_probability,
 )
 from artifact.linalg import CorrelationMatrix, IndexSubset
 from artifact.qp import subset_solver
 from conftest import (
+    at_least,
+    box_complement,
     coupled_pair_matrix,
     equi_matrix,
     near_tie_4x4,
     random_correlation,
+    rect,
     two_block_6x6,
 )
 from oracles import full_cone_scan
 
 PARETO2 = MarginalSpec(alpha=2.0)
+ONE = CorrelationMatrix(np.eye(1))
 
 
 def pair_upsilon(rho: float) -> float:
@@ -70,21 +73,26 @@ class TestMarginalSpec:
 class TestTailSetValidation:
     def test_rectangular_threshold_count(self):
         with pytest.raises(ValueError, match="one threshold per coordinate"):
-            Rectangular(IndexSubset.of(1, 2), (1.0,))
+            rect(IndexSubset.of(1, 2), (1.0,))
 
     def test_rectangular_positive_thresholds(self):
         with pytest.raises(ValueError, match="strictly positive"):
-            Rectangular(IndexSubset.of(1), (0.0,))
+            rect(IndexSubset.of(1), (0.0,))
 
     def test_at_least_level_range(self):
         with pytest.raises(ValueError, match="level must be an integer in 1..3"):
-            AtLeastI((1.0, 1.0, 1.0), 4)
+            at_least((1.0, 1.0, 1.0), 4)
         with pytest.raises(ValueError, match="level must be an integer in 1..3"):
-            AtLeastI((1.0, 1.0, 1.0), 0)
+            at_least((1.0, 1.0, 1.0), 0)
 
     def test_complement_box_thresholds(self):
         with pytest.raises(ValueError, match="nonempty"):
-            ComplementBox(())
+            box_complement(())
+
+
+def marginal_tail(marg: MarginalSpec, x: float):
+    """Decay law of a single coordinate's exceedance, X_1 > t x."""
+    return asymptotic_estimate(CorrelationMatrix(np.eye(1)), marg, rect((1,), (x,)))
 
 
 class TestMarginalTail:
@@ -103,7 +111,8 @@ class TestMarginalTail:
         est = marginal_tail(PARETO2, 2.0)
         assert est.power_exponent == 2.0
         assert est.log_log_exponent == 0.0
-        assert est.contributing_sets[0].subset is None
+        assert est.contributing_sets[0].subset == IndexSubset.of(1)
+        assert est.contributing_sets[0].active_set == IndexSubset.of(1)
 
 
 class TestRectangular:
@@ -112,8 +121,8 @@ class TestRectangular:
     def test_bivariate_closed_form(self, rho, alpha):
         marg = MarginalSpec(alpha=alpha)
         x1, x2 = 1.0, 2.0
-        est = rect_tail_asymptotic(
-            equi_matrix(2, rho), marg, Rectangular(IndexSubset.of(1, 2), (x1, x2))
+        est = asymptotic_estimate(
+            equi_matrix(2, rho), marg, rect(IndexSubset.of(1, 2), (x1, x2))
         )
         assert est.power_exponent == pytest.approx(2.0 * alpha / (1.0 + rho), rel=1e-12)
         assert est.log_log_exponent == pytest.approx(-rho / (1.0 + rho), rel=1e-12)
@@ -126,8 +135,8 @@ class TestRectangular:
         assert est.log_constant == pytest.approx(expected_const, rel=1e-12)
 
     def test_reference_point_values(self):
-        est = rect_tail_asymptotic(
-            equi_matrix(2, 0.6), PARETO2, Rectangular(IndexSubset.of(1, 2), (1.0, 1.0))
+        est = asymptotic_estimate(
+            equi_matrix(2, 0.6), PARETO2, rect(IndexSubset.of(1, 2), (1.0, 1.0))
         )
         assert est.power_exponent == pytest.approx(2.5, abs=1e-12)
         assert est.log_log_exponent == pytest.approx(-0.375, abs=1e-12)
@@ -138,8 +147,8 @@ class TestRectangular:
 
     def test_independence_is_exact_product(self):
         x1, x2 = 1.0, 3.0
-        est = rect_tail_asymptotic(
-            equi_matrix(2, 0.0), PARETO2, Rectangular(IndexSubset.of(1, 2), (x1, x2))
+        est = asymptotic_estimate(
+            equi_matrix(2, 0.0), PARETO2, rect(IndexSubset.of(1, 2), (x1, x2))
         )
         assert est.power_exponent == 4.0
         assert est.log_log_exponent == 0.0
@@ -149,10 +158,10 @@ class TestRectangular:
             assert est.evaluate_log(t) == pytest.approx(product, rel=1e-12)
 
     def test_identity_reduction_d3(self):
-        est = rect_tail_asymptotic(
+        est = asymptotic_estimate(
             CorrelationMatrix(np.eye(3)),
             PARETO2,
-            Rectangular(IndexSubset.full(3), (1.0, 2.0, 0.5)),
+            rect(IndexSubset.full(3), (1.0, 2.0, 0.5)),
         )
         for t in [10.0, 1e3, 1e8]:
             expected = sum(-2.0 * math.log(t * x) for x in (1.0, 2.0, 0.5))
@@ -162,20 +171,14 @@ class TestRectangular:
         # on the coupled-pair matrix the third coordinate is inactive, so its
         # threshold must not change the law
         sigma = coupled_pair_matrix(0.6)
-        a = rect_tail_asymptotic(sigma, PARETO2, Rectangular(IndexSubset.full(3), (1.0, 1.0, 1.0)))
-        b = rect_tail_asymptotic(sigma, PARETO2, Rectangular(IndexSubset.full(3), (1.0, 1.0, 9.0)))
+        a = asymptotic_estimate(sigma, PARETO2, rect(IndexSubset.full(3), (1.0, 1.0, 1.0)))
+        b = asymptotic_estimate(sigma, PARETO2, rect(IndexSubset.full(3), (1.0, 1.0, 9.0)))
         assert a.log_constant == b.log_constant
         assert a.power_exponent == b.power_exponent
 
-    def test_singleton_rejected(self):
-        with pytest.raises(ValueError, match="singleton"):
-            rect_tail_asymptotic(
-                equi_matrix(2, 0.2), PARETO2, Rectangular(IndexSubset.of(1), (1.0,))
-            )
-
     def test_evaluate_guard(self):
-        est = rect_tail_asymptotic(
-            equi_matrix(2, 0.2), PARETO2, Rectangular(IndexSubset.of(1, 2), (1.0, 1.0))
+        est = asymptotic_estimate(
+            equi_matrix(2, 0.2), PARETO2, rect(IndexSubset.of(1, 2), (1.0, 1.0))
         )
         with pytest.raises(ValueError, match="t >= 10"):
             est.evaluate_log(5.0)
@@ -188,7 +191,7 @@ class TestRectangular:
 class TestEstimateAlgebra:
     @staticmethod
     def law(power_exponent, log_log_exponent):
-        part = ContributingSet(None, None, 1.0, 0.0)
+        part = ContributingSet(IndexSubset.of(1), IndexSubset.of(1), 1.0, 0.0)
         return AsymptoticEstimate(0.0, power_exponent, log_log_exponent, 2.0, (part,))
 
     def test_decays_faster_than_orders_by_power_then_loglog(self):
@@ -327,31 +330,31 @@ class TestConeAnalysis:
 
 class TestLimitMasses:
     def test_level_one_additive(self):
-        assert mu_level_one(PARETO2, (1.0, 1.0, 1.0)) == 3.0
-        assert mu_level_one(PARETO2, (1.0, 2.0)) == pytest.approx(1.25, rel=1e-15)
+        assert limit_mass(PARETO2, None, box_complement((1.0, 1.0, 1.0))) == 3.0
+        assert limit_mass(PARETO2, None, box_complement((1.0, 2.0))) == pytest.approx(1.25, rel=1e-15)
 
     def test_level_one_homogeneity(self):
         x = (1.0, 2.0, 0.5)
-        assert mu_level_one(PARETO2, tuple(2.0 * v for v in x)) == pytest.approx(
-            0.25 * mu_level_one(PARETO2, x), rel=1e-15
+        assert limit_mass(PARETO2, None, box_complement(tuple(2.0 * v for v in x))) == pytest.approx(
+            0.25 * limit_mass(PARETO2, None, box_complement(x)), rel=1e-15
         )
 
     def test_rectangular_mass_on_minimizing_pair(self):
         cone = cone_analysis(equi_matrix(3, 0.5), PARETO2, 2)
-        value = mu_i_rectangular(cone, Rectangular(IndexSubset.of(1, 2), (1.0, 1.0)))
+        value = limit_mass(PARETO2, cone, rect(IndexSubset.of(1, 2), (1.0, 1.0)))
         assert value == pytest.approx(pair_upsilon(0.5), rel=1e-12)
         assert value == pytest.approx(0.4135, abs=5e-5)
 
     def test_rectangular_mass_zero_off_family(self):
         cone = cone_analysis(coupled_pair_matrix(0.2), PARETO2, 2)
-        assert mu_i_rectangular(cone, Rectangular(IndexSubset.of(1, 2), (1.0, 1.0))) == 0.0
-        assert mu_i_rectangular(cone, Rectangular(IndexSubset.of(1, 3), (1.0, 1.0))) > 0.0
+        assert limit_mass(PARETO2, cone, rect(IndexSubset.of(1, 2), (1.0, 1.0))) == 0.0
+        assert limit_mass(PARETO2, cone, rect(IndexSubset.of(1, 3), (1.0, 1.0))) > 0.0
 
     def test_rectangular_mass_homogeneity(self):
         cone = cone_analysis(equi_matrix(3, 0.5), PARETO2, 2)
         lam = 3.0
-        base = mu_i_rectangular(cone, Rectangular(IndexSubset.of(1, 2), (1.0, 2.0)))
-        scaled = mu_i_rectangular(cone, Rectangular(IndexSubset.of(1, 2), (lam, 2.0 * lam)))
+        base = limit_mass(PARETO2, cone, rect(IndexSubset.of(1, 2), (1.0, 2.0)))
+        scaled = limit_mass(PARETO2, cone, rect(IndexSubset.of(1, 2), (lam, 2.0 * lam)))
         assert math.log(scaled) == pytest.approx(
             math.log(base) - PARETO2.alpha * cone.gamma * math.log(lam), rel=1e-12
         )
@@ -359,37 +362,37 @@ class TestLimitMasses:
     def test_rectangular_set_too_small_for_cone(self):
         cone = cone_analysis(equi_matrix(3, 0.5), PARETO2, 3)
         with pytest.raises(ValueError, match="cannot enter"):
-            mu_i_rectangular(cone, Rectangular(IndexSubset.of(1, 2), (1.0, 1.0)))
+            limit_mass(PARETO2, cone, rect(IndexSubset.of(1, 2), (1.0, 1.0)))
 
     def test_at_least_equicorrelation_closed_form(self):
         rho = 0.5
         cone = cone_analysis(equi_matrix(3, rho), PARETO2, 2)
         x = (1.0, 2.0, 3.0)
-        value = mu_i_at_least(cone, AtLeastI(x, 2))
+        value = limit_mass(PARETO2, cone, at_least(x, 2))
         pairs = [(1.0, 2.0), (1.0, 3.0), (2.0, 3.0)]
         expected = pair_upsilon(rho) * sum(
             (a * b) ** (-2.0 / (1.0 + rho)) for a, b in pairs
         )
         assert value == pytest.approx(expected, rel=1e-12)
-        unit = mu_i_at_least(cone, AtLeastI((1.0, 1.0, 1.0), 2))
+        unit = limit_mass(PARETO2, cone, at_least((1.0, 1.0, 1.0), 2))
         assert unit == pytest.approx(3.0 * pair_upsilon(rho), rel=1e-12)
         assert unit == pytest.approx(1.2404900146990325, rel=1e-12)
 
     def test_at_least_coupled_pair_sums_two_terms(self):
         cone = cone_analysis(coupled_pair_matrix(0.2), PARETO2, 2)
-        value = mu_i_at_least(cone, AtLeastI((1.0, 1.0, 1.0), 2))
+        value = limit_mass(PARETO2, cone, at_least((1.0, 1.0, 1.0), 2))
         assert value == pytest.approx(2.0 * pair_upsilon(math.sqrt(2.0) * 0.2), rel=1e-10)
 
     def test_at_least_level_mismatch(self):
         cone = cone_analysis(equi_matrix(3, 0.5), PARETO2, 2)
         with pytest.raises(ValueError, match="does not match cone level"):
-            mu_i_at_least(cone, AtLeastI((1.0, 1.0, 1.0), 3))
+            limit_mass(PARETO2, cone, at_least((1.0, 1.0, 1.0), 3))
 
     def test_at_least_homogeneity(self):
         cone = cone_analysis(equi_matrix(3, 0.4), PARETO2, 2)
         lam = 2.5
-        base = mu_i_at_least(cone, AtLeastI((1.0, 2.0, 3.0), 2))
-        scaled = mu_i_at_least(cone, AtLeastI((lam, 2.0 * lam, 3.0 * lam), 2))
+        base = limit_mass(PARETO2, cone, at_least((1.0, 2.0, 3.0), 2))
+        scaled = limit_mass(PARETO2, cone, at_least((lam, 2.0 * lam, 3.0 * lam), 2))
         assert math.log(scaled) == pytest.approx(
             math.log(base) - PARETO2.alpha * cone.gamma * math.log(lam), rel=1e-12
         )
@@ -398,13 +401,13 @@ class TestLimitMasses:
         cone = cone_analysis(near_tie_4x4(), PARETO2, 3)
         assert cone.gamma_next == cone.gamma  # float-identical collapse
         with pytest.raises(UnsupportedDegeneracy, match="levels 3 and 4 share"):
-            mu_i_at_least(cone, AtLeastI((1.0,) * 4, 3))
+            limit_mass(PARETO2, cone, at_least((1.0,) * 4, 3))
 
     def test_two_block_level_three_mass_single_term(self):
         # {4,5,6} ties on gamma but has a larger active set, so only the
         # pair-backed block contributes mass
         cone = cone_analysis(two_block_6x6(), PARETO2, 3)
-        value = mu_i_at_least(cone, AtLeastI((1.0,) * 6, 3))
+        value = limit_mass(PARETO2, cone, at_least((1.0,) * 6, 3))
         assert value == pytest.approx(pair_upsilon(0.6), rel=1e-12)
 
     @pytest.mark.parametrize("scale_c", [1.0, 2.0])
@@ -425,10 +428,10 @@ class TestLimitMasses:
         # P(at least `level` of X exceed t x) / b_level(t) -> mu_level(x); the
         # decay law has no other t-dependence, so the identity holds at every t
         marg = MarginalSpec(alpha=1.7, scale_c=scale_c)
-        at_least = AtLeastI(tuple(np.linspace(0.7, 1.6, sigma.dim)), level)
+        tail_set = at_least(tuple(np.linspace(0.7, 1.6, sigma.dim)), level)
         cone = cone_analysis(sigma, marg, level)
-        est = asymptotic_estimate(sigma, marg, at_least)
-        log_mu = math.log(mu_i_at_least(cone, at_least))
+        est = asymptotic_estimate(sigma, marg, tail_set)
+        log_mu = math.log(limit_mass(marg, cone, tail_set))
         for t in (10.0, 1e3, 1e6):
             normalized = est.evaluate_log(t) + cone.log_scaling_inverse(t)
             assert normalized == pytest.approx(log_mu, abs=1e-12)
@@ -437,14 +440,14 @@ class TestLimitMasses:
 class TestDispatcherAndTailProbability:
     def test_rect_singleton_routes_to_marginal(self):
         est = asymptotic_estimate(
-            equi_matrix(2, 0.3), PARETO2, Rectangular(IndexSubset.of(2), (3.0,))
+            equi_matrix(2, 0.3), PARETO2, rect(IndexSubset.of(2), (3.0,))
         )
         assert est.power_exponent == 2.0
         assert math.exp(est.evaluate_log(10.0)) == pytest.approx(1.0 / 900.0, rel=1e-12)
 
     def test_complement_box(self):
         est = asymptotic_estimate(
-            CorrelationMatrix(np.eye(3)), PARETO2, ComplementBox((1.0, 1.0, 1.0))
+            CorrelationMatrix(np.eye(3)), PARETO2, box_complement((1.0, 1.0, 1.0))
         )
         assert est.power_exponent == 2.0
         assert est.log_log_exponent == 0.0
@@ -452,24 +455,32 @@ class TestDispatcherAndTailProbability:
         assert len(est.contributing_sets) == 3
 
     def test_at_least_level_one_matches_complement_box(self):
+        # both are the union of the single-coordinate exceedances, whose
+        # laws add up
         sigma = equi_matrix(3, 0.4)
         x = (1.0, 2.0, 3.0)
-        a = asymptotic_estimate(sigma, PARETO2, AtLeastI(x, 1))
-        b = asymptotic_estimate(sigma, PARETO2, ComplementBox(x))
-        assert a.log_constant == b.log_constant
-        assert a.power_exponent == b.power_exponent
+        a = asymptotic_estimate(sigma, PARETO2, at_least(x, 1))
+        singles = [asymptotic_estimate(sigma, PARETO2, rect((j,), (x[j - 1],))) for j in (1, 2, 3)]
+        assert a.log_constant == pytest.approx(
+            math.log(sum(math.exp(b.log_constant) for b in singles)), rel=1e-14
+        )
+        assert all(a.power_exponent == b.power_exponent for b in singles)
+        assert [c.subset for c in a.contributing_sets] == [b.contributing_sets[0].subset for b in singles]
 
     def test_at_least_full_level_matches_rectangle(self):
+        # at k = |S| the cone holds S alone, so the constant is the
+        # rectangle's scale times mass, bit for bit
         sigma = equi_matrix(2, 0.35)
-        a = asymptotic_estimate(sigma, PARETO2, AtLeastI((1.0, 2.0), 2))
-        b = asymptotic_estimate(sigma, PARETO2, Rectangular(IndexSubset.of(1, 2), (1.0, 2.0)))
-        assert a.power_exponent == pytest.approx(b.power_exponent, rel=1e-14)
-        assert a.log_log_exponent == pytest.approx(b.log_log_exponent, rel=1e-14)
-        assert a.log_constant == pytest.approx(b.log_constant, rel=1e-12)
+        a = asymptotic_estimate(sigma, PARETO2, at_least((1.0, 2.0), 2))
+        coeff = subset_coefficients(sigma, IndexSubset.of(1, 2))
+        assert a.power_exponent == PARETO2.alpha * coeff.gamma
+        assert a.log_log_exponent == 0.5 * (coeff.gamma - len(coeff.active_set))
+        assert a.log_constant == _log_scale(coeff.gamma, PARETO2) + _log_mass(coeff, PARETO2, (1.0, 2.0))
+        assert [c.subset for c in a.contributing_sets] == [IndexSubset.of(1, 2)]
 
     def test_at_least_two_of_three_composition(self):
         est = asymptotic_estimate(
-            equi_matrix(3, 0.5), PARETO2, AtLeastI((1.0, 1.0, 1.0), 2)
+            equi_matrix(3, 0.5), PARETO2, at_least((1.0, 1.0, 1.0), 2)
         )
         assert est.power_exponent == pytest.approx(8.0 / 3.0, rel=1e-12)
         assert est.log_log_exponent == pytest.approx(-1.0 / 3.0, rel=1e-12)
@@ -478,31 +489,104 @@ class TestDispatcherAndTailProbability:
 
     def test_at_least_degenerate_raises(self):
         with pytest.raises(UnsupportedDegeneracy):
-            asymptotic_estimate(near_tie_4x4(), PARETO2, AtLeastI((1.0,) * 4, 3))
+            asymptotic_estimate(near_tie_4x4(), PARETO2, at_least((1.0,) * 4, 3))
 
     def test_threshold_count_validation(self):
         with pytest.raises(ValueError, match="need 3 thresholds"):
-            asymptotic_estimate(equi_matrix(3, 0.2), PARETO2, ComplementBox((1.0, 1.0)))
+            asymptotic_estimate(
+                equi_matrix(3, 0.2), PARETO2, TailSet(IndexSubset.full(3), (1.0, 1.0), 1)
+            )
 
-    def test_unsupported_spec_type(self):
-        with pytest.raises(TypeError, match="unsupported tail set"):
-            asymptotic_estimate(equi_matrix(2, 0.2), PARETO2, "diagonal")
+    def test_subset_must_fit_the_matrix(self):
+        with pytest.raises(ValueError, match="label 4 out of range for dimension 3"):
+            asymptotic_estimate(equi_matrix(3, 0.2), PARETO2, box_complement((1.0,) * 4))
 
     def test_tail_probability_returns_value_and_law(self):
         sigma = equi_matrix(2, 0.0)
         value, est = tail_probability(
-            sigma, PARETO2, Rectangular(IndexSubset.of(1, 2), (1.0, 1.0)), 100.0
+            sigma, PARETO2, rect(IndexSubset.of(1, 2), (1.0, 1.0)), 100.0
         )
         assert value == pytest.approx(math.log(1e-8), rel=1e-12)
         assert est.power_exponent == 4.0
 
     def test_tail_probability_guards(self):
         sigma = equi_matrix(2, 0.0)
-        rect = Rectangular(IndexSubset.of(1, 2), (1.0, 1.0))
+        corner = rect(IndexSubset.of(1, 2), (1.0, 1.0))
         with pytest.raises(ValueError, match="t >= 10"):
-            tail_probability(sigma, PARETO2, rect, 5.0)
+            tail_probability(sigma, PARETO2, corner, 5.0)
         with pytest.warns(AsymptoticRegimeWarning):
-            tail_probability(sigma, PARETO2, rect, 50.0)
+            tail_probability(sigma, PARETO2, corner, 50.0)
+
+
+# {1,2} is the one principal pair at level 2: gamma 4/3 against 20/11.
+PAIR_LED_3X3 = CorrelationMatrix(np.array([[1.0, 0.5, 0.1], [0.5, 1.0, 0.1], [0.1, 0.1, 1.0]]))
+
+
+class TestOneLawPerSet:
+    @pytest.mark.parametrize(
+        "sigma",
+        [two_block_6x6(), random_correlation(np.random.default_rng(6), 6)],
+        ids=["two_block_6x6", "random_6x6"],
+    )
+    def test_at_least_k_of_s_matches_principal_submatrix(self, sigma):
+        # "at least k of S" only sees the coordinates in S, so on Sigma it
+        # has the law of "at least k of all" on the principal block Sigma_S
+        x = (0.7, 1.3, 0.9, 2.1, 1.1, 0.6)
+        for members in [(1, 2, 3), (2, 4, 5, 6), (1, 3, 4, 6), (1, 2, 3, 4, 5)]:
+            subset = IndexSubset(members)
+            block = CorrelationMatrix(sigma.entries[np.ix_(subset.as_indices(), subset.as_indices())])
+            x_s = tuple(x[j - 1] for j in members)
+            for k in range(1, len(members) + 1):
+                try:
+                    got = asymptotic_estimate(sigma, PARETO2, TailSet(subset, x_s, k))
+                except UnsupportedDegeneracy:
+                    with pytest.raises(UnsupportedDegeneracy):
+                        asymptotic_estimate(block, PARETO2, at_least(x_s, k))
+                    continue
+                want = asymptotic_estimate(block, PARETO2, at_least(x_s, k))
+                assert got.power_exponent == pytest.approx(want.power_exponent, rel=1e-14)
+                assert got.log_log_exponent == pytest.approx(want.log_log_exponent, abs=1e-14)
+                assert got.log_constant == pytest.approx(want.log_constant, rel=1e-12, abs=1e-14)
+                relabel = [
+                    (IndexSubset(members[i - 1] for i in c.subset), IndexSubset(members[i - 1] for i in c.active_set))
+                    for c in want.contributing_sets
+                ]
+                assert [(c.subset, c.active_set) for c in got.contributing_sets] == relabel
+
+    def test_underflowing_masses_stay_in_log_space(self):
+        # exp of each log mass underflows to 0 at these thresholds; the law
+        # sums the masses in log space, and {1,2} is the only carrier
+        big = (1e200,) * 3
+        law = asymptotic_estimate(PAIR_LED_3X3, PARETO2, at_least(big, 2))
+        pair = asymptotic_estimate(PAIR_LED_3X3, PARETO2, rect((1, 2), big[:2]))
+        assert math.isfinite(law.log_constant)
+        assert law.log_constant == pair.log_constant
+        cone = cone_analysis(PAIR_LED_3X3, PARETO2, 2)
+        assert [c.subset for c in cone.carriers(at_least(big, 2))] == [IndexSubset.of(1, 2)]
+        assert [c.subset for c in cone.carriers(rect((1, 2), big[:2]))] == [IndexSubset.of(1, 2)]
+        assert cone.carriers(rect((1, 3), big[:2])) == ()
+
+    def test_coefficients_computed_once_per_matrix(self, monkeypatch):
+        import artifact.asymptotics as asymptotics
+
+        calls = []
+        original = asymptotics.upsilon
+        monkeypatch.setattr(asymptotics, "upsilon", lambda *a: calls.append(a) or original(*a))
+        sigma = equi_matrix(4, 0.3)
+        first = subset_coefficients(sigma, IndexSubset.of(1, 2, 3))
+        cone_analysis(sigma, PARETO2, 3)
+        asymptotic_estimate(sigma, PARETO2, rect((1, 2, 3), (1.0, 2.0, 3.0)))
+        assert subset_coefficients(sigma, IndexSubset.of(1, 2, 3)) is first
+        members = [sol.support.members for _, sol in calls]
+        assert len(members) == len(set(members))
+
+    def test_coefficients_released_with_matrix(self):
+        sigma = equi_matrix(3, 0.5)
+        coeff = weakref.ref(subset_coefficients(sigma, IndexSubset.of(1, 2)))
+        assert subset_coefficients(sigma, IndexSubset.of(1, 2)) is coeff()
+        del sigma
+        gc.collect()
+        assert coeff() is None
 
 
 class TestBivariateComparison:
@@ -544,8 +628,8 @@ class TestBivariateComparison:
     @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.3, 0.6, 0.9])
     def test_pareto_side_matches_rectangular_law(self, rho):
         x1, x2 = 1.0, 2.0
-        est = rect_tail_asymptotic(
-            equi_matrix(2, rho), PARETO2, Rectangular(IndexSubset.of(1, 2), (x1, x2))
+        est = asymptotic_estimate(
+            equi_matrix(2, rho), PARETO2, rect(IndexSubset.of(1, 2), (x1, x2))
         )
         for t in [10.0, 100.0, 1e5]:
             rep = bivariate_comparison(rho, 2.0, x1, x2, t)
@@ -574,12 +658,12 @@ class TestPropertySuites:
             perm = rng.permutation(d)
             permuted = CorrelationMatrix(sigma.entries[np.ix_(perm, perm)])
             x = np.asarray([1.0, 2.0, 0.7, 1.4])
-            base = rect_tail_asymptotic(
-                sigma, PARETO2, Rectangular(IndexSubset.full(d), tuple(x))
+            base = asymptotic_estimate(
+                sigma, PARETO2, rect(IndexSubset.full(d), tuple(x))
             )
             # coordinate j of the permuted matrix is old coordinate perm[j]
-            moved = rect_tail_asymptotic(
-                permuted, PARETO2, Rectangular(IndexSubset.full(d), tuple(x[perm]))
+            moved = asymptotic_estimate(
+                permuted, PARETO2, rect(IndexSubset.full(d), tuple(x[perm]))
             )
             assert moved.power_exponent == pytest.approx(base.power_exponent, rel=1e-11)
             assert moved.log_log_exponent == pytest.approx(base.log_log_exponent, abs=1e-11)

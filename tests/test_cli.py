@@ -267,6 +267,8 @@ class TestConfigErrors:
         result = runner(OVERSIZED[field], "analyze")
         assert_config_error(result, field)
         assert "Traceback" not in result[2]
+        # the message shortens the 401-digit value: one short line
+        assert result[2].count("\n") == 1 and len(result[2]) < 200, result[2]
 
     def test_integer_too_long_to_parse(self, tmp_path, capsys):
         # Python's int parser stops at 4300 digits.
@@ -334,6 +336,30 @@ class TestAnalyze:
         code, _, err, _ = runner(cfg, "analyze")
         assert code == 3
         assert err.startswith("unsupported degeneracy: levels 3 and 4 share")
+
+    def test_underflowing_masses(self, runner):
+        # every limit mass underflows to 0 at thresholds 1e200; the at-least
+        # law stays in log space, and a set is flagged null by structure
+        big = [1e200] * 3
+        cfg = {
+            "sigma": [[1.0, 0.5, 0.1], [0.5, 1.0, 0.1], [0.1, 0.1, 1.0]],
+            "alpha": 2.0,
+            "sets": [
+                {"type": "at-least", "level": 2, "thresholds": big},
+                {"type": "rectangular", "subset": [1, 2], "thresholds": big[:2]},
+                {"type": "rectangular", "subset": [1, 3], "thresholds": big[:2]},
+            ],
+            "t_grid": [100.0],
+        }
+        code, out, err, out_dir = runner(cfg, "analyze")
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO((out_dir / "sets.csv").read_text())))
+        assert [row["mu"] for row in rows] == ["0.0"] * 3
+        assert [row["mu_flag"] for row in rows] == ["ok", "ok", "null-at-cone-scale"]
+        # {1,2} is the only principal member of level 2
+        assert rows[0]["log_constant"] == rows[1]["log_constant"]
+        assert math.isfinite(float(rows[0]["log_constant"]))
+        assert "rect{1,3}#3: " in out and out.count("mass null at the cone scale") == 1
 
     def test_solver_breakdown_exits_five(self, runner, monkeypatch):
         # no candidate active set can pass the weight-positivity gate

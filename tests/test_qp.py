@@ -13,12 +13,9 @@ import pytest
 
 import artifact.qp as qp_module
 from artifact.asymptotics import (
-    AtLeastI,
     MarginalSpec,
-    Rectangular,
     asymptotic_estimate,
     cone_analysis,
-    rect_tail_asymptotic,
 )
 from artifact.linalg import CorrelationMatrix, IndexSubset, spd_factorize
 from artifact.qp import (
@@ -31,10 +28,12 @@ from artifact.qp import (
     subset_solver,
 )
 from conftest import (
+    at_least,
     coupled_pair_matrix,
     equi_matrix,
     near_tie_4x4,
     random_correlation,
+    rect,
     two_block_6x6,
 )
 from oracles import brute_force_qp, enumeration_qp
@@ -257,7 +256,7 @@ class TestBeyondEnumeration:
     def test_rectangular_law_and_cone_cap_at_d_40(self):
         sigma = random_correlation(np.random.default_rng(40), 40)
         marg = MarginalSpec(alpha=2.0)
-        est = rect_tail_asymptotic(sigma, marg, Rectangular(IndexSubset.full(40), (1.0,) * 40))
+        est = asymptotic_estimate(sigma, marg, rect(IndexSubset.full(40), (1.0,) * 40))
         assert est.power_exponent == pytest.approx(2.0 * solve_qp(sigma).gamma, rel=1e-15)
         with pytest.raises(ValueError, match="cone analysis supports d <= 12, got d=40"):
             cone_analysis(sigma, marg, 2)
@@ -278,9 +277,9 @@ class TestSolverCache:
         for level in (2, 3, 2):
             cone_analysis(sigma, marg, level)
         for tail_set in [
-            Rectangular(IndexSubset.of(1, 2), (1.0, 1.0)),
-            Rectangular(IndexSubset.full(3), (1.0, 2.0, 1.0)),
-            AtLeastI((1.0, 1.0, 1.0), 2),
+            rect(IndexSubset.of(1, 2), (1.0, 1.0)),
+            rect(IndexSubset.full(3), (1.0, 2.0, 1.0)),
+            at_least((1.0, 1.0, 1.0), 2),
         ]:
             asymptotic_estimate(sigma, marg, tail_set)
         solve_qp(sigma)

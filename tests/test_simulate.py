@@ -10,10 +10,7 @@ from scipy.special import ndtri
 from scipy.stats import kstest
 
 from artifact.asymptotics import (
-    AtLeastI,
-    ComplementBox,
     MarginalSpec,
-    Rectangular,
     _normal_event,
 )
 from artifact.linalg import CorrelationMatrix, IndexSubset
@@ -34,7 +31,15 @@ from artifact.simulate import (
     write_hill_csv,
     write_verification_csv,
 )
-from conftest import coupled_pair_matrix, equi_matrix, normal_blocks, pareto_blocks
+from conftest import (
+    at_least,
+    box_complement,
+    coupled_pair_matrix,
+    equi_matrix,
+    normal_blocks,
+    pareto_blocks,
+    rect,
+)
 from oracles import (
     EmpiricalTail,
     empirical_tail,
@@ -297,7 +302,7 @@ class TestVerifyAsymptotics:
     def test_independence_ratios_near_one(self):
         cfg = config(IDENTITY_2, 300000, 11)
         (table,) = verify_asymptotics(
-            cfg, [Rectangular(IndexSubset.of(1, 2), (0.3, 0.3))], [10.0, 13.0, 17.0, 22.0, 28.0]
+            cfg, [rect(IndexSubset.of(1, 2), (0.3, 0.3))], [10.0, 13.0, 17.0, 22.0, 28.0]
         )
         assert table.slope_target == -4.0
         for row in table.rows:
@@ -310,7 +315,7 @@ class TestVerifyAsymptotics:
         cfg = config(equi_matrix(2, 0.5), 10**7, 0)
         (table,) = verify_asymptotics(
             cfg,
-            [Rectangular(IndexSubset.of(1, 2), (1.0, 1.0))],
+            [rect(IndexSubset.of(1, 2), (1.0, 1.0))],
             [10.0, 13.0, 17.0, 22.0, 29.0, 38.0, 50.0],
         )
         assert table.slope_target == pytest.approx(-8.0 / 3.0, rel=1e-12)
@@ -318,13 +323,13 @@ class TestVerifyAsymptotics:
 
     def test_at_least_slope_target(self):
         cfg = config(coupled_pair_matrix(0.6), 50000, 2)
-        (table,) = verify_asymptotics(cfg, [AtLeastI((1.0, 1.0, 1.0), 3)], [10.0, 14.0, 18.0])
+        (table,) = verify_asymptotics(cfg, [at_least((1.0, 1.0, 1.0), 3)], [10.0, 14.0, 18.0])
         assert table.slope_target == pytest.approx(-2.5, abs=1e-12)
 
     def test_low_hit_rows_flagged_and_excluded(self):
         cfg = config(IDENTITY_2, 2000, 5)
         (table,) = verify_asymptotics(
-            cfg, [Rectangular(IndexSubset.of(1, 2), (1.0, 1.0))], [10.0, 20.0, 1000.0]
+            cfg, [rect(IndexSubset.of(1, 2), (1.0, 1.0))], [10.0, 20.0, 1000.0]
         )
         last = table.rows[-1]
         assert last.flag == "low-hits"
@@ -335,9 +340,9 @@ class TestVerifyAsymptotics:
 # One set of each kind at d = 3, with thresholds low enough that every t of
 # STREAM_GRID is hit at the larger n.
 STREAM_SETS = (
-    Rectangular(IndexSubset.of(1, 3), (0.2, 0.3)),
-    AtLeastI((0.2, 0.2, 0.2), 2),
-    ComplementBox((1.0, 2.0, 1.0)),
+    rect(IndexSubset.of(1, 3), (0.2, 0.3)),
+    at_least((0.2, 0.2, 0.2), 2),
+    box_complement((1.0, 2.0, 1.0)),
 )
 STREAM_GRID = [10.0, 20.0, 40.0]
 
@@ -347,20 +352,20 @@ SHARED_RANK_CASES = {
     "same-coordinate-other-threshold": (
         equi_matrix(3, 0.5),
         (
-            Rectangular(IndexSubset.of(1, 3), (0.2, 0.3)),
-            Rectangular(IndexSubset.of(1), (0.3,)),
-            Rectangular(IndexSubset.of(3), (0.3,)),
+            rect(IndexSubset.of(1, 3), (0.2, 0.3)),
+            rect(IndexSubset.of(1), (0.3,)),
+            rect(IndexSubset.of(3), (0.3,)),
         ),
         STREAM_GRID,
     ),
     "at-least-2-and-3-of-4": (
         equi_matrix(4, 0.5),
-        (AtLeastI((0.2,) * 4, 2), AtLeastI((0.2, 0.3, 0.2, 0.3), 3), AtLeastI((0.2,) * 4, 3)),
+        (at_least((0.2,) * 4, 2), at_least((0.2, 0.3, 0.2, 0.3), 3), at_least((0.2,) * 4, 3)),
         STREAM_GRID,
     ),
     "full-rectangle-and-at-least-d": (
         equi_matrix(3, 0.5),
-        (Rectangular(IndexSubset.full(3), (0.2, 0.2, 0.2)), AtLeastI((0.2, 0.2, 0.2), 3)),
+        (rect(IndexSubset.full(3), (0.2, 0.2, 0.2)), at_least((0.2, 0.2, 0.2), 3)),
         STREAM_GRID,
     ),
     "300-point-grid": (equi_matrix(3, 0.5), STREAM_SETS, np.geomspace(10.0, 40.0, 300).tolist()),
@@ -392,9 +397,9 @@ class TestStreamedVerification:
         # (t x_j < 1, so its normal threshold is -inf): the rectangle and the
         # box complement hold on every row. At t = 20, 20 * 0.05 = 1 exactly.
         sets = (
-            Rectangular(IndexSubset.of(1, 2), (0.05, 0.08)),
-            AtLeastI((0.05, 0.3, 2.0), 2),
-            ComplementBox((0.05, 1.0, 1.0)),
+            rect(IndexSubset.of(1, 2), (0.05, 0.08)),
+            at_least((0.05, 0.3, 2.0), 2),
+            box_complement((0.05, 1.0, 1.0)),
         )
         n = 2 * BLOCK_ROWS + 7
         cfg = config(equi_matrix(3, 0.5), n, 23)
@@ -437,8 +442,8 @@ class TestStreamedVerification:
         # Every coordinate takes values exactly on its thresholds and one
         # ulp either side, so the strict > of each grid point is checked.
         sets = STREAM_SETS + (
-            AtLeastI((0.2, 0.3, 0.4), 3),
-            Rectangular(IndexSubset.of(2), (0.3,)),
+            at_least((0.2, 0.3, 0.4), 3),
+            rect(IndexSubset.of(2), (0.3,)),
         )
         events = [_normal_event(tail_set, 3, 2.0, STREAM_GRID) for tail_set in sets]
         on = np.concatenate([c.ravel() for _, _, c in events])
@@ -457,7 +462,7 @@ class TestStreamedVerification:
             grid.append(float(np.nextafter(grid[-1], np.inf)))
         raw = -ndtri(np.power(np.array(grid), -2.0))
         assert np.any(np.diff(raw) < 0)
-        events = [_normal_event(Rectangular(IndexSubset.of(1), (1.0,)), 1, 2.0, grid)]
+        events = [_normal_event(rect(IndexSubset.of(1), (1.0,)), 1, 2.0, grid)]
         c = events[0][2]
         assert np.all(np.diff(c, axis=1) >= 0)
         z = np.unique(np.concatenate([raw, np.nextafter(raw, -np.inf), np.nextafter(raw, np.inf)]))
@@ -467,7 +472,7 @@ class TestStreamedVerification:
         assert np.all(np.diff(hits) <= 0)
         assert hits.tolist() == masked_event_hits(z[:, None], events)[0]
         (table,) = verify_asymptotics(
-            config(IDENTITY_1, 5 * BLOCK_ROWS, 3), [Rectangular(IndexSubset.of(1), (1.0,))], grid
+            config(IDENTITY_1, 5 * BLOCK_ROWS, 3), [rect(IndexSubset.of(1), (1.0,))], grid
         )
         assert np.all(np.diff([row.hits for row in table.rows]) <= 0)
 
@@ -482,9 +487,9 @@ class TestStreamedVerification:
         # n x d floats: 3.1 MB at the smaller n, 25 MB at the larger.
         sigma = equi_matrix(6, 0.5)
         sets = [
-            Rectangular(IndexSubset.of(1, 2), (1.0, 1.0)),
-            AtLeastI((1.0,) * 6, 2),
-            ComplementBox((1.0,) * 6),
+            rect(IndexSubset.of(1, 2), (1.0, 1.0)),
+            at_least((1.0,) * 6, 2),
+            box_complement((1.0,) * 6),
         ]
         grid = [10.0, 14.0, 20.0, 28.0, 40.0]
         verify_asymptotics(config(sigma, 1, 1), sets, grid)  # fills the QP cache
@@ -654,7 +659,7 @@ class TestCsvWriters:
     def test_verification_csv_schema(self, tmp_path):
         cfg = config(IDENTITY_2, 20000, 1)
         (table,) = verify_asymptotics(
-            cfg, [Rectangular(IndexSubset.of(1, 2), (0.5, 0.5))], [10.0, 15.0]
+            cfg, [rect(IndexSubset.of(1, 2), (0.5, 0.5))], [10.0, 15.0]
         )
         path = tmp_path / "verify.csv"
         write_verification_csv(path, table)

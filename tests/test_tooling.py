@@ -1,13 +1,17 @@
-"""The benchmark's span tracer patches library functions by name; every name
-it lists must still exist, or a traced benchmark run fails at start-up."""
+"""Checks on what lives beside the library: the benchmark's span tracer
+patches library functions by name, so every name it lists must still exist,
+or a traced benchmark run fails at start-up; and the README's Python session
+must run as written."""
 
 import importlib
 import importlib.util
 import pathlib
+import re
 
 import pytest
 
-TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "bench" / "tracer.py"
 
 
 def traced_functions():
@@ -23,3 +27,10 @@ def traced_functions():
 def test_traced_function_exists(span, module_name, attr):
     module = importlib.import_module(module_name)
     assert callable(getattr(module, attr, None)), f"{span}: {module_name}.{attr} is gone"
+
+
+def test_readme_session_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
+    assert blocks, "README.md has no Python session"
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
