@@ -16,7 +16,6 @@ the thresholds weighted by h. Everything is carried in log space.
 
 from __future__ import annotations
 
-import itertools
 import math
 import reprlib
 import warnings
@@ -298,17 +297,16 @@ def cone_analysis(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> C
 
     gamma_S <= gamma_T for S a subset of T (a Schur complement argument), so
     the minimum over sizes >= level is the minimum over the level-size
-    subsets, every tied subset grows from a tied level-size one a coordinate
-    at a time through tied subsets, and gamma_next is the minimum over the
-    (level + 1)-size subsets. Monotonicity also bounds each subset's gamma
-    from below by the subsets one coordinate smaller that are already
-    solved (and by 1, a singleton's value); a size scan solves its subsets
-    in the order of that bound and stops once the bound passes the running
-    minimum (plus the tie tolerance). Each subset is solved at most once per
-    matrix through subset_solver, so scanning the levels in increasing
-    order, as cmd_analyze does, skips most subsets that cannot tie.
-    Capacity-limited to d <= 12 below level d: a level solves up to
-    C(d, level) subsets, and cmd_analyze scans every level.
+    subsets, a size with no tied subset has no tied superset either, and
+    gamma_next is the minimum over the (level + 1)-size subsets. Each size
+    is bounded from below at once by weak duality
+    (SubsetQpSolver.dual_bounds, computed once per matrix); a size scan
+    solves its subsets in increasing bound order and stops once the bound
+    passes the running minimum (plus the tie tolerance), or the tie window
+    of the minimum for the larger members of the family. The minimum, the
+    family and gamma_next are the solver's values, so they equal those of
+    solving every subset. Capacity-limited to d <= 16 below level d: a level
+    bounds all C(d, level) subsets, and cmd_analyze scans every level.
     """
     d = sigma.dim
     if not (isinstance(level, int) and 2 <= level <= d):
@@ -329,32 +327,30 @@ def _cone(
     solver = subset_solver(sigma)
     labels = scanned.members
 
-    def gamma(combo: tuple[int, ...]) -> float:
-        return solver.solve(IndexSubset(combo)).gamma
-
-    def bound(combo: tuple[int, ...]) -> float:
-        smaller = (solver.solved(combo[:i] + combo[i + 1 :]) for i in range(len(combo)))
-        return max((sol.gamma for sol in smaller if sol is not None), default=1.0)
-
-    def scan(size: int, slack: Callable[[float], float]) -> dict[tuple[int, ...], float]:
-        """gamma of every size-subset that can lie within slack(min) of the minimum."""
+    def scan(size: int, limit: Callable[[float], float]) -> dict[tuple[int, ...], float]:
+        """gamma of every size-subset whose dual bound is at most limit(best),
+        best the least gamma found so far; subsets go in increasing bound order."""
         found: dict[tuple[int, ...], float] = {}
         best = math.inf
-        for low, combo in sorted((bound(c), c) for c in itertools.combinations(labels, size)):
-            if low > best + slack(best):
+        subsets, bounds = solver.dual_bounds(labels, size)
+        for row, low in zip(subsets, bounds):
+            if low > limit(best):
                 break
-            found[combo] = gamma(combo)
+            combo = tuple(row.tolist())
+            found[combo] = solver.solve(IndexSubset(combo)).gamma
             best = min(best, found[combo])
         return found
 
-    level_gammas = scan(level, lambda g: GAMMA_TIE_REL * max(1.0, g))
-    gamma_min = min(level_gammas.values())
-    tol = GAMMA_TIE_REL * max(1.0, gamma_min)
-    tied = sorted(c for c, g in level_gammas.items() if g <= gamma_min + tol)
-    family = list(tied)
-    while tied:
-        grown = sorted({tuple(sorted(c + (j,))) for c in tied for j in labels if j not in c})
-        tied = [c for c in grown if gamma(c) <= gamma_min + tol]
+    found = scan(level, lambda best: best + GAMMA_TIE_REL * max(1.0, best))
+    gamma_min = min(found.values())
+    tie = gamma_min + GAMMA_TIE_REL * max(1.0, gamma_min)
+    family: list[tuple[int, ...]] = []
+    for size in range(level, len(labels) + 1):
+        if size > level:
+            found = scan(size, lambda best: tie)
+        tied = sorted(c for c, g in found.items() if g <= tie)
+        if not tied:
+            break
         family += tied
     coeffs = tuple(subset_coefficients(sigma, IndexSubset(c)) for c in family)
     min_active = min(len(c.active_set) for c in coeffs)
@@ -364,7 +360,7 @@ def _cone(
     )
     gamma_next = None
     if level < len(labels):
-        gamma_next = min(scan(level + 1, lambda g: 0.0).values())
+        gamma_next = min(scan(level + 1, lambda best: best).values())
     return ConeAnalysis(
         level=level,
         dim=sigma.dim,

@@ -136,7 +136,9 @@ def _parse_sigma(obj: dict) -> CorrelationMatrix:
         raise ConfigError("sigma", f"'sigma' is not a valid correlation matrix: {err}") from None
     if sigma.dim > MAX_ENUMERATION_DIM:
         raise ConfigError(
-            "sigma", f"'sigma' dimension {sigma.dim} exceeds the d <= {MAX_ENUMERATION_DIM} capacity"
+            "sigma",
+            f"'sigma' dimension {sigma.dim} exceeds the d <= {MAX_ENUMERATION_DIM} capacity "
+            "of the cone scan, which bounds all C(d, k) subsets of every level k",
         )
     return sigma
 
@@ -153,35 +155,34 @@ def _parse_tail_set(raw, position: int, dim: int) -> TailSetJob:
     if slope_target is not None:
         slope_target = _checked(f"{field}.slope_target", _finite_real, slope_target, "slope_target")
 
-    try:
-        if kind == "rectangular":
-            members = raw.get("subset")
-            if not _is_list_of(members, int) or not members:
-                raise ConfigError(
-                    f"{field}.subset", "'subset' must be a nonempty list of integer labels"
-                )
-            thresholds = _parse_thresholds(raw, field, len(members))
-            spec = TailSet(IndexSubset(tuple(members)), thresholds, len(members))
-            spec.subset.validate_within(dim)
-            default_label = f"rect{spec.subset}"
-        elif kind == "at-least":
-            level = raw.get("level")
-            if not isinstance(level, int) or isinstance(level, bool):
-                raise ConfigError(f"{field}.level", "'level' must be an integer")
-            spec = TailSet(IndexSubset.full(dim), _parse_thresholds(raw, field, dim), level)
-            default_label = f"atleast{level}"
-        elif kind == "complement-box":
-            spec = TailSet(IndexSubset.full(dim), _parse_thresholds(raw, field, dim), 1)
-            default_label = "box-complement"
-        else:
+    if kind == "rectangular":
+        members = raw.get("subset")
+        if not _is_list_of(members, int) or not members:
             raise ConfigError(
-                f"{field}.type",
-                f"'type' must be one of rectangular, at-least, complement-box; got {kind!r}",
+                f"{field}.subset", "'subset' must be a nonempty list of integer labels"
             )
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(field, str(err)) from None
+        thresholds = _parse_thresholds(raw, field, len(members))
+        subset = _checked(f"{field}.subset", IndexSubset, tuple(members))
+        _checked(f"{field}.subset", subset.validate_within, dim)
+        # IndexSubset sorts the labels; each threshold follows its label.
+        thresholds = tuple(x for _, x in sorted(zip(members, thresholds)))
+        spec = TailSet(subset, thresholds, len(members))
+        default_label = f"rect{spec.subset}"
+    elif kind == "at-least":
+        level = raw.get("level")
+        if not isinstance(level, int) or isinstance(level, bool):
+            raise ConfigError(f"{field}.level", "'level' must be an integer")
+        thresholds = _parse_thresholds(raw, field, dim)
+        spec = _checked(f"{field}.level", TailSet, IndexSubset.full(dim), thresholds, level)
+        default_label = f"atleast{level}"
+    elif kind == "complement-box":
+        spec = TailSet(IndexSubset.full(dim), _parse_thresholds(raw, field, dim), 1)
+        default_label = "box-complement"
+    else:
+        raise ConfigError(
+            f"{field}.type",
+            f"'type' must be one of rectangular, at-least, complement-box; got {kind!r}",
+        )
     return TailSetJob(
         kind=kind, spec=spec, label=label or f"{default_label}#{position + 1}", slope_target=slope_target
     )

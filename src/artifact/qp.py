@@ -38,6 +38,7 @@ would, so its decisions and bits are the ranking's.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass
 
@@ -64,6 +65,13 @@ BOUNDARY_EPS = 1e-9
 # +-1e-17 noise in floating point, so candidates are accepted only when every
 # weight clears this margin.
 H_TOLERANCE = 1e-10
+
+# Rounding allowance of a dual lower bound (SubsetQpSolver.dual_bounds),
+# relative to (1 + 1' lam)^2: the rounding of the bound and of the value
+# solve computes through spd_factorize both grow with the square of the
+# weights. The excess it absorbs was at most 1e-4 of it on random and
+# nearly singular matrices (smallest eigenvalue down to 3e-10).
+BOUND_MARGIN = 1e-12
 
 
 class SolverInconsistency(RuntimeError):
@@ -110,9 +118,10 @@ class ResidualReport:
 class SubsetQpSolver:
     """Solves the program restricted to any coordinate subset of one matrix.
 
-    Each subset is solved once; later calls return the cached solution. The
-    solver keeps the entries, not the matrix, so that subset_solver's weak
-    cache can release it together with the matrix.
+    Each subset is solved once, and each size's dual bounds are computed
+    once; later calls return the cached values. The solver keeps the
+    entries, not the matrix, so that subset_solver's weak cache can release
+    it together with the matrix.
     """
 
     def __init__(self, sigma: CorrelationMatrix):
@@ -120,6 +129,7 @@ class SubsetQpSolver:
         self._dim = sigma.dim
         self._solutions: dict[tuple[int, ...], QpSolution] = {}
         self._candidates: dict[tuple[int, ...], tuple] = {}
+        self._bounds: dict[tuple[tuple[int, ...], int], tuple[np.ndarray, np.ndarray]] = {}
 
     def _candidate(
         self, labels: tuple[int, ...], key: tuple[int, ...], fact: CholeskyFactor
@@ -164,9 +174,45 @@ class SubsetQpSolver:
             support=subset,
         )
 
-    def solved(self, members: tuple[int, ...]) -> QpSolution | None:
-        """The solution over the subset with these sorted labels, if solved."""
-        return self._solutions.get(members)
+    def dual_bounds(
+        self, labels: tuple[int, ...], size: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Lower bounds on gamma for every size-subset of labels, computed
+        once per (labels, size): the subsets as rows of sorted labels, and
+        their bounds, both in increasing order of the bound.
+
+        By weak duality, 2 1'lam - lam' Sigma_S lam <= gamma_S for every
+        lam >= 0. The bound takes lam = max(h, 0) with h = Sigma_S^{-1} 1,
+        improved by two projected coordinate-ascent sweeps
+        lam_i <- max(0, 1 - sum_{j != i} Sigma_ij lam_j); it is gamma_S
+        itself where h > 0. All subsets of one size are bounded at once, on
+        the stack of their principal blocks. solve certifies its value only
+        to a factor (1 - BOUNDARY_EPS)^2 of gamma_S (module docstring), so
+        each bound is lowered by 2 BOUNDARY_EPS of itself, and by
+        BOUND_MARGIN (1 + 1' lam)^2 for rounding: it stays below the value
+        solve returns.
+        """
+        key = (labels, size)
+        cached = self._bounds.get(key)
+        if cached is None:
+            pos = np.fromiter(
+                itertools.chain.from_iterable(itertools.combinations(range(len(labels)), size)),
+                dtype=np.intp,
+            ).reshape(-1, size)
+            subsets = np.asarray(labels, dtype=np.intp)[pos]
+            idx = subsets - 1
+            blocks = self._entries[idx[:, :, None], idx[:, None, :]]
+            lam = np.maximum(np.linalg.solve(blocks, np.ones(idx.shape + (1,)))[..., 0], 0.0)
+            for _ in range(2):
+                for i in range(size):
+                    pull = np.einsum("mj,mj->m", blocks[:, i, :], lam) - lam[:, i]
+                    lam[:, i] = np.maximum(0.0, 1.0 - pull)
+            total = lam.sum(axis=1)
+            bounds = 2.0 * total - np.einsum("mi,mij,mj->m", lam, blocks, lam)
+            bounds -= 2.0 * BOUNDARY_EPS * np.abs(bounds) + BOUND_MARGIN * (1.0 + total) ** 2
+            order = np.argsort(bounds, kind="stable")
+            cached = self._bounds[key] = (subsets[order], bounds[order])
+        return cached
 
     def solve(self, subset: IndexSubset) -> QpSolution:
         """Solve over the coordinates in ``subset`` (labels of the parent matrix)."""

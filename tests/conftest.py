@@ -80,6 +80,29 @@ def near_tie_4x4() -> CorrelationMatrix:
     )
 
 
+def tie_block_matrix(d: int) -> CorrelationMatrix:
+    """A d x d matrix around a pinned 6x6 block of exact ties.
+
+    In the block, coordinates 1 and 2 have correlation 0.5, coordinates 3-6
+    have 0.75 to both and 0.8 to each other: the pairs, triples and the
+    quadruple inside 3-6 tie exactly at levels 2-4, and at level 6 the
+    minimizer over 1-6 is active on {1,2} with 3-6 exactly on the boundary.
+    The other correlations are drawn from [-0.2, 0.2] at a fixed seed until
+    the smallest eigenvalue exceeds 0.05.
+    """
+    block = np.full((6, 6), 0.8)
+    block[:2, :] = block[:, :2] = 0.75
+    block[0, 1] = block[1, 0] = 0.5
+    rng = np.random.default_rng(2)
+    while True:
+        lower = np.tril(rng.uniform(-0.2, 0.2, size=(d, d)), -1)
+        m = lower + lower.T
+        m[:6, :6] = block
+        np.fill_diagonal(m, 1.0)
+        if np.linalg.eigvalsh(m).min() > 0.05:
+            return CorrelationMatrix(m)
+
+
 def random_correlation(rng: np.random.Generator, d: int) -> CorrelationMatrix:
     """Random well-conditioned correlation matrix (exactly symmetric)."""
     a = rng.standard_normal((d, d))

@@ -37,6 +37,7 @@ from conftest import (
     near_tie_4x4,
     random_correlation,
     rect,
+    tie_block_matrix,
     two_block_6x6,
 )
 from oracles import full_cone_scan
@@ -209,7 +210,7 @@ def assert_scans_agree(sigma: CorrelationMatrix) -> None:
     """cone_analysis equals the unpruned scan in every field at every level.
 
     The levels are scanned in increasing order first, as cmd_analyze does,
-    so each level is bounded only by the subsets the levels before it solved.
+    before the unpruned scan solves every subset.
     """
     levels = range(2, sigma.dim + 1)
     cones = [cone_analysis(sigma, PARETO2, level) for level in levels]
@@ -288,8 +289,8 @@ class TestConeAnalysis:
             cone_analysis(sigma, PARETO2, 1)
         with pytest.raises(ValueError, match="level must be an integer in 2..3"):
             cone_analysis(sigma, PARETO2, 4)
-        with pytest.raises(ValueError, match="d <= 12"):
-            cone_analysis(CorrelationMatrix(np.eye(13)), PARETO2, 2)
+        with pytest.raises(ValueError, match="d <= 16, got d=17"):
+            cone_analysis(CorrelationMatrix(np.eye(17)), PARETO2, 2)
 
     @pytest.mark.parametrize(
         "make",
@@ -311,13 +312,15 @@ class TestConeAnalysis:
         sigma = two_block_6x6()
         for level in range(2, 7):
             cone_analysis(sigma, PARETO2, level)
-        # 57 subsets have size >= 2; the bounds from the smaller solved
-        # subsets rule out the rest
-        assert len(subset_solver(sigma)._solutions) == 45
+        # 57 subsets have size >= 2; their dual bounds rule out the rest
+        assert len(subset_solver(sigma)._solutions) == 13
 
     def test_pruned_scan_matches_full_scan_random(self, rng):
         for _ in range(20):
-            assert_scans_agree(random_correlation(rng, int(rng.integers(3, 8))))
+            assert_scans_agree(random_correlation(rng, int(rng.integers(3, 11))))
+
+    def test_pruned_scan_matches_full_scan_tie_block_d13(self):
+        assert_scans_agree(tie_block_matrix(13))
 
     def test_monotone_indices_random(self, rng):
         for _ in range(25):

@@ -24,6 +24,7 @@ from artifact.cli import (
     PARETO_T_GRID,
     main,
 )
+from artifact.linalg import MAX_ENUMERATION_DIM
 from artifact.simulate import (
     BLOCK_ROWS,
     SimulationConfig,
@@ -32,7 +33,7 @@ from artifact.simulate import (
     write_conditional_csv,
     write_hill_csv,
 )
-from conftest import coupled_pair_matrix, equi_matrix, near_tie_4x4, two_block_6x6
+from conftest import coupled_pair_matrix, equi_matrix, near_tie_4x4, tie_block_matrix, two_block_6x6
 from oracles import masked_conditional_curves, sorted_hill_estimator
 
 IDENTITY_JOB = {
@@ -130,11 +131,11 @@ class TestConfigErrors:
         assert_config_error(runner(cfg, "analyze"), "sigma")
 
     def test_sigma_dimension_cap(self, runner):
-        d = 13
+        d = 17
         eye = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
         result = runner({"sigma": eye, "alpha": 2.0}, "analyze")
         assert_config_error(result, "sigma")
-        assert "exceeds the d <= 12" in result[2]
+        assert "exceeds the d <= 16" in result[2]
 
     def test_missing_alpha(self, runner):
         assert_config_error(runner({"sigma": [[1.0]]}, "analyze"), "alpha")
@@ -213,6 +214,22 @@ class TestConfigErrors:
         result = runner(dict(IDENTITY_JOB, sets=[tail_set]), "analyze")
         assert_config_error(result, f"sets[0].{field}")
         assert "Traceback" not in result[2]
+
+    @pytest.mark.parametrize(
+        "tail_set, field, message",
+        [
+            ({"type": "at-least", "level": 4, "thresholds": [1.0] * 3}, "level", "level must be an integer in 1..3"),
+            ({"type": "rectangular", "subset": [1, 4], "thresholds": [1.0] * 2}, "subset", "label 4 out of range"),
+            ({"type": "rectangular", "subset": [1, 1], "thresholds": [1.0] * 2}, "subset", "duplicate index labels"),
+            ({"type": "rectangular", "subset": [0, 1], "thresholds": [1.0] * 2}, "subset", "labels must be >= 1"),
+        ],
+        ids=["level", "label-out-of-range", "duplicate-label", "label-below-one"],
+    )
+    def test_set_member_ranges_name_the_field(self, runner, tail_set, field, message):
+        cfg = {"sigma": np.eye(3).tolist(), "alpha": 2.0, "sets": [tail_set]}
+        result = runner(cfg, "analyze")
+        assert_config_error(result, f"sets[0].{field}")
+        assert message in result[2]
 
     def test_t_grid_below_guard(self, runner):
         cfg = dict(IDENTITY_JOB, t_grid=[5.0, 100.0])
@@ -360,6 +377,34 @@ class TestAnalyze:
         assert rows[0]["log_constant"] == rows[1]["log_constant"]
         assert math.isfinite(float(rows[0]["log_constant"]))
         assert "rect{1,3}#3: " in out and out.count("mass null at the cone scale") == 1
+
+    def test_rectangle_thresholds_follow_their_labels(self, runner):
+        # the labels are sorted; each threshold stays with its label
+        base = {"sigma": coupled_pair_matrix(0.2).entries.tolist(), "alpha": 2.0, "t_grid": [100.0]}
+        spellings = {
+            "unsorted": {"subset": [3, 1, 2], "thresholds": [1.0, 2.0, 5.0]},
+            "sorted": {"subset": [1, 2, 3], "thresholds": [2.0, 5.0, 1.0]},
+        }
+        written = []
+        for name, members in spellings.items():
+            cfg = dict(base, sets=[{"type": "rectangular", **members}])
+            code, _, err, out_dir = runner(cfg, "analyze", out_name=name)
+            assert (code, err) == (0, "")
+            written.append((out_dir / "sets.csv").read_bytes())
+        assert written[0] == written[1]
+
+    def test_analyze_at_the_dimension_cap(self, runner):
+        d = MAX_ENUMERATION_DIM
+        cfg = {
+            "sigma": tie_block_matrix(d).entries.tolist(),
+            "alpha": 2.0,
+            "sets": [{"type": "at-least", "level": 2, "thresholds": [1.0] * d}],
+            "t_grid": [100.0],
+        }
+        code, _, err, out_dir = runner(cfg, "analyze")
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO((out_dir / "cones.csv").read_text())))
+        assert [int(row["level"]) for row in rows] == list(range(2, d + 1))
 
     def test_solver_breakdown_exits_five(self, runner, monkeypatch):
         # no candidate active set can pass the weight-positivity gate

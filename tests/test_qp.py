@@ -220,6 +220,38 @@ class TestEnumerationParity:
                 assert_same_solution(solver.solve(subset), enumeration_qp(sigma, subset))
 
 
+class TestDualBounds:
+    """A size's bounds: one per subset, in increasing order, never above
+    the value solve returns, and equal to it where Sigma_S^{-1} 1 > 0."""
+
+    def test_bounds_stay_below_solved_values(self):
+        rng = np.random.default_rng(20261018)
+        families = (random_correlation, factor_correlation, nearly_singular_correlation)
+        matrices = [near_tie_4x4(), two_block_6x6()]
+        matrices += [family(rng, 8) for family in families for _ in range(4)]
+        for sigma in matrices:
+            solver = SubsetQpSolver(sigma)
+            labels = IndexSubset.full(sigma.dim).members
+            for size in range(1, sigma.dim + 1):
+                subsets, bounds = solver.dual_bounds(labels, size)
+                assert len(subsets) == math.comb(sigma.dim, size)
+                assert np.all(np.diff(bounds) >= 0.0)
+                gammas = [solver.solve(IndexSubset(tuple(row))).gamma for row in subsets.tolist()]
+                assert np.all(bounds <= gammas)
+
+    def test_bound_is_the_value_where_weights_are_positive(self):
+        solver = SubsetQpSolver(equi_matrix(5, 0.3))
+        for size in range(1, 6):
+            _, bounds = solver.dual_bounds((1, 2, 3, 4, 5), size)
+            assert bounds == pytest.approx([size / (1.0 + 0.3 * (size - 1))] * len(bounds), rel=3e-9)
+
+    def test_bounds_of_a_subset_are_cached(self):
+        solver = SubsetQpSolver(two_block_6x6())
+        subsets, bounds = solver.dual_bounds((2, 4, 5), 2)
+        assert sorted(map(tuple, subsets.tolist())) == [(2, 4), (2, 5), (4, 5)]
+        assert solver.dual_bounds((2, 4, 5), 2)[1] is bounds
+
+
 class TestBeyondEnumeration:
     """Dimensions the 3^d ranking could not reach, certified by kkt_residuals."""
 
@@ -258,7 +290,7 @@ class TestBeyondEnumeration:
         marg = MarginalSpec(alpha=2.0)
         est = asymptotic_estimate(sigma, marg, rect(IndexSubset.full(40), (1.0,) * 40))
         assert est.power_exponent == pytest.approx(2.0 * solve_qp(sigma).gamma, rel=1e-15)
-        with pytest.raises(ValueError, match="cone analysis supports d <= 12, got d=40"):
+        with pytest.raises(ValueError, match="cone analysis supports d <= 16, got d=40"):
             cone_analysis(sigma, marg, 2)
 
 

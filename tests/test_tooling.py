@@ -1,7 +1,8 @@
 """Checks on what lives beside the library: the benchmark's span tracer
 patches library functions by name, so every name it lists must still exist,
-or a traced benchmark run fails at start-up; and the README's Python session
-must run as written."""
+or a traced benchmark run fails at start-up; the README's Python session
+must run as written; and the README states the dimension cap the code
+enforces."""
 
 import importlib
 import importlib.util
@@ -9,6 +10,8 @@ import pathlib
 import re
 
 import pytest
+
+from artifact.linalg import MAX_ENUMERATION_DIM
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACER_PATH = ROOT / "bench" / "tracer.py"
@@ -34,3 +37,8 @@ def test_readme_session_runs():
     assert blocks, "README.md has no Python session"
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_states_the_sigma_dimension_cap():
+    stated = re.findall(r"`sigma`: correlation matrix, dimension 1\.\.(\d+)", (ROOT / "README.md").read_text())
+    assert stated == [str(MAX_ENUMERATION_DIM)]
