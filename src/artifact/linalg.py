@@ -8,6 +8,10 @@ except cone_analysis and the CLI's sigma, which stop at
 d <= MAX_ENUMERATION_DIM = 16 because analyze scans every cone level: a
 level k bounds all C(d, k) subsets at once on the stack of their principal
 blocks (at d = 16, at most C(16, 8) blocks of 8 x 8 floats, 6.6 MB).
+
+Solves against a Cholesky factor are forward and back substitution written
+in numpy, one row of the factor at a time; at these sizes that costs little,
+and it keeps scipy.linalg, with its import time, off every command's path.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 # Factorization pivots must exceed this; near-singular correlation matrices
 # (off-diagonals approaching +-1) are out of scope.
@@ -231,12 +234,18 @@ def spd_factorize(m) -> CholeskyFactor:
 def solve_spd(fact: CholeskyFactor, rhs) -> np.ndarray:
     """Solve m x = rhs given the factorization of m.
 
-    Accepts a vector or a matrix right-hand side; relative residual is at the
-    1e-12 scale for well-conditioned desk-size systems.
+    Accepts a vector or a matrix right-hand side, which is left unmodified;
+    relative residual is at the 1e-12 scale for well-conditioned desk-size
+    systems. Forward substitution solves L y = rhs, back substitution
+    L' x = y, both in place on one copy of rhs.
     """
-    b = np.asarray(rhs, dtype=float)
-    if b.shape[0] != fact.dim:
-        raise ValueError(f"rhs has leading dimension {b.shape[0]}, expected {fact.dim}")
-    y = solve_triangular(fact.lower, b, lower=True)
-    return solve_triangular(fact.lower.T, y, lower=False)
+    x = np.array(rhs, dtype=float)
+    lower = fact.lower
+    if x.shape[0] != fact.dim:
+        raise ValueError(f"rhs has leading dimension {x.shape[0]}, expected {fact.dim}")
+    for i in range(fact.dim):
+        x[i] = (x[i] - lower[i, :i] @ x[:i]) / lower[i, i]
+    for i in reversed(range(fact.dim)):
+        x[i] = (x[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
+    return x
 

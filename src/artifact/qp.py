@@ -10,7 +10,12 @@ least squares problem lam = argmin ||L' lam - L^{-1} 1||, lam >= 0
 (Lawson & Hanson, "Solving Least Squares Problems", 1974; the program's form
 is the one of Hashorva & Huesler, "On multivariate Gaussian tails", 2003). Its
 solution gives the minimizer e* = Sigma lam, the value gamma = 1' lam and the
-active set I* = {lam > H_TOLERANCE}.
+active set I* = {lam > H_TOLERANCE}. The solver runs Lawson and Hanson's
+active-set method on the Gram form of that problem (Bro & de Jong, "A fast
+non-negativity-constrained least squares algorithm", J. Chemometrics 11,
+1997), where A'A = Sigma and A'b = 1, so each step solves a principal block
+of Sigma against ones. It is warm-started with every coordinate passive:
+where h = Sigma^{-1} 1 is positive, lam = h and no step is taken.
 
 The discrete decisions are those of ranking every candidate active set I by
 (value v = 1' Sigma_I^{-1} 1, size, labels) and accepting the first whose
@@ -43,7 +48,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .linalg import (
     MAX_DIM,
@@ -72,6 +76,12 @@ H_TOLERANCE = 1e-10
 # weights. The excess it absorbs was at most 1e-4 of it on random and
 # nearly singular matrices (smallest eigenvalue down to 3e-10).
 BOUND_MARGIN = 1e-12
+
+# The most passes the dual's active-set loop may make before solve gives up
+# with SolverInconsistency. Each pass but the last adds one coordinate to the
+# passive set or removes at least one. Warm-started, the loop took at most 46
+# passes on nearly singular matrices up to d = 64, and one on most subsets.
+_DUAL_MAX_PASSES = 3 * MAX_DIM
 
 
 class SolverInconsistency(RuntimeError):
@@ -227,14 +237,14 @@ class SubsetQpSolver:
         idx = np.asarray(key, dtype=int) - 1
         block = self._entries[np.ix_(idx, idx)]
         fact = spd_factorize(block)
-        lower_inv = np.linalg.inv(fact.lower)
-        lam, _ = nnls(fact.lower.T, lower_inv.sum(axis=1))
+        lam = _dual_weights(block)
         e_star = block @ lam
         gamma = float(np.sum(lam))
         # The tie window of the module docstring: the candidates that drop a
         # set R of positions from I* and add a set A with d(R) + d(A) <= r^2.
         budget = 4.0 * BOUNDARY_EPS * gamma
         in_dual = lam > H_TOLERANCE
+        lower_inv = np.linalg.inv(fact.lower)
         drops = _within(lower_inv.T @ lower_inv, lam, in_dual, budget)
         adds = _within(block, e_star - 1.0, ~in_dual, budget)
         window = []
@@ -262,6 +272,49 @@ class SubsetQpSolver:
             )
         self._solutions[key] = solution
         return solution
+
+
+def _dual_weights(gram: np.ndarray) -> np.ndarray:
+    """lam = argmin lam' gram lam - 2 1' lam over lam >= 0.
+
+    Lawson and Hanson's active-set loop on the Gram form. It starts with
+    every coordinate passive: s = gram^{-1} 1 and lam = max(s, 0), which is
+    the answer after one solve where s > 0. While s, the minimizer over the
+    passive coordinates, has a nonpositive weight, lam steps toward s until
+    the first such weight reaches zero, and the weights at zero leave the
+    passive set (from the start the step is empty, and every nonpositive
+    coordinate leaves). Otherwise lam = s, and the coordinate with the
+    largest gradient 1 - (gram lam)_j above rounding joins the passive set,
+    or the loop ends.
+    """
+    n = len(gram)
+    tol = 10.0 * n * np.finfo(float).eps
+    passive = np.ones(n, dtype=bool)
+    s = np.linalg.solve(gram, np.ones(n))
+    lam = np.maximum(s, 0.0)
+    for _ in range(_DUAL_MAX_PASSES):
+        short = np.flatnonzero(passive & (s <= 0.0))
+        if short.size:
+            # lam >= 0 >= s here; a weight at zero on both sides steps by 0
+            ratios = lam[short] / np.maximum(lam[short] - s[short], np.finfo(float).tiny)
+            lam = lam + ratios.min() * (s - lam)
+            lam[short[np.argmin(ratios)]] = 0.0
+            passive &= lam > 0.0
+            lam[~passive] = 0.0
+        else:
+            lam = s
+            grad = 1.0 - gram @ lam
+            grad[passive] = -np.inf
+            t = int(np.argmax(grad))
+            if not grad[t] > tol * (1.0 + lam.sum()):
+                return lam
+            passive[t] = True
+        s = np.zeros(n)
+        s[passive] = np.linalg.solve(gram[np.ix_(passive, passive)], np.ones(passive.sum()))
+    raise SolverInconsistency(
+        f"the dual active-set loop did not converge in {_DUAL_MAX_PASSES} passes "
+        "(numerical breakdown)"
+    )
 
 
 def _within(

@@ -113,6 +113,17 @@ def random_correlation(rng: np.random.Generator, d: int) -> CorrelationMatrix:
     return CorrelationMatrix(lower + lower.T + np.eye(d))
 
 
+def small_eigenvalue_correlation(rng: np.random.Generator, d: int) -> CorrelationMatrix:
+    """random_correlation with its smallest eigenvalue set to 1e-6.5..1e-5.5
+    before renormalizing to a unit diagonal: nearly singular, cond ~ 1e6 d."""
+    w, v = np.linalg.eigh(random_correlation(rng, d).entries)
+    w[0] = 10.0 ** rng.uniform(-6.5, -5.5)
+    s = v @ np.diag(w) @ v.T
+    inv_sd = 1.0 / np.sqrt(np.diagonal(s))
+    lower = np.tril(s * inv_sd[:, None] * inv_sd[None, :], -1)
+    return CorrelationMatrix(lower + lower.T + np.eye(d))
+
+
 def normal_blocks(cfg):
     """The sampler's normal rows, one block at a time."""
     return (z for _, z in _gaussian_blocks(cfg))

@@ -95,13 +95,17 @@ def runner(tmp_path, capsys):
     return run
 
 
-def test_import_leaves_out_scipy_stats():
-    # scipy.stats costs about half a second to import; no command needs it.
+def test_import_leaves_out_scipy_stats_optimize_linalg():
+    # scipy.stats, scipy.optimize and scipy.linalg each add to every
+    # command's set-up time, and no command needs them.
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    probe = "import sys, artifact.cli; print('scipy.stats' in sys.modules)"
+    probe = (
+        "import sys, artifact.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.linalg') if m in sys.modules))"
+    )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def assert_config_error(result, field):

@@ -16,7 +16,7 @@ from artifact.linalg import (
     solve_spd,
     spd_factorize,
 )
-from conftest import equi_matrix, random_correlation
+from conftest import equi_matrix, random_correlation, small_eigenvalue_correlation
 
 
 class TestIndexSubset:
@@ -192,6 +192,30 @@ class TestSolveSpd:
         fact = spd_factorize(np.eye(3))
         with pytest.raises(ValueError, match="leading dimension"):
             solve_spd(fact, np.ones(2))
+
+    @pytest.mark.parametrize("family", [random_correlation, small_eigenvalue_correlation])
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_residuals_match_numpy_up_to_max_dim(self, rng, family, columns):
+        # backward error |m x - b| / (|m| |x| + |b|); on the nearly singular
+        # family x itself is determined only to about cond(m) eps
+        for d in (1, 2, 5, 12, 16, 33, MAX_DIM):
+            m = family(rng, d).entries
+            b = rng.standard_normal(d if columns is None else (d, columns))
+            got = solve_spd(spd_factorize(m), b)
+            want = np.linalg.solve(m, b)
+            assert got.shape == b.shape
+            for x in (got, want):
+                residual = np.linalg.norm(m @ x - b)
+                assert residual <= 1e-12 * (np.linalg.norm(m) * np.linalg.norm(x) + np.linalg.norm(b))
+            if family is random_correlation:
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("rhs", [np.array([1.0, -2.0, 0.5]), np.arange(6.0).reshape(3, 2)])
+    def test_rhs_left_unmodified(self, rhs):
+        before = rhs.copy()
+        got = solve_spd(spd_factorize(equi_matrix(3, 0.4)), rhs)
+        assert np.array_equal(rhs, before)
+        assert not np.shares_memory(got, rhs)
 
 
 class TestSubmatrix:

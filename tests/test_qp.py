@@ -34,6 +34,7 @@ from conftest import (
     near_tie_4x4,
     random_correlation,
     rect,
+    small_eigenvalue_correlation,
     two_block_6x6,
 )
 from oracles import brute_force_qp, enumeration_qp
@@ -170,6 +171,22 @@ def nearly_singular_correlation(rng: np.random.Generator, d: int) -> Correlation
     return CorrelationMatrix(lower + lower.T + np.eye(d))
 
 
+def drop_then_add_4x4() -> CorrelationMatrix:
+    """Sigma^{-1} 1 = (-13.4, 10.2, 6.1, -0.33) but the active set is
+    {2,3,4}: from the warm start the dual loop drops coordinates 1 and 4,
+    then adds 4 back, and stops on its third pass."""
+    return CorrelationMatrix(
+        np.array(
+            [
+                [1.0, 0.94, 0.82, 0.82],
+                [0.94, 1.0, 0.59, 0.86],
+                [0.82, 0.59, 1.0, 0.57],
+                [0.82, 0.86, 0.57, 1.0],
+            ]
+        )
+    )
+
+
 def assert_same_solution(got: QpSolution, want: QpSolution) -> None:
     assert got.gamma == want.gamma
     assert np.array_equal(got.e_star, want.e_star)
@@ -186,6 +203,7 @@ PARITY_FIXTURES = {
     "coupled_pair_0.45": lambda: coupled_pair_matrix(0.45),
     "coupled_pair_threshold": lambda: coupled_pair_matrix(1.0 / (2.0 * math.sqrt(2.0) - 1.0)),
     "coupled_pair_0.6": lambda: coupled_pair_matrix(0.6),
+    "drop_then_add_4x4": drop_then_add_4x4,
 }
 
 
@@ -218,6 +236,53 @@ class TestEnumerationParity:
             solver = SubsetQpSolver(sigma)
             for subset in subsets:
                 assert_same_solution(solver.solve(subset), enumeration_qp(sigma, subset))
+
+
+class TestDualWeights:
+    """The in-house NNLS for the dual: scipy's weights, and a bounded loop."""
+
+    def test_agrees_with_scipy_nnls(self):
+        # lam is determined only to about cond(Sigma) eps, so on the nearly
+        # singular family the check is the distance (lam - ref)' Sigma
+        # (lam - ref) that the tie window measures (radius^2 4e-9 gamma)
+        from scipy.optimize import nnls
+
+        rng = np.random.default_rng(20261019)
+        families = (random_correlation, factor_correlation, small_eigenvalue_correlation)
+        for i in range(180):
+            d = int(rng.integers(2, 41))
+            sigma = families[i % 3](rng, d)
+            lower = spd_factorize(sigma).lower
+            ref, _ = nnls(lower.T, np.linalg.inv(lower).sum(axis=1))
+            lam = qp_module._dual_weights(sigma.entries)
+            gamma = float(np.sum(ref))
+            gap = lam - ref
+            assert np.all(lam >= 0.0)
+            assert gap @ sigma.entries @ gap <= 1e-12 * gamma
+            if families[i % 3] is not small_eigenvalue_correlation:
+                assert np.max(np.abs(gap)) <= 1e-12 * gamma
+
+    def test_warm_start_takes_one_solve_where_weights_are_positive(self, monkeypatch):
+        solves = []
+        original = np.linalg.solve
+
+        def counting(*args):
+            solves.append(args[0].shape)
+            return original(*args)
+
+        monkeypatch.setattr(qp_module.np.linalg, "solve", counting)
+        lam = qp_module._dual_weights(equi_matrix(6, 0.3).entries)
+        assert solves == [(6, 6)]
+        assert lam == pytest.approx([1.0 / 2.5] * 6, rel=1e-14)
+
+    def test_pass_bound_raises(self, monkeypatch):
+        full = IndexSubset.full(4)
+        for passes in (1, 2):
+            monkeypatch.setattr(qp_module, "_DUAL_MAX_PASSES", passes)
+            with pytest.raises(SolverInconsistency, match=f"did not converge in {passes} passes"):
+                SubsetQpSolver(drop_then_add_4x4()).solve(full)
+        monkeypatch.setattr(qp_module, "_DUAL_MAX_PASSES", 3)
+        assert SubsetQpSolver(drop_then_add_4x4()).solve(full).active_set.members == (2, 3, 4)
 
 
 class TestDualBounds:
