@@ -32,6 +32,7 @@ from .gaussian import (
     UpsilonResult,
     _finite_real,
     _positive_real,
+    _real_or_nan,
     _require_t_above_e,
     upsilon,
 )
@@ -521,8 +522,9 @@ def bivariate_comparison(
     heavy-tailed side never switches; its decay exponent 2 alpha/(1+rho)
     moves continuously with rho.
     """
-    if not (isinstance(rho, (int, float)) and -1.0 < rho < 1.0):
+    if not -1.0 < _real_or_nan(rho) < 1.0:
         raise ValueError(f"rho must lie in (-1, 1), got {rho!r}")
+    rho = float(rho)
     alpha = _positive_real(alpha, "alpha")
     x1 = _positive_real(x1, "x1")
     x2 = _positive_real(x2, "x2")

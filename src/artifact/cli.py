@@ -38,7 +38,6 @@ from .gaussian import _finite_real, _positive_real
 from .linalg import MAX_ENUMERATION_DIM, CorrelationMatrix, IndexSubset
 from .qp import SolverInconsistency
 from .simulate import (
-    ConditionalCurve,
     SimulationConfig,
     _gaussian_blocks,
     _increasing_grid,
@@ -50,9 +49,6 @@ from .simulate import (
     hill_estimator,
     resolve_k_grid,
     verify_asymptotics,
-    write_conditional_csv,
-    write_hill_csv,
-    write_verification_csv,
 )
 
 DEFAULT_TOLERANCE_PCT = 15.0
@@ -246,6 +242,18 @@ def _family_text(family) -> str:
     return " ".join(str(s) for s in family)
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write one output CSV: the header, then each row of the iterable rows,
+    with "\n" line ends, every float cell (np.float64 included) by repr, and
+    every other cell as it is. Rows are written as they are drawn, so a row
+    generator that raises leaves the rows before it in the file."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
 def cmd_analyze(job: JobConfig, out_dir: str) -> int:
     """Cone analysis for every level plus per-set decay laws; writes
     cones.csv and sets.csv."""
@@ -260,30 +268,19 @@ def cmd_analyze(job: JobConfig, out_dir: str) -> int:
             f"|I|={cone.min_active_size} minimizing: {_family_text(cone.minimizing_family)} "
             f"principal: {_family_text(cone.principal_family)}"
         )
+    _write_csv(
+        os.path.join(out_dir, "cones.csv"),
+        ["level", "gamma", "alpha", "min_active_size", "minimizing_family", "principal_family"],
+        (
+            (level, cone.gamma, cone.alpha, cone.min_active_size,
+             "|".join(map(str, cone.minimizing_family)), "|".join(map(str, cone.principal_family)))
+            for level, cone in cones.items()
+        ),
+    )
 
-    with open(os.path.join(out_dir, "cones.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["level", "gamma", "alpha", "min_active_size", "minimizing_family", "principal_family"]
-        )
-        for level, cone in cones.items():
-            writer.writerow(
-                [
-                    level,
-                    repr(cone.gamma),
-                    repr(cone.alpha),
-                    cone.min_active_size,
-                    "|".join(str(s) for s in cone.minimizing_family),
-                    "|".join(str(s) for s in cone.principal_family),
-                ]
-            )
-
-    print("== tail sets ==")
-    with open(os.path.join(out_dir, "sets.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["set", "type", "a", "beta", "log_constant", "mu", "mu_flag", "t", "log_probability"]
-        )
+    def set_rows():
+        # Each set's report is printed as its rows are drawn, so a set that
+        # raises leaves the reports and rows of the sets before it.
         for item in job.sets:
             spec = item.spec
             est = asymptotic_estimate(job.sigma, job.marg, spec)
@@ -305,19 +302,15 @@ def cmd_analyze(job: JobConfig, out_dir: str) -> int:
             for t in job.t_grid:
                 log_p = est.evaluate_log(t)
                 print(f"  t={t:g}: log_probability={log_p:.12g}")
-                writer.writerow(
-                    [
-                        item.label,
-                        item.kind,
-                        repr(est.power_exponent),
-                        repr(est.log_log_exponent),
-                        repr(est.log_constant),
-                        repr(mu),
-                        mu_flag,
-                        repr(t),
-                        repr(log_p),
-                    ]
-                )
+                yield (item.label, item.kind, est.power_exponent, est.log_log_exponent,
+                       est.log_constant, mu, mu_flag, t, log_p)
+
+    print("== tail sets ==")
+    _write_csv(
+        os.path.join(out_dir, "sets.csv"),
+        ["set", "type", "a", "beta", "log_constant", "mu", "mu_flag", "t", "log_probability"],
+        set_rows(),
+    )
     return 0
 
 
@@ -355,18 +348,34 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     series.append(("max_all", full, 1))
 
     curves = [
-        hill_estimator(derived_series(x, subset, rank), k_grid=job.k_grid, series_label=label)
-        for label, subset, rank in series
+        hill_estimator(derived_series(x, subset, rank), k_grid=job.k_grid)
+        for _, subset, rank in series
     ]
-    write_hill_csv(os.path.join(out_dir, "hill.csv"), curves)
+    _write_csv(
+        os.path.join(out_dir, "hill.csv"),
+        ["series", "k", "alpha_hat"],
+        (
+            (label, k, a)
+            for (label, _, _), curve in zip(series, curves)
+            for k, a in zip(curve.k_values, curve.alpha_hat)
+        ),
+    )
 
-    curves_by_side: dict[str, list[ConditionalCurve]] = {}
     if d >= 2:
-        curves_by_side["gaussian"] = conditional_exceedance_curves(
-            [z12], GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID
+        sides = {
+            "gaussian": conditional_exceedance_curves([z12], GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID),
+            "pareto": conditional_exceedance_curves([x], PARETO_KAPPAS, PARETO_T_GRID),
+        }
+        _write_csv(
+            os.path.join(out_dir, "condprob.csv"),
+            ["side", "kappa", "t", "probability", "conditioning_count"],
+            (
+                (side, curve.kappa, t, p, c)
+                for side, side_curves in sides.items()
+                for curve in side_curves
+                for t, p, c in zip(curve.t_values, curve.probability, curve.conditioning_count)
+            ),
         )
-        curves_by_side["pareto"] = conditional_exceedance_curves([x], PARETO_KAPPAS, PARETO_T_GRID)
-        write_conditional_csv(os.path.join(out_dir, "condprob.csv"), curves_by_side)
 
     print(f"simulated n={cfg.n} seed={cfg.seed} d={d}")
     print(f"hill.csv: {len(curves)} series over k in [{job.k_grid[0]}, {job.k_grid[-1]}]")
@@ -399,7 +408,11 @@ def cmd_verify(job: JobConfig, out_dir: str, tolerance_pct: float) -> int:
             deviation_pct = 100.0 * abs(table.slope - target) / abs(target)
             ok = deviation_pct <= tolerance_pct
         failed = failed or not ok
-        write_verification_csv(os.path.join(out_dir, f"verify_{position}.csv"), table)
+        _write_csv(
+            os.path.join(out_dir, f"verify_{position}.csv"),
+            ["t", "empirical", "se", "asymptotic", "ratio", "flag"],
+            ((row.t, row.empirical, row.se, row.asymptotic, row.ratio, row.flag) for row in table.rows),
+        )
         usable = sum(1 for row in table.rows if row.flag == "ok")
         print(
             f"{item.label}: slope={table.slope:.6g} target={target:.6g} "

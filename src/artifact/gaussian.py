@@ -53,6 +53,15 @@ def _finite_real(value, name: str) -> float:
     raise ValueError(f"{name} must be a finite number, got {reprlib.repr(value)}")
 
 
+def _real_or_nan(value) -> float:
+    """_finite_real(value), or nan where it rejects value: for range guards
+    that word their own message, as nan lies in no range."""
+    try:
+        return _finite_real(value, "value")
+    except ValueError:
+        return math.nan
+
+
 def _positive_real(value, name: str) -> float:
     out = _finite_real(value, name)
     if not out > 0:
@@ -82,8 +91,9 @@ def std_normal_quantile(p: float) -> float:
     there) so that cdf and quantile stay mutually inverse to 1e-10 across
     p in [1e-15, 1 - 1e-15].
     """
-    if not (isinstance(p, (int, float)) and 0.0 < p < 1.0):
+    if not 0.0 < _real_or_nan(p) < 1.0:
         raise ValueError(f"quantile requires p in (0, 1), got {p!r}")
+    p = float(p)
     x = float(ndtri(p))
     pdf = std_normal_pdf(x)
     if pdf > 0.0:

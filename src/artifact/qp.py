@@ -138,7 +138,6 @@ class SubsetQpSolver:
         self._entries = sigma.entries
         self._dim = sigma.dim
         self._solutions: dict[tuple[int, ...], QpSolution] = {}
-        self._candidates: dict[tuple[int, ...], tuple] = {}
         self._bounds: dict[tuple[tuple[int, ...], int], tuple[np.ndarray, np.ndarray]] = {}
 
     def _candidate(
@@ -146,18 +145,14 @@ class SubsetQpSolver:
     ) -> tuple:
         """(value 1'h, size, labels, h = Sigma_I^{-1} 1) of active set labels.
 
-        Cached per matrix, because it depends on I alone and subsets of one
-        scan rank the same I. fact is the factor of the subset key being
-        solved, reused when I is all of it.
+        fact is the factor of the subset key being solved, reused when I is
+        all of it.
         """
-        cached = self._candidates.get(labels)
-        if cached is None:
-            if labels != key:
-                idx = np.asarray(labels, dtype=int) - 1
-                fact = spd_factorize(self._entries[np.ix_(idx, idx)])
-            h = solve_spd(fact, np.ones(len(labels)))
-            cached = self._candidates[labels] = (float(np.sum(h)), len(labels), labels, h)
-        return cached
+        if labels != key:
+            idx = np.asarray(labels, dtype=int) - 1
+            fact = spd_factorize(self._entries[np.ix_(idx, idx)])
+        h = solve_spd(fact, np.ones(len(labels)))
+        return float(np.sum(h)), len(labels), labels, h
 
     def _assemble(
         self, subset: IndexSubset, value: float, labels: tuple[int, ...], h: np.ndarray

@@ -26,8 +26,8 @@ fills every grid cell.
 
 from __future__ import annotations
 
-import csv
 import math
+import numbers
 import reprlib
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -132,9 +132,9 @@ def derived_series(samples: np.ndarray, subset: IndexSubset, rank: int) -> np.nd
         raise ValueError(f"samples must be an n x d matrix, got shape {samples.shape}")
     subset.validate_within(samples.shape[1])
     size = len(subset)
-    if not (isinstance(rank, int) and 1 <= rank <= size):
+    if isinstance(rank, bool) or not (isinstance(rank, numbers.Integral) and 1 <= rank <= size):
         raise ValueError(f"rank must be an integer in 1..{size}, got {rank!r}")
-    return _rowwise_kth_largest([samples[:, j] for j in subset.as_indices()], rank)
+    return _rowwise_kth_largest([samples[:, j] for j in subset.as_indices()], int(rank))
 
 
 def _rowwise_kth_largest(columns: Sequence[np.ndarray], k: int) -> np.ndarray:
@@ -171,7 +171,6 @@ class HillCurve:
 
     k_values: tuple[int, ...]
     alpha_hat: tuple[float, ...]
-    series_label: str
     excluded_k: tuple[int, ...] = ()
 
 
@@ -199,9 +198,7 @@ def resolve_k_grid(k_grid: Optional[Sequence[int]], n: int) -> tuple[int, ...]:
     return ks
 
 
-def hill_estimator(
-    data, k_grid: Optional[Sequence[int]] = None, series_label: str = "series"
-) -> HillCurve:
+def hill_estimator(data, k_grid: Optional[Sequence[int]] = None) -> HillCurve:
     """Hill tail-index curve: alpha_hat(k) = k / sum log(X_(i)/X_(k+1)), i <= k."""
     x = np.asarray(data, dtype=float)
     if x.ndim != 1:
@@ -226,7 +223,7 @@ def hill_estimator(
             continue
         kept.append(k)
         alphas.append(1.0 / mean_excess)
-    return HillCurve(tuple(kept), tuple(alphas), series_label, tuple(excluded))
+    return HillCurve(tuple(kept), tuple(alphas), tuple(excluded))
 
 
 def _increasing_grid(t_grid) -> tuple[float, ...]:
@@ -408,46 +405,3 @@ def conditional_exceedance_curves(blocks, kappas, t_grid) -> list[ConditionalCur
         probs = tuple(j / c if c else math.nan for j, c in zip(joints, denoms))
         curves.append(ConditionalCurve(kappa, ts, probs, tuple(denoms)))
     return curves
-
-
-def write_hill_csv(path, curves: Sequence[HillCurve]) -> None:
-    """CSV schema: series,k,alpha_hat (floats via repr for byte stability)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series", "k", "alpha_hat"])
-        for curve in curves:
-            for k, a in zip(curve.k_values, curve.alpha_hat):
-                writer.writerow([curve.series_label, k, repr(float(a))])
-
-
-def write_verification_csv(path, table: VerificationTable) -> None:
-    """CSV schema: t,empirical,se,asymptotic,ratio,flag."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "empirical", "se", "asymptotic", "ratio", "flag"])
-        for row in table.rows:
-            writer.writerow(
-                [
-                    repr(float(row.t)),
-                    repr(float(row.empirical)),
-                    repr(float(row.se)),
-                    repr(float(row.asymptotic)),
-                    repr(float(row.ratio)),
-                    row.flag,
-                ]
-            )
-
-
-def write_conditional_csv(path, curves_by_side: dict[str, Sequence[ConditionalCurve]]) -> None:
-    """CSV schema: side,kappa,t,probability,conditioning_count."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["side", "kappa", "t", "probability", "conditioning_count"])
-        for side in sorted(curves_by_side):
-            for curve in curves_by_side[side]:
-                for t, p, c in zip(
-                    curve.t_values, curve.probability, curve.conditioning_count
-                ):
-                    writer.writerow(
-                        [side, repr(float(curve.kappa)), repr(float(t)), repr(float(p)), c]
-                    )

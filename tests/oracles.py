@@ -281,7 +281,7 @@ def masked_conditional_curves(samples: np.ndarray, kappas, t_grid) -> list[Condi
     return curves
 
 
-def sorted_hill_estimator(data, k_grid=None, series_label: str = "series") -> HillCurve:
+def sorted_hill_estimator(data, k_grid=None) -> HillCurve:
     """Hill curve from the full descending sort of the data."""
     x = np.asarray(data, dtype=float)
     ks = resolve_k_grid(k_grid, x.size)
@@ -295,4 +295,4 @@ def sorted_hill_estimator(data, k_grid=None, series_label: str = "series") -> Hi
         else:
             kept.append(k)
             alphas.append(1.0 / mean_excess)
-    return HillCurve(tuple(kept), tuple(alphas), series_label, tuple(excluded))
+    return HillCurve(tuple(kept), tuple(alphas), tuple(excluded))

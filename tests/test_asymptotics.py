@@ -644,6 +644,17 @@ class TestBivariateComparison:
         with pytest.raises(ValueError, match="t > e"):
             bivariate_comparison(0.2, 2.0, 1.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("rho", [False, True])
+    def test_bool_rho_rejected(self, rho):
+        with pytest.raises(ValueError, match=r"rho must lie in \(-1, 1\)"):
+            bivariate_comparison(rho, 2.0, 1.0, 1.0, 10.0)
+
+    @pytest.mark.parametrize("rho", [np.float32(0.5), np.float16(-0.25), np.int8(0)])
+    def test_numpy_real_rho(self, rho):
+        assert bivariate_comparison(rho, 2.0, 1.0, 2.0, 10.0) == bivariate_comparison(
+            float(rho), 2.0, 1.0, 2.0, 10.0
+        )
+
 
 class TestPropertySuites:
     def test_sum_rule_random(self, rng):

@@ -22,6 +22,7 @@ from artifact.cli import (
     GAUSSIAN_T_GRID,
     PARETO_KAPPAS,
     PARETO_T_GRID,
+    _write_csv,
     main,
 )
 from artifact.linalg import MAX_ENUMERATION_DIM
@@ -30,8 +31,6 @@ from artifact.simulate import (
     SimulationConfig,
     _gaussian_sample,
     sample_rvgc,
-    write_conditional_csv,
-    write_hill_csv,
 )
 from conftest import coupled_pair_matrix, equi_matrix, near_tie_4x4, tie_block_matrix, two_block_6x6
 from oracles import masked_conditional_curves, sorted_hill_estimator
@@ -358,6 +357,28 @@ class TestAnalyze:
         assert code == 3
         assert err.startswith("unsupported degeneracy: levels 3 and 4 share")
 
+    def test_degenerate_gap_keeps_the_rows_before_it(self, runner):
+        # a passing set listed before the failing one: exit 3 leaves
+        # cones.csv and the passing set's rows of sets.csv, and its report
+        cfg = {
+            "sigma": near_tie_4x4().entries.tolist(),
+            "alpha": 2.0,
+            "sets": [
+                {"type": "rectangular", "subset": [1, 2], "thresholds": [1.0, 1.0]},
+                {"type": "at-least", "level": 3, "thresholds": [1.0, 1.0, 1.0, 1.0]},
+            ],
+            "t_grid": [10.0, 100.0],
+        }
+        code, out, err, out_dir = runner(cfg, "analyze")
+        assert code == 3
+        assert err.startswith("unsupported degeneracy: levels 3 and 4 share")
+        assert len((out_dir / "cones.csv").read_text().splitlines()) == 4
+        sets = (out_dir / "sets.csv").read_text()
+        assert sets.startswith("set,type,a,beta,log_constant,mu,mu_flag,t,log_probability\n")
+        rows = [(row["set"], row["type"], row["t"]) for row in csv.DictReader(io.StringIO(sets))]
+        assert rows == [("rect{1,2}#1", "rectangular", "10.0"), ("rect{1,2}#1", "rectangular", "100.0")]
+        assert out.endswith("  t=100: log_probability=-12.9094662532\n")
+
     def test_underflowing_masses(self, runner):
         # every limit mass underflows to 0 at thresholds 1e200; the at-least
         # law stays in log space, and a set is flagged null by structure
@@ -488,6 +509,19 @@ class TestVerify:
         assert_config_error(runner(dict(VERIFY_JOB, t_grid=[]), "verify"), "t_grid")
 
 
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "cells.csv"
+    rows = iter([(np.float64(0.1), 1.0 / 3.0, 7, "a,b", math.nan), (np.float64(-2.0), 1e300, -1, "x", 2.0)])
+    _write_csv(path, ["f64", "float", "int", "str", "nan"], rows)
+    text = path.read_bytes()
+    assert b"\r" not in text
+    assert text.decode() == (
+        "f64,float,int,str,nan\n"
+        f'0.1,{1.0 / 3.0!r},7,"a,b",nan\n'
+        "-2.0,1e+300,-1,x,2.0\n"
+    )
+
+
 class TestSimulate:
     def test_outputs_and_reproducibility(self, runner):
         code, out, _, first = runner(SIMULATE_JOB, "simulate", out_name="s1")
@@ -538,18 +572,25 @@ class TestOnePassSimulate:
         series = [(f"X{j}", x[:, j - 1]) for j in (1, 2, 3)]
         series += [(f"min(X{a},X{b})", pair_min(a, b)) for a, b in ((1, 2), (1, 3), (2, 3))]
         series += [("X_(2)", ordered[:, 1]), ("min_all", ordered[:, 2]), ("max_all", ordered[:, 0])]
-        write_hill_csv(
+        curves = [(label, sorted_hill_estimator(values)) for label, values in series]
+        _write_csv(
             tmp_path / "hill.csv",
-            [sorted_hill_estimator(values, series_label=label) for label, values in series],
+            ["series", "k", "alpha_hat"],
+            [(label, k, a) for label, curve in curves for k, a in zip(curve.k_values, curve.alpha_hat)],
         )
-        write_conditional_csv(
+        sides = {
+            "gaussian": masked_conditional_curves(_gaussian_sample(cfg), GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID),
+            "pareto": masked_conditional_curves(x, PARETO_KAPPAS, PARETO_T_GRID),
+        }
+        _write_csv(
             tmp_path / "condprob.csv",
-            {
-                "gaussian": masked_conditional_curves(
-                    _gaussian_sample(cfg), GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID
-                ),
-                "pareto": masked_conditional_curves(x, PARETO_KAPPAS, PARETO_T_GRID),
-            },
+            ["side", "kappa", "t", "probability", "conditioning_count"],
+            [
+                (side, curve.kappa, t, p, c)
+                for side, curves in sides.items()
+                for curve in curves
+                for t, p, c in zip(curve.t_values, curve.probability, curve.conditioning_count)
+            ],
         )
         for name in ("hill.csv", "condprob.csv"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name

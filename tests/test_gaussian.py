@@ -73,6 +73,10 @@ class TestUnivariate:
         with pytest.raises(ValueError, match="quantile requires p in"):
             std_normal_quantile(p)
 
+    @pytest.mark.parametrize("p", [np.float32(0.5), np.float32(0.9), np.float16(0.25)])
+    def test_quantile_accepts_numpy_reals(self, p):
+        assert std_normal_quantile(p) == std_normal_quantile(float(p))
+
 
 class TestQuantileExpansion:
     def test_reference_point(self):

@@ -127,7 +127,7 @@ class TestSubsetSolver:
         with pytest.raises(ValueError, match="empty subset"):
             SubsetQpSolver(equi_matrix(2, 0.1)).solve(IndexSubset(()))
 
-    def test_solution_and_candidate_caches(self, monkeypatch):
+    def test_solution_cache(self, monkeypatch):
         factored = []
 
         def counting_factorize(m):
@@ -140,9 +140,10 @@ class TestSubsetSolver:
         full = solver.solve(IndexSubset.full(3))
         assert solver.solve(IndexSubset.full(3)) is full
         assert full.active_set.members == (1, 2)
-        # one factor per subset, for its dual: the full solve takes the
-        # weights of its active set {1,2} from the pair's solve
-        assert factored == [2, 3]
+        # one factor per subset, for its dual, and one for the full solve's
+        # active set {1,2}, a proper subset of it; the repeated solve factors
+        # nothing
+        assert factored == [2, 3, 2]
 
     def test_out_of_range_subset(self):
         with pytest.raises(ValueError, match="out of range"):

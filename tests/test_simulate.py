@@ -13,6 +13,7 @@ from artifact.asymptotics import (
     MarginalSpec,
     _normal_event,
 )
+from artifact.cli import _write_csv
 from artifact.linalg import CorrelationMatrix, IndexSubset
 from artifact.simulate import (
     BLOCK_ROWS,
@@ -27,9 +28,6 @@ from artifact.simulate import (
     hill_estimator,
     sample_rvgc,
     verify_asymptotics,
-    write_conditional_csv,
-    write_hill_csv,
-    write_verification_csv,
 )
 from conftest import (
     at_least,
@@ -189,19 +187,23 @@ class TestDerivedSeries:
         with pytest.raises(ValueError, match="n x d"):
             derived_series(np.ones(3), IndexSubset.full(3), 1)
 
-    @pytest.mark.parametrize("rank", [0, -1, 3])
+    @pytest.mark.parametrize("rank", [0, -1, 3, True, False])
     def test_rank_out_of_range(self, rank):
         with pytest.raises(ValueError, match=r"rank must be an integer in 1\.\.2"):
             derived_series(self.ROW, IndexSubset.of(1, 3), rank)
+
+    @pytest.mark.parametrize("rank", [np.int64(1), np.int32(2), np.uint8(3)])
+    def test_numpy_integer_rank(self, rank):
+        expected = derived_series(self.ROW, IndexSubset.full(3), int(rank))
+        assert np.array_equal(derived_series(self.ROW, IndexSubset.full(3), rank), expected)
 
 
 class TestHill:
     def test_hand_computed_curve(self):
         data = [math.e**3, math.e**2, math.e, 1.0]
-        curve = hill_estimator(data, k_grid=[3], series_label="toy")
+        curve = hill_estimator(data, k_grid=[3])
         assert curve.k_values == (3,)
         assert curve.alpha_hat[0] == pytest.approx(0.5, rel=1e-12)
-        assert curve.series_label == "toy"
         assert curve.excluded_k == ()
 
     def test_constant_data_excluded(self):
@@ -643,17 +645,23 @@ class TestConditionalCounting:
         assert max(peaks) < 2**20, peaks
 
 
+def hill_rows(label, curve):
+    return [(label, k, a) for k, a in zip(curve.k_values, curve.alpha_hat)]
+
+
 class TestCsvWriters:
+    """The cli writer on the rows of each library result."""
+
     def test_hill_csv_schema_and_bytes(self, tmp_path):
-        curve = HillCurve((3, 7), (0.5, 0.75), "min_all")
+        curve = HillCurve((3, 7), (0.5, 0.75))
         path = tmp_path / "hill.csv"
-        write_hill_csv(path, [curve])
+        _write_csv(path, ["series", "k", "alpha_hat"], hill_rows("min_all", curve))
         text = path.read_bytes()
         assert b"\r" not in text
         lines = text.decode().splitlines()
         assert lines[0] == "series,k,alpha_hat"
         assert lines[1] == "min_all,3,0.5"
-        write_hill_csv(tmp_path / "again.csv", [curve])
+        _write_csv(tmp_path / "again.csv", ["series", "k", "alpha_hat"], hill_rows("min_all", curve))
         assert (tmp_path / "again.csv").read_bytes() == text
 
     def test_verification_csv_schema(self, tmp_path):
@@ -662,7 +670,11 @@ class TestCsvWriters:
             cfg, [rect(IndexSubset.of(1, 2), (0.5, 0.5))], [10.0, 15.0]
         )
         path = tmp_path / "verify.csv"
-        write_verification_csv(path, table)
+        _write_csv(
+            path,
+            ["t", "empirical", "se", "asymptotic", "ratio", "flag"],
+            [(r.t, r.empirical, r.se, r.asymptotic, r.ratio, r.flag) for r in table.rows],
+        )
         lines = path.read_text().splitlines()
         assert lines[0] == "t,empirical,se,asymptotic,ratio,flag"
         assert len(lines) == 3
@@ -672,7 +684,15 @@ class TestCsvWriters:
         cfg = config(IDENTITY_2, 5000, 2)
         curves = conditional_exceedance_curves(pareto_blocks(cfg), [1.0], [1.0, 2.0])
         path = tmp_path / "cond.csv"
-        write_conditional_csv(path, {"pareto": curves})
+        _write_csv(
+            path,
+            ["side", "kappa", "t", "probability", "conditioning_count"],
+            [
+                ("pareto", curve.kappa, t, p, c)
+                for curve in curves
+                for t, p, c in zip(curve.t_values, curve.probability, curve.conditioning_count)
+            ],
+        )
         lines = path.read_text().splitlines()
         assert lines[0] == "side,kappa,t,probability,conditioning_count"
         assert lines[1].startswith("pareto,1.0,1.0,")
