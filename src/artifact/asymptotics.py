@@ -31,6 +31,7 @@ from .gaussian import (
     AsymptoticRegimeWarning,
     UpsilonResult,
     _finite_real,
+    _integer,
     _positive_real,
     _real_or_nan,
     _require_t_above_e,
@@ -43,8 +44,6 @@ from .qp import subset_solver
 # relative to max(1, gamma). Membership is a discrete decision fed by
 # floating-point output; exact block-diagonal ties must be detected.
 GAMMA_TIE_REL = 1e-9
-
-H_SUM_TOLERANCE = 1e-10
 
 MIN_EVAL_T = 10.0
 
@@ -115,8 +114,7 @@ class TailSet:
                 f"need {size} thresholds, one threshold per coordinate of "
                 f"{self.subset}, got {len(thresholds)}"
             )
-        if isinstance(self.k, bool) or not (isinstance(self.k, int) and 1 <= self.k <= size):
-            raise ValueError(f"level must be an integer in 1..{size}, got {reprlib.repr(self.k)}")
+        object.__setattr__(self, "k", _integer(self.k, "level", 1, size))
 
 
 def _normal_event(
@@ -198,14 +196,6 @@ class TailCoefficients:
     h: np.ndarray
     upsilon: UpsilonResult
 
-    def __post_init__(self):
-        gap = abs(float(np.sum(self.h)) - self.gamma)
-        if gap > H_SUM_TOLERANCE:
-            raise ValueError(
-                f"weights of {self.subset} sum to gamma within {H_SUM_TOLERANCE:g} "
-                f"by identity; got gap {gap:.3e}"
-            )
-
 
 # Tail coefficients of each subset, per matrix: computed once, and released
 # together with the matrix, as subset_solver's solutions are.
@@ -258,7 +248,6 @@ class ConeAnalysis:
     """
 
     level: int
-    dim: int
     gamma: float
     alpha: float
     min_active_size: int
@@ -309,10 +298,8 @@ def cone_analysis(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> C
     solving every subset. Capacity-limited to d <= 16 below level d: a level
     bounds all C(d, level) subsets, and cmd_analyze scans every level.
     """
-    d = sigma.dim
-    if not (isinstance(level, int) and 2 <= level <= d):
-        raise ValueError(f"level must be an integer in 2..{d}, got {reprlib.repr(level)}")
-    return _cone(sigma, marg, level, IndexSubset.full(d))
+    level = _integer(level, "level", 2, sigma.dim)
+    return _cone(sigma, marg, level, IndexSubset.full(sigma.dim))
 
 
 def _cone(
@@ -364,7 +351,6 @@ def _cone(
         gamma_next = min(scan(level + 1, lambda best: best).values())
     return ConeAnalysis(
         level=level,
-        dim=sigma.dim,
         gamma=gamma_min,
         alpha=marg.alpha * gamma_min,
         min_active_size=min_active,
@@ -403,24 +389,21 @@ def _log_masses(
     ]
 
 
-def limit_mass(marg: MarginalSpec, cone: Optional[ConeAnalysis], tail_set: TailSet) -> float:
+def limit_mass(sigma: CorrelationMatrix, marg: MarginalSpec, tail_set: TailSet) -> float:
     """Limit mass of the tail set under the scaling of its level k.
 
     At k = 1 the scaling is the marginal one and the mass is
-    sum_{j in S} x_j^{-alpha}; no cone is needed (cone may be None). At
-    k >= 2, cone is the level-k cone and the mass sums the rectangular
-    masses Upsilon_T prod_{i in I_T} x_i^{-alpha h_i} of its carriers T; it
-    is 0 for a set with no carrier, whose own decay law
-    (asymptotic_estimate) is nonzero at a faster rate.
+    sum_{j in S} x_j^{-alpha}. At k >= 2 the scaling is that of the level-k
+    cone over all coordinates (cone_analysis(sigma, marg, k)), and the mass
+    sums the rectangular masses Upsilon_T prod_{i in I_T} x_i^{-alpha h_i}
+    of the set's carriers T in that cone; it is 0 for a set with no
+    carrier, whose own decay law (asymptotic_estimate) is nonzero at a
+    faster rate.
     """
+    tail_set.subset.validate_within(sigma.dim)
     if tail_set.k == 1:
         return float(sum(xj ** -marg.alpha for xj in tail_set.thresholds))
-    if tail_set.k != cone.level:
-        raise ValueError(
-            f"set level {tail_set.k} does not match cone level {cone.level}: "
-            f"the set cannot enter the level-{cone.level} cone"
-        )
-    tail_set.subset.validate_within(cone.dim)
+    cone = _cone(sigma, marg, tail_set.k, IndexSubset.full(sigma.dim))
     return sum((math.exp(log_mass) for _, log_mass in _log_masses(cone, marg, tail_set)), 0.0)
 
 

@@ -34,15 +34,14 @@ from .asymptotics import (
     cone_analysis,
     limit_mass,
 )
-from .gaussian import _finite_real, _positive_real
+from .gaussian import _MAX_SEED, _finite_real, _integer, _positive_real
 from .linalg import MAX_ENUMERATION_DIM, CorrelationMatrix, IndexSubset
 from .qp import SolverInconsistency
 from .simulate import (
+    _MAX_N,
     SimulationConfig,
     _gaussian_blocks,
     _increasing_grid,
-    _require_n,
-    _require_seed,
     _to_pareto,
     conditional_exceedance_curves,
     derived_series,
@@ -165,12 +164,9 @@ def _parse_tail_set(raw, position: int, dim: int) -> TailSetJob:
         spec = TailSet(subset, thresholds, len(members))
         default_label = f"rect{spec.subset}"
     elif kind == "at-least":
-        level = raw.get("level")
-        if not isinstance(level, int) or isinstance(level, bool):
-            raise ConfigError(f"{field}.level", "'level' must be an integer")
         thresholds = _parse_thresholds(raw, field, dim)
-        spec = _checked(f"{field}.level", TailSet, IndexSubset.full(dim), thresholds, level)
-        default_label = f"atleast{level}"
+        spec = _checked(f"{field}.level", TailSet, IndexSubset.full(dim), thresholds, raw.get("level"))
+        default_label = f"atleast{spec.k}"
     elif kind == "complement-box":
         spec = TailSet(IndexSubset.full(dim), _parse_thresholds(raw, field, dim), 1)
         default_label = "box-complement"
@@ -221,10 +217,8 @@ def load_job_config(path: str, seed_override: Optional[int] = None) -> JobConfig
     if sim is not None:
         if not isinstance(sim, dict):
             raise ConfigError("simulation", "'simulation' must be an object")
-        n = sim.get("n")
-        _checked("simulation.n", _require_n, n)
-        seed = sim.get("seed", 0)
-        _checked("simulation.seed", _require_seed, seed)
+        n = _checked("simulation.n", _integer, sim.get("n"), "n", 1, _MAX_N)
+        seed = _checked("simulation.seed", _integer, sim.get("seed", 0), "seed", 0, _MAX_SEED)
         raw_k = sim.get("k_grid")
         if raw_k is not None and not _is_list_of(raw_k, int):
             raise ConfigError("simulation.k_grid", "'k_grid' must be a list of integers")
@@ -232,8 +226,7 @@ def load_job_config(path: str, seed_override: Optional[int] = None) -> JobConfig
         k_grid = _checked(field, resolve_k_grid, raw_k, n)
 
     if seed_override is not None:
-        _checked("seed", _require_seed, seed_override)
-        seed = seed_override
+        seed = _checked("seed", _integer, seed_override, "seed", 0, _MAX_SEED)
 
     return JobConfig(sigma=sigma, marg=marg, sets=sets, t_grid=t_grid, n=n, seed=seed, k_grid=k_grid)
 
@@ -284,10 +277,10 @@ def cmd_analyze(job: JobConfig, out_dir: str) -> int:
         for item in job.sets:
             spec = item.spec
             est = asymptotic_estimate(job.sigma, job.marg, spec)
-            # The level-k cone; the level-1 mass needs none.
-            cone = cones.get(spec.k)
-            mu = limit_mass(job.marg, cone, spec)
-            flagged = cone is not None and not cone.carriers(spec)
+            mu = limit_mass(job.sigma, job.marg, spec)
+            # A set of level k >= 2 with no carrier in the level-k cone is null
+            # at its scale.
+            flagged = spec.k >= 2 and not cones[spec.k].carriers(spec)
             mu_flag = "null-at-cone-scale" if flagged else "ok"
             print(
                 f"{item.label}: a={est.power_exponent:.12g} beta={est.log_log_exponent:.12g} "

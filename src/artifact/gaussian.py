@@ -8,7 +8,8 @@ quasi-Monte Carlo up to dimension 64 above, on an in-house scrambled Sobol'
 engine that keeps scipy.stats off the import path), the tail constant
 Upsilon assembled from a QP solution, and the joint-tail law built on it
 (first order, and Savage's second order). The input guards every layer
-shares live here too.
+shares live here too: _finite_real for every real number and _integer for
+every integer, each naming the parameter in its ValueError.
 
 All probability assembly happens in log space; the constants underflow well
 before the asymptotics lose accuracy.
@@ -35,6 +36,9 @@ ORTHANT_RANDOMIZATIONS = 25
 ORTHANT_BASE_POINTS = 1 << 13
 ORTHANT_TARGET_SE = 1e-4
 
+# Seeds are 64-bit unsigned integers, for the orthant QMC and the sampler.
+_MAX_SEED = 2**64 - 1
+
 
 class AsymptoticRegimeWarning(UserWarning):
     """A limit formula was evaluated at a point where the limit may be loose."""
@@ -51,6 +55,16 @@ def _finite_real(value, name: str) -> float:
         if math.isfinite(out):
             return out
     raise ValueError(f"{name} must be a finite number, got {reprlib.repr(value)}")
+
+
+def _integer(value, name: str, low: int, high: int) -> int:
+    """value as an int: an integer, not a bool, in low..high (NumPy integers
+    too). Anything else raises ValueError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        out = int(value)
+        if low <= out <= high:
+            return out
+    raise ValueError(f"{name} must be an integer in {low}..{high}, got {reprlib.repr(value)}")
 
 
 def _real_or_nan(value) -> float:
@@ -76,10 +90,11 @@ def _require_t_above_e(t, what: str) -> None:
 
 
 def std_normal_cdf(x: float) -> float:
-    return float(ndtr(x))
+    return float(ndtr(_finite_real(x, "x")))
 
 
 def std_normal_pdf(x: float) -> float:
+    x = _finite_real(x, "x")
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
@@ -329,9 +344,10 @@ def orthant_probability(cov, seed: int = 0) -> OrthantEstimate:
     Sobol' engine, whose direction table stops at dimension 64. Same seed,
     same result; distinct seeds are independent replications.
 
-    Raises ValueError when cov is not symmetric positive semidefinite, and
-    when m > 64.
+    Raises ValueError when cov is not symmetric positive semidefinite, when
+    m > 64, and when seed is not an integer in 0..2**64 - 1.
     """
+    seed = _integer(seed, "seed", 0, _MAX_SEED)
     c = _as_psd(cov)
     m = c.shape[0]
     if m > MAX_DIM:
@@ -444,8 +460,7 @@ def gaussian_joint_tail(
     factor carries its own lower-order correction, not derived here) and
     when f <= 0 (u too small for the expansion).
     """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order!r}")
+    order = _integer(order, "order", 1, 2)
     _positive_real(u, "u")
     if u < 3.0:
         warnings.warn(

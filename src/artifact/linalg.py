@@ -94,9 +94,6 @@ class IndexSubset:
         """0-based integer indices for numpy slicing."""
         return np.asarray(self.members, dtype=int) - 1
 
-    def complement(self, dim: int) -> "IndexSubset":
-        return IndexSubset(tuple(j for j in range(1, dim + 1) if j not in self.members))
-
     def positions_in(self, sup: "IndexSubset") -> np.ndarray:
         """0-based positions of this subset's labels within ``sup``'s ordering."""
         lookup = {label: pos for pos, label in enumerate(sup.members)}

@@ -49,14 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    MAX_DIM,
-    CholeskyFactor,
-    CorrelationMatrix,
-    IndexSubset,
-    solve_spd,
-    spd_factorize,
-)
+from .linalg import MAX_DIM, CorrelationMatrix, IndexSubset, solve_spd, spd_factorize
 
 # Classification threshold for e*_j = 1 versus e*_j > 1 on the inactive set.
 # This split feeds the orthant factor downstream (a boundary coordinate
@@ -140,18 +133,10 @@ class SubsetQpSolver:
         self._solutions: dict[tuple[int, ...], QpSolution] = {}
         self._bounds: dict[tuple[tuple[int, ...], int], tuple[np.ndarray, np.ndarray]] = {}
 
-    def _candidate(
-        self, labels: tuple[int, ...], key: tuple[int, ...], fact: CholeskyFactor
-    ) -> tuple:
-        """(value 1'h, size, labels, h = Sigma_I^{-1} 1) of active set labels.
-
-        fact is the factor of the subset key being solved, reused when I is
-        all of it.
-        """
-        if labels != key:
-            idx = np.asarray(labels, dtype=int) - 1
-            fact = spd_factorize(self._entries[np.ix_(idx, idx)])
-        h = solve_spd(fact, np.ones(len(labels)))
+    def _candidate(self, labels: tuple[int, ...]) -> tuple:
+        """(value 1'h, size, labels, h = Sigma_I^{-1} 1) of active set labels."""
+        idx = np.asarray(labels, dtype=int) - 1
+        h = solve_spd(spd_factorize(self._entries[np.ix_(idx, idx)]), np.ones(len(labels)))
         return float(np.sum(h)), len(labels), labels, h
 
     def _assemble(
@@ -231,7 +216,6 @@ class SubsetQpSolver:
 
         idx = np.asarray(key, dtype=int) - 1
         block = self._entries[np.ix_(idx, idx)]
-        fact = spd_factorize(block)
         lam = _dual_weights(block)
         e_star = block @ lam
         gamma = float(np.sum(lam))
@@ -239,8 +223,7 @@ class SubsetQpSolver:
         # set R of positions from I* and add a set A with d(R) + d(A) <= r^2.
         budget = 4.0 * BOUNDARY_EPS * gamma
         in_dual = lam > H_TOLERANCE
-        lower_inv = np.linalg.inv(fact.lower)
-        drops = _within(lower_inv.T @ lower_inv, lam, in_dual, budget)
+        drops = _within(np.linalg.inv(block), lam, in_dual, budget)
         adds = _within(block, e_star - 1.0, ~in_dual, budget)
         window = []
         for drop, d_drop in drops.items():
@@ -248,7 +231,7 @@ class SubsetQpSolver:
             for add, d_add in adds.items():
                 labels = tuple(sorted(kept + [key[p] for p in add]))
                 if labels and d_drop + d_add <= budget:
-                    window.append(self._candidate(labels, key, fact))
+                    window.append(self._candidate(labels))
         window.sort(key=lambda item: item[:3])
         solution = None
         for value, _, labels, h in window:

@@ -27,8 +27,6 @@ fills every grid cell.
 from __future__ import annotations
 
 import math
-import numbers
-import reprlib
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -42,7 +40,7 @@ from .asymptotics import (
     _normal_event,
     asymptotic_estimate,
 )
-from .gaussian import _finite_real, _positive_real
+from .gaussian import _MAX_SEED, _finite_real, _integer, _positive_real
 from .linalg import CorrelationMatrix, IndexSubset, spd_factorize
 
 # Substreams are derived per logical block of this many rows. The block size
@@ -54,10 +52,14 @@ LOW_HIT_THRESHOLD = 50
 
 DEFAULT_HILL_POINTS = 40
 
+# The hit counters are int64, so a sample has at most 2**63 - 1 rows.
+_MAX_N = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Sampling plan: matrix, marginal, sample count, seed."""
+    """Sampling plan: matrix, marginal, sample count, seed (n and seed are
+    stored as int)."""
 
     sigma: CorrelationMatrix
     marg: MarginalSpec
@@ -65,21 +67,10 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self):
-        _require_n(self.n)
-        _require_seed(self.seed)
+        object.__setattr__(self, "n", _integer(self.n, "n", 1, _MAX_N))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0, _MAX_SEED))
         if self.marg.scale_c != 1.0:
             raise ValueError("simulation requires the pareto-exact marginal (scale_c = 1)")
-
-
-def _require_n(n) -> None:
-    """A sample size: the hit counters are int64, so n < 2**63."""
-    if isinstance(n, bool) or not (isinstance(n, int) and 1 <= n < 2**63):
-        raise ValueError(f"n must be a positive integer, got {reprlib.repr(n)} (at most 2**63 - 1)")
-
-
-def _require_seed(seed) -> None:
-    if isinstance(seed, bool) or not (isinstance(seed, int) and 0 <= seed < 2**64):
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {reprlib.repr(seed)}")
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -131,10 +122,8 @@ def derived_series(samples: np.ndarray, subset: IndexSubset, rank: int) -> np.nd
     if samples.ndim != 2:
         raise ValueError(f"samples must be an n x d matrix, got shape {samples.shape}")
     subset.validate_within(samples.shape[1])
-    size = len(subset)
-    if isinstance(rank, bool) or not (isinstance(rank, numbers.Integral) and 1 <= rank <= size):
-        raise ValueError(f"rank must be an integer in 1..{size}, got {rank!r}")
-    return _rowwise_kth_largest([samples[:, j] for j in subset.as_indices()], int(rank))
+    rank = _integer(rank, "rank", 1, len(subset))
+    return _rowwise_kth_largest([samples[:, j] for j in subset.as_indices()], rank)
 
 
 def _rowwise_kth_largest(columns: Sequence[np.ndarray], k: int) -> np.ndarray:
@@ -184,18 +173,20 @@ def default_k_grid(n: int) -> tuple[int, ...]:
     return tuple(int(k) for k in ks)
 
 
+def _increasing(values: tuple, name: str) -> tuple:
+    """values, checked to be nonempty and strictly increasing."""
+    if len(values) == 0:
+        raise ValueError(f"{name} must be nonempty")
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise ValueError(f"{name} must be strictly increasing")
+    return values
+
+
 def resolve_k_grid(k_grid: Optional[Sequence[int]], n: int) -> tuple[int, ...]:
     """The Hill grid for n observations: k_grid checked, or the default grid."""
     if k_grid is None:
         return default_k_grid(n)
-    ks = tuple(int(k) for k in k_grid)
-    if len(ks) == 0:
-        raise ValueError("k_grid must be nonempty")
-    if any(ks[i] >= ks[i + 1] for i in range(len(ks) - 1)):
-        raise ValueError("k_grid must be strictly increasing")
-    if ks[0] < 1 or ks[-1] > n - 1:
-        raise ValueError(f"k_grid must lie in [1, {n - 1}], got [{ks[0]}, {ks[-1]}]")
-    return ks
+    return _increasing(tuple(_integer(k, "k_grid", 1, n - 1) for k in k_grid), "k_grid")
 
 
 def hill_estimator(data, k_grid: Optional[Sequence[int]] = None) -> HillCurve:
@@ -228,13 +219,9 @@ def hill_estimator(data, k_grid: Optional[Sequence[int]] = None) -> HillCurve:
 
 def _increasing_grid(t_grid) -> tuple[float, ...]:
     ts = tuple(_finite_real(t, "t_grid") for t in t_grid)
-    if len(ts) == 0:
-        raise ValueError("t_grid must be nonempty")
     if any(t <= 0 for t in ts):
         raise ValueError("t_grid must be strictly positive finite reals")
-    if any(ts[i] >= ts[i + 1] for i in range(len(ts) - 1)):
-        raise ValueError("t_grid must be strictly increasing")
-    return ts
+    return _increasing(ts, "t_grid")
 
 
 @dataclass(frozen=True)

@@ -204,7 +204,6 @@ def full_cone_scan(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> 
     principal = tuple(c for c in coeffs if len(c.active_set) == min_active)
     return ConeAnalysis(
         level=level,
-        dim=d,
         gamma=gamma_min,
         alpha=marg.alpha * gamma_min,
         min_active_size=min_active,

@@ -322,13 +322,13 @@ def test_criterion_10_property_suites():
         members = tuple(sorted(rng.choice(np.arange(1, d + 1), size=level, replace=False).tolist()))
         thresholds = tuple(float(v) for v in rng.uniform(0.5, 3.0, size=level))
         cone = cone_analysis(sigma, PARETO2, level)
-        mass = limit_mass(PARETO2, cone, rect(IndexSubset(members), thresholds))
+        mass = limit_mass(sigma, PARETO2, rect(IndexSubset(members), thresholds))
         if mass == 0.0:
             continue
         positive_mass_cases += 1
         scale = float(rng.uniform(1.5, 4.0))
         scaled_mass = limit_mass(
-            PARETO2, cone, rect(IndexSubset(members), tuple(scale * v for v in thresholds))
+            sigma, PARETO2, rect(IndexSubset(members), tuple(scale * v for v in thresholds))
         )
         got = math.log(scaled_mass) - math.log(mass)
         want = -PARETO2.alpha * cone.gamma * math.log(scale)

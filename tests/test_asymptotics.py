@@ -85,6 +85,10 @@ class TestTailSetValidation:
             at_least((1.0, 1.0, 1.0), 4)
         with pytest.raises(ValueError, match="level must be an integer in 1..3"):
             at_least((1.0, 1.0, 1.0), 0)
+        # a NumPy integer is the level it holds, stored as an int
+        numpy_level = at_least((1.0, 1.0, 1.0), np.int64(2))
+        assert numpy_level == at_least((1.0, 1.0, 1.0), 2)
+        assert type(numpy_level.k) is int
 
     def test_complement_box_thresholds(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -289,6 +293,12 @@ class TestConeAnalysis:
             cone_analysis(sigma, PARETO2, 1)
         with pytest.raises(ValueError, match="level must be an integer in 2..3"):
             cone_analysis(sigma, PARETO2, 4)
+        numpy_level = cone_analysis(sigma, PARETO2, np.int64(2))
+        int_level = cone_analysis(sigma, PARETO2, 2)
+        assert (numpy_level.gamma, numpy_level.minimizing_family) == (
+            int_level.gamma, int_level.minimizing_family
+        )
+        assert type(numpy_level.level) is int
         with pytest.raises(ValueError, match="d <= 16, got d=17"):
             cone_analysis(CorrelationMatrix(np.eye(17)), PARETO2, 2)
 
@@ -333,84 +343,78 @@ class TestConeAnalysis:
 
 class TestLimitMasses:
     def test_level_one_additive(self):
-        assert limit_mass(PARETO2, None, box_complement((1.0, 1.0, 1.0))) == 3.0
-        assert limit_mass(PARETO2, None, box_complement((1.0, 2.0))) == pytest.approx(1.25, rel=1e-15)
+        sigma = equi_matrix(3, 0.5)
+        assert limit_mass(sigma, PARETO2, box_complement((1.0, 1.0, 1.0))) == 3.0
+        assert limit_mass(sigma, PARETO2, box_complement((1.0, 2.0))) == pytest.approx(1.25, rel=1e-15)
+        with pytest.raises(ValueError, match="label 4 out of range for dimension 3"):
+            limit_mass(sigma, PARETO2, box_complement((1.0,) * 4))
 
     def test_level_one_homogeneity(self):
+        sigma = equi_matrix(3, 0.5)
         x = (1.0, 2.0, 0.5)
-        assert limit_mass(PARETO2, None, box_complement(tuple(2.0 * v for v in x))) == pytest.approx(
-            0.25 * limit_mass(PARETO2, None, box_complement(x)), rel=1e-15
+        assert limit_mass(sigma, PARETO2, box_complement(tuple(2.0 * v for v in x))) == pytest.approx(
+            0.25 * limit_mass(sigma, PARETO2, box_complement(x)), rel=1e-15
         )
 
     def test_rectangular_mass_on_minimizing_pair(self):
-        cone = cone_analysis(equi_matrix(3, 0.5), PARETO2, 2)
-        value = limit_mass(PARETO2, cone, rect(IndexSubset.of(1, 2), (1.0, 1.0)))
+        value = limit_mass(equi_matrix(3, 0.5), PARETO2, rect(IndexSubset.of(1, 2), (1.0, 1.0)))
         assert value == pytest.approx(pair_upsilon(0.5), rel=1e-12)
         assert value == pytest.approx(0.4135, abs=5e-5)
 
     def test_rectangular_mass_zero_off_family(self):
-        cone = cone_analysis(coupled_pair_matrix(0.2), PARETO2, 2)
-        assert limit_mass(PARETO2, cone, rect(IndexSubset.of(1, 2), (1.0, 1.0))) == 0.0
-        assert limit_mass(PARETO2, cone, rect(IndexSubset.of(1, 3), (1.0, 1.0))) > 0.0
+        sigma = coupled_pair_matrix(0.2)
+        assert limit_mass(sigma, PARETO2, rect(IndexSubset.of(1, 2), (1.0, 1.0))) == 0.0
+        assert limit_mass(sigma, PARETO2, rect(IndexSubset.of(1, 3), (1.0, 1.0))) > 0.0
 
     def test_rectangular_mass_homogeneity(self):
-        cone = cone_analysis(equi_matrix(3, 0.5), PARETO2, 2)
+        sigma = equi_matrix(3, 0.5)
+        cone = cone_analysis(sigma, PARETO2, 2)
         lam = 3.0
-        base = limit_mass(PARETO2, cone, rect(IndexSubset.of(1, 2), (1.0, 2.0)))
-        scaled = limit_mass(PARETO2, cone, rect(IndexSubset.of(1, 2), (lam, 2.0 * lam)))
+        base = limit_mass(sigma, PARETO2, rect(IndexSubset.of(1, 2), (1.0, 2.0)))
+        scaled = limit_mass(sigma, PARETO2, rect(IndexSubset.of(1, 2), (lam, 2.0 * lam)))
         assert math.log(scaled) == pytest.approx(
             math.log(base) - PARETO2.alpha * cone.gamma * math.log(lam), rel=1e-12
         )
 
-    def test_rectangular_set_too_small_for_cone(self):
-        cone = cone_analysis(equi_matrix(3, 0.5), PARETO2, 3)
-        with pytest.raises(ValueError, match="cannot enter"):
-            limit_mass(PARETO2, cone, rect(IndexSubset.of(1, 2), (1.0, 1.0)))
-
     def test_at_least_equicorrelation_closed_form(self):
         rho = 0.5
-        cone = cone_analysis(equi_matrix(3, rho), PARETO2, 2)
+        sigma = equi_matrix(3, rho)
         x = (1.0, 2.0, 3.0)
-        value = limit_mass(PARETO2, cone, at_least(x, 2))
+        value = limit_mass(sigma, PARETO2, at_least(x, 2))
         pairs = [(1.0, 2.0), (1.0, 3.0), (2.0, 3.0)]
         expected = pair_upsilon(rho) * sum(
             (a * b) ** (-2.0 / (1.0 + rho)) for a, b in pairs
         )
         assert value == pytest.approx(expected, rel=1e-12)
-        unit = limit_mass(PARETO2, cone, at_least((1.0, 1.0, 1.0), 2))
+        unit = limit_mass(sigma, PARETO2, at_least((1.0, 1.0, 1.0), 2))
         assert unit == pytest.approx(3.0 * pair_upsilon(rho), rel=1e-12)
         assert unit == pytest.approx(1.2404900146990325, rel=1e-12)
 
     def test_at_least_coupled_pair_sums_two_terms(self):
-        cone = cone_analysis(coupled_pair_matrix(0.2), PARETO2, 2)
-        value = limit_mass(PARETO2, cone, at_least((1.0, 1.0, 1.0), 2))
+        value = limit_mass(coupled_pair_matrix(0.2), PARETO2, at_least((1.0, 1.0, 1.0), 2))
         assert value == pytest.approx(2.0 * pair_upsilon(math.sqrt(2.0) * 0.2), rel=1e-10)
 
-    def test_at_least_level_mismatch(self):
-        cone = cone_analysis(equi_matrix(3, 0.5), PARETO2, 2)
-        with pytest.raises(ValueError, match="does not match cone level"):
-            limit_mass(PARETO2, cone, at_least((1.0, 1.0, 1.0), 3))
-
     def test_at_least_homogeneity(self):
-        cone = cone_analysis(equi_matrix(3, 0.4), PARETO2, 2)
+        sigma = equi_matrix(3, 0.4)
+        cone = cone_analysis(sigma, PARETO2, 2)
         lam = 2.5
-        base = limit_mass(PARETO2, cone, at_least((1.0, 2.0, 3.0), 2))
-        scaled = limit_mass(PARETO2, cone, at_least((lam, 2.0 * lam, 3.0 * lam), 2))
+        base = limit_mass(sigma, PARETO2, at_least((1.0, 2.0, 3.0), 2))
+        scaled = limit_mass(sigma, PARETO2, at_least((lam, 2.0 * lam, 3.0 * lam), 2))
         assert math.log(scaled) == pytest.approx(
             math.log(base) - PARETO2.alpha * cone.gamma * math.log(lam), rel=1e-12
         )
 
     def test_degenerate_gap_refused(self):
-        cone = cone_analysis(near_tie_4x4(), PARETO2, 3)
+        sigma = near_tie_4x4()
+        cone = cone_analysis(sigma, PARETO2, 3)
         assert cone.gamma_next == cone.gamma  # float-identical collapse
         with pytest.raises(UnsupportedDegeneracy, match="levels 3 and 4 share"):
-            limit_mass(PARETO2, cone, at_least((1.0,) * 4, 3))
+            limit_mass(sigma, PARETO2, at_least((1.0,) * 4, 3))
 
     def test_two_block_level_three_mass_single_term(self):
         # {4,5,6} ties on gamma but has a larger active set, so only the
         # pair-backed block contributes mass
-        cone = cone_analysis(two_block_6x6(), PARETO2, 3)
-        value = limit_mass(PARETO2, cone, at_least((1.0,) * 6, 3))
+        value = limit_mass(two_block_6x6(), PARETO2, at_least((1.0,) * 6, 3))
         assert value == pytest.approx(pair_upsilon(0.6), rel=1e-12)
 
     @pytest.mark.parametrize("scale_c", [1.0, 2.0])
@@ -434,7 +438,7 @@ class TestLimitMasses:
         tail_set = at_least(tuple(np.linspace(0.7, 1.6, sigma.dim)), level)
         cone = cone_analysis(sigma, marg, level)
         est = asymptotic_estimate(sigma, marg, tail_set)
-        log_mu = math.log(limit_mass(marg, cone, tail_set))
+        log_mu = math.log(limit_mass(sigma, marg, tail_set))
         for t in (10.0, 1e3, 1e6):
             normalized = est.evaluate_log(t) + cone.log_scaling_inverse(t)
             assert normalized == pytest.approx(log_mu, abs=1e-12)

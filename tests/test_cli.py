@@ -256,7 +256,7 @@ class TestConfigErrors:
         cfg = dict(SIMULATE_JOB, simulation={"n": 100, "seed": 1, "k_grid": [10, 200]})
         result = runner(cfg, "simulate")
         assert_config_error(result, "simulation.k_grid")
-        assert "[1, 99]" in result[2]
+        assert "k_grid must be an integer in 1..99, got 200" in result[2]
 
     def test_simulation_k_grid_not_increasing(self, runner):
         cfg = dict(SIMULATE_JOB, simulation={"n": 100, "seed": 1, "k_grid": [50, 20]})

@@ -42,9 +42,17 @@ def quantile_oracle(p) -> float:
 class TestUnivariate:
     def test_cdf_at_zero(self):
         assert std_normal_cdf(0.0) == 0.5
+        assert std_normal_cdf(np.float32(0.0)) == 0.5
+        for bad in (True, "0"):
+            with pytest.raises(ValueError, match="x must be a finite number"):
+                std_normal_cdf(bad)
 
     def test_pdf_at_zero(self):
         assert std_normal_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-15)
+        assert std_normal_pdf(np.float32(0.0)) == std_normal_pdf(0.0)
+        for bad in (True, "0"):
+            with pytest.raises(ValueError, match="x must be a finite number"):
+                std_normal_pdf(bad)
 
     def test_cdf_symmetry(self):
         for x in [0.3, 1.7, 4.2]:
@@ -178,6 +186,9 @@ class TestOrthant:
         a = orthant_probability(cov, seed=3)
         b = orthant_probability(cov, seed=3)
         assert (a.value, a.se) == (b.value, b.se)
+        assert orthant_probability(cov, seed=np.int64(3)) == a
+        with pytest.raises(ValueError, match=r"seed must be an integer in 0\.\.18446744073709551615, got True"):
+            orthant_probability(cov, seed=True)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="semidefinite"):
@@ -348,8 +359,9 @@ class TestJointTail:
             gaussian_joint_tail(near_tie_4x4(), 5.0, order=2)
         with pytest.raises(ValueError, match="u=5"):
             gaussian_joint_tail(two_block_6x6(), 5.0, order=2)
-        with pytest.raises(ValueError, match="order"):
-            gaussian_joint_tail(equi_matrix(2, 0.3), 5.0, order=3)
+        for order in (3, True, 2.0):
+            with pytest.raises(ValueError, match=r"order must be an integer in 1\.\.2"):
+                gaussian_joint_tail(equi_matrix(2, 0.3), 5.0, order=order)
 
     def test_shift_moves_result_by_weighted_inner_product(self):
         sigma = equi_matrix(2, 0.5)

@@ -33,10 +33,9 @@ class TestIndexSubset:
         with pytest.raises(ValueError, match=">= 1"):
             IndexSubset((0, 1))
 
-    def test_full_and_complement(self):
+    def test_full(self):
         assert IndexSubset.full(3).members == (1, 2, 3)
-        assert IndexSubset.of(1, 3).complement(4).members == (2, 4)
-        assert IndexSubset.full(2).complement(2).members == ()
+        assert IndexSubset.full(0).members == ()
 
     def test_as_indices_zero_based(self):
         assert IndexSubset.of(1, 3).as_indices().tolist() == [0, 2]

@@ -140,10 +140,9 @@ class TestSubsetSolver:
         full = solver.solve(IndexSubset.full(3))
         assert solver.solve(IndexSubset.full(3)) is full
         assert full.active_set.members == (1, 2)
-        # one factor per subset, for its dual, and one for the full solve's
-        # active set {1,2}, a proper subset of it; the repeated solve factors
-        # nothing
-        assert factored == [2, 3, 2]
+        # one factor per solve, of its accepted active set: {1,2} for both
+        # subsets; the repeated solve factors nothing
+        assert factored == [2, 2]
 
     def test_out_of_range_subset(self):
         with pytest.raises(ValueError, match="out of range"):

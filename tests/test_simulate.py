@@ -63,13 +63,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed"):
             config(IDENTITY_2, 10, -1)
         # bool is an int subclass; the CLI rejects it, and so does the config
-        with pytest.raises(ValueError, match="n must be a positive integer, got True"):
+        with pytest.raises(ValueError, match=r"n must be an integer in 1\.\.9223372036854775807, got True"):
             config(IDENTITY_2, True, 0)
-        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer, got False"):
+        with pytest.raises(
+            ValueError, match=r"seed must be an integer in 0\.\.18446744073709551615, got False"
+        ):
             config(IDENTITY_2, 10, False)
+        # NumPy integers are the numbers they hold, stored as int
+        numpy_cfg = config(IDENTITY_2, np.int64(100), np.uint64(5))
+        assert (type(numpy_cfg.n), type(numpy_cfg.seed)) == (int, int)
+        assert np.array_equal(sample_rvgc(numpy_cfg), sample_rvgc(config(IDENTITY_2, 100, 5)))
 
     def test_n_fits_the_int64_hit_counters(self):
-        with pytest.raises(ValueError, match="n must be a positive integer"):
+        with pytest.raises(ValueError, match=r"n must be an integer in 1\.\.9223372036854775807, got 9223372036854775808"):
             config(IDENTITY_2, 2**63, 0)
         assert config(IDENTITY_2, 2**63 - 1, 0).n == 2**63 - 1
 
@@ -250,10 +256,14 @@ class TestHill:
         data = np.arange(1.0, 101.0)
         with pytest.raises(ValueError, match="strictly increasing"):
             hill_estimator(data, k_grid=[5, 5])
-        with pytest.raises(ValueError, match=r"\[1, 99\]"):
+        with pytest.raises(ValueError, match=r"k_grid must be an integer in 1\.\.99, got 100"):
             hill_estimator(data, k_grid=[100])
         with pytest.raises(ValueError, match="nonempty"):
             hill_estimator(data, k_grid=[])
+        # an entry that is not an integer is refused, not truncated or cast
+        for grid, bad in (([5.7, 10], "5.7"), ([True, 10], "True"), (["5", 10], "'5'")):
+            with pytest.raises(ValueError, match=f"k_grid must be an integer in 1\\.\\.99, got {bad}"):
+                hill_estimator(data, k_grid=grid)
 
     def test_data_validation(self):
         for bad in ([1.0, -2.0, 3.0], [1.0, 0.0, 3.0], [1.0, math.nan, 3.0], [1.0, math.inf, 3.0]):
