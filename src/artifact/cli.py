@@ -44,8 +44,7 @@ from .simulate import (
     _increasing_grid,
     _to_pareto,
     conditional_exceedance_curves,
-    derived_series,
-    hill_estimator,
+    hill_curves,
     resolve_k_grid,
     verify_asymptotics,
 )
@@ -220,8 +219,9 @@ def load_job_config(path: str, seed_override: Optional[int] = None) -> JobConfig
         n = _checked("simulation.n", _integer, sim.get("n"), "n", 1, _MAX_N)
         seed = _checked("simulation.seed", _integer, sim.get("seed", 0), "seed", 0, _MAX_SEED)
         raw_k = sim.get("k_grid")
-        if raw_k is not None and not _is_list_of(raw_k, int):
-            raise ConfigError("simulation.k_grid", "'k_grid' must be a list of integers")
+        # Each entry is checked by resolve_k_grid.
+        if raw_k is not None and not isinstance(raw_k, list):
+            raise ConfigError("simulation.k_grid", "'k_grid' must be a list")
         field = "simulation.n" if raw_k is None else "simulation.k_grid"
         k_grid = _checked(field, resolve_k_grid, raw_k, n)
 
@@ -322,12 +322,13 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     # transform of the same normal rows the gaussian-side curves condition
     # on, and only those two normal columns are kept. x and z12 are
     # column-major so that every derived series and the curve counter read
-    # whole columns without a copy.
+    # whole columns without a copy; each block is mapped to the Pareto scale
+    # in place in its rows of x.
     x = np.empty((cfg.n, d), order="F")
     z12 = np.empty((cfg.n, min(d, 2)), order="F")
     for start, z in _gaussian_blocks(cfg):
         rows = slice(start, start + len(z))
-        x[rows] = _to_pareto(z, job.marg.alpha)
+        _to_pareto(z, job.marg.alpha, out=x[rows])
         z12[rows] = z[:, :2]
 
     full = IndexSubset.full(d)
@@ -340,10 +341,7 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     series.append(("min_all", full, d))
     series.append(("max_all", full, 1))
 
-    curves = [
-        hill_estimator(derived_series(x, subset, rank), k_grid=job.k_grid)
-        for _, subset, rank in series
-    ]
+    curves = hill_curves(x, [(subset, rank) for _, subset, rank in series], job.k_grid)
     _write_csv(
         os.path.join(out_dir, "hill.csv"),
         ["series", "k", "alpha_hat"],

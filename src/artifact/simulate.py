@@ -7,10 +7,15 @@ counter-based: every fixed 8192-row block derives its own substream from
 first rows of a sample do not depend on how many rows follow them.
 
 On top of the sampler: derived per-row series (the rank-th largest value
-over a coordinate subset, merged column by column), the Hill tail-index
-estimator, the conditional exceedance curves P(V1 > t | V2 > kappa t), and
-the empirical-versus-asymptotic verification table with its log-log slope
-diagnostic. Because every coordinate shares one increasing map
+over a coordinate subset, merged column by column into buffers allocated
+before the merge), the Hill tail-index estimator, the conditional
+exceedance curves P(V1 > t | V2 > kappa t), and the empirical-versus-
+asymptotic verification table with its log-log slope diagnostic.
+hill_curves derives every Hill series of a sample into one n-float buffer
+allocated once and ranks it there in place (a partition, then a sort of
+only the top k_max + 1 values, whose logs and cumulative sums go to two
+buffers of that size, also allocated once), so no series allocates an
+n-float array. Because every coordinate shares one increasing map
 Z_j -> X_j, verification counts each tail set on the normal rows directly:
 X in t * set is the event that at least k of the coordinates in a subset S
 exceed per-coordinate normal thresholds, which are nondecreasing in t.
@@ -99,14 +104,34 @@ def _gaussian_sample(cfg: SimulationConfig) -> np.ndarray:
     return z
 
 
-def _to_pareto(z: np.ndarray, alpha: float) -> np.ndarray:
-    """Exact Pareto(alpha) coordinates of normal ones: survival(z)^{-1/alpha}."""
-    return np.power(ndtr(-z), -1.0 / alpha)
+def _to_pareto(z: np.ndarray, alpha: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Exact Pareto(alpha) coordinates of normal ones: survival(z)^{-1/alpha},
+    computed in place in out (a new array when out is None)."""
+    out = np.negative(z, out=out)
+    ndtr(out, out=out)
+    return np.power(out, -1.0 / alpha, out=out)
 
 
 def sample_rvgc(cfg: SimulationConfig) -> np.ndarray:
     """n x d sample of the heavy-tailed vector: X_j = survival(Z_j)^{-1/alpha}."""
     return _to_pareto(_gaussian_sample(cfg), cfg.marg.alpha)
+
+
+def _sample_matrix(samples) -> np.ndarray:
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2:
+        raise ValueError(f"samples must be an n x d matrix, got shape {samples.shape}")
+    return samples
+
+
+def _series_columns(
+    samples: np.ndarray, subset: IndexSubset, rank: int
+) -> tuple[list[np.ndarray], int]:
+    """The columns of samples in subset and the checked rank of a derived
+    series."""
+    subset.validate_within(samples.shape[1])
+    rank = _integer(rank, "rank", 1, len(subset))
+    return [samples[:, j] for j in subset.as_indices()], rank
 
 
 def derived_series(samples: np.ndarray, subset: IndexSubset, rank: int) -> np.ndarray:
@@ -118,36 +143,51 @@ def derived_series(samples: np.ndarray, subset: IndexSubset, rank: int) -> np.nd
     copied. A single-coordinate result is a view of that column of samples,
     not a copy; every other result is a new array.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2:
-        raise ValueError(f"samples must be an n x d matrix, got shape {samples.shape}")
-    subset.validate_within(samples.shape[1])
-    rank = _integer(rank, "rank", 1, len(subset))
-    return _rowwise_kth_largest([samples[:, j] for j in subset.as_indices()], rank)
+    return _rowwise_kth_largest(*_series_columns(_sample_matrix(samples), subset, rank))
 
 
-def _rowwise_kth_largest(columns: Sequence[np.ndarray], k: int) -> np.ndarray:
-    """Rowwise k-th largest of equal-length columns, 1 <= k <= len(columns).
+def _rowwise_kth_largest(
+    columns: Sequence[np.ndarray], k: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Rowwise k-th largest of equal-length columns, 1 <= k <= len(columns),
+    written to out (a new array when out is None; without out, a single
+    column is returned as it is).
 
-    The columns are merged one at a time into a rowwise sorted buffer of the
+    The columns are merged one at a time into a rowwise sorted stack of the
     k largest values (or of the len(columns) - k + 1 smallest, when that is
-    shorter) by elementwise maximum and minimum. A single column is returned
-    as it is; every other result is a new array.
+    shorter) by elementwise maximum and minimum. Every slot of the stack is
+    a buffer allocated before the merge, the last one being out. A merge
+    writes the value it displaces to the next slot (into that slot when it
+    is still empty, else into one of two spare buffers) before the slot
+    keeps its own, so no merge allocates and every kept value is exact.
     """
     size = len(columns)
+    if out is None:
+        if size == 1:
+            return columns[0]
+        out = np.empty_like(columns[0])
     if k <= size - k + 1:
         depth, keep, displace = k, np.maximum, np.minimum
     else:
         depth, keep, displace = size - k + 1, np.minimum, np.maximum
+    slots = [np.empty_like(out) for _ in range(depth - 1)] + [out]
+    spares = [np.empty_like(out) for _ in range(min(depth - 1, 2))]
+    # kept[i] is slots[i] once a merge has written it; until then the first
+    # column stands in slot 0 as it is.
     kept: list[np.ndarray] = []
     for value in columns:
         for i, held in enumerate(kept):
-            kept[i] = keep(held, value)
+            displaced = None
             if i + 1 < depth:
-                value = displace(held, value)
+                spill = slots[i + 1] if i + 1 == len(kept) else spares[i % 2]
+                displaced = displace(held, value, out=spill)
+            kept[i] = keep(held, value, out=slots[i])
+            value = displaced
         if len(kept) < depth:
             kept.append(value)
-    return kept[-1]
+    if kept[-1] is not out:
+        np.copyto(out, kept[-1])
+    return out
 
 
 @dataclass(frozen=True)
@@ -189,23 +229,49 @@ def resolve_k_grid(k_grid: Optional[Sequence[int]], n: int) -> tuple[int, ...]:
     return _increasing(tuple(_integer(k, "k_grid", 1, n - 1) for k in k_grid), "k_grid")
 
 
-def hill_estimator(data, k_grid: Optional[Sequence[int]] = None) -> HillCurve:
-    """Hill tail-index curve: alpha_hat(k) = k / sum log(X_(i)/X_(k+1)), i <= k."""
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"data must be one-dimensional, got shape {x.shape}")
-    # min and max propagate nan, which fails both comparisons.
-    if x.size == 0 or not (x.min() > 0.0 and x.max() < math.inf):
-        raise ValueError("hill estimator needs strictly positive finite data")
-    ks = resolve_k_grid(k_grid, x.size)
+def hill_curves(
+    samples, series: Sequence[tuple[IndexSubset, int]], k_grid: Optional[Sequence[int]] = None
+) -> tuple[HillCurve, ...]:
+    """Hill curve of each derived series (subset, rank) of an n x d sample of
+    strictly positive finite values: the curve of
+    hill_estimator(derived_series(samples, subset, rank), k_grid).
 
-    # Only the top k_max + 1 values are sorted, in place in the partitioned
-    # copy: the same array as the leading entries of the full descending sort.
-    cut = x.size - ks[-1] - 1
-    top = np.partition(x, cut)[cut:]
+    Every series is derived into one n-float buffer and ranked there in
+    place, and the logs and their cumulative sums of the top k_max + 1
+    values go to two buffers of that size, so the buffers are allocated
+    once per call, not once per series. samples is never written, and its
+    values are checked once: every derived value is one of them.
+    """
+    samples = _sample_matrix(samples)
+    # min and max propagate nan, which fails both comparisons.
+    if samples.size == 0 or not (samples.min() > 0.0 and samples.max() < math.inf):
+        raise ValueError("hill estimator needs strictly positive finite data")
+    ks = resolve_k_grid(k_grid, samples.shape[0])
+    merges = [_series_columns(samples, subset, rank) for subset, rank in series]
+    values = np.empty(samples.shape[0])
+    top_logs = np.empty(ks[-1] + 1)
+    csum = np.empty_like(top_logs)
+    return tuple(
+        _hill_curve(_rowwise_kth_largest(columns, rank, out=values), ks, top_logs, csum)
+        for columns, rank in merges
+    )
+
+
+def _hill_curve(
+    values: np.ndarray, ks: tuple[int, ...], top_logs: np.ndarray, csum: np.ndarray
+) -> HillCurve:
+    """Hill curve of values on the grid ks, reordering values in place:
+    alpha_hat(k) = k / sum log(X_(i)/X_(k+1)), i <= k. top_logs and csum
+    are buffers of ks[-1] + 1 floats."""
+    # Only the top k_max + 1 values are sorted, in place after the
+    # partition: the same array as the leading entries of the full
+    # descending sort.
+    cut = values.size - ks[-1] - 1
+    values.partition(cut)
+    top = values[cut:]
     top.sort()
-    top_logs = np.log(top[::-1])
-    csum = np.cumsum(top_logs)
+    np.log(top[::-1], out=top_logs)
+    np.cumsum(top_logs, out=csum)
     kept, alphas, excluded = [], [], []
     for k in ks:
         mean_excess = csum[k - 1] / k - top_logs[k]
@@ -215,6 +281,18 @@ def hill_estimator(data, k_grid: Optional[Sequence[int]] = None) -> HillCurve:
         kept.append(k)
         alphas.append(1.0 / mean_excess)
     return HillCurve(tuple(kept), tuple(alphas), tuple(excluded))
+
+
+def hill_estimator(data, k_grid: Optional[Sequence[int]] = None) -> HillCurve:
+    """Hill tail-index curve: alpha_hat(k) = k / sum log(X_(i)/X_(k+1)), i <= k.
+
+    The curve of the one-column sample data, by hill_curves: the data are
+    ranked in a private copy, never in place.
+    """
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"data must be one-dimensional, got shape {x.shape}")
+    return hill_curves(x[:, None], [(IndexSubset.of(1), 1)], k_grid)[0]
 
 
 def _increasing_grid(t_grid) -> tuple[float, ...]:

@@ -258,6 +258,19 @@ class TestConfigErrors:
         assert_config_error(result, "simulation.k_grid")
         assert "k_grid must be an integer in 1..99, got 200" in result[2]
 
+    @pytest.mark.parametrize("entry, shown", [(5.5, "5.5"), (True, "True")])
+    def test_simulation_k_grid_entry_not_an_integer(self, runner, entry, shown):
+        cfg = dict(SIMULATE_JOB, simulation={"n": 100, "seed": 1, "k_grid": [entry]})
+        result = runner(cfg, "simulate")
+        assert_config_error(result, "simulation.k_grid")
+        assert f"k_grid must be an integer in 1..99, got {shown}" in result[2]
+
+    def test_simulation_k_grid_not_a_list(self, runner):
+        cfg = dict(SIMULATE_JOB, simulation={"n": 100, "seed": 1, "k_grid": 10})
+        result = runner(cfg, "simulate")
+        assert_config_error(result, "simulation.k_grid")
+        assert "'k_grid' must be a list" in result[2]
+
     def test_simulation_k_grid_not_increasing(self, runner):
         cfg = dict(SIMULATE_JOB, simulation={"n": 100, "seed": 1, "k_grid": [50, 20]})
         assert_config_error(runner(cfg, "simulate"), "simulation.k_grid")

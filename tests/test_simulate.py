@@ -22,9 +22,11 @@ from artifact.simulate import (
     _gaussian_sample,
     _EventCounter,
     _increasing_grid,
+    _rowwise_kth_largest,
     conditional_exceedance_curves,
     default_k_grid,
     derived_series,
+    hill_curves,
     hill_estimator,
     sample_rvgc,
     verify_asymptotics,
@@ -176,10 +178,36 @@ class TestDerivedSeries:
             assert np.array_equal(by_columns, ordered[:, rank - 1])
 
     def test_single_coordinate_is_a_view(self, rng):
-        samples = np.asfortranarray(rng.pareto(2.0, size=(50, 3)) + 1.0)
+        samples = np.asfortranarray(rng.pareto(2.0, size=(50, 5)) + 1.0)
         column = derived_series(samples, IndexSubset.of(2), 1)
         assert np.shares_memory(column, samples)
-        assert not np.shares_memory(derived_series(samples, IndexSubset.of(1, 2), 1), samples)
+        # every other series is a new array, at every size and rank
+        for size in range(2, 6):
+            subset = IndexSubset.of(*range(1, size + 1))
+            for rank in range(1, size + 1):
+                assert not np.shares_memory(derived_series(samples, subset, rank), samples)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["float64", "uint8"])
+    def test_rowwise_kth_largest_into_out(self, rng, size, kind):
+        # Ties are common in both kinds: rank columns take few values, and a
+        # third of the float entries are rounded to halves.
+        if kind == "uint8":
+            columns = [rng.integers(0, 4, size=300).astype(np.uint8) for _ in range(size)]
+        else:
+            columns = [rng.pareto(2.0, size=300) + 1.0 for _ in range(size)]
+            for column in columns[::3]:
+                column[:] = np.round(2.0 * column) / 2.0
+        before = [column.copy() for column in columns]
+        ordered = np.sort(np.stack(columns, axis=1), axis=1)[:, ::-1]
+        for k in range(1, size + 1):
+            out = np.full(300, 7, dtype=kind)
+            allocated = _rowwise_kth_largest(columns, k)
+            result = _rowwise_kth_largest(columns, k, out=out)
+            assert result is out and result.dtype == kind
+            assert np.array_equal(result, allocated)
+            assert np.array_equal(result, ordered[:, k - 1])
+            assert all(np.array_equal(c, b) for c, b in zip(columns, before))
 
     def test_validation(self):
         with pytest.raises(ValueError, match=r"rank must be an integer in 1\.\.3, got 5"):
@@ -243,6 +271,52 @@ class TestHill:
         # (k + 1)-th value is below the constant.
         assert curve.excluded_k[:2] == (1, 2)
         assert curve.k_values[-4:] == (30, 31, 100, 229)
+
+    def test_batched_curves_equal_full_sort_of_each_series(self, rng):
+        x = np.asfortranarray(rng.pareto(2.0, size=(3000, 4)) + 1.0)
+        # Column 3 has a constant upper tail, so every series whose top is
+        # that constant has excluded grid points.
+        x[:, 2] = np.minimum(x[:, 2], 1.5)
+        x_bytes = x.tobytes(order="A")
+        series = [(IndexSubset.of(j), 1) for j in range(1, 5)]
+        series += [(IndexSubset.of(a, b), 2) for a in range(1, 5) for b in range(a + 1, 5)]
+        series += [(IndexSubset.full(4), rank) for rank in (1, 2, 4)] + [(IndexSubset.of(1, 3, 4), 2)]
+        for k_grid in (None, [1, 2, 5, 40, 600, 2999]):
+            curves = hill_curves(x, series, k_grid)
+            assert len(curves) == len(series)
+            for (subset, rank), curve in zip(series, curves):
+                values = np.sort(x[:, subset.as_indices()], axis=1)[:, -rank]
+                assert np.array_equal(derived_series(x, subset, rank), values)
+                assert curve == sorted_hill_estimator(values, k_grid)
+            assert x.tobytes(order="A") == x_bytes
+        # k = 1 and 2 subtract log 1.5 from itself exactly.
+        for subset in (IndexSubset.of(3), IndexSubset.of(2, 3)):
+            assert hill_curves(x, [(subset, len(subset))], [1, 2, 40])[0].excluded_k[:2] == (1, 2)
+        assert hill_curves(x, [], [5]) == ()
+
+    def test_hill_estimator_leaves_its_input_unchanged(self, rng):
+        data = rng.pareto(2.0, size=2001) + 1.0
+        data_bytes = data.tobytes()
+        curve = hill_estimator(data, [3, 100, 2000])
+        assert data.tobytes() == data_bytes
+        assert curve == sorted_hill_estimator(data, [3, 100, 2000])
+
+    def test_batched_curves_validation(self):
+        x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        with pytest.raises(ValueError, match="n x d"):
+            hill_curves(x[:, 0], [(IndexSubset.of(1), 1)], [1])
+        with pytest.raises(ValueError, match="out of range"):
+            hill_curves(x, [(IndexSubset.of(3), 1)], [1])
+        with pytest.raises(ValueError, match=r"rank must be an integer in 1\.\.2"):
+            hill_curves(x, [(IndexSubset.of(1, 2), 3)], [1])
+        with pytest.raises(ValueError, match="k_grid must be an integer"):
+            hill_curves(x, [(IndexSubset.of(1), 1)], [3])
+        # every sample value is checked, in columns no series reads too
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            y = x.copy()
+            y[1, 1] = bad
+            with pytest.raises(ValueError, match="positive"):
+                hill_curves(y, [(IndexSubset.of(1), 1)], [1])
 
     def test_default_grid(self):
         grid = default_k_grid(20000)
