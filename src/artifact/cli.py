@@ -42,6 +42,7 @@ from .simulate import (
     SimulationConfig,
     _gaussian_blocks,
     _increasing_grid,
+    _row_chunks,
     _to_pareto,
     conditional_exceedance_curves,
     hill_curves,
@@ -318,18 +319,23 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     derived series) and condprob.csv (conditional exceedance curves)."""
     cfg = _simulation_config(job)
     d = job.sigma.dim
-    # One pass over one draw feeds both sides: the heavy-tailed sample is the
-    # transform of the same normal rows the gaussian-side curves condition
-    # on, and only those two normal columns are kept. x and z12 are
-    # column-major so that every derived series and the curve counter read
-    # whole columns without a copy; each block is mapped to the Pareto scale
-    # in place in its rows of x.
+    # One pass over one draw feeds both sides: each normal block is counted
+    # for the gaussian-side curves as it is drawn, then mapped to the Pareto
+    # scale in place in its rows of x, so no normal column is kept. x is
+    # column-major so that every derived series reads whole columns without
+    # a copy. With d = 1 there are no curves, but the pass still fills x.
     x = np.empty((cfg.n, d), order="F")
-    z12 = np.empty((cfg.n, min(d, 2)), order="F")
-    for start, z in _gaussian_blocks(cfg):
-        rows = slice(start, start + len(z))
-        _to_pareto(z, job.marg.alpha, out=x[rows])
-        z12[rows] = z[:, :2]
+
+    def normal_blocks():
+        for start, z in _gaussian_blocks(cfg):
+            yield z
+            _to_pareto(z, job.marg.alpha, out=x[start : start + len(z)])
+
+    if d >= 2:
+        gaussian = conditional_exceedance_curves(normal_blocks(), GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID)
+    else:
+        for _ in normal_blocks():
+            pass
 
     full = IndexSubset.full(d)
     series = [(f"X{j}", IndexSubset.of(j), 1) for j in range(1, d + 1)]
@@ -353,9 +359,13 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     )
 
     if d >= 2:
+        # The heavy-tailed curves are counted on x in row chunks, so their
+        # rank and comparison temporaries take the size of a chunk.
         sides = {
-            "gaussian": conditional_exceedance_curves([z12], GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID),
-            "pareto": conditional_exceedance_curves([x], PARETO_KAPPAS, PARETO_T_GRID),
+            "gaussian": gaussian,
+            "pareto": conditional_exceedance_curves(
+                (x[rows] for rows in _row_chunks(cfg.n)), PARETO_KAPPAS, PARETO_T_GRID
+            ),
         }
         _write_csv(
             os.path.join(out_dir, "condprob.csv"),

@@ -12,13 +12,18 @@ before the merge), the Hill tail-index estimator, the conditional
 exceedance curves P(V1 > t | V2 > kappa t), and the empirical-versus-
 asymptotic verification table with its log-log slope diagnostic.
 hill_curves derives every Hill series of a sample into one n-float buffer
-allocated once and ranks it there in place (a partition, then a sort of
-only the top k_max + 1 values, whose logs and cumulative sums go to two
-buffers of that size, also allocated once), so no series allocates an
-n-float array. Because every coordinate shares one increasing map
-Z_j -> X_j, verification counts each tail set on the normal rows directly:
-X in t * set is the event that at least k of the coordinates in a subset S
-exceed per-coordinate normal thresholds, which are nondecreasing in t.
+allocated once, merging it in row chunks of _CHUNK_ROWS rows (so the
+slots of a deep merge take the size of a chunk), and ranks it there in
+place (a partition, then a sort of only the top k_max + 1 values, whose
+logs and cumulative sums go to two buffers of that size, also allocated
+once), so no series allocates an n-float array. cmd_simulate counts the
+normal-scale conditional curves on the sampler's blocks as they are drawn
+and maps each block to the Pareto scale in place, so besides its n x d
+sample it holds only that buffer and the two log buffers. Because every
+coordinate shares one increasing map Z_j -> X_j, verification counts each
+tail set on the normal rows directly: X in t * set is the event that at
+least k of the coordinates in a subset S exceed per-coordinate normal
+thresholds, which are nondecreasing in t.
 The conditional curves are events of the same form on the rows they are
 given: V2 > kappa t is "at least 1 of {V2} exceeds kappa t", and
 V1 > t, V2 > kappa t is "at least 2 of {V1, V2} exceed (t, kappa t)". One
@@ -51,6 +56,11 @@ from .linalg import CorrelationMatrix, IndexSubset, spd_factorize
 # Substreams are derived per logical block of this many rows. The block size
 # is part of the determinism contract: changing it changes every sample.
 BLOCK_ROWS = 8192
+
+# Passes over a whole sample (the Hill merges, and cmd_simulate's
+# heavy-tailed curves) run in row chunks of this many rows, so their
+# temporaries take the size of a chunk, not of n.
+_CHUNK_ROWS = 8 * BLOCK_ROWS
 
 # Below this many exceedances an empirical/asymptotic ratio is noise.
 LOW_HIT_THRESHOLD = 50
@@ -88,12 +98,13 @@ def _gaussian_blocks(cfg: SimulationConfig) -> Iterator[tuple[int, np.ndarray]]:
     """(first row, block) pairs of correlated standard normal rows, in order:
     every block but the last has BLOCK_ROWS rows, and together they are the
     n x d sample."""
-    lower = spd_factorize(cfg.sigma).lower
+    # A C-contiguous copy of the transposed factor, made once per call.
+    factor = np.ascontiguousarray(spd_factorize(cfg.sigma).lower.T)
     d = cfg.sigma.dim
     for block, start in enumerate(range(0, cfg.n, BLOCK_ROWS)):
         rows = min(BLOCK_ROWS, cfg.n - start)
         eta = _block_rng(cfg.seed, block).standard_normal((rows, d))
-        yield start, eta @ lower.T
+        yield start, eta @ factor
 
 
 def _gaussian_sample(cfg: SimulationConfig) -> np.ndarray:
@@ -102,6 +113,12 @@ def _gaussian_sample(cfg: SimulationConfig) -> np.ndarray:
     for start, block in _gaussian_blocks(cfg):
         z[start : start + len(block)] = block
     return z
+
+
+def _row_chunks(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most _CHUNK_ROWS rows that cover n rows."""
+    for start in range(0, n, _CHUNK_ROWS):
+        yield slice(start, min(start + _CHUNK_ROWS, n))
 
 
 def _to_pareto(z: np.ndarray, alpha: float, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -194,8 +211,8 @@ def _rowwise_kth_largest(
 class HillCurve:
     """Tail-index estimates along the number of order statistics used.
 
-    excluded_k lists grid points whose Hill mean was 0 (constant upper tail),
-    where the estimate is undefined.
+    excluded_k lists grid points whose Hill mean was 0 (the top k + 1 values
+    equal, a constant upper tail), where the estimate is undefined.
     """
 
     k_values: tuple[int, ...]
@@ -239,8 +256,13 @@ def hill_curves(
     Every series is derived into one n-float buffer and ranked there in
     place, and the logs and their cumulative sums of the top k_max + 1
     values go to two buffers of that size, so the buffers are allocated
-    once per call, not once per series. samples is never written, and its
-    values are checked once: every derived value is one of them.
+    once per call, not once per series. A series is merged into the buffer
+    in row chunks (_row_chunks), so the slots and spares of a merge that
+    keeps more than one value per row (X_(2) of three or more columns) take
+    the size of a chunk, not of n; the merge is elementwise, so the values
+    are those of a whole-column merge. samples is never
+    written, and its values are checked once: every derived value is one of
+    them.
     """
     samples = _sample_matrix(samples)
     # min and max propagate nan, which fails both comparisons.
@@ -251,10 +273,12 @@ def hill_curves(
     values = np.empty(samples.shape[0])
     top_logs = np.empty(ks[-1] + 1)
     csum = np.empty_like(top_logs)
-    return tuple(
-        _hill_curve(_rowwise_kth_largest(columns, rank, out=values), ks, top_logs, csum)
-        for columns, rank in merges
-    )
+    curves = []
+    for columns, rank in merges:
+        for rows in _row_chunks(len(values)):
+            _rowwise_kth_largest([column[rows] for column in columns], rank, out=values[rows])
+        curves.append(_hill_curve(values, ks, top_logs, csum))
+    return tuple(curves)
 
 
 def _hill_curve(
@@ -262,7 +286,10 @@ def _hill_curve(
 ) -> HillCurve:
     """Hill curve of values on the grid ks, reordering values in place:
     alpha_hat(k) = k / sum log(X_(i)/X_(k+1)), i <= k. top_logs and csum
-    are buffers of ks[-1] + 1 floats."""
+    are buffers of ks[-1] + 1 floats. A point k is excluded when the mean
+    excess is not positive or the top k + 1 values are equal: then the mean
+    is 0, and a rounding residue of the cumulative sum must not pass for
+    an estimate."""
     # Only the top k_max + 1 values are sorted, in place after the
     # partition: the same array as the leading entries of the full
     # descending sort.
@@ -275,11 +302,11 @@ def _hill_curve(
     kept, alphas, excluded = [], [], []
     for k in ks:
         mean_excess = csum[k - 1] / k - top_logs[k]
-        if mean_excess <= 0.0:
+        if mean_excess <= 0.0 or top_logs[k] == top_logs[0]:
             excluded.append(k)
             continue
         kept.append(k)
-        alphas.append(1.0 / mean_excess)
+        alphas.append(float(1.0 / mean_excess))
     return HillCurve(tuple(kept), tuple(alphas), tuple(excluded))
 
 

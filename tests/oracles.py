@@ -289,9 +289,9 @@ def sorted_hill_estimator(data, k_grid=None) -> HillCurve:
     kept, alphas, excluded = [], [], []
     for k in ks:
         mean_excess = csum[k - 1] / k - top_logs[k]
-        if mean_excess <= 0.0:
+        if mean_excess <= 0.0 or top_logs[k] == top_logs[0]:
             excluded.append(k)
         else:
             kept.append(k)
-            alphas.append(1.0 / mean_excess)
+            alphas.append(float(1.0 / mean_excess))
     return HillCurve(tuple(kept), tuple(alphas), tuple(excluded))

@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from artifact.cli import (
     PARETO_KAPPAS,
     PARETO_T_GRID,
     _write_csv,
+    cmd_simulate,
+    load_job_config,
     main,
 )
 from artifact.linalg import MAX_ENUMERATION_DIM
@@ -568,7 +571,8 @@ class TestOnePassSimulate:
     """cmd_simulate fills its samples block by block; its CSVs must be those
     of the whole sample drawn at once, reduced by the reference routines."""
 
-    @pytest.mark.parametrize("n", [BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+    # The last n passes one 65,536-row chunk of the Hill merges and curves.
+    @pytest.mark.parametrize("n", [BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5, 8 * BLOCK_ROWS + 5])
     def test_csvs_equal_materialized_reference(self, runner, tmp_path, n):
         sigma = equi_matrix(3, 0.5)
         job = dict(SIMULATE_JOB, sigma=sigma.entries.tolist(), simulation={"n": n, "seed": 5})
@@ -607,3 +611,22 @@ class TestOnePassSimulate:
         )
         for name in ("hill.csv", "condprob.csv"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+    def test_memory_is_the_sample_and_one_hill_buffer(self, tmp_path):
+        # What cmd_simulate holds beyond its n x d sample: one n-float Hill
+        # buffer, the logs and cumulative sums of the top n/4 + 1 values,
+        # and chunk-sized temporaries. A kept n x 2 normal copy, or n-sized
+        # merge slots, would take it past (d + 2) n floats.
+        d, n = 4, 64 * BLOCK_ROWS + 5
+        job_path = tmp_path / "job.json"
+        job_path.write_text(json.dumps(
+            dict(SIMULATE_JOB, sigma=equi_matrix(d, 0.5).entries.tolist(), simulation={"n": n, "seed": 2})
+        ))
+        job = load_job_config(str(job_path))
+        tracemalloc.start()
+        try:
+            assert cmd_simulate(job, str(tmp_path)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (d + 2) * n * 8, peak / (n * 8)

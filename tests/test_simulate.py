@@ -17,6 +17,7 @@ from artifact.cli import _write_csv
 from artifact.linalg import CorrelationMatrix, IndexSubset
 from artifact.simulate import (
     BLOCK_ROWS,
+    _CHUNK_ROWS,
     HillCurve,
     SimulationConfig,
     _gaussian_sample,
@@ -267,10 +268,23 @@ class TestHill:
         k_grid = [1, 2, 5, 29, 30, 31, 100, 229]
         curve = hill_estimator(data, k_grid)
         assert curve == sorted_hill_estimator(data, k_grid)
-        # k = 1 and 2 subtract log 5 from itself exactly; from k = 30 on the
+        # Up to k = 29 the top k + 1 values are all 5; from k = 30 on the
         # (k + 1)-th value is below the constant.
-        assert curve.excluded_k[:2] == (1, 2)
-        assert curve.k_values[-4:] == (30, 31, 100, 229)
+        assert curve.excluded_k == (1, 2, 5, 29)
+        assert curve.k_values == (30, 31, 100, 229)
+
+    def test_constant_top_is_excluded_despite_rounding(self, rng):
+        # The mean of k equal logs minus one of them leaves a rounding
+        # residue at some k (here 5 and 7), which a test of the mean excess
+        # alone keeps with an estimate near 1e16.
+        data = np.concatenate([rng.uniform(1.0, 1.4, size=200), np.full(50, 1.5)])
+        rng.shuffle(data)
+        k_grid = [1, 2, 3, 5, 7, 40, 49, 50, 60]
+        curve = hill_estimator(data, k_grid)
+        assert curve == sorted_hill_estimator(data, k_grid)
+        assert curve.excluded_k == (1, 2, 3, 5, 7, 40, 49)
+        assert curve.k_values == (50, 60)
+        assert all(type(a) is float and 0.0 < a < 100.0 for a in curve.alpha_hat)
 
     def test_batched_curves_equal_full_sort_of_each_series(self, rng):
         x = np.asfortranarray(rng.pareto(2.0, size=(3000, 4)) + 1.0)
@@ -293,6 +307,27 @@ class TestHill:
         for subset in (IndexSubset.of(3), IndexSubset.of(2, 3)):
             assert hill_curves(x, [(subset, len(subset))], [1, 2, 40])[0].excluded_k[:2] == (1, 2)
         assert hill_curves(x, [], [5]) == ()
+
+    def test_deep_merges_run_in_row_chunks(self, rng):
+        # Ranks 2 and 3 of 4 columns hold one slot and one spare beside the
+        # buffer. Merged in row chunks, they take the size of a chunk, and
+        # the chunk boundaries leave every value as a whole-column sort.
+        n = 4 * _CHUNK_ROWS + 5
+        x = np.asfortranarray(rng.pareto(2.0, size=(n, 4)) + 1.0)
+        full = IndexSubset.full(4)
+        k_grid = [10, 1000]
+        tracemalloc.start()
+        try:
+            curves = hill_curves(x, [(full, 2), (full, 3)], k_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The n-float buffer, and a slot and a spare of one chunk each (n/2
+        # floats together here); an n-sized slot and spare would make 3 n.
+        assert peak < 2 * n * 8, peak / (n * 8)
+        ordered = np.sort(x, axis=1)
+        for rank, curve in zip((2, 3), curves):
+            assert curve == sorted_hill_estimator(ordered[:, -rank], k_grid)
 
     def test_hill_estimator_leaves_its_input_unchanged(self, rng):
         data = rng.pareto(2.0, size=2001) + 1.0
