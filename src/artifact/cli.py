@@ -86,6 +86,7 @@ class JobConfig:
     t_grid: tuple[float, ...]
     n: Optional[int]
     seed: Optional[int]
+    # None without simulation.k_grid: cmd_simulate resolves the default grid.
     k_grid: Optional[tuple[int, ...]]
 
 
@@ -220,11 +221,13 @@ def load_job_config(path: str, seed_override: Optional[int] = None) -> JobConfig
         n = _checked("simulation.n", _integer, sim.get("n"), "n", 1, _MAX_N)
         seed = _checked("simulation.seed", _integer, sim.get("seed", 0), "seed", 0, _MAX_SEED)
         raw_k = sim.get("k_grid")
-        # Each entry is checked by resolve_k_grid.
-        if raw_k is not None and not isinstance(raw_k, list):
-            raise ConfigError("simulation.k_grid", "'k_grid' must be a list")
-        field = "simulation.n" if raw_k is None else "simulation.k_grid"
-        k_grid = _checked(field, resolve_k_grid, raw_k, n)
+        # Each entry is checked by resolve_k_grid. Without k_grid the
+        # default grid is resolved by cmd_simulate, the one command that
+        # uses it, so verify runs at any n.
+        if raw_k is not None:
+            if not isinstance(raw_k, list):
+                raise ConfigError("simulation.k_grid", "'k_grid' must be a list")
+            k_grid = _checked("simulation.k_grid", resolve_k_grid, raw_k, n)
 
     if seed_override is not None:
         seed = _checked("seed", _integer, seed_override, "seed", 0, _MAX_SEED)
@@ -318,6 +321,9 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     """One seeded draw; writes hill.csv (tail-index curves for the standard
     derived series) and condprob.csv (conditional exceedance curves)."""
     cfg = _simulation_config(job)
+    k_grid = job.k_grid
+    if k_grid is None:
+        k_grid = _checked("simulation.n", resolve_k_grid, None, cfg.n)
     d = job.sigma.dim
     # One pass over one draw feeds both sides: each normal block is counted
     # for the gaussian-side curves as it is drawn, then mapped to the Pareto
@@ -347,7 +353,7 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     series.append(("min_all", full, d))
     series.append(("max_all", full, 1))
 
-    curves = hill_curves(x, [(subset, rank) for _, subset, rank in series], job.k_grid)
+    curves = hill_curves(x, [(subset, rank) for _, subset, rank in series], k_grid)
     _write_csv(
         os.path.join(out_dir, "hill.csv"),
         ["series", "k", "alpha_hat"],
@@ -379,7 +385,7 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
         )
 
     print(f"simulated n={cfg.n} seed={cfg.seed} d={d}")
-    print(f"hill.csv: {len(curves)} series over k in [{job.k_grid[0]}, {job.k_grid[-1]}]")
+    print(f"hill.csv: {len(curves)} series over k in [{k_grid[0]}, {k_grid[-1]}]")
     if d >= 2:
         print("condprob.csv: gaussian kappas " + ",".join(f"{k:g}" for k in GAUSSIAN_KAPPAS)
               + " / pareto kappas " + ",".join(f"{k:g}" for k in PARETO_KAPPAS))

@@ -11,15 +11,16 @@ over a coordinate subset, merged column by column into buffers allocated
 before the merge), the Hill tail-index estimator, the conditional
 exceedance curves P(V1 > t | V2 > kappa t), and the empirical-versus-
 asymptotic verification table with its log-log slope diagnostic.
-hill_curves derives every Hill series of a sample into one n-float buffer
-allocated once, merging it in row chunks of _CHUNK_ROWS rows (so the
-slots of a deep merge take the size of a chunk), and ranks it there in
-place (a partition, then a sort of only the top k_max + 1 values, whose
-logs and cumulative sums go to two buffers of that size, also allocated
-once), so no series allocates an n-float array. cmd_simulate counts the
-normal-scale conditional curves on the sampler's blocks as they are drawn
-and maps each block to the Pareto scale in place, so besides its n x d
-sample it holds only that buffer and the two log buffers. Because every
+hill_curves derives every Hill series of a sample into the last n floats
+of one buffer of max(n, 2 (k_max + 1)) floats allocated once, merging it
+in row chunks of _CHUNK_ROWS rows (so the slots of a deep merge take the
+size of a chunk), and ranks it there in place (a partition, then a sort
+of only the top k_max + 1 values, whose logs and cumulative sums go to
+the buffer's first k_max + 1 floats), so no series allocates an n-float
+array. cmd_simulate counts the normal-scale conditional curves on the
+sampler's blocks as they are drawn and maps each block to the Pareto
+scale in place, so besides its n x d sample it holds only that buffer
+(n floats on the default grid) and a chunk-sized merge slot. Because every
 coordinate shares one increasing map Z_j -> X_j, verification counts each
 tail set on the normal rows directly: X in t * set is the event that at
 least k of the coordinates in a subset S exceed per-coordinate normal
@@ -173,10 +174,15 @@ def _rowwise_kth_largest(
     The columns are merged one at a time into a rowwise sorted stack of the
     k largest values (or of the len(columns) - k + 1 smallest, when that is
     shorter) by elementwise maximum and minimum. Every slot of the stack is
-    a buffer allocated before the merge, the last one being out. A merge
-    writes the value it displaces to the next slot (into that slot when it
-    is still empty, else into one of two spare buffers) before the slot
-    keeps its own, so no merge allocates and every kept value is exact.
+    a buffer allocated before the merge, the last one being out. A column
+    enters the stack from the bottom slot up, so the slot above is still
+    unchanged when a slot is updated ("better" is larger in a stack of the
+    largest values, smaller in one of the smallest): a new bottom slot
+    takes the worse of the column and the slot above, every other slot
+    below the top the median of itself, the column and the slot above (the
+    worse of the slot above and the better of itself and the column), and
+    the top the better of itself and the column. So no merge allocates,
+    there are no spare buffers, and every kept value is exact.
     """
     size = len(columns)
     if out is None:
@@ -188,20 +194,17 @@ def _rowwise_kth_largest(
     else:
         depth, keep, displace = size - k + 1, np.minimum, np.maximum
     slots = [np.empty_like(out) for _ in range(depth - 1)] + [out]
-    spares = [np.empty_like(out) for _ in range(min(depth - 1, 2))]
-    # kept[i] is slots[i] once a merge has written it; until then the first
-    # column stands in slot 0 as it is.
-    kept: list[np.ndarray] = []
-    for value in columns:
-        for i, held in enumerate(kept):
-            displaced = None
-            if i + 1 < depth:
-                spill = slots[i + 1] if i + 1 == len(kept) else spares[i % 2]
-                displaced = displace(held, value, out=spill)
-            kept[i] = keep(held, value, out=slots[i])
-            value = displaced
-        if len(kept) < depth:
-            kept.append(value)
+    # kept[0] is the first column as it is until a merge writes slot 0;
+    # every other kept[i] is slots[i].
+    kept: list[np.ndarray] = [columns[0]]
+    for value in columns[1:]:
+        levels = len(kept)
+        if levels < depth:
+            kept.append(displace(kept[-1], value, out=slots[levels]))
+        for i in range(levels - 1, 0, -1):
+            keep(slots[i], value, out=slots[i])
+            displace(kept[i - 1], slots[i], out=slots[i])
+        kept[0] = keep(kept[0], value, out=slots[0])
     if kept[-1] is not out:
         np.copyto(out, kept[-1])
     return out
@@ -253,56 +256,61 @@ def hill_curves(
     strictly positive finite values: the curve of
     hill_estimator(derived_series(samples, subset, rank), k_grid).
 
-    Every series is derived into one n-float buffer and ranked there in
-    place, and the logs and their cumulative sums of the top k_max + 1
-    values go to two buffers of that size, so the buffers are allocated
-    once per call, not once per series. A series is merged into the buffer
-    in row chunks (_row_chunks), so the slots and spares of a merge that
-    keeps more than one value per row (X_(2) of three or more columns) take
-    the size of a chunk, not of n; the merge is elementwise, so the values
-    are those of a whole-column merge. samples is never
-    written, and its values are checked once: every derived value is one of
-    them.
+    Every series is derived into one buffer of max(n, 2 (k_max + 1))
+    floats, allocated once per call: the series fills its last n floats
+    and is ranked there in place, and the logs of its top k_max + 1 values
+    and their cumulative sums go to its first k_max + 1 floats, which the
+    top does not reach. A series is merged into the buffer in row chunks
+    (_row_chunks), so the slots of a merge that keeps more than one value
+    per row (X_(2) of three or more columns) take the size of a chunk, not
+    of n; the merge is elementwise, so the values are those of a
+    whole-column merge. samples is never written, and its values are
+    checked once: every derived value is one of them.
     """
     samples = _sample_matrix(samples)
     # min and max propagate nan, which fails both comparisons.
     if samples.size == 0 or not (samples.min() > 0.0 and samples.max() < math.inf):
         raise ValueError("hill estimator needs strictly positive finite data")
-    ks = resolve_k_grid(k_grid, samples.shape[0])
+    n = samples.shape[0]
+    ks = resolve_k_grid(k_grid, n)
     merges = [_series_columns(samples, subset, rank) for subset, rank in series]
-    values = np.empty(samples.shape[0])
-    top_logs = np.empty(ks[-1] + 1)
-    csum = np.empty_like(top_logs)
+    buf = np.empty(max(n, 2 * (ks[-1] + 1)))
+    values = buf[buf.size - n :]
     curves = []
     for columns, rank in merges:
-        for rows in _row_chunks(len(values)):
+        for rows in _row_chunks(n):
             _rowwise_kth_largest([column[rows] for column in columns], rank, out=values[rows])
-        curves.append(_hill_curve(values, ks, top_logs, csum))
+        curves.append(_hill_curve(buf, n, ks))
     return tuple(curves)
 
 
-def _hill_curve(
-    values: np.ndarray, ks: tuple[int, ...], top_logs: np.ndarray, csum: np.ndarray
-) -> HillCurve:
-    """Hill curve of values on the grid ks, reordering values in place:
-    alpha_hat(k) = k / sum log(X_(i)/X_(k+1)), i <= k. top_logs and csum
-    are buffers of ks[-1] + 1 floats. A point k is excluded when the mean
-    excess is not positive or the top k + 1 values are equal: then the mean
-    is 0, and a rounding residue of the cumulative sum must not pass for
-    an estimate."""
+def _hill_curve(buf: np.ndarray, n: int, ks: tuple[int, ...]) -> HillCurve:
+    """Hill curve on the grid ks of the n values that end buf, reordering
+    them in place: alpha_hat(k) = k / sum log(X_(i)/X_(k+1)), i <= k. buf
+    holds at least 2 (ks[-1] + 1) floats, and its first ks[-1] + 1 are
+    overwritten. A point k is excluded when the mean excess is not positive
+    or the top k + 1 values are equal: then the mean is 0, and a rounding
+    residue of the cumulative sum must not pass for an estimate."""
     # Only the top k_max + 1 values are sorted, in place after the
     # partition: the same array as the leading entries of the full
     # descending sort.
-    cut = values.size - ks[-1] - 1
-    values.partition(cut)
-    top = values[cut:]
+    count = ks[-1] + 1
+    buf[buf.size - n :].partition(n - count)
+    top = buf[buf.size - count :]
     top.sort()
-    np.log(top[::-1], out=top_logs)
-    np.cumsum(top_logs, out=csum)
+    logs = buf[:count]
+    # The logs of the reversed view, in descending order, as a full sort's
+    # reversed view gives them: numpy's log of a contiguous input differs
+    # from it in some last bits.
+    np.log(top[::-1], out=logs)
+    log_ks = [logs[k] for k in ks]
+    log_top = logs[0]
+    # cumsum adds in sequence, so in place it gives the same sums.
+    np.cumsum(logs, out=logs)
     kept, alphas, excluded = [], [], []
-    for k in ks:
-        mean_excess = csum[k - 1] / k - top_logs[k]
-        if mean_excess <= 0.0 or top_logs[k] == top_logs[0]:
+    for k, log_k in zip(ks, log_ks):
+        mean_excess = logs[k - 1] / k - log_k
+        if mean_excess <= 0.0 or log_k == log_top:
             excluded.append(k)
             continue
         kept.append(k)

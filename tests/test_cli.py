@@ -520,6 +520,16 @@ class TestVerify:
         assert code == 4
         assert "target=-99" in out and "FAIL" in out
 
+    def test_runs_below_the_default_hill_grid(self, runner):
+        # verify draws no Hill curves, so the n >= 41 of simulate's default
+        # grid does not bind it. 40 rows leave every t low on hits, so
+        # there is no slope to pass.
+        code, out, err, out_dir = runner(dict(VERIFY_JOB, simulation={"n": 40, "seed": 11}), "verify")
+        assert code == 4, err
+        assert "verification: n=40 seed=11" in out and "FAIL" in out
+        rows = (out_dir / "verify_1.csv").read_text().splitlines()
+        assert len(rows) == 6 and all(row.endswith(",low-hits") for row in rows[1:])
+
     def test_verify_needs_sets_and_grid(self, runner):
         assert_config_error(runner(dict(VERIFY_JOB, sets=[]), "verify"), "sets")
         assert_config_error(runner(dict(VERIFY_JOB, t_grid=[]), "verify"), "t_grid")
@@ -614,9 +624,10 @@ class TestOnePassSimulate:
 
     def test_memory_is_the_sample_and_one_hill_buffer(self, tmp_path):
         # What cmd_simulate holds beyond its n x d sample: one n-float Hill
-        # buffer, the logs and cumulative sums of the top n/4 + 1 values,
-        # and chunk-sized temporaries. A kept n x 2 normal copy, or n-sized
-        # merge slots, would take it past (d + 2) n floats.
+        # buffer, whose head also takes the logs and cumulative sums of the
+        # top n/4 + 1 values, and chunk-sized temporaries. Log buffers of
+        # their own, a kept n x 2 normal copy, or n-sized merge slots would
+        # take it past (d + 1.25) n floats.
         d, n = 4, 64 * BLOCK_ROWS + 5
         job_path = tmp_path / "job.json"
         job_path.write_text(json.dumps(
@@ -629,4 +640,4 @@ class TestOnePassSimulate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (d + 2) * n * 8, peak / (n * 8)
+        assert peak < (d + 1.25) * n * 8, peak / (n * 8)

@@ -188,7 +188,9 @@ class TestDerivedSeries:
             for rank in range(1, size + 1):
                 assert not np.shares_memory(derived_series(samples, subset, rank), samples)
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    # Up to 7 columns, so that stacks of depth 3 and 4 (rank 4 of 7) have
+    # one and two slots between the top and the bottom.
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("kind", ["float64", "uint8"])
     def test_rowwise_kth_largest_into_out(self, rng, size, kind):
         # Ties are common in both kinds: rank columns take few values, and a
@@ -309,9 +311,9 @@ class TestHill:
         assert hill_curves(x, [], [5]) == ()
 
     def test_deep_merges_run_in_row_chunks(self, rng):
-        # Ranks 2 and 3 of 4 columns hold one slot and one spare beside the
-        # buffer. Merged in row chunks, they take the size of a chunk, and
-        # the chunk boundaries leave every value as a whole-column sort.
+        # Ranks 2 and 3 of 4 columns hold one slot beside the buffer. Merged
+        # in row chunks, it takes the size of a chunk, and the chunk
+        # boundaries leave every value as a whole-column sort.
         n = 4 * _CHUNK_ROWS + 5
         x = np.asfortranarray(rng.pareto(2.0, size=(n, 4)) + 1.0)
         full = IndexSubset.full(4)
@@ -322,12 +324,27 @@ class TestHill:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The n-float buffer, and a slot and a spare of one chunk each (n/2
-        # floats together here); an n-sized slot and spare would make 3 n.
-        assert peak < 2 * n * 8, peak / (n * 8)
+        # The n-float buffer and a slot of one chunk (n/4 floats here); a
+        # spare beside the slot would make 1.5 n, an n-sized slot 2 n.
+        assert peak < 1.4 * n * 8, peak / (n * 8)
         ordered = np.sort(x, axis=1)
         for rank, curve in zip((2, 3), curves):
             assert curve == sorted_hill_estimator(ordered[:, -rank], k_grid)
+
+    def test_default_grid_ranks_in_one_n_float_buffer(self, rng):
+        # The default grid's k_max is n/4, so the logs and their cumulative
+        # sums of the top k_max + 1 values fit in the head of the buffer
+        # that the top does not reach; buffers of their own would make 1.5 n.
+        n = 4 * _CHUNK_ROWS + 5
+        x = rng.pareto(2.0, size=(n, 1)) + 1.0
+        tracemalloc.start()
+        try:
+            curve = hill_curves(x, [(IndexSubset.of(1), 1)])[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * n * 8, peak / (n * 8)
+        assert curve == sorted_hill_estimator(x[:, 0])
 
     def test_hill_estimator_leaves_its_input_unchanged(self, rng):
         data = rng.pareto(2.0, size=2001) + 1.0
