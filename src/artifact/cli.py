@@ -40,7 +40,7 @@ from .qp import SolverInconsistency
 from .simulate import (
     _MAX_N,
     SimulationConfig,
-    _gaussian_blocks,
+    _gaussian_sample,
     _increasing_grid,
     _row_chunks,
     _to_pareto,
@@ -325,22 +325,23 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     if k_grid is None:
         k_grid = _checked("simulation.n", resolve_k_grid, None, cfg.n)
     d = job.sigma.dim
-    # One pass over one draw feeds both sides: each normal block is counted
-    # for the gaussian-side curves as it is drawn, then mapped to the Pareto
-    # scale in place in its rows of x, so no normal column is kept. x is
-    # column-major so that every derived series reads whole columns without
-    # a copy. With d = 1 there are no curves, but the pass still fills x.
-    x = np.empty((cfg.n, d), order="F")
+    # One draw feeds both sides. x is drawn column-major, so that the curves
+    # and every derived series read whole columns without a copy. Each
+    # chunk of normal rows is counted for the gaussian-side curves, then
+    # mapped to the Pareto scale in place, so no normal column is kept. The
+    # transform runs here, not in the sampler's workers: scipy's ndtr holds
+    # the GIL. With d = 1 there are no curves, but every chunk is mapped.
+    x = _gaussian_sample(cfg, order="F")
 
-    def normal_blocks():
-        for start, z in _gaussian_blocks(cfg):
-            yield z
-            _to_pareto(z, job.marg.alpha, out=x[start : start + len(z)])
+    def normal_chunks():
+        for rows in _row_chunks(cfg.n):
+            yield x[rows]
+            _to_pareto(x[rows], job.marg.alpha, out=x[rows])
 
     if d >= 2:
-        gaussian = conditional_exceedance_curves(normal_blocks(), GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID)
+        gaussian = conditional_exceedance_curves(normal_chunks(), GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID)
     else:
-        for _ in normal_blocks():
+        for _ in normal_chunks():
             pass
 
     full = IndexSubset.full(d)
@@ -451,7 +452,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         job = load_job_config(args.config, seed_override=args.seed)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as err:
+            raise ConfigError("out", f"cannot use --out as an output directory: {err}") from None
         if args.command == "analyze":
             return cmd_analyze(job, args.out)
         if args.command == "simulate":

@@ -4,7 +4,10 @@ Samples heavy-tailed vectors with normal dependence by the exact inverse-cdf
 construction X_j = (1 - Phi(Z_j))^{-1/alpha}, Z ~ N(0, Sigma). Randomness is
 counter-based: every fixed 8192-row block derives its own substream from
 (seed, block index), so output is bit-identical for a given seed, and the
-first rows of a sample do not depend on how many rows follow them.
+first rows of a sample do not depend on how many rows follow them. So the
+blocks may be drawn in any order: _draw_blocks splits them between one
+worker per usable CPU, at most two (the calling thread and one helper), and
+each worker draws its blocks into buffers allocated once.
 
 On top of the sampler: derived per-row series (the rank-th largest value
 over a coordinate subset, merged column by column into buffers allocated
@@ -17,14 +20,17 @@ in row chunks of _CHUNK_ROWS rows (so the slots of a deep merge take the
 size of a chunk), and ranks it there in place (a partition, then a sort
 of only the top k_max + 1 values, whose logs and cumulative sums go to
 the buffer's first k_max + 1 floats), so no series allocates an n-float
-array. cmd_simulate counts the normal-scale conditional curves on the
-sampler's blocks as they are drawn and maps each block to the Pareto
-scale in place, so besides its n x d sample it holds only that buffer
-(n floats on the default grid) and a chunk-sized merge slot. Because every
-coordinate shares one increasing map Z_j -> X_j, verification counts each
-tail set on the normal rows directly: X in t * set is the event that at
-least k of the coordinates in a subset S exceed per-coordinate normal
-thresholds, which are nondecreasing in t.
+array. cmd_simulate draws its normal rows straight into its column-major
+n x d sample, then counts the normal-scale conditional curves chunk by
+chunk and maps each chunk to the Pareto scale in place, so besides that
+sample it holds only the Hill buffer (n floats on the default grid) and a
+chunk-sized merge slot. The transform stays out of the workers: scipy's
+ndtr holds the GIL, so two threads of it are no faster than one. Because
+every coordinate shares one increasing map Z_j -> X_j, verification counts
+each tail set on the normal rows directly: X in t * set is the event that
+at least k of the coordinates in a subset S exceed per-coordinate normal
+thresholds, which are nondecreasing in t; each worker counts its own
+blocks, and the integer counts are summed.
 The conditional curves are events of the same form on the rows they are
 given: V2 > kappa t is "at least 1 of {V2} exceeds kappa t", and
 V1 > t, V2 > kappa t is "at least 2 of {V1, V2} exceed (t, kappa t)". One
@@ -38,8 +44,10 @@ fills every grid cell.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 from scipy.special import ndtr
@@ -71,6 +79,8 @@ DEFAULT_HILL_POINTS = 40
 # The hit counters are int64, so a sample has at most 2**63 - 1 rows.
 _MAX_N = 2**63 - 1
 
+_T = TypeVar("_T")
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -95,24 +105,86 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     )
 
 
-def _gaussian_blocks(cfg: SimulationConfig) -> Iterator[tuple[int, np.ndarray]]:
-    """(first row, block) pairs of correlated standard normal rows, in order:
-    every block but the last has BLOCK_ROWS rows, and together they are the
-    n x d sample."""
+def _block_workers() -> int:
+    """Workers for a pass over the sampler's blocks: one per CPU this process
+    may run on, at most two."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
+def _draw_blocks(
+    cfg: SimulationConfig, work: Callable[[Iterator[tuple[slice, np.ndarray]]], _T]
+) -> list[_T]:
+    """work's result on each worker's share of the n x d correlated normal
+    sample, in worker order.
+
+    The sample is drawn in blocks of BLOCK_ROWS rows (the last may be
+    shorter), block b from its own substream _block_rng(seed, b), so its
+    rows do not depend on which worker draws it or when. Worker w of
+    W = min(_block_workers(), blocks) draws blocks w, w + W, w + 2W, ...:
+    worker 0 is the calling thread, worker 1 a helper thread. work runs once
+    per worker, on an iterator of (rows, z) pairs of that worker's blocks:
+    rows is the slice of the sample that the block fills, and z its normal
+    rows, column-major, in a buffer that the worker's next block overwrites.
+    An exception in a worker stops the other one at its next block and is
+    raised here once the helper has ended.
+    """
     # A C-contiguous copy of the transposed factor, made once per call.
     factor = np.ascontiguousarray(spd_factorize(cfg.sigma).lower.T)
-    d = cfg.sigma.dim
-    for block, start in enumerate(range(0, cfg.n, BLOCK_ROWS)):
-        rows = min(BLOCK_ROWS, cfg.n - start)
-        eta = _block_rng(cfg.seed, block).standard_normal((rows, d))
-        yield start, eta @ factor
+    n, d = cfg.n, cfg.sigma.dim
+    blocks = -(-n // BLOCK_ROWS)
+    workers = min(_block_workers(), blocks)
+    stop = threading.Event()
+    results: list = [None] * workers
+    errors: list[Optional[BaseException]] = [None] * workers
+
+    def share(w: int) -> Iterator[tuple[slice, np.ndarray]]:
+        # Allocated once per worker; the column-major product is bit for bit
+        # eta @ factor, and its columns are contiguous for the counters.
+        eta = np.empty((BLOCK_ROWS, d))
+        z = np.empty((BLOCK_ROWS, d), order="F")
+        for block in range(w, blocks, workers):
+            if stop.is_set():
+                return
+            start = block * BLOCK_ROWS
+            rows = min(BLOCK_ROWS, n - start)
+            _block_rng(cfg.seed, block).standard_normal(out=eta[:rows])
+            yield slice(start, start + rows), np.matmul(eta[:rows], factor, out=z[:rows])
+
+    def run(w: int) -> None:
+        try:
+            results[w] = work(share(w))
+        except BaseException as err:  # re-raised below, in the calling thread
+            stop.set()
+            errors[w] = err
+
+    helpers = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    try:
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    for err in errors:
+        if err is not None:
+            raise err
+    return results
 
 
-def _gaussian_sample(cfg: SimulationConfig) -> np.ndarray:
-    """n x d correlated standard normal rows, bit-reproducible per seed."""
-    z = np.empty((cfg.n, cfg.sigma.dim))
-    for start, block in _gaussian_blocks(cfg):
-        z[start : start + len(block)] = block
+def _gaussian_sample(cfg: SimulationConfig, order: str = "C") -> np.ndarray:
+    """n x d correlated standard normal rows, bit-reproducible per seed, in a
+    new array of the given memory order."""
+    z = np.empty((cfg.n, cfg.sigma.dim), order=order)
+
+    def fill(blocks):
+        for rows, block in blocks:
+            z[rows] = block
+
+    _draw_blocks(cfg, fill)
     return z
 
 
@@ -372,20 +444,26 @@ def verify_asymptotics(
     One pass over the sampler's normal blocks: each set at each t is the
     event "at least k of the coordinates in S exceed their thresholds" on the
     normal rows, so no row is mapped to the Pareto scale, and memory is
-    bounded by one block, not by n. The events are counted by grid rank
-    (_EventCounter, which also counts the conditional curves): one
-    comparison pass per coordinate and threshold, shared by every set that
-    uses it. Rows with fewer than LOW_HIT_THRESHOLD exceedances are flagged
+    bounded by one block per worker, not by n. The events are counted by
+    grid rank (_EventCounter, which also counts the conditional curves):
+    one comparison pass per coordinate and threshold, shared by every set
+    that uses it. Rows with fewer than LOW_HIT_THRESHOLD exceedances are flagged
     "low-hits" and excluded from the slope fit.
     """
     ts = _increasing_grid(t_grid)
     estimates = [asymptotic_estimate(cfg.sigma, cfg.marg, tail_set) for tail_set in tail_sets]
-    counter = _EventCounter(
-        [_normal_event(tail_set, cfg.sigma.dim, cfg.marg.alpha, ts) for tail_set in tail_sets],
-        len(ts),
-    )
-    for _, z in _gaussian_blocks(cfg):
-        counter.add(z)
+    events = [_normal_event(tail_set, cfg.sigma.dim, cfg.marg.alpha, ts) for tail_set in tail_sets]
+
+    def count(blocks):
+        counter = _EventCounter(events, len(ts))
+        for _, z in blocks:
+            counter.add(z)
+        return counter
+
+    # Each worker counts its own blocks; integer bins sum exactly.
+    counter, *others = _draw_blocks(cfg, count)
+    for other in others:
+        counter.bins += other.bins
     return tuple(
         _verification_table(ts, counts, cfg.n, est)
         for counts, est in zip(counter.hits(), estimates)
@@ -417,7 +495,8 @@ class _EventCounter:
         self.bins = np.zeros((len(self.events), points + 1), dtype=np.int64)
 
     def add(self, z: np.ndarray) -> None:
-        z = np.asfortranarray(z)
+        """Count the rows of z; its columns are read as they are, so a
+        column-major z is read without a copy."""
         ranks = []
         for j, thresholds in self.columns:
             column = z[:, j]

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import artifact.simulate as simulate
 from artifact import CorrelationMatrix, IndexSubset, TailSet
-from artifact.simulate import _gaussian_blocks, _to_pareto
+from artifact.simulate import _to_pareto
+from oracles import serial_gaussian_blocks
 
 
 def rect(members, thresholds) -> TailSet:
@@ -126,12 +128,23 @@ def small_eigenvalue_correlation(rng: np.random.Generator, d: int) -> Correlatio
 
 def normal_blocks(cfg):
     """The sampler's normal rows, one block at a time."""
-    return (z for _, z in _gaussian_blocks(cfg))
+    return (z for _, z in serial_gaussian_blocks(cfg))
 
 
 def pareto_blocks(cfg):
     """Coordinates 1-2 of the sampler's heavy-tailed rows, one block at a time."""
-    return (_to_pareto(z[:, :2], cfg.marg.alpha) for _, z in _gaussian_blocks(cfg))
+    return (_to_pareto(z[:, :2], cfg.marg.alpha) for _, z in serial_gaussian_blocks(cfg))
+
+
+@pytest.fixture
+def set_workers(monkeypatch):
+    """Sets how many workers the sampler's block pass uses, through the one
+    function that decides it."""
+
+    def set_to(count: int) -> None:
+        monkeypatch.setattr(simulate, "_block_workers", lambda: count)
+
+    return set_to
 
 
 @pytest.fixture

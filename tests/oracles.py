@@ -10,7 +10,8 @@ normal rows that verify_asymptotics counts, and the masked event hits count
 those normal-row events with one mask per grid point instead of by grid
 rank. The conditional curves are
 counted with one pair of boolean masks per cell instead of by binning each
-value once, and the Hill curve sorts the whole series.
+value once, the Hill curve sorts the whole series, and the sampler's blocks
+are drawn one after another in one thread, each into a new array.
 """
 
 import itertools
@@ -32,7 +33,15 @@ from artifact.asymptotics import (
 from artifact.gaussian import std_normal_pdf
 from artifact.linalg import CorrelationMatrix, IndexSubset, solve_spd, spd_factorize
 from artifact.qp import QpSolution
-from artifact.simulate import ConditionalCurve, HillCurve, _increasing_grid, resolve_k_grid
+from artifact.simulate import (
+    BLOCK_ROWS,
+    ConditionalCurve,
+    HillCurve,
+    SimulationConfig,
+    _block_rng,
+    _increasing_grid,
+    resolve_k_grid,
+)
 
 # exp(-z^2/2) underflows past |z| ~ 38.6; quadrature never needs to look beyond.
 _NORMAL_SUPPORT = 40.0
@@ -214,6 +223,15 @@ def full_cone_scan(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> 
         marginal=marg,
         gamma_next=min((g for c, g in gammas.items() if len(c) > level), default=None),
     )
+
+
+def serial_gaussian_blocks(cfg: SimulationConfig):
+    """(first row, block) pairs of the sampler's correlated normal rows, block
+    by block in order, each drawn into a new C-ordered array as eta @ L'."""
+    factor = np.ascontiguousarray(spd_factorize(cfg.sigma).lower.T)
+    for block, start in enumerate(range(0, cfg.n, BLOCK_ROWS)):
+        rows = min(BLOCK_ROWS, cfg.n - start)
+        yield start, _block_rng(cfg.seed, block).standard_normal((rows, cfg.sigma.dim)) @ factor
 
 
 def scaling_statistic(samples: np.ndarray, tail_set: TailSet) -> np.ndarray:

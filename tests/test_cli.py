@@ -314,6 +314,17 @@ class TestConfigErrors:
         assert code == 2
         assert "config error in field 'config':" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+    def test_unusable_out_names_the_field(self, tmp_path, capsys, below):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(IDENTITY_JOB))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub" if below else taken
+        code = main(["analyze", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "config error in field 'out':" in capsys.readouterr().err
+
     def test_argparse_rejects_unknown_command(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["frobnicate", "--config", "x", "--out", str(tmp_path)])
@@ -621,6 +632,18 @@ class TestOnePassSimulate:
         )
         for name in ("hill.csv", "condprob.csv"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+    # Four blocks (the last one partial) and one block: one helper, or none.
+    @pytest.mark.parametrize("n", [3 * BLOCK_ROWS + 5, BLOCK_ROWS - 1])
+    def test_csvs_do_not_depend_on_the_worker_count(self, runner, set_workers, n):
+        job = dict(SIMULATE_JOB, sigma=equi_matrix(3, 0.5).entries.tolist(), simulation={"n": n, "seed": 6})
+        runs = []
+        for workers in (1, 2):
+            set_workers(workers)
+            code, out, _, out_dir = runner(job, "simulate", out_name=f"w{workers}")
+            assert code == 0
+            runs.append((out, [(out_dir / name).read_bytes() for name in ("hill.csv", "condprob.csv")]))
+        assert runs[0] == runs[1]
 
     def test_memory_is_the_sample_and_one_hill_buffer(self, tmp_path):
         # What cmd_simulate holds beyond its n x d sample: one n-float Hill

@@ -2,6 +2,7 @@
 empirical tails, verification tables, and conditional exceedance curves."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from artifact.simulate import (
     _CHUNK_ROWS,
     HillCurve,
     SimulationConfig,
+    _draw_blocks,
     _gaussian_sample,
     _EventCounter,
     _increasing_grid,
@@ -47,6 +49,7 @@ from oracles import (
     masked_conditional_curves,
     masked_event_hits,
     scaling_statistic,
+    serial_gaussian_blocks,
     sorted_hill_estimator,
 )
 
@@ -641,6 +644,65 @@ class TestStreamedVerification:
                 tracemalloc.stop()
         assert max(peaks) <= 1.1 * min(peaks), peaks
         assert max(peaks) < 4 * 2**20, peaks
+
+
+class TestBlockWorkers:
+    """The sampler's blocks are drawn and counted on one or two workers; the
+    sample and every count must not depend on how many."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 6, 16])
+    def test_sample_equals_serial_blocks_bit_for_bit(self, set_workers, workers, d, rng):
+        # Two whole blocks and a partial one; a random correlation matrix.
+        a = rng.standard_normal((d, d))
+        s = a @ a.T + d * np.eye(d)
+        scale = 1.0 / np.sqrt(np.diagonal(s))
+        lower = np.tril(s * scale[:, None] * scale[None, :], -1)
+        cfg = config(CorrelationMatrix(lower + lower.T + np.eye(d)), 2 * BLOCK_ROWS + 37, 8)
+        want = np.concatenate([z for _, z in serial_gaussian_blocks(cfg)]).tobytes()
+        set_workers(workers)
+        for order in ("C", "F"):
+            got = _gaussian_sample(cfg, order)
+            assert got.flags[f"{order}_CONTIGUOUS"]
+            assert np.ascontiguousarray(got).tobytes() == want
+
+    @pytest.mark.parametrize(
+        "n, shares",
+        [(3 * BLOCK_ROWS + 5, [[0, 2], [1, 3]]), (BLOCK_ROWS - 1, [[0]]), (BLOCK_ROWS, [[0]])],
+    )
+    def test_worker_w_draws_blocks_w_plus_multiples_of_the_worker_count(self, set_workers, n, shares):
+        set_workers(2)
+        cfg = config(IDENTITY_2, n, 3)
+        got = _draw_blocks(cfg, lambda blocks: [(rows, len(z)) for rows, z in blocks])
+        assert [[rows.start // BLOCK_ROWS for rows, _ in share] for share in got] == shares
+        assert all(rows.stop - rows.start == size for share in got for rows, size in share)
+        assert sum(size for share in got for _, size in share) == n
+
+    @pytest.mark.parametrize("n", [3 * BLOCK_ROWS + 5, BLOCK_ROWS - 1])
+    def test_verification_does_not_depend_on_the_worker_count(self, set_workers, n):
+        cfg = config(equi_matrix(3, 0.5), n, 19)
+        tables = {}
+        for workers in (1, 2):
+            set_workers(workers)
+            tables[workers] = verify_asymptotics(cfg, STREAM_SETS, STREAM_GRID)
+        # repr compares every float to the last bit, nan included.
+        assert repr(tables[1]) == repr(tables[2])
+
+    @pytest.mark.parametrize("failing", ["helper", "main"])
+    def test_a_worker_exception_reaches_the_caller(self, set_workers, failing):
+        set_workers(2)
+        cfg = config(IDENTITY_2, 6 * BLOCK_ROWS, 3)
+
+        def work(blocks):
+            in_main = threading.current_thread() is threading.main_thread()
+            for _ in blocks:
+                if in_main == (failing == "main"):
+                    raise RuntimeError(f"{failing} failed")
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+            _draw_blocks(cfg, work)
+        assert threading.active_count() == before
 
 
 class TestConditionalCurves:
