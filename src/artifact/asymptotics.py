@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp, ndtri
+from scipy.special import logsumexp
 
 from .gaussian import (
     LOG_TWO_PI,
@@ -115,28 +115,6 @@ class TailSet:
                 f"{self.subset}, got {len(thresholds)}"
             )
         object.__setattr__(self, "k", _integer(self.k, "level", 1, size))
-
-
-def _normal_event(
-    tail_set: TailSet, dim: int, alpha: float, ts
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """The tail set scaled by each t of ts, as an event on the normal rows Z
-    of the exact Pareto(alpha) model X_j = survival(Z_j)^{-1/alpha}.
-
-    Returns (indices S, count k, thresholds c): X is in t_m * set exactly
-    when at least k of the Z_j, j in S, exceed c[j, m] = -Phi^{-1}((t_m x_j)^{-alpha}).
-    A coordinate with t_m x_j <= 1 always exceeds (c = -inf). Each row of c
-    is nondecreasing in t, as the events are nested: rounding in the power
-    and in ndtri can lower a threshold by an ulp between grid points a few
-    ulps apart, and the running maximum undoes that.
-    """
-    tail_set.subset.validate_within(dim)
-    survival = np.power(np.outer(tail_set.thresholds, ts), -alpha)
-    return (
-        tail_set.subset.as_indices(),
-        tail_set.k,
-        np.maximum.accumulate(-ndtri(np.minimum(1.0, survival)), axis=1),
-    )
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from .simulate import (
     SimulationConfig,
     _gaussian_sample,
     _increasing_grid,
-    _row_chunks,
     _to_pareto,
     conditional_exceedance_curves,
     hill_curves,
@@ -91,11 +90,14 @@ class JobConfig:
 
 
 def _checked(field: str, check, *args):
-    """check(*args), with the ValueError of a failed library check reported
-    as a config error in field."""
+    """check(*args), with the ValueError of a failed library check, or the
+    OverflowError of a result past the largest float, reported as a config
+    error in field; an UnsupportedDegeneracy, also a ValueError, passes."""
     try:
         return check(*args)
-    except ValueError as err:
+    except UnsupportedDegeneracy:
+        raise
+    except (ValueError, OverflowError) as err:
         raise ConfigError(field, str(err)) from None
 
 
@@ -278,10 +280,11 @@ def cmd_analyze(job: JobConfig, out_dir: str) -> int:
     def set_rows():
         # Each set's report is printed as its rows are drawn, so a set that
         # raises leaves the reports and rows of the sets before it.
-        for item in job.sets:
-            spec = item.spec
-            est = asymptotic_estimate(job.sigma, job.marg, spec)
-            mu = limit_mass(job.sigma, job.marg, spec)
+        for position, item in enumerate(job.sets):
+            # A law past the largest float (a huge alpha) is a config error.
+            spec, field = item.spec, f"sets[{position}]"
+            est = _checked(field, asymptotic_estimate, job.sigma, job.marg, spec)
+            mu = _checked(field, limit_mass, job.sigma, job.marg, spec)
             # A set of level k >= 2 with no carrier in the level-k cone is null
             # at its scale.
             flagged = spec.k >= 2 and not cones[spec.k].carriers(spec)
@@ -321,28 +324,14 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     """One seeded draw; writes hill.csv (tail-index curves for the standard
     derived series) and condprob.csv (conditional exceedance curves)."""
     cfg = _simulation_config(job)
-    k_grid = job.k_grid
-    if k_grid is None:
-        k_grid = _checked("simulation.n", resolve_k_grid, None, cfg.n)
+    k_grid = _checked("simulation.n", resolve_k_grid, job.k_grid, cfg.n)
     d = job.sigma.dim
-    # One draw feeds both sides. x is drawn column-major, so that the curves
-    # and every derived series read whole columns without a copy. Each
-    # chunk of normal rows is counted for the gaussian-side curves, then
-    # mapped to the Pareto scale in place, so no normal column is kept. The
-    # transform runs here, not in the sampler's workers: scipy's ndtr holds
-    # the GIL. With d = 1 there are no curves, but every chunk is mapped.
-    x = _gaussian_sample(cfg, order="F")
-
-    def normal_chunks():
-        for rows in _row_chunks(cfg.n):
-            yield x[rows]
-            _to_pareto(x[rows], job.marg.alpha, out=x[rows])
-
+    # One draw feeds both sides: the gaussian-side curves are counted on
+    # the normal sample, which is then mapped to the Pareto scale in place.
+    x = _gaussian_sample(cfg)
     if d >= 2:
-        gaussian = conditional_exceedance_curves(normal_chunks(), GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID)
-    else:
-        for _ in normal_chunks():
-            pass
+        sides = {"gaussian": conditional_exceedance_curves([x], GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID)}
+    _to_pareto(x, job.marg.alpha)
 
     full = IndexSubset.full(d)
     series = [(f"X{j}", IndexSubset.of(j), 1) for j in range(1, d + 1)]
@@ -366,14 +355,7 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     )
 
     if d >= 2:
-        # The heavy-tailed curves are counted on x in row chunks, so their
-        # rank and comparison temporaries take the size of a chunk.
-        sides = {
-            "gaussian": gaussian,
-            "pareto": conditional_exceedance_curves(
-                (x[rows] for rows in _row_chunks(cfg.n)), PARETO_KAPPAS, PARETO_T_GRID
-            ),
-        }
+        sides["pareto"] = conditional_exceedance_curves([x], PARETO_KAPPAS, PARETO_T_GRID)
         _write_csv(
             os.path.join(out_dir, "condprob.csv"),
             ["side", "kappa", "t", "probability", "conditioning_count"],
@@ -403,7 +385,12 @@ def cmd_verify(job: JobConfig, out_dir: str, tolerance_pct: float) -> int:
     if not (math.isfinite(tolerance_pct) and tolerance_pct >= 0.0):
         raise ConfigError("tolerance", f"--tolerance must be a finite percentage >= 0, got {tolerance_pct!r}")
     cfg = _simulation_config(job)
-    tables = verify_asymptotics(cfg, [item.spec for item in job.sets], job.t_grid)
+    try:
+        tables = verify_asymptotics(cfg, [item.spec for item in job.sets], job.t_grid)
+    except ValueError:  # name the set whose law overflows, if one does
+        for position, item in enumerate(job.sets):
+            _checked(f"sets[{position}]", asymptotic_estimate, job.sigma, job.marg, item.spec)
+        raise
 
     print(f"verification: n={cfg.n} seed={cfg.seed} tolerance={tolerance_pct:g}%")
     failed = False

@@ -20,12 +20,12 @@ in row chunks of _CHUNK_ROWS rows (so the slots of a deep merge take the
 size of a chunk), and ranks it there in place (a partition, then a sort
 of only the top k_max + 1 values, whose logs and cumulative sums go to
 the buffer's first k_max + 1 floats), so no series allocates an n-float
-array. cmd_simulate draws its normal rows straight into its column-major
-n x d sample, then counts the normal-scale conditional curves chunk by
-chunk and maps each chunk to the Pareto scale in place, so besides that
-sample it holds only the Hill buffer (n floats on the default grid) and a
-chunk-sized merge slot. The transform stays out of the workers: scipy's
-ndtr holds the GIL, so two threads of it are no faster than one. Because
+array. _gaussian_sample fills one new column-major n x d array (so every
+column is read whole, without a copy), _to_pareto maps it in place, and
+conditional_exceedance_curves counts any block in row chunks, so a sample
+needs no n-sized temporary beside it. The transform stays out of the
+workers: scipy's ndtr holds the GIL, so two threads of it are no faster
+than one. Because
 every coordinate shares one increasing map Z_j -> X_j, verification counts
 each tail set on the normal rows directly: X in t * set is the event that
 at least k of the coordinates in a subset S exceed per-coordinate normal
@@ -50,13 +50,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .asymptotics import (
     AsymptoticEstimate,
     MarginalSpec,
     TailSet,
-    _normal_event,
     asymptotic_estimate,
 )
 from .gaussian import _MAX_SEED, _finite_real, _integer, _positive_real
@@ -66,9 +65,9 @@ from .linalg import CorrelationMatrix, IndexSubset, spd_factorize
 # is part of the determinism contract: changing it changes every sample.
 BLOCK_ROWS = 8192
 
-# Passes over a whole sample (the Hill merges, and cmd_simulate's
-# heavy-tailed curves) run in row chunks of this many rows, so their
-# temporaries take the size of a chunk, not of n.
+# Passes over a whole sample (the Hill merges and the conditional curves)
+# run in row chunks of this many rows, so their temporaries take the size
+# of a chunk, not of n.
 _CHUNK_ROWS = 8 * BLOCK_ROWS
 
 # Below this many exceedances an empirical/asymptotic ratio is noise.
@@ -175,10 +174,10 @@ def _draw_blocks(
     return results
 
 
-def _gaussian_sample(cfg: SimulationConfig, order: str = "C") -> np.ndarray:
+def _gaussian_sample(cfg: SimulationConfig) -> np.ndarray:
     """n x d correlated standard normal rows, bit-reproducible per seed, in a
-    new array of the given memory order."""
-    z = np.empty((cfg.n, cfg.sigma.dim), order=order)
+    new column-major array."""
+    z = np.empty((cfg.n, cfg.sigma.dim), order="F")
 
     def fill(blocks):
         for rows, block in blocks:
@@ -194,16 +193,39 @@ def _row_chunks(n: int) -> Iterator[slice]:
         yield slice(start, min(start + _CHUNK_ROWS, n))
 
 
-def _to_pareto(z: np.ndarray, alpha: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _to_pareto(z: np.ndarray, alpha: float) -> np.ndarray:
     """Exact Pareto(alpha) coordinates of normal ones: survival(z)^{-1/alpha},
-    computed in place in out (a new array when out is None)."""
-    out = np.negative(z, out=out)
-    ndtr(out, out=out)
-    return np.power(out, -1.0 / alpha, out=out)
+    computed in place in z, which is returned."""
+    np.negative(z, out=z)
+    ndtr(z, out=z)
+    return np.power(z, -1.0 / alpha, out=z)
+
+
+def _normal_event(
+    tail_set: TailSet, dim: int, alpha: float, ts
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """The tail set scaled by each t of ts, as an event on the normal rows Z
+    of the exact Pareto(alpha) model X_j = survival(Z_j)^{-1/alpha}.
+
+    Returns (indices S, count k, thresholds c): X is in t_m * set exactly
+    when at least k of the Z_j, j in S, exceed c[j, m] = -Phi^{-1}((t_m x_j)^{-alpha}).
+    A coordinate with t_m x_j <= 1 always exceeds (c = -inf). Each row of c
+    is nondecreasing in t, as the events are nested: rounding in the power
+    and in ndtri can lower a threshold by an ulp between grid points a few
+    ulps apart, and the running maximum undoes that.
+    """
+    tail_set.subset.validate_within(dim)
+    survival = np.power(np.outer(tail_set.thresholds, ts), -alpha)
+    return (
+        tail_set.subset.as_indices(),
+        tail_set.k,
+        np.maximum.accumulate(-ndtri(np.minimum(1.0, survival)), axis=1),
+    )
 
 
 def sample_rvgc(cfg: SimulationConfig) -> np.ndarray:
-    """n x d sample of the heavy-tailed vector: X_j = survival(Z_j)^{-1/alpha}."""
+    """n x d sample of the heavy-tailed vector, X_j = survival(Z_j)^{-1/alpha}:
+    the column-major normal sample, mapped in place."""
     return _to_pareto(_gaussian_sample(cfg), cfg.marg.alpha)
 
 
@@ -550,11 +572,11 @@ class ConditionalCurve:
 
 def conditional_exceedance_curves(blocks, kappas, t_grid) -> list[ConditionalCurve]:
     """Empirical P(V1 > t | V2 > kappa t) of columns 1 and 2, per kappa, over
-    the rows of blocks: an iterable of n_i x d arrays with d >= 2, so a
-    whole sample is [x], and a generator of the sampler's blocks keeps
-    memory bounded by one block, not by n. Grid values may be small: these
-    are purely empirical curves. Cells with an empty conditioning event are
-    nan.
+    the rows of blocks: an iterable of n_i x d arrays with d >= 2, each
+    counted in row chunks (_row_chunks), so a whole sample given as [x]
+    takes chunk-sized temporaries, and a generator of the sampler's blocks
+    keeps memory bounded by one block. Grid values may be small: these are
+    purely empirical curves. Cells with an empty conditioning event are nan.
 
     Per kappa, the conditioning event V2 > kappa t and the joint event
     V1 > t, V2 > kappa t are counted on the t grid by _EventCounter, the
@@ -577,7 +599,8 @@ def conditional_exceedance_curves(blocks, kappas, t_grid) -> list[ConditionalCur
             raise ValueError(
                 f"blocks must be n x d arrays of samples with d >= 2, got shape {block.shape}"
             )
-        counter.add(block[:, :2])
+        for rows in _row_chunks(len(block)):
+            counter.add(block[rows, :2])
     hits = counter.hits().tolist()
     curves = []
     for kappa, denoms, joints in zip(kappas, hits[0::2], hits[1::2]):

@@ -314,6 +314,38 @@ class TestConfigErrors:
         assert code == 2
         assert "config error in field 'config':" in capsys.readouterr().err
 
+    # Second set's law past the largest float: a = alpha * gamma, or the log
+    # constant through alpha times the log of a tiny threshold. The first
+    # set's law is finite.
+    OVERFLOWING_LAWS = {
+        "power-exponent": (1.7e308, [1.0, 1.0]),
+        "log-constant": (5e305, [1e-300, 1e-300]),
+    }
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("law", list(OVERFLOWING_LAWS))
+    def test_overflowing_decay_law_names_the_set(self, runner, command, law):
+        alpha, thresholds = self.OVERFLOWING_LAWS[law]
+        cfg = {
+            "sigma": [[1.0, 0.5], [0.5, 1.0]],
+            "alpha": alpha,
+            "sets": [
+                {"type": "complement-box", "thresholds": [1.0, 1.0]},
+                {"type": "rectangular", "subset": [1, 2], "thresholds": thresholds},
+            ],
+            "t_grid": [10.0],
+            "simulation": {"n": 1000, "seed": 1},
+        }
+        result = runner(cfg, command)
+        assert_config_error(result, "sets[1]")
+        assert "Traceback" not in result[2]
+
+    def test_overflowing_limit_mass_names_the_set(self, runner):
+        # x^{-alpha} of a threshold below 1 overflows while the decay law,
+        # in logs, is finite.
+        cfg = dict(IDENTITY_JOB, alpha=1e308, sets=[{"type": "complement-box", "thresholds": [0.5, 0.5]}])
+        assert_config_error(runner(cfg, "analyze"), "sets[0]")
+
     @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
     def test_unusable_out_names_the_field(self, tmp_path, capsys, below):
         cfg = tmp_path / "job.json"

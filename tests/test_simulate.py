@@ -7,13 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
-from artifact.asymptotics import (
-    MarginalSpec,
-    _normal_event,
-)
+from artifact.asymptotics import MarginalSpec
 from artifact.cli import _write_csv
 from artifact.linalg import CorrelationMatrix, IndexSubset
 from artifact.simulate import (
@@ -25,6 +22,7 @@ from artifact.simulate import (
     _gaussian_sample,
     _EventCounter,
     _increasing_grid,
+    _normal_event,
     _rowwise_kth_largest,
     conditional_exceedance_curves,
     default_k_grid,
@@ -92,6 +90,23 @@ class TestConfig:
 
 
 class TestSampling:
+    def test_sample_is_the_normal_sample_mapped_in_place(self):
+        # One column-major n x d array and the sampler's per-worker block
+        # buffers; a mapped copy beside the normal sample would make 2 n d
+        # floats.
+        n, d = 64 * BLOCK_ROWS + 5, 3
+        cfg = config(equi_matrix(d, 0.5), n, 1)
+        tracemalloc.start()
+        try:
+            x = sample_rvgc(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * n * d * 8, peak / (n * d * 8)
+        assert x.flags.f_contiguous
+        want = np.power(ndtr(-_gaussian_sample(cfg)), -1.0 / PARETO2.alpha)
+        assert x.tobytes() == want.tobytes()
+
     def test_marginal_tail_frequency(self):
         n = 200000
         x = sample_rvgc(config(IDENTITY_2, n, 1))
@@ -661,10 +676,9 @@ class TestBlockWorkers:
         cfg = config(CorrelationMatrix(lower + lower.T + np.eye(d)), 2 * BLOCK_ROWS + 37, 8)
         want = np.concatenate([z for _, z in serial_gaussian_blocks(cfg)]).tobytes()
         set_workers(workers)
-        for order in ("C", "F"):
-            got = _gaussian_sample(cfg, order)
-            assert got.flags[f"{order}_CONTIGUOUS"]
-            assert np.ascontiguousarray(got).tobytes() == want
+        got = _gaussian_sample(cfg)
+        assert got.flags.f_contiguous
+        assert np.ascontiguousarray(got).tobytes() == want
 
     @pytest.mark.parametrize(
         "n, shares",
@@ -824,18 +838,24 @@ class TestConditionalCounting:
             assert_same_curves(streamed, want)
             assert_same_curves(given, want)
 
-    @pytest.mark.parametrize("blocks", [normal_blocks, pareto_blocks], ids=["gaussian", "pareto"])
+    @pytest.mark.parametrize(
+        "blocks",
+        [normal_blocks, pareto_blocks, lambda cfg: [sample_rvgc(cfg)]],
+        ids=["gaussian", "pareto", "materialized"],
+    )
     def test_memory_does_not_grow_with_n(self, blocks):
         # A materialized sample would hold n x d floats: 1.6 MB at the
-        # smaller n, 12.6 MB at the larger.
+        # smaller n, 12.6 MB at the larger. One given whole, as [x], is
+        # drawn before the trace starts and counted in row chunks, so the
+        # temporaries take the size of a chunk (the smaller n is one chunk
+        # and 5 rows).
         sigma = equi_matrix(3, 0.5)
         peaks = []
         for n in (8 * BLOCK_ROWS + 5, 64 * BLOCK_ROWS + 5):
+            given = blocks(config(sigma, n, 1))
             tracemalloc.start()
             try:
-                conditional_exceedance_curves(
-                    blocks(config(sigma, n, 1)), [1.0, 2.0], [0.5, 1.0, 2.0]
-                )
+                conditional_exceedance_curves(given, [1.0, 2.0], [0.5, 1.0, 2.0])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
