@@ -147,13 +147,19 @@ class AsymptoticEstimate:
         _finite_real(self.log_constant, "log_constant")
 
     def evaluate_log(self, t: float) -> float:
-        """Log of the approximation at scale t; guarded to t >= 10."""
+        """Log of the approximation at scale t; guarded to t >= 10. Raises
+        ValueError when it is not finite (a huge alpha)."""
         _require_eval_t(t, "asymptotic evaluation")
-        return (
+        log_p = (
             self.log_constant
             + self.log_log_exponent * math.log(2.0 * self.alpha * math.log(t))
             - self.power_exponent * math.log(t)
         )
+        if not math.isfinite(log_p):
+            raise ValueError(
+                f"the log probability at t = {t!r} is not a finite float at alpha = {self.alpha!r}"
+            )
+        return log_p
 
     def decays_faster_than(self, other: "AsymptoticEstimate") -> bool:
         """True when self/other -> 0 as t grows (self is log-subdominant)."""
@@ -285,7 +291,8 @@ def _cone(
 ) -> ConeAnalysis:
     """cone_analysis over the subsets of scanned only: the cone of "at least
     level of scanned". At level = |scanned| it is the one subset scanned,
-    which has no cap."""
+    which has no cap. A decay index alpha * gamma past the largest float
+    raises ValueError."""
     if level < len(scanned) and len(scanned) > MAX_ENUMERATION_DIM:
         raise ValueError(
             f"cone analysis supports d <= {MAX_ENUMERATION_DIM}, got d={len(scanned)}"
@@ -309,6 +316,11 @@ def _cone(
 
     found = scan(level, lambda best: best + GAMMA_TIE_REL * max(1.0, best))
     gamma_min = min(found.values())
+    if marg.alpha * gamma_min == math.inf:
+        raise ValueError(
+            f"the level-{level} cone's decay index alpha * gamma = {marg.alpha!r} * "
+            f"{gamma_min!r} is past the largest float"
+        )
     tie = gamma_min + GAMMA_TIE_REL * max(1.0, gamma_min)
     family: list[tuple[int, ...]] = []
     for size in range(level, len(labels) + 1):
@@ -376,13 +388,22 @@ def limit_mass(sigma: CorrelationMatrix, marg: MarginalSpec, tail_set: TailSet) 
     sums the rectangular masses Upsilon_T prod_{i in I_T} x_i^{-alpha h_i}
     of the set's carriers T in that cone; it is 0 for a set with no
     carrier, whose own decay law (asymptotic_estimate) is nonzero at a
-    faster rate.
+    faster rate. A mass past the largest float (a huge alpha) raises
+    ValueError.
     """
     tail_set.subset.validate_within(sigma.dim)
-    if tail_set.k == 1:
-        return float(sum(xj ** -marg.alpha for xj in tail_set.thresholds))
-    cone = _cone(sigma, marg, tail_set.k, IndexSubset.full(sigma.dim))
-    return sum((math.exp(log_mass) for _, log_mass in _log_masses(cone, marg, tail_set)), 0.0)
+    try:
+        if tail_set.k == 1:
+            mass = float(sum(xj ** -marg.alpha for xj in tail_set.thresholds))
+        else:
+            cone = _cone(sigma, marg, tail_set.k, IndexSubset.full(sigma.dim))
+            terms = _log_masses(cone, marg, tail_set)
+            mass = sum((math.exp(log_mass) for _, log_mass in terms), 0.0)
+    except OverflowError:  # x ** -alpha or exp past the largest float
+        mass = math.inf
+    if mass == math.inf:
+        raise ValueError(f"the limit mass is past the largest float at alpha = {marg.alpha!r}")
+    return mass
 
 
 def _additive_estimate(marg: MarginalSpec, tail_set: TailSet) -> AsymptoticEstimate:

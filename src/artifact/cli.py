@@ -90,14 +90,14 @@ class JobConfig:
 
 
 def _checked(field: str, check, *args):
-    """check(*args), with the ValueError of a failed library check, or the
-    OverflowError of a result past the largest float, reported as a config
-    error in field; an UnsupportedDegeneracy, also a ValueError, passes."""
+    """check(*args), with the ValueError of a failed library check (a result
+    past the largest float included) reported as a config error in field;
+    an UnsupportedDegeneracy, also a ValueError, passes."""
     try:
         return check(*args)
     except UnsupportedDegeneracy:
         raise
-    except (ValueError, OverflowError) as err:
+    except ValueError as err:
         raise ConfigError(field, str(err)) from None
 
 
@@ -257,7 +257,11 @@ def cmd_analyze(job: JobConfig, out_dir: str) -> int:
     """Cone analysis for every level plus per-set decay laws; writes
     cones.csv and sets.csv."""
     d = job.sigma.dim
-    cones = {level: cone_analysis(job.sigma, job.marg, level) for level in range(2, d + 1)}
+    # A cone decay index past the largest float (a huge alpha) is a config error.
+    cones = {
+        level: _checked("alpha", cone_analysis, job.sigma, job.marg, level)
+        for level in range(2, d + 1)
+    }
 
     print(f"dimension d={d}, alpha={job.marg.alpha:g}, scale_c={job.marg.scale_c:g}")
     print("== cone analysis ==")
@@ -281,7 +285,8 @@ def cmd_analyze(job: JobConfig, out_dir: str) -> int:
         # Each set's report is printed as its rows are drawn, so a set that
         # raises leaves the reports and rows of the sets before it.
         for position, item in enumerate(job.sets):
-            # A law past the largest float (a huge alpha) is a config error.
+            # A law, mass or log probability past the largest float (a huge
+            # alpha) is a config error.
             spec, field = item.spec, f"sets[{position}]"
             est = _checked(field, asymptotic_estimate, job.sigma, job.marg, spec)
             mu = _checked(field, limit_mass, job.sigma, job.marg, spec)
@@ -300,7 +305,7 @@ def cmd_analyze(job: JobConfig, out_dir: str) -> int:
                     f"gamma={contrib.gamma:.12g} log_constant={contrib.log_constant:.12g}"
                 )
             for t in job.t_grid:
-                log_p = est.evaluate_log(t)
+                log_p = _checked(field, est.evaluate_log, t)
                 print(f"  t={t:g}: log_probability={log_p:.12g}")
                 yield (item.label, item.kind, est.power_exponent, est.log_log_exponent,
                        est.log_constant, mu, mu_flag, t, log_p)
@@ -385,12 +390,14 @@ def cmd_verify(job: JobConfig, out_dir: str, tolerance_pct: float) -> int:
     if not (math.isfinite(tolerance_pct) and tolerance_pct >= 0.0):
         raise ConfigError("tolerance", f"--tolerance must be a finite percentage >= 0, got {tolerance_pct!r}")
     cfg = _simulation_config(job)
-    try:
-        tables = verify_asymptotics(cfg, [item.spec for item in job.sets], job.t_grid)
-    except ValueError:  # name the set whose law overflows, if one does
-        for position, item in enumerate(job.sets):
-            _checked(f"sets[{position}]", asymptotic_estimate, job.sigma, job.marg, item.spec)
-        raise
+    # Each set's law and its log at every t, past the largest float at a
+    # huge alpha, is a config error before any row is drawn.
+    for position, item in enumerate(job.sets):
+        field = f"sets[{position}]"
+        est = _checked(field, asymptotic_estimate, job.sigma, job.marg, item.spec)
+        for t in job.t_grid:
+            _checked(field, est.evaluate_log, t)
+    tables = verify_asymptotics(cfg, [item.spec for item in job.sets], job.t_grid)
 
     print(f"verification: n={cfg.n} seed={cfg.seed} tolerance={tolerance_pct:g}%")
     failed = False

@@ -6,8 +6,8 @@ counter-based: every fixed 8192-row block derives its own substream from
 (seed, block index), so output is bit-identical for a given seed, and the
 first rows of a sample do not depend on how many rows follow them. So the
 blocks may be drawn in any order: _draw_blocks splits them between one
-worker per usable CPU, at most two (the calling thread and one helper), and
-each worker draws its blocks into buffers allocated once.
+worker per usable CPU, at most two (the calling thread and one pool thread),
+and each worker draws its blocks into buffers allocated once.
 
 On top of the sampler: derived per-row series (the rank-th largest value
 over a coordinate subset, merged column by column into buffers allocated
@@ -46,6 +46,9 @@ from __future__ import annotations
 import math
 import os
 import threading
+# futures.ThreadPoolExecutor loads its module at first use, so a command
+# that draws no sample does not.
+from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
@@ -124,12 +127,13 @@ def _draw_blocks(
     shorter), block b from its own substream _block_rng(seed, b), so its
     rows do not depend on which worker draws it or when. Worker w of
     W = min(_block_workers(), blocks) draws blocks w, w + W, w + 2W, ...:
-    worker 0 is the calling thread, worker 1 a helper thread. work runs once
-    per worker, on an iterator of (rows, z) pairs of that worker's blocks:
-    rows is the slice of the sample that the block fills, and z its normal
-    rows, column-major, in a buffer that the worker's next block overwrites.
-    An exception in a worker stops the other one at its next block and is
-    raised here once the helper has ended.
+    worker 0 is the calling thread, and worker 1 runs on a thread of a
+    ThreadPoolExecutor that lasts for the call. work runs once per worker,
+    on an iterator of (rows, z) pairs of that worker's blocks: rows is the
+    slice of the sample that the block fills, and z its normal rows,
+    column-major, in a buffer that the worker's next block overwrites. An
+    exception in a worker stops the other one at its next block and is
+    raised here once the pool has shut down.
     """
     # A C-contiguous copy of the transposed factor, made once per call.
     factor = np.ascontiguousarray(spd_factorize(cfg.sigma).lower.T)
@@ -137,8 +141,6 @@ def _draw_blocks(
     blocks = -(-n // BLOCK_ROWS)
     workers = min(_block_workers(), blocks)
     stop = threading.Event()
-    results: list = [None] * workers
-    errors: list[Optional[BaseException]] = [None] * workers
 
     def share(w: int) -> Iterator[tuple[slice, np.ndarray]]:
         # Allocated once per worker; the column-major product is bit for bit
@@ -153,25 +155,17 @@ def _draw_blocks(
             _block_rng(cfg.seed, block).standard_normal(out=eta[:rows])
             yield slice(start, start + rows), np.matmul(eta[:rows], factor, out=z[:rows])
 
-    def run(w: int) -> None:
+    def run(w: int) -> _T:
         try:
-            results[w] = work(share(w))
-        except BaseException as err:  # re-raised below, in the calling thread
+            return work(share(w))
+        except BaseException:  # ends the other worker's share at its next block
             stop.set()
-            errors[w] = err
+            raise
 
-    helpers = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for helper in helpers:
-        helper.start()
-    try:
-        run(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    for err in errors:
-        if err is not None:
-            raise err
-    return results
+    with futures.ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        helpers = [pool.submit(run, w) for w in range(1, workers)]
+        first = run(0)
+    return [first] + [helper.result() for helper in helpers]
 
 
 def _gaussian_sample(cfg: SimulationConfig) -> np.ndarray:

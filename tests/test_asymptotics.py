@@ -348,6 +348,9 @@ class TestLimitMasses:
         assert limit_mass(sigma, PARETO2, box_complement((1.0, 2.0))) == pytest.approx(1.25, rel=1e-15)
         with pytest.raises(ValueError, match="label 4 out of range for dimension 3"):
             limit_mass(sigma, PARETO2, box_complement((1.0,) * 4))
+        # Two finite masses near 1e308 sum past the largest float.
+        with pytest.raises(ValueError, match="limit mass is past the largest float at alpha = 1.0"):
+            limit_mass(sigma, MarginalSpec(alpha=1.0), box_complement((1e-308, 1e-308)))
 
     def test_level_one_homogeneity(self):
         sigma = equi_matrix(3, 0.5)

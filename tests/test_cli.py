@@ -314,18 +314,21 @@ class TestConfigErrors:
         assert code == 2
         assert "config error in field 'config':" in capsys.readouterr().err
 
-    # Second set's law past the largest float: a = alpha * gamma, or the log
-    # constant through alpha times the log of a tiny threshold. The first
-    # set's law is finite.
+    # Laws past the largest float, with the field each command reports.
+    # power-exponent: a = alpha * gamma of the level-2 cone, which analyze
+    # scans first; verify meets the first set's log probability at t = 10,
+    # 0 * log(inf) for its beta = 0. log-constant: the second set's constant,
+    # through alpha times the log of a tiny threshold; the first set's law
+    # is finite.
     OVERFLOWING_LAWS = {
-        "power-exponent": (1.7e308, [1.0, 1.0]),
-        "log-constant": (5e305, [1e-300, 1e-300]),
+        "power-exponent": (1.7e308, [1.0, 1.0], {"analyze": "alpha", "verify": "sets[0]"}),
+        "log-constant": (5e305, [1e-300, 1e-300], {"analyze": "sets[1]", "verify": "sets[1]"}),
     }
 
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     @pytest.mark.parametrize("law", list(OVERFLOWING_LAWS))
     def test_overflowing_decay_law_names_the_set(self, runner, command, law):
-        alpha, thresholds = self.OVERFLOWING_LAWS[law]
+        alpha, thresholds, fields = self.OVERFLOWING_LAWS[law]
         cfg = {
             "sigma": [[1.0, 0.5], [0.5, 1.0]],
             "alpha": alpha,
@@ -337,14 +340,21 @@ class TestConfigErrors:
             "simulation": {"n": 1000, "seed": 1},
         }
         result = runner(cfg, command)
-        assert_config_error(result, "sets[1]")
+        assert_config_error(result, fields[command])
         assert "Traceback" not in result[2]
 
     def test_overflowing_limit_mass_names_the_set(self, runner):
-        # x^{-alpha} of a threshold below 1 overflows while the decay law,
-        # in logs, is finite.
-        cfg = dict(IDENTITY_JOB, alpha=1e308, sets=[{"type": "complement-box", "thresholds": [0.5, 0.5]}])
-        assert_config_error(runner(cfg, "analyze"), "sets[0]")
+        # x^{-alpha} (k = 1) or exp of the log mass (k = 2) of thresholds
+        # below 1 overflows while the decay law, in logs, and the cone index
+        # alpha * 4/3 are finite.
+        for tail_set in (
+            {"type": "complement-box", "thresholds": [0.5, 0.5]},
+            {"type": "rectangular", "subset": [1, 2], "thresholds": [0.5, 0.5]},
+        ):
+            cfg = dict(IDENTITY_JOB, sigma=[[1.0, 0.5], [0.5, 1.0]], alpha=1e308, sets=[tail_set])
+            result = runner(cfg, "analyze")
+            assert_config_error(result, "sets[0]")
+            assert "limit mass" in result[2] and "alpha = 1e+308" in result[2]
 
     @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
     def test_unusable_out_names_the_field(self, tmp_path, capsys, below):

@@ -181,6 +181,16 @@ class TestOrthant:
         est = orthant_probability(cov, seed=11)
         assert abs(est.value - 0.125) <= max(3.0 * est.se, 1e-5)
 
+    @pytest.mark.parametrize("copies", [[0], [0, 1]], ids=["m4", "m5"])
+    def test_qmc_with_repeated_coordinates_matches_trivariate(self, copies):
+        # A repeated coordinate makes the covariance singular: its Cholesky
+        # pivot is zero, and the integrand takes it as a copy of the first.
+        base = np.array([[1.0, 0.3, 0.5], [0.3, 1.0, 0.2], [0.5, 0.2, 1.0]])
+        index = [0, 1, 2] + copies
+        est = orthant_probability(base[np.ix_(index, index)], seed=0)
+        assert est.se > 0.0
+        assert abs(est.value - orthant_probability(base).value) <= 5.0 * est.se
+
     def test_qmc_deterministic_per_seed(self):
         cov = block_diag([[1.0, 0.3], [0.3, 1.0]], np.eye(2))
         a = orthant_probability(cov, seed=3)

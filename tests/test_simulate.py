@@ -3,6 +3,7 @@ empirical tails, verification tables, and conditional exceedance curves."""
 
 import math
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -716,6 +717,33 @@ class TestBlockWorkers:
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"{failing} failed"):
             _draw_blocks(cfg, work)
+        assert threading.active_count() == before
+
+    def test_a_helper_exception_ends_the_callers_share_after_its_block(self, set_workers):
+        set_workers(2)
+        cfg = config(IDENTITY_2, 40 * BLOCK_ROWS, 3)
+        caller = threading.current_thread()
+        caller_busy, helper_failed = threading.Event(), threading.Event()
+        seen = []
+
+        def work(blocks):
+            for rows, _ in blocks:
+                if threading.current_thread() is not caller:
+                    # Fail while the caller holds its first block.
+                    caller_busy.wait(timeout=10.0)
+                    helper_failed.set()
+                    raise RuntimeError("helper failed")
+                seen.append(rows.start // BLOCK_ROWS)
+                caller_busy.set()
+                # The helper's failure sets the stop before this pause ends.
+                helper_failed.wait(timeout=10.0)
+                time.sleep(0.2)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper failed"):
+            _draw_blocks(cfg, work)
+        # Block 0 of the caller's 20; the stop ends its share there.
+        assert seen == [0]
         assert threading.active_count() == before
 
 
