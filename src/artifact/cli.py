@@ -101,6 +101,20 @@ def _checked(field: str, check, *args):
         raise ConfigError(field, str(err)) from None
 
 
+def _log_probability(field: str, est, t: float) -> float:
+    """est's log probability at t, checked: a value past the largest float
+    (a huge alpha) or above 0 (a probability above 1: the law applied at
+    thresholds t x_j too small for it) is a config error in field."""
+    log_p = _checked(field, est.evaluate_log, t)
+    if log_p > 0.0:
+        raise ConfigError(
+            field,
+            f"the log probability at t = {t!r} is {log_p!r}, above 0: the limit law does "
+            "not apply at these thresholds; raise them or t",
+        )
+    return log_p
+
+
 def _is_list_of(value, kinds) -> bool:
     """Whether value is a list of instances of kinds; bool, a subclass of
     int, counts as none of them."""
@@ -286,7 +300,7 @@ def cmd_analyze(job: JobConfig, out_dir: str) -> int:
         # raises leaves the reports and rows of the sets before it.
         for position, item in enumerate(job.sets):
             # A law, mass or log probability past the largest float (a huge
-            # alpha) is a config error.
+            # alpha), or a log probability above 0, is a config error.
             spec, field = item.spec, f"sets[{position}]"
             est = _checked(field, asymptotic_estimate, job.sigma, job.marg, spec)
             mu = _checked(field, limit_mass, job.sigma, job.marg, spec)
@@ -305,7 +319,7 @@ def cmd_analyze(job: JobConfig, out_dir: str) -> int:
                     f"gamma={contrib.gamma:.12g} log_constant={contrib.log_constant:.12g}"
                 )
             for t in job.t_grid:
-                log_p = _checked(field, est.evaluate_log, t)
+                log_p = _log_probability(field, est, t)
                 print(f"  t={t:g}: log_probability={log_p:.12g}")
                 yield (item.label, item.kind, est.power_exponent, est.log_log_exponent,
                        est.log_constant, mu, mu_flag, t, log_p)
@@ -391,12 +405,12 @@ def cmd_verify(job: JobConfig, out_dir: str, tolerance_pct: float) -> int:
         raise ConfigError("tolerance", f"--tolerance must be a finite percentage >= 0, got {tolerance_pct!r}")
     cfg = _simulation_config(job)
     # Each set's law and its log at every t, past the largest float at a
-    # huge alpha, is a config error before any row is drawn.
+    # huge alpha or above 0, is a config error before any row is drawn.
     for position, item in enumerate(job.sets):
         field = f"sets[{position}]"
         est = _checked(field, asymptotic_estimate, job.sigma, job.marg, item.spec)
         for t in job.t_grid:
-            _checked(field, est.evaluate_log, t)
+            _log_probability(field, est, t)
     tables = verify_asymptotics(cfg, [item.spec for item in job.sets], job.t_grid)
 
     print(f"verification: n={cfg.n} seed={cfg.seed} tolerance={tolerance_pct:g}%")

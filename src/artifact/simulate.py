@@ -5,27 +5,29 @@ construction X_j = (1 - Phi(Z_j))^{-1/alpha}, Z ~ N(0, Sigma). Randomness is
 counter-based: every fixed 8192-row block derives its own substream from
 (seed, block index), so output is bit-identical for a given seed, and the
 first rows of a sample do not depend on how many rows follow them. So the
-blocks may be drawn in any order: _draw_blocks splits them between one
-worker per usable CPU, at most two (the calling thread and one pool thread),
-and each worker draws its blocks into buffers allocated once.
+blocks may be drawn in any order. One routine, _on_workers, splits a pass
+between one worker per usable CPU, at most two (the calling thread and one
+pool thread), and three passes run on it: _draw_blocks draws the blocks,
+each worker into buffers it allocates once; _to_pareto maps the columns of
+a sample in place; and hill_curves ranks the derived series. Each item of
+a pass gives the same bytes on any worker, so no output depends on the
+worker count.
 
 On top of the sampler: derived per-row series (the rank-th largest value
 over a coordinate subset, merged column by column into buffers allocated
 before the merge), the Hill tail-index estimator, the conditional
 exceedance curves P(V1 > t | V2 > kappa t), and the empirical-versus-
 asymptotic verification table with its log-log slope diagnostic.
-hill_curves derives every Hill series of a sample into the last n floats
-of one buffer of max(n, 2 (k_max + 1)) floats allocated once, merging it
-in row chunks of _CHUNK_ROWS rows (so the slots of a deep merge take the
-size of a chunk), and ranks it there in place (a partition, then a sort
-of only the top k_max + 1 values, whose logs and cumulative sums go to
-the buffer's first k_max + 1 floats), so no series allocates an n-float
-array. _gaussian_sample fills one new column-major n x d array (so every
-column is read whole, without a copy), _to_pareto maps it in place, and
+Each Hill worker keeps only the top k_max + 1 values of a series: it
+merges the series in row chunks of at most _CHUNK_ROWS rows into one
+buffer of max(2 (k_max + 1), min(n, k_max + 1 + _CHUNK_ROWS)) floats
+allocated once, partitions the buffer whenever it is full, and sorts the
+top in place at the end (the logs and cumulative sums go to the buffer's
+first k_max + 1 floats), so no series allocates an n-float array.
+_gaussian_sample fills one new column-major n x d array (so every column
+is read whole, without a copy), _to_pareto maps it in place, and
 conditional_exceedance_curves counts any block in row chunks, so a sample
-needs no n-sized temporary beside it. The transform stays out of the
-workers: scipy's ndtr holds the GIL, so two threads of it are no faster
-than one. Because
+needs no n-sized temporary beside it. Because
 every coordinate shares one increasing map Z_j -> X_j, verification counts
 each tail set on the normal rows directly: X in t * set is the event that
 at least k of the coordinates in a subset S exceed per-coordinate normal
@@ -82,6 +84,7 @@ DEFAULT_HILL_POINTS = 40
 _MAX_N = 2**63 - 1
 
 _T = TypeVar("_T")
+_I = TypeVar("_I")
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,41 @@ def _block_workers() -> int:
     return min(2, cpus)
 
 
+def _on_workers(items: Sequence[_I], work: Callable[[Iterator[_I]], _T]) -> list[_T]:
+    """work's result on each worker's share of items, in worker order.
+
+    Worker w of W = min(_block_workers(), len(items)) takes items w, w + W,
+    w + 2W, ...: worker 0 is the calling thread, and every other worker
+    runs on a thread of a ThreadPoolExecutor that lasts for the call (no
+    items, no workers: the result is empty). work runs once per worker, on
+    an iterator of that worker's items. An exception in a worker stops the
+    others before their next item and is raised here once the pool has
+    shut down.
+    """
+    workers = min(_block_workers(), len(items))
+    stop = threading.Event()
+
+    def share(w: int) -> Iterator[_I]:
+        for i in range(w, len(items), workers):
+            if stop.is_set():
+                return
+            yield items[i]
+
+    def run(w: int) -> _T:
+        try:
+            return work(share(w))
+        except BaseException:  # ends the other workers' shares at their next item
+            stop.set()
+            raise
+
+    if not workers:
+        return []
+    with futures.ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        helpers = [pool.submit(run, w) for w in range(1, workers)]
+        first = run(0)
+    return [first] + [helper.result() for helper in helpers]
+
+
 def _draw_blocks(
     cfg: SimulationConfig, work: Callable[[Iterator[tuple[slice, np.ndarray]]], _T]
 ) -> list[_T]:
@@ -125,47 +163,28 @@ def _draw_blocks(
 
     The sample is drawn in blocks of BLOCK_ROWS rows (the last may be
     shorter), block b from its own substream _block_rng(seed, b), so its
-    rows do not depend on which worker draws it or when. Worker w of
-    W = min(_block_workers(), blocks) draws blocks w, w + W, w + 2W, ...:
-    worker 0 is the calling thread, and worker 1 runs on a thread of a
-    ThreadPoolExecutor that lasts for the call. work runs once per worker,
-    on an iterator of (rows, z) pairs of that worker's blocks: rows is the
-    slice of the sample that the block fills, and z its normal rows,
-    column-major, in a buffer that the worker's next block overwrites. An
-    exception in a worker stops the other one at its next block and is
-    raised here once the pool has shut down.
+    rows do not depend on which worker draws it or when. The blocks are
+    split between the workers by _on_workers, and work runs once per
+    worker, on an iterator of (rows, z) pairs of that worker's blocks: rows
+    is the slice of the sample that the block fills, and z its normal rows,
+    column-major, in a buffer that the worker's next block overwrites.
     """
     # A C-contiguous copy of the transposed factor, made once per call.
     factor = np.ascontiguousarray(spd_factorize(cfg.sigma).lower.T)
     n, d = cfg.n, cfg.sigma.dim
-    blocks = -(-n // BLOCK_ROWS)
-    workers = min(_block_workers(), blocks)
-    stop = threading.Event()
 
-    def share(w: int) -> Iterator[tuple[slice, np.ndarray]]:
+    def draws(blocks: Iterator[int]) -> Iterator[tuple[slice, np.ndarray]]:
         # Allocated once per worker; the column-major product is bit for bit
         # eta @ factor, and its columns are contiguous for the counters.
         eta = np.empty((BLOCK_ROWS, d))
         z = np.empty((BLOCK_ROWS, d), order="F")
-        for block in range(w, blocks, workers):
-            if stop.is_set():
-                return
+        for block in blocks:
             start = block * BLOCK_ROWS
             rows = min(BLOCK_ROWS, n - start)
             _block_rng(cfg.seed, block).standard_normal(out=eta[:rows])
             yield slice(start, start + rows), np.matmul(eta[:rows], factor, out=z[:rows])
 
-    def run(w: int) -> _T:
-        try:
-            return work(share(w))
-        except BaseException:  # ends the other worker's share at its next block
-            stop.set()
-            raise
-
-    with futures.ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        helpers = [pool.submit(run, w) for w in range(1, workers)]
-        first = run(0)
-    return [first] + [helper.result() for helper in helpers]
+    return _on_workers(range(-(-n // BLOCK_ROWS)), lambda blocks: work(draws(blocks)))
 
 
 def _gaussian_sample(cfg: SimulationConfig) -> np.ndarray:
@@ -188,11 +207,20 @@ def _row_chunks(n: int) -> Iterator[slice]:
 
 
 def _to_pareto(z: np.ndarray, alpha: float) -> np.ndarray:
-    """Exact Pareto(alpha) coordinates of normal ones: survival(z)^{-1/alpha},
-    computed in place in z, which is returned."""
-    np.negative(z, out=z)
-    ndtr(z, out=z)
-    return np.power(z, -1.0 / alpha, out=z)
+    """Exact Pareto(alpha) coordinates of the normal ones of an n x d array:
+    survival(z)^{-1/alpha}, computed in place in z, which is returned. The
+    columns are split between the workers (_on_workers), and each is mapped
+    on its own, so a column-major z is mapped without a copy."""
+
+    def transform(columns: Iterator[int]) -> None:
+        for j in columns:
+            column = z[:, j]
+            np.negative(column, out=column)
+            ndtr(column, out=column)
+            np.power(column, -1.0 / alpha, out=column)
+
+    _on_workers(range(z.shape[1]), transform)
+    return z
 
 
 def _normal_event(
@@ -344,16 +372,19 @@ def hill_curves(
     strictly positive finite values: the curve of
     hill_estimator(derived_series(samples, subset, rank), k_grid).
 
-    Every series is derived into one buffer of max(n, 2 (k_max + 1))
-    floats, allocated once per call: the series fills its last n floats
-    and is ranked there in place, and the logs of its top k_max + 1 values
-    and their cumulative sums go to its first k_max + 1 floats, which the
-    top does not reach. A series is merged into the buffer in row chunks
-    (_row_chunks), so the slots of a merge that keeps more than one value
-    per row (X_(2) of three or more columns) take the size of a chunk, not
-    of n; the merge is elementwise, so the values are those of a
-    whole-column merge. samples is never written, and its values are
-    checked once: every derived value is one of them.
+    The series are split between the workers (_on_workers). Each worker
+    allocates one buffer of max(2 (k_max + 1), min(n, k_max + 1 +
+    _CHUNK_ROWS)) floats, so on the default grid (k_max = n/4) two workers
+    hold n floats between them, and on a fixed grid the buffers do not grow
+    with n. A series is merged into the buffer's free part in row chunks
+    (_series_top), and whenever the buffer is full it is partitioned to
+    keep only the top k_max + 1 values; the top is then sorted in place,
+    and the logs of its values and their cumulative sums go to the
+    buffer's first k_max + 1 floats, which the top does not reach
+    (_hill_curve). The top is the same multiset in whatever order it was
+    selected, so the curves do not depend on the worker count. samples is
+    never written, and its values are checked once: every derived value is
+    one of them.
     """
     samples = _sample_matrix(samples)
     # min and max propagate nan, which fails both comparisons.
@@ -362,18 +393,50 @@ def hill_curves(
     n = samples.shape[0]
     ks = resolve_k_grid(k_grid, n)
     merges = [_series_columns(samples, subset, rank) for subset, rank in series]
-    buf = np.empty(max(n, 2 * (ks[-1] + 1)))
-    values = buf[buf.size - n :]
-    curves = []
-    for columns, rank in merges:
-        for rows in _row_chunks(n):
-            _rowwise_kth_largest([column[rows] for column in columns], rank, out=values[rows])
-        curves.append(_hill_curve(buf, n, ks))
+    count = ks[-1] + 1
+    size = max(2 * count, min(n, count + _CHUNK_ROWS))
+
+    def rank_share(share: Iterator[tuple[list[np.ndarray], int]]) -> list[HillCurve]:
+        buf = np.empty(size)
+        return [_hill_curve(buf, _series_top(buf, columns, rank, count), ks) for columns, rank in share]
+
+    # Worker w ranked the series w, w + W, w + 2W, ...
+    parts = _on_workers(merges, rank_share)
+    curves = [None] * len(merges)
+    for w, part in enumerate(parts):
+        curves[w :: len(parts)] = part
     return tuple(curves)
 
 
-def _hill_curve(buf: np.ndarray, n: int, ks: tuple[int, ...]) -> HillCurve:
-    """Hill curve on the grid ks of the n values that end buf, reordering
+def _series_top(buf: np.ndarray, columns: Sequence[np.ndarray], rank: int, count: int) -> int:
+    """Merge the rowwise rank-th largest of columns into the end of buf,
+    keeping its top count values there; returns how many values end buf.
+
+    buf holds at least 2 count floats. The series is merged in row chunks
+    of at most _CHUNK_ROWS rows, each into the free floats just before the
+    values held, so a merge slot takes the size of a chunk, not of n; the
+    merge is elementwise, so the values are those of a whole-column merge.
+    When buf is full and rows remain, it is partitioned at its size -
+    count, which leaves the top count values held at its end.
+    """
+    n, size = len(columns[0]), buf.size
+    held = start = 0
+    while start < n:
+        if held == size:
+            buf.partition(size - count)
+            held = count
+        free = size - held
+        stop = min(n, start + _CHUNK_ROWS, start + free)
+        _rowwise_kth_largest(
+            [column[start:stop] for column in columns], rank, out=buf[free - (stop - start) : free]
+        )
+        held += stop - start
+        start = stop
+    return held
+
+
+def _hill_curve(buf: np.ndarray, held: int, ks: tuple[int, ...]) -> HillCurve:
+    """Hill curve on the grid ks of the held values that end buf, reordering
     them in place: alpha_hat(k) = k / sum log(X_(i)/X_(k+1)), i <= k. buf
     holds at least 2 (ks[-1] + 1) floats, and its first ks[-1] + 1 are
     overwritten. A point k is excluded when the mean excess is not positive
@@ -383,7 +446,7 @@ def _hill_curve(buf: np.ndarray, n: int, ks: tuple[int, ...]) -> HillCurve:
     # partition: the same array as the leading entries of the full
     # descending sort.
     count = ks[-1] + 1
-    buf[buf.size - n :].partition(n - count)
+    buf[buf.size - held :].partition(held - count)
     top = buf[buf.size - count :]
     top.sort()
     logs = buf[:count]

@@ -356,6 +356,33 @@ class TestConfigErrors:
             assert_config_error(result, "sets[0]")
             assert "limit mass" in result[2] and "alpha = 1e+308" in result[2]
 
+    # Thresholds of 0.001 at t = 10: t x_j = 0.01, inside the Pareto
+    # support's lower end, where the limit law gives log probabilities of
+    # 9.90 (complement box) and 11.88 (rectangle), and still 0.693 for the
+    # box at t = 1000.
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize(
+        "tail_set",
+        [
+            {"type": "complement-box", "thresholds": [0.001, 0.001]},
+            {"type": "rectangular", "subset": [1, 2], "thresholds": [0.001, 0.001]},
+        ],
+        ids=["complement-box", "rectangular"],
+    )
+    def test_log_probability_above_zero_names_the_set(self, runner, command, tail_set):
+        cfg = {
+            "sigma": [[1.0, 0.5], [0.5, 1.0]],
+            "alpha": 2.0,
+            "sets": [{"type": "complement-box", "thresholds": [1.0, 1.0]}, tail_set],
+            "t_grid": [10.0, 1000.0],
+            "simulation": {"n": 1000, "seed": 1},
+        }
+        result = runner(cfg, command)
+        assert_config_error(result, "sets[1]")
+        assert "above 0" in result[2] and "Traceback" not in result[2]
+        # verify refuses before it samples, so it writes no table.
+        assert not (result[3] / "verify_1.csv").exists()
+
     @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
     def test_unusable_out_names_the_field(self, tmp_path, capsys, below):
         cfg = tmp_path / "job.json"

@@ -24,7 +24,9 @@ from artifact.simulate import (
     _EventCounter,
     _increasing_grid,
     _normal_event,
+    _on_workers,
     _rowwise_kth_largest,
+    _to_pareto,
     conditional_exceedance_curves,
     default_k_grid,
     derived_series,
@@ -350,10 +352,12 @@ class TestHill:
         for rank, curve in zip((2, 3), curves):
             assert curve == sorted_hill_estimator(ordered[:, -rank], k_grid)
 
-    def test_default_grid_ranks_in_one_n_float_buffer(self, rng):
-        # The default grid's k_max is n/4, so the logs and their cumulative
-        # sums of the top k_max + 1 values fit in the head of the buffer
-        # that the top does not reach; buffers of their own would make 1.5 n.
+    def test_default_grid_ranks_in_one_buffer_of_twice_the_top(self, rng):
+        # The default grid's k_max is n/4: one series takes one worker, whose
+        # buffer of 2 (k_max + 1) floats holds the top k_max + 1 values at
+        # its end and their logs and cumulative sums in its head. A copy of
+        # the whole series would make n floats, buffers of their own for the
+        # logs 0.75 n.
         n = 4 * _CHUNK_ROWS + 5
         x = rng.pareto(2.0, size=(n, 1)) + 1.0
         tracemalloc.start()
@@ -362,8 +366,55 @@ class TestHill:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * n * 8, peak / (n * 8)
+        assert peak < 0.6 * n * 8, peak / (n * 8)
         assert curve == sorted_hill_estimator(x[:, 0])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_does_not_grow_with_n(self, set_workers, workers, rng):
+        # On a fixed grid each worker's buffer holds k_max + 1 values and a
+        # chunk, and each merge slot a chunk: 1 MB a worker, at either n. A
+        # buffer of the whole series would hold n floats: 2 MB at the
+        # smaller n, 8 MB at the larger.
+        set_workers(workers)
+        full = IndexSubset.full(3)
+        series = [(IndexSubset.of(1), 1), (full, 2), (IndexSubset.of(2, 3), 2), (full, 1)]
+        # The first call makes about 70 kB of one-time allocations.
+        hill_curves(rng.pareto(2.0, size=(1000, 3)) + 1.0, series, [10, 100])
+        peaks = []
+        for n in (4 * _CHUNK_ROWS, 16 * _CHUNK_ROWS):
+            x = np.asfortranarray(rng.pareto(2.0, size=(n, 3)) + 1.0)
+            tracemalloc.start()
+            try:
+                hill_curves(x, series, [10, 100])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.1 * min(peaks), peaks
+        assert max(peaks) < workers * 1.2 * 2**20, peaks
+
+    # The default grid at an n past three chunks (two partitions of the
+    # buffer, then the last one), a small grid (one partition per chunk),
+    # and k_max = n - 1, whose buffer of 2 n floats takes the whole series.
+    @pytest.mark.parametrize(
+        "n, k_grid",
+        [(3 * _CHUNK_ROWS + 5, None), (3 * _CHUNK_ROWS + 5, [1, 5, 40]), (3001, [3, 3000])],
+        ids=["default-grid", "small-grid", "k-max-n-1"],
+    )
+    def test_curves_do_not_depend_on_the_worker_count(self, set_workers, rng, n, k_grid):
+        x = np.asfortranarray(rng.pareto(2.0, size=(n, 4)) + 1.0)
+        full = IndexSubset.full(4)
+        series = [(IndexSubset.of(j), 1) for j in range(1, 5)]
+        series += [(IndexSubset.of(1, 2), 2), (full, 2), (full, 4), (full, 1), (IndexSubset.of(1, 3, 4), 3)]
+        curves = {}
+        for workers in (1, 2):
+            set_workers(workers)
+            curves[workers] = hill_curves(x, series, k_grid)
+            assert hill_curves(x, [], k_grid) == ()
+        # repr compares every float to the last bit.
+        assert repr(curves[1]) == repr(curves[2])
+        for (subset, rank), curve in zip(series, curves[2]):
+            values = np.sort(x[:, subset.as_indices()], axis=1)[:, -rank]
+            assert curve == sorted_hill_estimator(values, k_grid)
 
     def test_hill_estimator_leaves_its_input_unchanged(self, rng):
         data = rng.pareto(2.0, size=2001) + 1.0
@@ -743,6 +794,78 @@ class TestBlockWorkers:
         with pytest.raises(RuntimeError, match="helper failed"):
             _draw_blocks(cfg, work)
         # Block 0 of the caller's 20; the stop ends its share there.
+        assert seen == [0]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("d", [1, 3, 12])
+    def test_pareto_transform_equals_the_serial_map_bit_for_bit(self, set_workers, workers, d):
+        cfg = config(equi_matrix(d, 0.5), 2 * BLOCK_ROWS + 37, 4)
+        z = _gaussian_sample(cfg)
+        want = np.power(ndtr(-z), -1.0 / PARETO2.alpha).tobytes()
+        set_workers(workers)
+        assert sample_rvgc(cfg).tobytes() == want
+        # A C-ordered array is mapped column by column, in place.
+        c_order = np.ascontiguousarray(z)
+        assert _to_pareto(c_order, PARETO2.alpha) is c_order
+        assert np.asfortranarray(c_order).tobytes() == want
+
+
+class TestOnWorkers:
+    """The one routine that splits a pass between the workers: the sampler's
+    blocks, the Pareto transform's columns and the Hill series."""
+
+    @pytest.mark.parametrize(
+        "items, shares",
+        [(range(5), [[0, 2, 4], [1, 3]]), (["a"], [["a"]]), ([], [])],
+        ids=["five", "one", "none"],
+    )
+    def test_worker_w_takes_items_w_plus_multiples_of_the_worker_count(self, set_workers, items, shares):
+        set_workers(2)
+        caller = threading.current_thread()
+        got = _on_workers(items, lambda share: (threading.current_thread() is caller, list(share)))
+        assert [share for _, share in got] == shares
+        # Worker 0 is the calling thread, worker 1 a pool thread.
+        assert [in_caller for in_caller, _ in got] == [True, False][: len(shares)]
+
+    @pytest.mark.parametrize("failing", ["helper", "main"])
+    def test_a_worker_exception_reaches_the_caller(self, set_workers, failing):
+        set_workers(2)
+
+        def work(share):
+            in_main = threading.current_thread() is threading.main_thread()
+            for _ in share:
+                if in_main == (failing == "main"):
+                    raise RuntimeError(f"{failing} failed")
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+            _on_workers(range(6), work)
+        assert threading.active_count() == before
+
+    def test_a_helper_exception_ends_the_callers_share_after_its_item(self, set_workers):
+        set_workers(2)
+        caller = threading.current_thread()
+        caller_busy, helper_failed = threading.Event(), threading.Event()
+        seen = []
+
+        def work(share):
+            for item in share:
+                if threading.current_thread() is not caller:
+                    # Fail while the caller holds its first item.
+                    caller_busy.wait(timeout=10.0)
+                    helper_failed.set()
+                    raise RuntimeError("helper failed")
+                seen.append(item)
+                caller_busy.set()
+                # The helper's failure sets the stop before this pause ends.
+                helper_failed.wait(timeout=10.0)
+                time.sleep(0.2)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper failed"):
+            _on_workers(range(40), work)
+        # Item 0 of the caller's 20; the stop ends its share there.
         assert seen == [0]
         assert threading.active_count() == before
 
