@@ -405,13 +405,16 @@ def cmd_verify(job: JobConfig, out_dir: str, tolerance_pct: float) -> int:
         raise ConfigError("tolerance", f"--tolerance must be a finite percentage >= 0, got {tolerance_pct!r}")
     cfg = _simulation_config(job)
     # Each set's law and its log at every t, past the largest float at a
-    # huge alpha or above 0, is a config error before any row is drawn.
+    # huge alpha or above 0, is a config error before any row is drawn; the
+    # checked laws are the ones the tables use.
+    laws = []
     for position, item in enumerate(job.sets):
         field = f"sets[{position}]"
         est = _checked(field, asymptotic_estimate, job.sigma, job.marg, item.spec)
         for t in job.t_grid:
             _log_probability(field, est, t)
-    tables = verify_asymptotics(cfg, [item.spec for item in job.sets], job.t_grid)
+        laws.append((item.spec, est))
+    tables = verify_asymptotics(cfg, laws, job.t_grid)
 
     print(f"verification: n={cfg.n} seed={cfg.seed} tolerance={tolerance_pct:g}%")
     failed = False

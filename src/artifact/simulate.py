@@ -11,7 +11,11 @@ pool thread), and three passes run on it: _draw_blocks draws the blocks,
 each worker into buffers it allocates once; _to_pareto maps the columns of
 a sample in place; and hill_curves ranks the derived series. Each item of
 a pass gives the same bytes on any worker, so no output depends on the
-worker count.
+worker count. A block's product by the Cholesky factor is taken in row
+slices of at most _PRODUCT_BUDGET multiply-adds (the whole block for
+d <= 8): numpy's OpenBLAS runs a larger product on threads of its own,
+which spin on the CPUs the workers need. A row of a product does not
+depend on the rows beside it, so the slices give the same bytes.
 
 On top of the sampler: derived per-row series (the rank-th largest value
 over a coordinate subset, merged column by column into buffers allocated
@@ -57,18 +61,19 @@ from typing import Callable, Iterator, Optional, Sequence, TypeVar
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .asymptotics import (
-    AsymptoticEstimate,
-    MarginalSpec,
-    TailSet,
-    asymptotic_estimate,
-)
+from .asymptotics import AsymptoticEstimate, MarginalSpec, TailSet
 from .gaussian import _MAX_SEED, _finite_real, _integer, _positive_real
 from .linalg import CorrelationMatrix, IndexSubset, spd_factorize
 
 # Substreams are derived per logical block of this many rows. The block size
 # is part of the determinism contract: changing it changes every sample.
 BLOCK_ROWS = 8192
+
+# The most multiply-adds of one product of normal rows by the Cholesky
+# factor (_draw_blocks). With scipy-openblas 0.3.31 on a 2-CPU machine,
+# numpy ran products of 1.18M multiply-adds (8192 rows at d = 12) and more
+# on about two CPUs, and every product of at most 2**19 on one.
+_PRODUCT_BUDGET = 2**19
 
 # Passes over a whole sample (the Hill merges and the conditional curves)
 # run in row chunks of this many rows, so their temporaries take the size
@@ -168,10 +173,20 @@ def _draw_blocks(
     worker, on an iterator of (rows, z) pairs of that worker's blocks: rows
     is the slice of the sample that the block fills, and z its normal rows,
     column-major, in a buffer that the worker's next block overwrites.
+    Each block is multiplied by the factor in row slices, each the largest
+    power-of-two fraction of BLOCK_ROWS (at least one row) whose rows * d * d
+    is at most _PRODUCT_BUDGET: the whole block for d <= 8. So no product
+    is large enough for OpenBLAS to run it on threads of its own, which
+    would compete with the workers for their CPUs. Every row of a product
+    is computed on its own, so the slices give the bytes of one
+    whole-block product.
     """
     # A C-contiguous copy of the transposed factor, made once per call.
     factor = np.ascontiguousarray(spd_factorize(cfg.sigma).lower.T)
     n, d = cfg.n, cfg.sigma.dim
+    step = BLOCK_ROWS
+    while step > 1 and step * d * d > _PRODUCT_BUDGET:
+        step //= 2
 
     def draws(blocks: Iterator[int]) -> Iterator[tuple[slice, np.ndarray]]:
         # Allocated once per worker; the column-major product is bit for bit
@@ -182,7 +197,10 @@ def _draw_blocks(
             start = block * BLOCK_ROWS
             rows = min(BLOCK_ROWS, n - start)
             _block_rng(cfg.seed, block).standard_normal(out=eta[:rows])
-            yield slice(start, start + rows), np.matmul(eta[:rows], factor, out=z[:rows])
+            for first in range(0, rows, step):
+                part = slice(first, min(first + step, rows))
+                np.matmul(eta[part], factor, out=z[part])
+            yield slice(start, start + rows), z[:rows]
 
     return _on_workers(range(-(-n // BLOCK_ROWS)), lambda blocks: work(draws(blocks)))
 
@@ -515,10 +533,15 @@ class VerificationTable:
 
 
 def verify_asymptotics(
-    cfg: SimulationConfig, tail_sets: Sequence[TailSet], t_grid
+    cfg: SimulationConfig, laws: Sequence[tuple[TailSet, AsymptoticEstimate]], t_grid
 ) -> tuple[VerificationTable, ...]:
     """Compare empirical tail frequencies with the asymptotic law on a t grid,
     one table per tail set.
+
+    laws pairs each tail set with its law under cfg's matrix and marginal,
+    asymptotic_estimate(cfg.sigma, cfg.marg, tail_set), which the caller
+    computes (and may check) before any row is drawn; it is not computed
+    again here.
 
     One pass over the sampler's normal blocks: each set at each t is the
     event "at least k of the coordinates in S exceed their thresholds" on the
@@ -530,8 +553,7 @@ def verify_asymptotics(
     "low-hits" and excluded from the slope fit.
     """
     ts = _increasing_grid(t_grid)
-    estimates = [asymptotic_estimate(cfg.sigma, cfg.marg, tail_set) for tail_set in tail_sets]
-    events = [_normal_event(tail_set, cfg.sigma.dim, cfg.marg.alpha, ts) for tail_set in tail_sets]
+    events = [_normal_event(tail_set, cfg.sigma.dim, cfg.marg.alpha, ts) for tail_set, _ in laws]
 
     def count(blocks):
         counter = _EventCounter(events, len(ts))
@@ -545,7 +567,7 @@ def verify_asymptotics(
         counter.bins += other.bins
     return tuple(
         _verification_table(ts, counts, cfg.n, est)
-        for counts, est in zip(counter.hits(), estimates)
+        for counts, (_, est) in zip(counter.hits(), laws)
     )
 
 

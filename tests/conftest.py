@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import artifact.simulate as simulate
-from artifact import CorrelationMatrix, IndexSubset, TailSet
+from artifact import CorrelationMatrix, IndexSubset, TailSet, asymptotic_estimate
 from artifact.simulate import _to_pareto
 from oracles import serial_gaussian_blocks
 
@@ -124,6 +124,12 @@ def small_eigenvalue_correlation(rng: np.random.Generator, d: int) -> Correlatio
     inv_sd = 1.0 / np.sqrt(np.diagonal(s))
     lower = np.tril(s * inv_sd[:, None] * inv_sd[None, :], -1)
     return CorrelationMatrix(lower + lower.T + np.eye(d))
+
+
+def laws(cfg, tail_sets):
+    """Each tail set with its law under cfg's matrix and marginal, as
+    verify_asymptotics takes them."""
+    return [(tail_set, asymptotic_estimate(cfg.sigma, cfg.marg, tail_set)) for tail_set in tail_sets]
 
 
 def normal_blocks(cfg):

@@ -179,7 +179,7 @@ def test_criterion_07_independence_exactness():
             assert dev <= 1e-12 * max(1.0, abs(exact)), f"d={d} t={t}: dev={dev:.3g}"
 
         cfg = SimulationConfig(sigma=sigma, marg=PARETO2, n=10**6, seed=7)
-        (table,) = verify_asymptotics(cfg, [corner], t_grid)
+        (table,) = verify_asymptotics(cfg, [(corner, est)], t_grid)
         rows = [(row.t, row.ratio, row.hits) for row in table.rows]
         assert all(row.flag == "ok" for row in table.rows), rows
         assert all(0.9 <= row.ratio <= 1.1 for row in table.rows), rows

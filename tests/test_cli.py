@@ -16,7 +16,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import artifact.asymptotics as asymptotics_module
+import artifact.cli as cli_module
 import artifact.qp as qp_module
+import artifact.simulate as simulate_module
 from artifact.asymptotics import MarginalSpec
 from artifact.cli import (
     GAUSSIAN_KAPPAS,
@@ -609,6 +612,34 @@ class TestVerify:
         assert "verification: n=40 seed=11" in out and "FAIL" in out
         rows = (out_dir / "verify_1.csv").read_text().splitlines()
         assert len(rows) == 6 and all(row.endswith(",low-hits") for row in rows[1:])
+
+    def test_computes_each_sets_law_once(self, runner, monkeypatch):
+        # Every module binding of asymptotic_estimate counts its calls; the
+        # checked laws are the ones the tables use.
+        law = asymptotics_module.asymptotic_estimate
+        calls = []
+
+        def counted(sigma, marg, tail_set):
+            calls.append(tail_set)
+            return law(sigma, marg, tail_set)
+
+        for module in (asymptotics_module, cli_module, simulate_module):
+            if hasattr(module, "asymptotic_estimate"):
+                monkeypatch.setattr(module, "asymptotic_estimate", counted)
+        job = dict(
+            VERIFY_JOB,
+            sigma=[[1.0, 0.5, 0.3], [0.5, 1.0, 0.4], [0.3, 0.4, 1.0]],
+            sets=[
+                {"type": "rectangular", "subset": [1, 2], "thresholds": [0.3, 0.3]},
+                {"type": "at-least", "level": 2, "thresholds": [0.3, 0.3, 0.3]},
+                {"type": "complement-box", "thresholds": [1.0, 1.0, 1.0]},
+            ],
+            simulation={"n": 2 * BLOCK_ROWS + 5, "seed": 11},
+        )
+        code, out, err, out_dir = runner(job, "verify")
+        assert code in (0, 4), err
+        assert len(calls) == 3
+        assert sorted(p.name for p in out_dir.iterdir()) == ["verify_1.csv", "verify_2.csv", "verify_3.csv"]
 
     def test_verify_needs_sets_and_grid(self, runner):
         assert_config_error(runner(dict(VERIFY_JOB, sets=[]), "verify"), "sets")

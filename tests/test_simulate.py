@@ -17,6 +17,7 @@ from artifact.linalg import CorrelationMatrix, IndexSubset
 from artifact.simulate import (
     BLOCK_ROWS,
     _CHUNK_ROWS,
+    _PRODUCT_BUDGET,
     HillCurve,
     SimulationConfig,
     _draw_blocks,
@@ -40,6 +41,7 @@ from conftest import (
     box_complement,
     coupled_pair_matrix,
     equi_matrix,
+    laws,
     normal_blocks,
     pareto_blocks,
     rect,
@@ -510,7 +512,7 @@ class TestVerifyAsymptotics:
     def test_independence_ratios_near_one(self):
         cfg = config(IDENTITY_2, 300000, 11)
         (table,) = verify_asymptotics(
-            cfg, [rect(IndexSubset.of(1, 2), (0.3, 0.3))], [10.0, 13.0, 17.0, 22.0, 28.0]
+            cfg, laws(cfg, [rect(IndexSubset.of(1, 2), (0.3, 0.3))]), [10.0, 13.0, 17.0, 22.0, 28.0]
         )
         assert table.slope_target == -4.0
         for row in table.rows:
@@ -523,7 +525,7 @@ class TestVerifyAsymptotics:
         cfg = config(equi_matrix(2, 0.5), 10**7, 0)
         (table,) = verify_asymptotics(
             cfg,
-            [rect(IndexSubset.of(1, 2), (1.0, 1.0))],
+            laws(cfg, [rect(IndexSubset.of(1, 2), (1.0, 1.0))]),
             [10.0, 13.0, 17.0, 22.0, 29.0, 38.0, 50.0],
         )
         assert table.slope_target == pytest.approx(-8.0 / 3.0, rel=1e-12)
@@ -531,13 +533,13 @@ class TestVerifyAsymptotics:
 
     def test_at_least_slope_target(self):
         cfg = config(coupled_pair_matrix(0.6), 50000, 2)
-        (table,) = verify_asymptotics(cfg, [at_least((1.0, 1.0, 1.0), 3)], [10.0, 14.0, 18.0])
+        (table,) = verify_asymptotics(cfg, laws(cfg, [at_least((1.0, 1.0, 1.0), 3)]), [10.0, 14.0, 18.0])
         assert table.slope_target == pytest.approx(-2.5, abs=1e-12)
 
     def test_low_hit_rows_flagged_and_excluded(self):
         cfg = config(IDENTITY_2, 2000, 5)
         (table,) = verify_asymptotics(
-            cfg, [rect(IndexSubset.of(1, 2), (1.0, 1.0))], [10.0, 20.0, 1000.0]
+            cfg, laws(cfg, [rect(IndexSubset.of(1, 2), (1.0, 1.0))]), [10.0, 20.0, 1000.0]
         )
         last = table.rows[-1]
         assert last.flag == "low-hits"
@@ -589,7 +591,7 @@ class TestStreamedVerification:
     )
     def test_hits_equal_materialized_counts(self, n):
         cfg = config(equi_matrix(3, 0.5), n, 17)
-        tables = verify_asymptotics(cfg, STREAM_SETS, STREAM_GRID)
+        tables = verify_asymptotics(cfg, laws(cfg, STREAM_SETS), STREAM_GRID)
         x = sample_rvgc(cfg)
         assert len(tables) == len(STREAM_SETS)
         for table, tail_set in zip(tables, STREAM_SETS):
@@ -611,7 +613,7 @@ class TestStreamedVerification:
         )
         n = 2 * BLOCK_ROWS + 7
         cfg = config(equi_matrix(3, 0.5), n, 23)
-        tables = verify_asymptotics(cfg, sets, STREAM_GRID)
+        tables = verify_asymptotics(cfg, laws(cfg, sets), STREAM_GRID)
         x = sample_rvgc(cfg)
         for table, tail_set in zip(tables, sets):
             want = empirical_tail(scaling_statistic(x, tail_set), STREAM_GRID)
@@ -626,7 +628,7 @@ class TestStreamedVerification:
         cfg = SimulationConfig(
             sigma=equi_matrix(3, 0.5), marg=MarginalSpec(alpha=alpha), n=n, seed=29
         )
-        tables = verify_asymptotics(cfg, STREAM_SETS, STREAM_GRID)
+        tables = verify_asymptotics(cfg, laws(cfg, STREAM_SETS), STREAM_GRID)
         x = sample_rvgc(cfg)
         for table, tail_set in zip(tables, STREAM_SETS):
             want = empirical_tail(scaling_statistic(x, tail_set), STREAM_GRID)
@@ -637,7 +639,7 @@ class TestStreamedVerification:
     def test_hits_equal_materialized_counts_for_shared_ranks(self, case):
         sigma, sets, grid = SHARED_RANK_CASES[case]
         cfg = config(sigma, 3 * BLOCK_ROWS + 5, 31)
-        tables = verify_asymptotics(cfg, sets, grid)
+        tables = verify_asymptotics(cfg, laws(cfg, sets), grid)
         x = sample_rvgc(cfg)
         for table, tail_set in zip(tables, sets):
             want = empirical_tail(scaling_statistic(x, tail_set), grid)
@@ -679,15 +681,14 @@ class TestStreamedVerification:
         hits = counter.hits()[0]
         assert np.all(np.diff(hits) <= 0)
         assert hits.tolist() == masked_event_hits(z[:, None], events)[0]
-        (table,) = verify_asymptotics(
-            config(IDENTITY_1, 5 * BLOCK_ROWS, 3), [rect(IndexSubset.of(1), (1.0,))], grid
-        )
+        cfg = config(IDENTITY_1, 5 * BLOCK_ROWS, 3)
+        (table,) = verify_asymptotics(cfg, laws(cfg, [rect(IndexSubset.of(1), (1.0,))]), grid)
         assert np.all(np.diff([row.hits for row in table.rows]) <= 0)
 
     def test_one_pass_equals_one_pass_per_set(self):
         cfg = config(equi_matrix(3, 0.5), 3 * BLOCK_ROWS + 5, 13)
-        together = verify_asymptotics(cfg, STREAM_SETS, STREAM_GRID)
-        alone = tuple(verify_asymptotics(cfg, [s], STREAM_GRID)[0] for s in STREAM_SETS)
+        together = verify_asymptotics(cfg, laws(cfg, STREAM_SETS), STREAM_GRID)
+        alone = tuple(verify_asymptotics(cfg, laws(cfg, [s]), STREAM_GRID)[0] for s in STREAM_SETS)
         assert together == alone
 
     def test_memory_does_not_grow_with_n(self):
@@ -700,12 +701,13 @@ class TestStreamedVerification:
             box_complement((1.0,) * 6),
         ]
         grid = [10.0, 14.0, 20.0, 28.0, 40.0]
-        verify_asymptotics(config(sigma, 1, 1), sets, grid)  # fills the QP cache
+        given = laws(config(sigma, 1, 1), sets)  # fills the QP cache
+        verify_asymptotics(config(sigma, 1, 1), given, grid)  # loads what a first pass loads
         peaks = []
         for n in (8 * BLOCK_ROWS + 5, 64 * BLOCK_ROWS + 5):
             tracemalloc.start()
             try:
-                verify_asymptotics(config(sigma, n, 1), sets, grid)
+                verify_asymptotics(config(sigma, n, 1), given, grid)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -718,9 +720,11 @@ class TestBlockWorkers:
     sample and every count must not depend on how many."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("d", [1, 2, 6, 16])
+    @pytest.mark.parametrize("d", [1, 2, 6, 12, 16, 40])
     def test_sample_equals_serial_blocks_bit_for_bit(self, set_workers, workers, d, rng):
         # Two whole blocks and a partial one; a random correlation matrix.
+        # From d = 12 each block is multiplied in row slices (8 of them at
+        # d = 40), and the oracle multiplies each block whole.
         a = rng.standard_normal((d, d))
         s = a @ a.T + d * np.eye(d)
         scale = 1.0 / np.sqrt(np.diagonal(s))
@@ -731,6 +735,33 @@ class TestBlockWorkers:
         got = _gaussian_sample(cfg)
         assert got.flags.f_contiguous
         assert np.ascontiguousarray(got).tobytes() == want
+
+    @pytest.mark.parametrize("d, step", [(1, BLOCK_ROWS), (6, BLOCK_ROWS), (12, 2048), (16, 2048), (40, 256)])
+    def test_blocks_are_multiplied_in_slices_within_the_product_budget(self, set_workers, monkeypatch, d, step):
+        # Each product's rows, in order: one worker draws the blocks in order.
+        products = []
+        matmul = np.matmul
+
+        def recording(a, b, **kwargs):
+            products.append(len(a))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        set_workers(1)
+        n = 2 * BLOCK_ROWS + 37
+        _gaussian_sample(config(CorrelationMatrix(np.eye(d)), n, 5))
+        assert all(rows * d * d <= _PRODUCT_BUDGET for rows in products)
+        # The largest power-of-two fraction of a block within the budget.
+        assert BLOCK_ROWS % step == 0
+        assert step == BLOCK_ROWS or 2 * step * d * d > _PRODUCT_BUDGET
+        # Every slice of a block but its tail has step rows.
+        want = []
+        for start in range(0, n, BLOCK_ROWS):
+            rows = min(BLOCK_ROWS, n - start)
+            want += [step] * (rows // step) + ([rows % step] if rows % step else [])
+        assert products == want
+        if d <= 8:
+            assert len(products) == 3
 
     @pytest.mark.parametrize(
         "n, shares",
@@ -750,7 +781,7 @@ class TestBlockWorkers:
         tables = {}
         for workers in (1, 2):
             set_workers(workers)
-            tables[workers] = verify_asymptotics(cfg, STREAM_SETS, STREAM_GRID)
+            tables[workers] = verify_asymptotics(cfg, laws(cfg, STREAM_SETS), STREAM_GRID)
         # repr compares every float to the last bit, nan included.
         assert repr(tables[1]) == repr(tables[2])
 
@@ -1036,7 +1067,7 @@ class TestCsvWriters:
     def test_verification_csv_schema(self, tmp_path):
         cfg = config(IDENTITY_2, 20000, 1)
         (table,) = verify_asymptotics(
-            cfg, [rect(IndexSubset.of(1, 2), (0.5, 0.5))], [10.0, 15.0]
+            cfg, laws(cfg, [rect(IndexSubset.of(1, 2), (0.5, 0.5))]), [10.0, 15.0]
         )
         path = tmp_path / "verify.csv"
         _write_csv(
