@@ -7,8 +7,10 @@ constant) -> gaussian (normal special functions, orthant probabilities, the
 tail constant Upsilon) -> asymptotics (one tail-set type, "at least k of
 the coordinates in S exceed their thresholds", which covers rectangles,
 at-least-i sets and box complements, with one decay law and one limit mass
-per set; cone analysis; the bivariate normal-versus-Pareto comparison) -> simulate (sampling, Hill curves,
-verification tables) -> cli (config-driven batch front end).
+per set; cone analysis; the normal quantile matched to a heavy-tailed
+threshold; the bivariate normal-versus-Pareto comparison) -> simulate
+(sampling, Hill curves, verification tables) -> cli (config-driven batch
+front end).
 """
 
 from .asymptotics import (
@@ -25,17 +27,15 @@ from .asymptotics import (
     bivariate_comparison,
     cone_analysis,
     limit_mass,
+    rv_quantile_expansion,
     subset_coefficients,
-    tail_probability,
 )
 from .gaussian import (
     AsymptoticRegimeWarning,
     OrthantEstimate,
-    QuantileExpansion,
     UpsilonResult,
     gaussian_joint_tail,
     orthant_probability,
-    rv_quantile_expansion,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -98,7 +98,6 @@ __all__ = [
     "NotPositiveDefinite",
     "OrthantEstimate",
     "QpSolution",
-    "QuantileExpansion",
     "ResidualReport",
     "SimulationConfig",
     "SolverInconsistency",
@@ -129,7 +128,6 @@ __all__ = [
     "std_normal_pdf",
     "std_normal_quantile",
     "subset_coefficients",
-    "tail_probability",
     "upsilon",
     "verify_asymptotics",
     "kkt_residuals",

@@ -11,14 +11,15 @@ At scale t its probability decays like
 and this module computes (constant, a, beta) exactly from the structural QP
 solutions of the exceedance sets inside S: a = alpha * gamma, beta =
 (gamma - |I|)/2, and the constant combines the tail constants Upsilon_T with
-the thresholds weighted by h. Everything is carried in log space.
+the thresholds weighted by h. Everything is carried in log space. The
+normal quantile matched to the marginal tail (rv_quantile_expansion) and the
+bivariate normal-versus-Pareto comparison live here too.
 """
 
 from __future__ import annotations
 
 import math
 import reprlib
-import warnings
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -28,13 +29,11 @@ from scipy.special import logsumexp
 
 from .gaussian import (
     LOG_TWO_PI,
-    AsymptoticRegimeWarning,
     UpsilonResult,
     _finite_real,
     _integer,
     _positive_real,
     _real_or_nan,
-    _require_t_above_e,
     upsilon,
 )
 from .linalg import MAX_ENUMERATION_DIM, CorrelationMatrix, IndexSubset
@@ -57,6 +56,12 @@ def _require_eval_t(t, what: str) -> None:
     """Every limit formula is evaluated only at finite t >= MIN_EVAL_T."""
     if not _finite_real(t, "t") >= MIN_EVAL_T:
         raise ValueError(f"{what} is guarded to t >= {MIN_EVAL_T:g}, got {reprlib.repr(t)}")
+
+
+def _require_t_above_e(t, what: str) -> None:
+    """Guard of the expansions in log t, which are stated for t > e."""
+    if not _finite_real(t, "t") > math.e:
+        raise ValueError(f"{what} needs t > e, got t={reprlib.repr(t)}")
 
 
 def _positive_tuple(values, name: str) -> tuple[float, ...]:
@@ -88,6 +93,23 @@ class MarginalSpec:
     def log_b_inverse(self, t: float) -> float:
         """log(1 / survival(t)) = log scale_c + alpha log t."""
         return math.log(self.scale_c) + self.alpha * math.log(t)
+
+
+def rv_quantile_expansion(marg: MarginalSpec, x: float, t: float) -> float:
+    """Second-order approximation of the normal quantile matched to the
+    marginal tail at t x: Phi^{-1}(1 - (t x)^{-alpha} / scale_c).
+
+    Returns sqrt(2 a log t) + [log(c/sqrt(log t)) + log(x^a / (2 sqrt(pi a)))]
+    / sqrt(2 a log t), with a = alpha and c = scale_c; t > e. Error decays
+    like 1/log t.
+    """
+    x = _positive_real(x, "x")
+    _require_t_above_e(t, "quantile expansion")
+    lead = math.sqrt(2.0 * marg.alpha * math.log(t))
+    correction = math.log(marg.scale_c / math.sqrt(math.log(t))) + math.log(
+        x**marg.alpha / (2.0 * math.sqrt(math.pi * marg.alpha))
+    )
+    return lead + correction / lead
 
 
 @dataclass(frozen=True)
@@ -459,29 +481,6 @@ def asymptotic_estimate(
     )
 
 
-def tail_probability(
-    sigma: CorrelationMatrix,
-    marg: MarginalSpec,
-    tail_set: TailSet,
-    t: float,
-) -> tuple[float, AsymptoticEstimate]:
-    """Log asymptotic probability that X/t lands in the tail set, plus its law.
-
-    Requires t >= 10 and warns below t = 100; the formulas are limits and the
-    simulation module is the finite-t adjudicator.
-    """
-    _require_eval_t(t, "tail_probability")
-    if t < 100.0:
-        warnings.warn(
-            f"tail probability at t={t:g} < 100 sits at the edge of the "
-            "asymptotic regime",
-            AsymptoticRegimeWarning,
-            stacklevel=2,
-        )
-    est = asymptotic_estimate(sigma, marg, tail_set)
-    return est.evaluate_log(t), est
-
-
 @dataclass(frozen=True)
 class BivariateComparison:
     """Joint-tail decay of a correlated normal pair next to its heavy-tailed
@@ -502,15 +501,20 @@ def bivariate_comparison(
     both coordinates must stretch jointly; above it the larger threshold's
     exceedance drags the other along and only the worst margin matters. The
     heavy-tailed side never switches; its decay exponent 2 alpha/(1+rho)
-    moves continuously with rho.
+    moves continuously with rho. That side is asymptotic_estimate's law of
+    the rectangle {1, 2} at (x1, x2) under exact-Pareto marginals of index
+    alpha, evaluated at t: so t >= 10, and 1 - rho^2 must pass
+    CorrelationMatrix's pivot tolerance.
     """
     if not -1.0 < _real_or_nan(rho) < 1.0:
         raise ValueError(f"rho must lie in (-1, 1), got {rho!r}")
     rho = float(rho)
-    alpha = _positive_real(alpha, "alpha")
+    marg = MarginalSpec(alpha)
     x1 = _positive_real(x1, "x1")
     x2 = _positive_real(x2, "x2")
-    _require_t_above_e(t, "comparison")
+    sigma = CorrelationMatrix(np.array([[1.0, rho], [rho, 1.0]]))
+    both = TailSet(IndexSubset.of(1, 2), (x1, x2), 2)
+    pareto = asymptotic_estimate(sigma, marg, both).evaluate_log(t)
 
     ratio = min(x1 / x2, x2 / x1)
     x_max = max(x1, x2)
@@ -539,12 +543,4 @@ def bivariate_comparison(
             - math.log(t * x_max)
         )
 
-    pareto = (
-        -(2.0 * alpha / (1.0 + rho)) * math.log(t)
-        - (rho / (1.0 + rho)) * math.log(2.0 * alpha * math.log(t))
-        - (rho / (1.0 + rho)) * LOG_TWO_PI
-        + 1.5 * math.log1p(rho)
-        - 0.5 * math.log1p(-rho)
-        - (alpha / (1.0 + rho)) * math.log(x1 * x2)
-    )
     return BivariateComparison(regime, gaussian, pareto)

@@ -101,18 +101,23 @@ def _checked(field: str, check, *args):
         raise ConfigError(field, str(err)) from None
 
 
-def _log_probability(field: str, est, t: float) -> float:
-    """est's log probability at t, checked: a value past the largest float
-    (a huge alpha) or above 0 (a probability above 1: the law applied at
-    thresholds t x_j too small for it) is a config error in field."""
+def _log_probability(field: str, spec: TailSet, est, t: float) -> float:
+    """The log probability at t of the set spec under its law est, checked.
+    A value past the largest float (a huge alpha) or above 0 (a probability
+    above 1) is a config error in field, and so is a least t x_j at most 1:
+    the law holds only above the Pareto support's lower end, below which a
+    coordinate exceeds surely."""
     log_p = _checked(field, est.evaluate_log, t)
+    x_min = min(spec.thresholds)
     if log_p > 0.0:
-        raise ConfigError(
-            field,
-            f"the log probability at t = {t!r} is {log_p!r}, above 0: the limit law does "
-            "not apply at these thresholds; raise them or t",
-        )
-    return log_p
+        why = f"the log probability at t = {t!r} is {log_p!r}, above 0"
+    elif t * x_min <= 1.0:
+        why = f"t * min(thresholds) = {t!r} * {x_min!r} is at most 1"
+    else:
+        return log_p
+    raise ConfigError(
+        field, f"{why}: the limit law does not apply at these thresholds; raise them or t"
+    )
 
 
 def _is_list_of(value, kinds) -> bool:
@@ -300,7 +305,7 @@ def cmd_analyze(job: JobConfig, out_dir: str) -> int:
         # raises leaves the reports and rows of the sets before it.
         for position, item in enumerate(job.sets):
             # A law, mass or log probability past the largest float (a huge
-            # alpha), or a log probability above 0, is a config error.
+            # alpha), or a t outside the law's regime, is a config error.
             spec, field = item.spec, f"sets[{position}]"
             est = _checked(field, asymptotic_estimate, job.sigma, job.marg, spec)
             mu = _checked(field, limit_mass, job.sigma, job.marg, spec)
@@ -319,7 +324,7 @@ def cmd_analyze(job: JobConfig, out_dir: str) -> int:
                     f"gamma={contrib.gamma:.12g} log_constant={contrib.log_constant:.12g}"
                 )
             for t in job.t_grid:
-                log_p = _log_probability(field, est, t)
+                log_p = _log_probability(field, spec, est, t)
                 print(f"  t={t:g}: log_probability={log_p:.12g}")
                 yield (item.label, item.kind, est.power_exponent, est.log_log_exponent,
                        est.log_constant, mu, mu_flag, t, log_p)
@@ -405,14 +410,14 @@ def cmd_verify(job: JobConfig, out_dir: str, tolerance_pct: float) -> int:
         raise ConfigError("tolerance", f"--tolerance must be a finite percentage >= 0, got {tolerance_pct!r}")
     cfg = _simulation_config(job)
     # Each set's law and its log at every t, past the largest float at a
-    # huge alpha or above 0, is a config error before any row is drawn; the
-    # checked laws are the ones the tables use.
+    # huge alpha or outside the law's regime, is a config error before any
+    # row is drawn; the checked laws are the ones the tables use.
     laws = []
     for position, item in enumerate(job.sets):
         field = f"sets[{position}]"
         est = _checked(field, asymptotic_estimate, job.sigma, job.marg, item.spec)
         for t in job.t_grid:
-            _log_probability(field, est, t)
+            _log_probability(field, item.spec, est, t)
         laws.append((item.spec, est))
     tables = verify_asymptotics(cfg, laws, job.t_grid)
 

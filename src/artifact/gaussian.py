@@ -1,9 +1,8 @@
 """Normal special functions, orthant probabilities, and the joint-tail constant.
 
 Everything the asymptotic layer needs from the Gaussian side lives here: the
-univariate cdf/quantile/pdf trio, the second-order expansion of the normal
-quantile coupled to a heavy-tailed threshold, multivariate orthant
-probabilities P(Y >= 0) (closed forms for dimension <= 3, randomized
+univariate cdf/quantile/pdf trio, multivariate orthant probabilities
+P(Y >= 0) (closed forms for dimension <= 3, randomized
 quasi-Monte Carlo up to dimension 64 above, on an in-house scrambled Sobol'
 engine that keeps scipy.stats off the import path), the tail constant
 Upsilon assembled from a QP solution, and the joint-tail law built on it
@@ -83,12 +82,6 @@ def _positive_real(value, name: str) -> float:
     return out
 
 
-def _require_t_above_e(t, what: str) -> None:
-    """Guard of the expansions in log t, which are stated for t > e."""
-    if not _finite_real(t, "t") > math.e:
-        raise ValueError(f"{what} needs t > e, got t={reprlib.repr(t)}")
-
-
 def std_normal_cdf(x: float) -> float:
     return float(ndtr(_finite_real(x, "x")))
 
@@ -117,38 +110,6 @@ def std_normal_quantile(p: float) -> float:
         else:
             x += (p - float(ndtr(x))) / pdf
     return x
-
-
-@dataclass(frozen=True)
-class QuantileExpansion:
-    """Inputs of the normal-quantile expansion for a heavy-tailed threshold.
-
-    alpha is the tail index, scale_c the constant slowly varying factor
-    (survival ~ scale_c * s^{-alpha}), x the threshold multiplier.
-    """
-
-    alpha: float
-    scale_c: float
-    x: float
-
-    def __post_init__(self):
-        for name in ("alpha", "scale_c", "x"):
-            _positive_real(getattr(self, name), name)
-
-
-def rv_quantile_expansion(q: QuantileExpansion, t: float) -> float:
-    """Second-order approximation of the normal quantile matched to tail level t*x.
-
-    Returns sqrt(2 a log t) + [log(c/sqrt(log t)) + log(x^a / (2 sqrt(pi a)))]
-    / sqrt(2 a log t), the expansion of Phi^{-1}(1 - c (t x)^{-a}). Error
-    decays like 1/log t.
-    """
-    _require_t_above_e(t, "quantile expansion")
-    lead = math.sqrt(2.0 * q.alpha * math.log(t))
-    correction = math.log(q.scale_c / math.sqrt(math.log(t))) + math.log(
-        q.x**q.alpha / (2.0 * math.sqrt(math.pi * q.alpha))
-    )
-    return lead + correction / lead
 
 
 @dataclass(frozen=True)

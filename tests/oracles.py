@@ -4,7 +4,8 @@ None of these routines is on any library path: the grid search re-derives
 the QP value without the active-set algebra, the enumeration makes the QP's
 discrete decisions by ranking every candidate active set, the full cone scan
 finds the cone minimizers without pruning, the quadrature computes small
-normal joint tails without the asymptotic expansion, and the scaling
+normal joint tails without the asymptotic expansion, the bivariate
+rectangle law is written out in closed form at d = 2, and the scaling
 statistic counts tail-set hits on Pareto-scale rows instead of on the
 normal rows that verify_asymptotics counts, and the masked event hits count
 those normal-row events with one mask per grid point instead of by grid
@@ -147,6 +148,21 @@ def joint_tail_quadrature(sigma: CorrelationMatrix, u: float) -> float:
         return _survival2_std((u - rho12 * z) / sd2, (u - rho13 * z) / sd3, r_cond)
 
     return _normal_tail_integral(conditional, u)
+
+
+def bivariate_rectangle_log_law(rho: float, alpha: float, x1: float, x2: float, t: float) -> float:
+    """The decay law of the rectangle {1, 2} at (x1, x2) in closed form for a
+    pair with correlation rho and exact-Pareto marginals of index alpha, at
+    scale t: gamma = 2/(1 + rho), both coordinates active with weights
+    h = 1/(1 + rho), and Upsilon = (2 pi)^{-1} (1 + rho)^2 / sqrt(1 - rho^2)."""
+    return (
+        -(2.0 * alpha / (1.0 + rho)) * math.log(t)
+        - (rho / (1.0 + rho)) * math.log(2.0 * alpha * math.log(t))
+        - (rho / (1.0 + rho)) * math.log(2.0 * math.pi)
+        + 1.5 * math.log1p(rho)
+        - 0.5 * math.log1p(-rho)
+        - (alpha / (1.0 + rho)) * math.log(x1 * x2)
+    )
 
 
 def enumeration_qp(sigma: CorrelationMatrix, subset: IndexSubset) -> QpSolution:

@@ -27,12 +27,11 @@ from artifact.asymptotics import (
     asymptotic_estimate,
     cone_analysis,
     limit_mass,
+    rv_quantile_expansion,
 )
 from artifact.gaussian import (
-    QuantileExpansion,
     gaussian_joint_tail,
     orthant_probability,
-    rv_quantile_expansion,
     std_normal_cdf,
 )
 from artifact.linalg import CorrelationMatrix, IndexSubset
@@ -159,9 +158,9 @@ def test_criterion_06_quantile_expansion_accuracy():
 
     for alpha in (1.0, 2.0):
         for x in (1.0, 3.0):
-            expansion = QuantileExpansion(alpha=alpha, scale_c=1.0, x=x)
+            marg = MarginalSpec(alpha=alpha)
             errors = [
-                abs(rv_quantile_expansion(expansion, t) - exact_quantile(alpha, x, t))
+                abs(rv_quantile_expansion(marg, x, t) - exact_quantile(alpha, x, t))
                 for t in (1e6, 1e9, 1e12)
             ]
             assert errors[2] < 0.02, f"alpha={alpha} x={x}: errors={errors}"

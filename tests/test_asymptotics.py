@@ -12,7 +12,6 @@ import pytest
 
 from artifact.asymptotics import (
     AsymptoticEstimate,
-    AsymptoticRegimeWarning,
     ConeAnalysis,
     ContributingSet,
     MarginalSpec,
@@ -25,9 +24,8 @@ from artifact.asymptotics import (
     cone_analysis,
     limit_mass,
     subset_coefficients,
-    tail_probability,
 )
-from artifact.linalg import CorrelationMatrix, IndexSubset
+from artifact.linalg import CorrelationMatrix, IndexSubset, NotPositiveDefinite
 from artifact.qp import subset_solver
 from conftest import (
     at_least,
@@ -40,7 +38,7 @@ from conftest import (
     tie_block_matrix,
     two_block_6x6,
 )
-from oracles import full_cone_scan
+from oracles import bivariate_rectangle_log_law, full_cone_scan
 
 PARETO2 = MarginalSpec(alpha=2.0)
 ONE = CorrelationMatrix(np.eye(1))
@@ -511,22 +509,6 @@ class TestDispatcherAndTailProbability:
         with pytest.raises(ValueError, match="label 4 out of range for dimension 3"):
             asymptotic_estimate(equi_matrix(3, 0.2), PARETO2, box_complement((1.0,) * 4))
 
-    def test_tail_probability_returns_value_and_law(self):
-        sigma = equi_matrix(2, 0.0)
-        value, est = tail_probability(
-            sigma, PARETO2, rect(IndexSubset.of(1, 2), (1.0, 1.0)), 100.0
-        )
-        assert value == pytest.approx(math.log(1e-8), rel=1e-12)
-        assert est.power_exponent == 4.0
-
-    def test_tail_probability_guards(self):
-        sigma = equi_matrix(2, 0.0)
-        corner = rect(IndexSubset.of(1, 2), (1.0, 1.0))
-        with pytest.raises(ValueError, match="t >= 10"):
-            tail_probability(sigma, PARETO2, corner, 5.0)
-        with pytest.warns(AsymptoticRegimeWarning):
-            tail_probability(sigma, PARETO2, corner, 50.0)
-
 
 # {1,2} is the one principal pair at level 2: gamma 4/3 against 20/11.
 PAIR_LED_3X3 = CorrelationMatrix(np.array([[1.0, 0.5, 0.1], [0.5, 1.0, 0.1], [0.1, 0.1, 1.0]]))
@@ -635,21 +617,37 @@ class TestBivariateComparison:
             margin.gaussian_log_asym + math.log(0.5), rel=1e-12
         )
 
-    @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("rho", [-0.9, -0.5, -0.2, 0.0, 0.3, 0.6, 0.9, 0.95])
     def test_pareto_side_matches_rectangular_law(self, rho):
-        x1, x2 = 1.0, 2.0
-        est = asymptotic_estimate(
-            equi_matrix(2, rho), PARETO2, rect(IndexSubset.of(1, 2), (x1, x2))
-        )
-        for t in [10.0, 100.0, 1e5]:
-            rep = bivariate_comparison(rho, 2.0, x1, x2, t)
-            assert rep.pareto_log_asym == pytest.approx(est.evaluate_log(t), rel=1e-12)
+        # The Pareto side is the rectangle's law itself, and the law is the
+        # d = 2 closed form.
+        for alpha in [0.5, 1.0, 2.0, 5.0]:
+            marg = MarginalSpec(alpha)
+            for x1, x2 in [(1.0, 1.0), (1.0, 2.0), (0.3, 0.7), (5.0, 0.5)]:
+                est = asymptotic_estimate(
+                    equi_matrix(2, rho), marg, rect(IndexSubset.of(1, 2), (x1, x2))
+                )
+                for t in [10.0, 100.0, 1e6]:
+                    rep = bivariate_comparison(rho, alpha, x1, x2, t)
+                    assert rep.pareto_log_asym == est.evaluate_log(t)
+                    assert rep.pareto_log_asym == pytest.approx(
+                        bivariate_rectangle_log_law(rho, alpha, x1, x2, t), rel=1e-12
+                    )
 
     def test_validation(self):
         with pytest.raises(ValueError, match="rho"):
             bivariate_comparison(1.0, 2.0, 1.0, 1.0, 10.0)
-        with pytest.raises(ValueError, match="t > e"):
-            bivariate_comparison(0.2, 2.0, 1.0, 1.0, 2.0)
+        # t is guarded by the law's own t >= 10, so e < t < 10 is refused too.
+        for t in (2.0, 5.0, 9.999):
+            with pytest.raises(ValueError, match="t >= 10"):
+                bivariate_comparison(0.2, 2.0, 1.0, 1.0, t)
+
+    @pytest.mark.parametrize("rho", [1.0 - 1e-11, -1.0 + 1e-11])
+    def test_rho_next_to_one_is_not_positive_definite(self, rho):
+        # 1 - rho^2 is about 2e-11, below the pivot tolerance of a
+        # correlation matrix.
+        with pytest.raises(NotPositiveDefinite):
+            bivariate_comparison(rho, 2.0, 1.0, 1.0, 10.0)
 
     @pytest.mark.parametrize("rho", [False, True])
     def test_bool_rho_rejected(self, rho):

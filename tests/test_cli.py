@@ -386,6 +386,35 @@ class TestConfigErrors:
         # verify refuses before it samples, so it writes no table.
         assert not (result[3] / "verify_1.csv").exists()
 
+    # Thresholds (0.05, 1) on the rectangle {1, 2}: at t = 10, X1 > 0.5
+    # holds surely (X1 >= 1), so the probability is P(X2 > 10), log -4.605,
+    # where the law gives -2.544, below 0. t * 0.05 is 0.5 at t = 10, 0.95 at
+    # t = 19 and 1 at t = 20, all refused; 1.05 at t = 21 is not.
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("t_grid", [[10.0, 19.0, 21.0, 100.0], [20.0, 100.0]], ids=["t10", "t20"])
+    def test_scaled_threshold_at_most_one_names_the_set(self, runner, command, t_grid):
+        rect_set = {"type": "rectangular", "subset": [1, 2], "thresholds": [0.05, 1.0]}
+        cfg = {
+            "sigma": [[1.0, 0.5], [0.5, 1.0]],
+            "alpha": 2.0,
+            "sets": [rect_set],
+            "t_grid": t_grid,
+            "simulation": {"n": 1000, "seed": 1},
+        }
+        result = runner(cfg, command)
+        assert_config_error(result, "sets[0]")
+        assert f"t * min(thresholds) = {t_grid[0]!r} * 0.05 is at most 1" in result[2]
+        assert "Traceback" not in result[2]
+        assert not (result[3] / "verify_1.csv").exists()
+        cfg["t_grid"] = [21.0, 100.0]
+        code, _, _, out_dir = runner(cfg, command, out_name="above")
+        # At n = 1000 both verify rows have too few hits for a slope: exit 4.
+        assert code == {"analyze": 0, "verify": 4}[command]
+        if command == "analyze":
+            rows = list(csv.DictReader(open(out_dir / "sets.csv")))
+            assert [float(r["t"]) for r in rows] == [21.0, 100.0]
+            assert all(float(r["log_probability"]) < 0.0 for r in rows)
+
     @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
     def test_unusable_out_names_the_field(self, tmp_path, capsys, below):
         cfg = tmp_path / "job.json"

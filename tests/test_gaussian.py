@@ -9,15 +9,14 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from artifact.asymptotics import MarginalSpec, rv_quantile_expansion
 from artifact.gaussian import (
     AsymptoticRegimeWarning,
     OrthantEstimate,
-    QuantileExpansion,
     UpsilonResult,
     _scrambled_sobol,
     gaussian_joint_tail,
     orthant_probability,
-    rv_quantile_expansion,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -88,53 +87,76 @@ class TestUnivariate:
 
 class TestQuantileExpansion:
     def test_reference_point(self):
-        q = QuantileExpansion(alpha=2.0, scale_c=1.0, x=1.0)
-        value = rv_quantile_expansion(q, 1e6)
+        value = rv_quantile_expansion(MarginalSpec(alpha=2.0), 1.0, 1e6)
         assert value == pytest.approx(7.0404, abs=2e-4)
         exact = std_normal_quantile(1.0 - 1e-12)
         assert abs(value - exact) < 0.01
 
     def test_error_shrinks_with_t(self):
-        q = QuantileExpansion(alpha=2.0, scale_c=1.0, x=1.0)
+        marg = MarginalSpec(alpha=2.0)
         errors = []
         for t in [1e6, 1e9, 1e12]:
             # survival level (t x)^(-alpha), exact quantile via symmetry
             exact = -quantile_oracle(t ** -2.0)
-            errors.append(abs(rv_quantile_expansion(q, t) - exact))
+            errors.append(abs(rv_quantile_expansion(marg, 1.0, t) - exact))
         assert errors[0] > errors[1] > errors[2]
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize("x", [0.5, 1.0, 3.0])
     def test_error_monotone_over_grid(self, alpha, x):
-        q = QuantileExpansion(alpha=alpha, scale_c=1.0, x=x)
+        marg = MarginalSpec(alpha=alpha)
         ts = [1e6, 1e8, 1e10, 1e12]
         errors = []
         for t in ts:
             survival = mpmath.mpf(t) ** -alpha * mpmath.mpf(x) ** -alpha
             exact = -quantile_oracle(survival)
-            errors.append(abs(rv_quantile_expansion(q, t) - exact))
+            errors.append(abs(rv_quantile_expansion(marg, x, t) - exact))
         assert all(a > b for a, b in zip(errors, errors[1:]))
         # scaled error stays bounded
         assert all(e * math.sqrt(math.log(t)) < 2.0 for e, t in zip(errors, ts))
 
+    @pytest.mark.parametrize("scale_c", [0.25, 4.0])
+    @pytest.mark.parametrize("x", [0.5, 3.0])
+    def test_scale_c_is_the_marginal_spec_convention(self, scale_c, x):
+        # MarginalSpec's survival at s = t x is s^-alpha / scale_c: the
+        # expansion converges to that level's quantile, which lies at least
+        # 0.26 from the quantile of scale_c s^-alpha on this grid.
+        marg = MarginalSpec(alpha=2.0, scale_c=scale_c)
+        errors = []
+        for t in [1e6, 1e9, 1e12]:
+            level = (mpmath.mpf(t) * mpmath.mpf(x)) ** -2
+            value = rv_quantile_expansion(marg, x, t)
+            errors.append(abs(value + quantile_oracle(level / scale_c)))
+            assert errors[-1] < abs(value + quantile_oracle(level * scale_c)) / 5.0
+        assert errors[0] > errors[1] > errors[2]
+        assert errors[2] < 0.02
+
+    def test_scale_c_reference_point(self):
+        # At scale_c = 4, alpha = 2, t = 1e6: the quantile is 7.2253 under
+        # survival s^-2 / 4, and 6.8385 under 4 s^-2.
+        value = rv_quantile_expansion(MarginalSpec(alpha=2.0, scale_c=4.0), 1.0, 1e6)
+        assert value == pytest.approx(7.2269, abs=1e-4)
+        assert -quantile_oracle(mpmath.mpf(10) ** -12 / 4) == pytest.approx(7.2253, abs=1e-4)
+        one = rv_quantile_expansion(MarginalSpec(alpha=2.0), 1.0, 1e6)
+        assert value - one == pytest.approx(math.log(4.0) / math.sqrt(4.0 * math.log(1e6)), rel=1e-12)
+
     def test_threshold_dependence_identity(self):
         for alpha in [1.0, 2.0]:
             t = 1e8
-            one = rv_quantile_expansion(QuantileExpansion(alpha, 1.0, 1.0), t)
-            two = rv_quantile_expansion(QuantileExpansion(alpha, 1.0, 2.0), t)
+            one = rv_quantile_expansion(MarginalSpec(alpha), 1.0, t)
+            two = rv_quantile_expansion(MarginalSpec(alpha), 2.0, t)
             expected = math.log(2.0**alpha) / math.sqrt(2.0 * alpha * math.log(t))
             assert two - one == pytest.approx(expected, rel=1e-12)
 
     def test_small_t_rejected(self):
-        q = QuantileExpansion(alpha=2.0, scale_c=1.0, x=1.0)
         with pytest.raises(ValueError, match="t > e"):
-            rv_quantile_expansion(q, 2.0)
+            rv_quantile_expansion(MarginalSpec(alpha=2.0), 1.0, 2.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="alpha"):
-            QuantileExpansion(alpha=0.0, scale_c=1.0, x=1.0)
+            rv_quantile_expansion(MarginalSpec(alpha=0.0), 1.0, 1e6)
         with pytest.raises(ValueError, match="x"):
-            QuantileExpansion(alpha=1.0, scale_c=1.0, x=-2.0)
+            rv_quantile_expansion(MarginalSpec(alpha=1.0), -2.0, 1e6)
 
 
 def closed_form_2(r: float) -> float:
