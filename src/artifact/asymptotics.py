@@ -153,7 +153,8 @@ class ContributingSet:
 class AsymptoticEstimate:
     """Decay law log P ~ log_constant + beta log(2 alpha log t) - a log t.
 
-    power_exponent is a, log_log_exponent is beta.
+    power_exponent is a, log_log_exponent is beta; min_threshold is the
+    least threshold of the set, which bounds the law's regime in t.
     """
 
     log_constant: float
@@ -161,16 +162,20 @@ class AsymptoticEstimate:
     log_log_exponent: float
     alpha: float
     contributing_sets: tuple[ContributingSet, ...]
+    min_threshold: float
 
     def __post_init__(self):
         _positive_real(self.power_exponent, "power_exponent")
         _positive_real(self.alpha, "alpha")
         _finite_real(self.log_log_exponent, "log_log_exponent")
         _finite_real(self.log_constant, "log_constant")
+        _positive_real(self.min_threshold, "min_threshold")
 
     def evaluate_log(self, t: float) -> float:
         """Log of the approximation at scale t; guarded to t >= 10. Raises
-        ValueError when it is not finite (a huge alpha)."""
+        ValueError when it is not finite (a huge alpha), above 0 (a
+        probability above 1), or when t * min_threshold <= 1: below the
+        Pareto support's lower end a coordinate exceeds surely."""
         _require_eval_t(t, "asymptotic evaluation")
         log_p = (
             self.log_constant
@@ -181,7 +186,13 @@ class AsymptoticEstimate:
             raise ValueError(
                 f"the log probability at t = {t!r} is not a finite float at alpha = {self.alpha!r}"
             )
-        return log_p
+        if log_p > 0.0:
+            why = f"the log probability at t = {t!r} is {log_p!r}, above 0"
+        elif t * self.min_threshold <= 1.0:
+            why = f"t * min(thresholds) = {t!r} * {self.min_threshold!r} is at most 1"
+        else:
+            return log_p
+        raise ValueError(f"{why}: the limit law does not apply at these thresholds; raise them or t")
 
     def decays_faster_than(self, other: "AsymptoticEstimate") -> bool:
         """True when self/other -> 0 as t grows (self is log-subdominant)."""
@@ -376,8 +387,7 @@ def _cone(
 
 
 def _require_level_gap(cone: ConeAnalysis) -> None:
-    if cone.gamma_next is None:
-        return
+    """Refuse a cone whose next level ties it; the cone has a next level."""
     tol = GAMMA_TIE_REL * max(1.0, cone.gamma)
     if cone.gamma_next <= cone.gamma + tol:
         raise UnsupportedDegeneracy(
@@ -447,6 +457,7 @@ def _additive_estimate(marg: MarginalSpec, tail_set: TailSet) -> AsymptoticEstim
         log_log_exponent=0.0,
         alpha=marg.alpha,
         contributing_sets=contribs,
+        min_threshold=min(tail_set.thresholds),
     )
 
 
@@ -478,6 +489,7 @@ def asymptotic_estimate(
             ContributingSet(c.subset, c.active_set, c.gamma, _log_scale(c.gamma, marg) + m)
             for c, m in terms
         ),
+        min_threshold=min(tail_set.thresholds),
     )
 
 
@@ -503,7 +515,8 @@ def bivariate_comparison(
     heavy-tailed side never switches; its decay exponent 2 alpha/(1+rho)
     moves continuously with rho. That side is asymptotic_estimate's law of
     the rectangle {1, 2} at (x1, x2) under exact-Pareto marginals of index
-    alpha, evaluated at t: so t >= 10, and 1 - rho^2 must pass
+    alpha, evaluated at t: so t >= 10, the law's regime rule refuses a
+    probability above 1 and t min(x1, x2) <= 1, and 1 - rho^2 must pass
     CorrelationMatrix's pivot tolerance.
     """
     if not -1.0 < _real_or_nan(rho) < 1.0:

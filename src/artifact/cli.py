@@ -101,25 +101,6 @@ def _checked(field: str, check, *args):
         raise ConfigError(field, str(err)) from None
 
 
-def _log_probability(field: str, spec: TailSet, est, t: float) -> float:
-    """The log probability at t of the set spec under its law est, checked.
-    A value past the largest float (a huge alpha) or above 0 (a probability
-    above 1) is a config error in field, and so is a least t x_j at most 1:
-    the law holds only above the Pareto support's lower end, below which a
-    coordinate exceeds surely."""
-    log_p = _checked(field, est.evaluate_log, t)
-    x_min = min(spec.thresholds)
-    if log_p > 0.0:
-        why = f"the log probability at t = {t!r} is {log_p!r}, above 0"
-    elif t * x_min <= 1.0:
-        why = f"t * min(thresholds) = {t!r} * {x_min!r} is at most 1"
-    else:
-        return log_p
-    raise ConfigError(
-        field, f"{why}: the limit law does not apply at these thresholds; raise them or t"
-    )
-
-
 def _is_list_of(value, kinds) -> bool:
     """Whether value is a list of instances of kinds; bool, a subclass of
     int, counts as none of them."""
@@ -324,7 +305,7 @@ def cmd_analyze(job: JobConfig, out_dir: str) -> int:
                     f"gamma={contrib.gamma:.12g} log_constant={contrib.log_constant:.12g}"
                 )
             for t in job.t_grid:
-                log_p = _log_probability(field, spec, est, t)
+                log_p = _checked(field, est.evaluate_log, t)
                 print(f"  t={t:g}: log_probability={log_p:.12g}")
                 yield (item.label, item.kind, est.power_exponent, est.log_log_exponent,
                        est.log_constant, mu, mu_flag, t, log_p)
@@ -417,7 +398,7 @@ def cmd_verify(job: JobConfig, out_dir: str, tolerance_pct: float) -> int:
         field = f"sets[{position}]"
         est = _checked(field, asymptotic_estimate, job.sigma, job.marg, item.spec)
         for t in job.t_grid:
-            _log_probability(field, item.spec, est, t)
+            _checked(field, est.evaluate_log, t)
         laws.append((item.spec, est))
     tables = verify_asymptotics(cfg, laws, job.t_grid)
 

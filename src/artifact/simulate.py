@@ -540,8 +540,8 @@ def verify_asymptotics(
 
     laws pairs each tail set with its law under cfg's matrix and marginal,
     asymptotic_estimate(cfg.sigma, cfg.marg, tail_set), which the caller
-    computes (and may check) before any row is drawn; it is not computed
-    again here.
+    computes; each is evaluated at every t before any row is drawn, so a t
+    outside a law's regime raises the law's ValueError before sampling.
 
     One pass over the sampler's normal blocks: each set at each t is the
     event "at least k of the coordinates in S exceed their thresholds" on the
@@ -553,6 +553,7 @@ def verify_asymptotics(
     "low-hits" and excluded from the slope fit.
     """
     ts = _increasing_grid(t_grid)
+    log_laws = [[est.evaluate_log(t) for t in ts] for _, est in laws]
     events = [_normal_event(tail_set, cfg.sigma.dim, cfg.marg.alpha, ts) for tail_set, _ in laws]
 
     def count(blocks):
@@ -566,8 +567,8 @@ def verify_asymptotics(
     for other in others:
         counter.bins += other.bins
     return tuple(
-        _verification_table(ts, counts, cfg.n, est)
-        for counts, (_, est) in zip(counter.hits(), laws)
+        _verification_table(ts, counts, cfg.n, est, log_law)
+        for counts, (_, est), log_law in zip(counter.hits(), laws, log_laws)
     )
 
 
@@ -615,15 +616,16 @@ class _EventCounter:
 
 
 def _verification_table(
-    ts: tuple[float, ...], counts: np.ndarray, n: int, est: AsymptoticEstimate
+    ts: tuple[float, ...], counts: np.ndarray, n: int, est: AsymptoticEstimate, log_law
 ) -> VerificationTable:
-    """Rows hits/n with binomial errors sqrt(p(1-p)/n) against the law."""
+    """Rows hits/n with binomial errors sqrt(p(1-p)/n) against the law est,
+    whose logs at ts are log_law."""
     rows = []
     fit_points = []
-    for t, hits in zip(ts, counts.tolist()):
+    for t, hits, log_asym in zip(ts, counts.tolist(), log_law):
         p = hits / n
         se = math.sqrt(p * (1.0 - p) / n)
-        asym = math.exp(est.evaluate_log(t))
+        asym = math.exp(log_asym)
         ratio = p / asym if asym > 0.0 else math.nan
         flag = "ok" if hits >= LOW_HIT_THRESHOLD else "low-hits"
         rows.append(VerificationRow(t, p, se, asym, ratio, flag, hits))

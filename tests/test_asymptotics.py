@@ -190,12 +190,29 @@ class TestRectangular:
             with pytest.raises(ValueError, match="finite number"):
                 est.evaluate_log(t)
 
+    def test_evaluate_refuses_outside_the_regime(self):
+        # t * min_threshold <= 1 is refused, t * 0.05 = 1 at t = 20 included;
+        # at t = 21 the law applies.
+        est = asymptotic_estimate(
+            equi_matrix(2, 0.5), PARETO2, rect(IndexSubset.of(1, 2), (0.05, 1.0))
+        )
+        assert est.min_threshold == 0.05
+        for t in (10.0, 20.0):
+            with pytest.raises(ValueError, match=rf"t \* min\(thresholds\) = {t!r} \* 0.05 is at most 1"):
+                est.evaluate_log(t)
+        assert est.evaluate_log(21.0) < 0.0
+        # A probability above 1 is named first, though t * 0.001 <= 1 too.
+        est = asymptotic_estimate(equi_matrix(2, 0.5), PARETO2, box_complement((0.001, 0.001)))
+        assert est.min_threshold == 0.001
+        with pytest.raises(ValueError, match=r"is 9\.90\d*, above 0: the limit law does not apply"):
+            est.evaluate_log(10.0)
+
 
 class TestEstimateAlgebra:
     @staticmethod
     def law(power_exponent, log_log_exponent):
         part = ContributingSet(IndexSubset.of(1), IndexSubset.of(1), 1.0, 0.0)
-        return AsymptoticEstimate(0.0, power_exponent, log_log_exponent, 2.0, (part,))
+        return AsymptoticEstimate(0.0, power_exponent, log_log_exponent, 2.0, (part,), 1.0)
 
     def test_decays_faster_than_orders_by_power_then_loglog(self):
         slow = self.law(2.0, 0.0)
@@ -617,22 +634,50 @@ class TestBivariateComparison:
             margin.gaussian_log_asym + math.log(0.5), rel=1e-12
         )
 
-    @pytest.mark.parametrize("rho", [-0.9, -0.5, -0.2, 0.0, 0.3, 0.6, 0.9, 0.95])
+    RHOS = [-0.9, -0.5, -0.2, 0.0, 0.3, 0.6, 0.9, 0.95]
+    ALPHAS = [0.5, 1.0, 2.0, 5.0]
+    THRESHOLDS = [(1.0, 1.0), (1.0, 2.0), (0.3, 0.7), (5.0, 0.5)]
+    TS = [10.0, 100.0, 1e6]
+
+    @pytest.mark.parametrize("rho", RHOS)
     def test_pareto_side_matches_rectangular_law(self, rho):
         # The Pareto side is the rectangle's law itself, and the law is the
-        # d = 2 closed form.
-        for alpha in [0.5, 1.0, 2.0, 5.0]:
+        # d = 2 closed form; where the law is above probability 1, both refuse.
+        for alpha in self.ALPHAS:
             marg = MarginalSpec(alpha)
-            for x1, x2 in [(1.0, 1.0), (1.0, 2.0), (0.3, 0.7), (5.0, 0.5)]:
+            for x1, x2 in self.THRESHOLDS:
                 est = asymptotic_estimate(
                     equi_matrix(2, rho), marg, rect(IndexSubset.of(1, 2), (x1, x2))
                 )
-                for t in [10.0, 100.0, 1e6]:
+                for t in self.TS:
+                    want = bivariate_rectangle_log_law(rho, alpha, x1, x2, t)
+                    if want > 0.0:
+                        with pytest.raises(ValueError, match="above 0"):
+                            est.evaluate_log(t)
+                        with pytest.raises(ValueError, match="above 0"):
+                            bivariate_comparison(rho, alpha, x1, x2, t)
+                        continue
                     rep = bivariate_comparison(rho, alpha, x1, x2, t)
                     assert rep.pareto_log_asym == est.evaluate_log(t)
-                    assert rep.pareto_log_asym == pytest.approx(
-                        bivariate_rectangle_log_law(rho, alpha, x1, x2, t), rel=1e-12
-                    )
+                    assert rep.pareto_log_asym == pytest.approx(want, rel=1e-12)
+
+    def test_pareto_side_refuses_four_grid_cases(self):
+        # The grid above has 384 cases; the law exceeds probability 1 on 4,
+        # all at t = 10 and alpha 0.5 (rho -0.9 at (0.3, 0.7): log p = 5.05).
+        refused = [
+            (rho, alpha, x, t)
+            for rho in self.RHOS
+            for alpha in self.ALPHAS
+            for x in self.THRESHOLDS
+            for t in self.TS
+            if bivariate_rectangle_log_law(rho, alpha, *x, t) > 0.0
+        ]
+        assert [(rho, x) for rho, _, x, _ in refused] == [
+            (-0.9, (0.3, 0.7)), (0.9, (0.3, 0.7)), (0.95, (1.0, 1.0)), (0.95, (0.3, 0.7))
+        ]
+        assert {(alpha, t) for _, alpha, _, t in refused} == {(0.5, 10.0)}
+        with pytest.raises(ValueError, match=r"is 5\.04976\d*, above 0"):
+            bivariate_comparison(-0.9, 0.5, 0.3, 0.7, 10.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="rho"):

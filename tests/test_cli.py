@@ -158,6 +158,25 @@ class TestConfigErrors:
         assert_config_error(result, "sets[0].type")
         assert "rectangular, at-least, complement-box" in result[2]
 
+    @pytest.mark.parametrize(
+        "cfg, field",
+        [
+            ([IDENTITY_JOB], "config"),
+            (dict(IDENTITY_JOB, sets=IDENTITY_JOB["sets"][0]), "sets"),
+            (dict(IDENTITY_JOB, sets=["rectangular"]), "sets[0]"),
+            (dict(IDENTITY_JOB, sets=[{**IDENTITY_JOB["sets"][0], "label": 7}]), "sets[0].label"),
+            (dict(IDENTITY_JOB, t_grid=[10.0, "100"]), "t_grid"),
+            (dict(IDENTITY_JOB, t_grid=[0.0, 100.0]), "t_grid"),
+            (dict(IDENTITY_JOB, t_grid=[-10.0, 100.0]), "t_grid"),
+            (dict(VERIFY_JOB, simulation=[300000, 11]), "simulation"),
+        ],
+        ids=["root", "sets", "set", "label", "t-not-number", "t-zero", "t-negative", "simulation"],
+    )
+    def test_config_shape_names_the_field(self, runner, cfg, field):
+        result = runner(cfg, "analyze")
+        assert_config_error(result, field)
+        assert "Traceback" not in result[2]
+
     def test_at_least_needs_integer_level(self, runner):
         cfg = dict(IDENTITY_JOB, sets=[{"type": "at-least", "level": 1.5, "thresholds": [1.0, 1.0]}])
         assert_config_error(runner(cfg, "analyze"), "sets[0].level")

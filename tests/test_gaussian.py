@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+import artifact.gaussian as gaussian_module
 from artifact.asymptotics import MarginalSpec, rv_quantile_expansion
 from artifact.gaussian import (
+    ORTHANT_RANDOMIZATIONS,
     AsymptoticRegimeWarning,
     OrthantEstimate,
     UpsilonResult,
@@ -235,6 +237,26 @@ class TestOrthant:
         # recorded with scipy.stats.qmc.Sobol as the point engine.
         est = orthant_probability(equi_matrix(4, 0.2).entries, seed=0)
         assert est.value == 0.11301207317564645
+
+    def test_qmc_escalates_twice_when_the_target_is_missed(self, monkeypatch):
+        # A target of 0 is never met: each of the three levels takes four
+        # times the points of the one before. The equicorrelated (rho = 1/2)
+        # orthant in m dimensions is 1 / (m + 1).
+        monkeypatch.setattr(gaussian_module, "ORTHANT_TARGET_SE", 0.0)
+        sizes = []
+        sobol = gaussian_module._scrambled_sobol
+
+        def recording(dim, n, seq):
+            sizes.append(n)
+            return sobol(dim, n, seq)
+
+        monkeypatch.setattr(gaussian_module, "_scrambled_sobol", recording)
+        cov = equi_matrix(4, 0.5).entries
+        est = orthant_probability(cov, seed=5)
+        assert sizes == [n for n in (8192, 32768, 131072) for _ in range(ORTHANT_RANDOMIZATIONS)]
+        assert est.se > 0.0
+        assert abs(est.value - 0.2) <= 4.0 * est.se
+        assert orthant_probability(cov, seed=5) == est
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="m <= 64"):

@@ -2,6 +2,7 @@
 empirical tails, verification tables, and conditional exceedance curves."""
 
 import math
+import os
 import threading
 import time
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
+import artifact.simulate as simulate
 from artifact.asymptotics import MarginalSpec
 from artifact.cli import _write_csv
 from artifact.linalg import CorrelationMatrix, IndexSubset
@@ -63,6 +65,20 @@ IDENTITY_2 = CorrelationMatrix(np.eye(2))
 
 def config(sigma, n, seed) -> SimulationConfig:
     return SimulationConfig(sigma=sigma, marg=PARETO2, n=n, seed=seed)
+
+
+def streamed_hits(cfg, sets, grid) -> list[tuple[int, ...]]:
+    """Hits of each tail set at each t of grid, counted as verify_asymptotics
+    counts them (an _EventCounter per worker over _draw_blocks), with no law."""
+    events = [_normal_event(s, cfg.sigma.dim, cfg.marg.alpha, grid) for s in sets]
+
+    def count(blocks):
+        counter = _EventCounter(events, len(grid))
+        for _, z in blocks:
+            counter.add(z)
+        return counter.hits()
+
+    return [tuple(row) for row in sum(_draw_blocks(cfg, count)).tolist()]
 
 
 class TestConfig:
@@ -618,14 +634,17 @@ class TestStreamedVerification:
         )
         n = 2 * BLOCK_ROWS + 7
         cfg = config(equi_matrix(3, 0.5), n, 23)
-        tables = verify_asymptotics(cfg, laws(cfg, sets), STREAM_GRID)
+        hits = streamed_hits(cfg, sets, STREAM_GRID)
         x = sample_rvgc(cfg)
-        for table, tail_set in zip(tables, sets):
-            want = empirical_tail(scaling_statistic(x, tail_set), STREAM_GRID)
-            assert tuple(row.hits for row in table.rows) == want.hits
-        assert tables[0].rows[0].hits == n
-        assert tables[2].rows[0].hits == n
-        assert 0 < tables[1].rows[0].hits < n
+        for got, tail_set in zip(hits, sets):
+            assert got == empirical_tail(scaling_statistic(x, tail_set), STREAM_GRID).hits
+        assert hits[0][0] == n
+        assert hits[2][0] == n
+        assert 0 < hits[1][0] < n
+        # Each set's law is outside its regime at t = 10, so none is verified.
+        for tail_set in sets:
+            with pytest.raises(ValueError, match="the limit law does not apply"):
+                verify_asymptotics(cfg, laws(cfg, [tail_set]), STREAM_GRID)
 
     @pytest.mark.parametrize("alpha", [0.7, 1.3, 3.5])
     def test_hits_equal_materialized_counts_for_other_alpha(self, alpha):
@@ -633,12 +652,30 @@ class TestStreamedVerification:
         cfg = SimulationConfig(
             sigma=equi_matrix(3, 0.5), marg=MarginalSpec(alpha=alpha), n=n, seed=29
         )
-        tables = verify_asymptotics(cfg, laws(cfg, STREAM_SETS), STREAM_GRID)
         x = sample_rvgc(cfg)
-        for table, tail_set in zip(tables, STREAM_SETS):
-            want = empirical_tail(scaling_statistic(x, tail_set), STREAM_GRID)
+        wants = [empirical_tail(scaling_statistic(x, s), STREAM_GRID) for s in STREAM_SETS]
+        assert streamed_hits(cfg, STREAM_SETS, STREAM_GRID) == [want.hits for want in wants]
+        if alpha == 0.7:
+            # The law of "at least 2 of 3 exceed 0.2" is 1.497 at t = 10.
+            with pytest.raises(ValueError, match="above 0"):
+                verify_asymptotics(cfg, laws(cfg, STREAM_SETS), STREAM_GRID)
+            return
+        tables = verify_asymptotics(cfg, laws(cfg, STREAM_SETS), STREAM_GRID)
+        for table, want in zip(tables, wants):
             assert tuple(row.hits for row in table.rows) == want.hits
             assert tuple(row.empirical for row in table.rows) == want.probability
+
+    def test_refuses_a_law_outside_its_regime_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(simulate, "_draw_blocks", no_draw)
+        cfg = config(equi_matrix(3, 0.5), BLOCK_ROWS, 1)
+        # The first set's law holds on the whole grid; the second set's is
+        # refused at t = 20 only.
+        given = laws(cfg, [STREAM_SETS[0], rect(IndexSubset.of(1, 2), (0.05, 1.0))])
+        with pytest.raises(ValueError, match=r"t \* min\(thresholds\) = 20.0 \* 0.05 is at most 1"):
+            verify_asymptotics(cfg, given, [20.0, 40.0])
 
     @pytest.mark.parametrize("case", list(SHARED_RANK_CASES))
     def test_hits_equal_materialized_counts_for_shared_ranks(self, case):
@@ -723,6 +760,10 @@ class TestStreamedVerification:
 class TestBlockWorkers:
     """The sampler's blocks are drawn and counted on one or two workers; the
     sample and every count must not depend on how many."""
+
+    def test_without_an_affinity_mask_the_cpu_count_decides(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert simulate._block_workers() == min(2, os.cpu_count() or 1)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("d", [1, 2, 6, 12, 16, 40])
