@@ -3,14 +3,13 @@ dependence, with a seeded Monte Carlo verification harness.
 
 Layering: linalg (validated correlation matrices, index subsets, Cholesky)
 -> qp (the structural box-constrained quadratic program behind every tail
-constant) -> gaussian (normal special functions, orthant probabilities, the
-tail constant Upsilon) -> asymptotics (one tail-set type, "at least k of
-the coordinates in S exceed their thresholds", which covers rectangles,
-at-least-i sets and box complements, with one decay law and one limit mass
-per set; cone analysis; the normal quantile matched to a heavy-tailed
-threshold; the bivariate normal-versus-Pareto comparison) -> simulate
-(sampling, Hill curves, verification tables) -> cli (config-driven batch
-front end).
+constant) -> gaussian (orthant probabilities, the tail constant Upsilon)
+-> asymptotics (one tail-set type, "at least k of the coordinates in S
+exceed their thresholds", which covers rectangles, at-least-i sets and box
+complements, with one decay law and one limit mass per set; cone analysis;
+the normal quantile matched to a heavy-tailed threshold; the bivariate
+normal-versus-Pareto comparison) -> simulate (sampling, Hill curves,
+verification tables) -> cli (config-driven batch front end).
 """
 
 from .asymptotics import (
@@ -36,9 +35,6 @@ from .gaussian import (
     UpsilonResult,
     gaussian_joint_tail,
     orthant_probability,
-    std_normal_cdf,
-    std_normal_pdf,
-    std_normal_quantile,
     upsilon,
 )
 from .linalg import (
@@ -124,9 +120,6 @@ __all__ = [
     "solve_qp",
     "solve_spd",
     "spd_factorize",
-    "std_normal_cdf",
-    "std_normal_pdf",
-    "std_normal_quantile",
     "subset_coefficients",
     "upsilon",
     "verify_asymptotics",

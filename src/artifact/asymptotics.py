@@ -58,12 +58,6 @@ def _require_eval_t(t, what: str) -> None:
         raise ValueError(f"{what} is guarded to t >= {MIN_EVAL_T:g}, got {reprlib.repr(t)}")
 
 
-def _require_t_above_e(t, what: str) -> None:
-    """Guard of the expansions in log t, which are stated for t > e."""
-    if not _finite_real(t, "t") > math.e:
-        raise ValueError(f"{what} needs t > e, got t={reprlib.repr(t)}")
-
-
 def _positive_tuple(values, name: str) -> tuple[float, ...]:
     out = tuple(_finite_real(v, name) for v in values)
     if len(out) == 0:
@@ -90,10 +84,6 @@ class MarginalSpec:
         _positive_real(self.alpha, "alpha")
         _positive_real(self.scale_c, "scale_c")
 
-    def log_b_inverse(self, t: float) -> float:
-        """log(1 / survival(t)) = log scale_c + alpha log t."""
-        return math.log(self.scale_c) + self.alpha * math.log(t)
-
 
 def rv_quantile_expansion(marg: MarginalSpec, x: float, t: float) -> float:
     """Second-order approximation of the normal quantile matched to the
@@ -104,7 +94,8 @@ def rv_quantile_expansion(marg: MarginalSpec, x: float, t: float) -> float:
     like 1/log t.
     """
     x = _positive_real(x, "x")
-    _require_t_above_e(t, "quantile expansion")
+    if not _finite_real(t, "t") > math.e:
+        raise ValueError(f"quantile expansion needs t > e, got t={reprlib.repr(t)}")
     lead = math.sqrt(2.0 * marg.alpha * math.log(t))
     correction = math.log(marg.scale_c / math.sqrt(math.log(t))) + math.log(
         x**marg.alpha / (2.0 * math.sqrt(math.pi * marg.alpha))
@@ -272,18 +263,7 @@ class ConeAnalysis:
     principal_family: tuple[IndexSubset, ...]
     coefficients: tuple[TailCoefficients, ...]
     principal_active: IndexSubset
-    marginal: MarginalSpec
     gamma_next: Optional[float]
-
-    def log_scaling_inverse(self, t: float) -> float:
-        """Log of the cone-level normalization 1/b_level(t); t >= 10."""
-        _require_eval_t(t, "cone scaling")
-        loglog = math.log(2.0 * self.marginal.alpha * math.log(t))
-        return (
-            -0.5 * self.gamma * LOG_TWO_PI
-            + 0.5 * (len(self.principal_active) - self.gamma) * loglog
-            + self.gamma * self.marginal.log_b_inverse(t)
-        )
 
     def carriers(self, tail_set: TailSet) -> tuple[TailCoefficients, ...]:
         """The principal members of size k inside the set's subset: the sets
@@ -381,7 +361,6 @@ def _cone(
         principal_family=principal,
         coefficients=coeffs,
         principal_active=principal_active,
-        marginal=marg,
         gamma_next=gamma_next,
     )
 

@@ -124,8 +124,11 @@ def _parse_thresholds(raw: dict, field: str, count: int) -> tuple[float, ...]:
 def _parse_sigma(obj: dict) -> CorrelationMatrix:
     if "sigma" not in obj:
         raise ConfigError("sigma", "missing required field 'sigma'")
+    raw = obj["sigma"]
+    if not (isinstance(raw, list) and all(_is_list_of(row, (int, float)) for row in raw)):
+        raise ConfigError("sigma", "'sigma' must be a list of rows of numbers")
     try:
-        entries = np.asarray(obj["sigma"], dtype=float)
+        entries = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError("sigma", f"'sigma' is not a numeric matrix: {err}") from None
     try:
@@ -245,12 +248,16 @@ def _write_csv(path, header, rows) -> None:
     """Write one output CSV: the header, then each row of the iterable rows,
     with "\n" line ends, every float cell (np.float64 included) by repr, and
     every other cell as it is. Rows are written as they are drawn, so a row
-    generator that raises leaves the rows before it in the file."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    generator that raises leaves the rows before it in the file. A file that
+    cannot be written is a config error in out."""
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    except OSError as err:
+        raise ConfigError("out", f"cannot write output file {path}: {err}") from None
 
 
 def cmd_analyze(job: JobConfig, out_dir: str) -> int:

@@ -1,14 +1,13 @@
-"""Normal special functions, orthant probabilities, and the joint-tail constant.
+"""Orthant probabilities and the joint-tail constant of a normal vector.
 
-Everything the asymptotic layer needs from the Gaussian side lives here: the
-univariate cdf/quantile/pdf trio, multivariate orthant probabilities
-P(Y >= 0) (closed forms for dimension <= 3, randomized
-quasi-Monte Carlo up to dimension 64 above, on an in-house scrambled Sobol'
-engine that keeps scipy.stats off the import path), the tail constant
-Upsilon assembled from a QP solution, and the joint-tail law built on it
-(first order, and Savage's second order). The input guards every layer
-shares live here too: _finite_real for every real number and _integer for
-every integer, each naming the parameter in its ValueError.
+Everything the asymptotic layer needs from the Gaussian side lives here:
+multivariate orthant probabilities P(Y >= 0) (closed forms for dimension
+<= 3, randomized quasi-Monte Carlo up to dimension 64 above, on an in-house
+scrambled Sobol' engine that keeps scipy.stats off the import path), the
+tail constant Upsilon assembled from a QP solution, and the joint-tail law
+built on it (first order, and Savage's second order). The input guards
+every layer shares live here too: _finite_real for every real number and
+_integer for every integer, each naming the parameter in its ValueError.
 
 All probability assembly happens in log space; the constants underflow well
 before the asymptotics lose accuracy.
@@ -80,36 +79,6 @@ def _positive_real(value, name: str) -> float:
     if not out > 0:
         raise ValueError(f"{name} must be a finite positive real, got {reprlib.repr(value)}")
     return out
-
-
-def std_normal_cdf(x: float) -> float:
-    return float(ndtr(_finite_real(x, "x")))
-
-
-def std_normal_pdf(x: float) -> float:
-    x = _finite_real(x, "x")
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def std_normal_quantile(p: float) -> float:
-    """Inverse standard normal cdf, accurate to ~1e-15 relative in the tails.
-
-    Starts from the library rational approximation and applies one Newton
-    step against the survival function on the upper half (1 - p is exact
-    there) so that cdf and quantile stay mutually inverse to 1e-10 across
-    p in [1e-15, 1 - 1e-15].
-    """
-    if not 0.0 < _real_or_nan(p) < 1.0:
-        raise ValueError(f"quantile requires p in (0, 1), got {p!r}")
-    p = float(p)
-    x = float(ndtri(p))
-    pdf = std_normal_pdf(x)
-    if pdf > 0.0:
-        if p >= 0.5:
-            x += (float(ndtr(-x)) - (1.0 - p)) / pdf
-        else:
-            x += (p - float(ndtr(x))) / pdf
-    return x
 
 
 @dataclass(frozen=True)
@@ -340,13 +309,12 @@ def orthant_probability(cov, seed: int = 0) -> OrthantEstimate:
 class UpsilonResult:
     """Joint-tail constant with its assembly pieces.
 
-    log_upsilon is the primary representation; upsilon = exp(log_upsilon)
-    is provided for direct use at moderate magnitudes. boundary_set holds
-    the inactive coordinates sitting exactly at 1 in the QP minimizer;
-    only those enter the orthant factor.
+    The constant is kept as log_upsilon only: it underflows a float long
+    before the laws built on it do. boundary_set holds the inactive
+    coordinates sitting exactly at 1 in the QP minimizer; only those enter
+    the orthant factor.
     """
 
-    upsilon: float
     orthant_factor: float
     boundary_set: IndexSubset
     log_upsilon: float
@@ -390,7 +358,6 @@ def upsilon(sigma: CorrelationMatrix, sol: QpSolution) -> UpsilonResult:
         - float(np.sum(np.log(sol.h)))
     )
     return UpsilonResult(
-        upsilon=math.exp(log_up),
         orthant_factor=orthant.value,
         boundary_set=boundary,
         log_upsilon=log_up,

@@ -529,7 +529,6 @@ class VerificationTable:
     rows: tuple[VerificationRow, ...]
     slope: float
     slope_target: float
-    estimate: AsymptoticEstimate
 
 
 def verify_asymptotics(
@@ -638,7 +637,7 @@ def _verification_table(
         )
     else:
         slope = math.nan
-    return VerificationTable(tuple(rows), slope, -est.power_exponent, est)
+    return VerificationTable(tuple(rows), slope, -est.power_exponent)
 
 
 @dataclass(frozen=True)

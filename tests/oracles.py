@@ -5,7 +5,8 @@ the QP value without the active-set algebra, the enumeration makes the QP's
 discrete decisions by ranking every candidate active set, the full cone scan
 finds the cone minimizers without pruning, the quadrature computes small
 normal joint tails without the asymptotic expansion, the bivariate
-rectangle law is written out in closed form at d = 2, and the scaling
+rectangle law is written out in closed form at d = 2, so is the cone-level
+normalization that turns a decay law into its limit mass, and the scaling
 statistic counts tail-set hits on Pareto-scale rows instead of on the
 normal rows that verify_asymptotics counts, and the masked event hits count
 those normal-row events with one mask per grid point instead of by grid
@@ -31,7 +32,6 @@ from artifact.asymptotics import (
     TailSet,
     subset_coefficients,
 )
-from artifact.gaussian import std_normal_pdf
 from artifact.linalg import CorrelationMatrix, IndexSubset, solve_spd, spd_factorize
 from artifact.qp import QpSolution
 from artifact.simulate import (
@@ -46,6 +46,11 @@ from artifact.simulate import (
 
 # exp(-z^2/2) underflows past |z| ~ 38.6; quadrature never needs to look beyond.
 _NORMAL_SUPPORT = 40.0
+
+
+def normal_pdf(z: float) -> float:
+    """Standard normal density."""
+    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
 def brute_force_qp(
@@ -96,7 +101,7 @@ def _normal_tail_integral(g, b: float) -> float:
     """
     if b <= 0.0:
         value, _ = integrate.quad(
-            lambda z: std_normal_pdf(z) * g(z),
+            lambda z: normal_pdf(z) * g(z),
             max(b, -_NORMAL_SUPPORT), _NORMAL_SUPPORT, epsabs=1e-16, epsrel=1e-12, limit=400,
         )
         return value
@@ -104,7 +109,7 @@ def _normal_tail_integral(g, b: float) -> float:
         lambda s: math.exp(-0.5 * s * s - b * s) * g(b + s),
         0.0, _NORMAL_SUPPORT, epsabs=0.0, epsrel=1e-12, limit=400,
     )
-    return std_normal_pdf(b) * value
+    return normal_pdf(b) * value
 
 
 def _survival2_std(b1: float, b2: float, r: float) -> float:
@@ -236,8 +241,20 @@ def full_cone_scan(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> 
         principal_family=tuple(c.subset for c in principal),
         coefficients=coeffs,
         principal_active=principal[0].active_set,
-        marginal=marg,
         gamma_next=min((g for c, g in gammas.items() if len(c) > level), default=None),
+    )
+
+
+def cone_log_scaling_inverse(cone: ConeAnalysis, marg: MarginalSpec, t: float) -> float:
+    """Log of the cone-level normalization 1/b_level(t), written out from the
+    cone's gamma and principal active set I and the marginal tail:
+    -gamma/2 log(2 pi) + (|I| - gamma)/2 log(2 alpha log t)
+    + gamma (log scale_c + alpha log t)."""
+    loglog = math.log(2.0 * marg.alpha * math.log(t))
+    return (
+        -0.5 * cone.gamma * math.log(2.0 * math.pi)
+        + 0.5 * (len(cone.principal_active) - cone.gamma) * loglog
+        + cone.gamma * (math.log(marg.scale_c) + marg.alpha * math.log(t))
     )
 
 

@@ -21,6 +21,7 @@ import time
 import mpmath
 import numpy as np
 from scipy.linalg import block_diag
+from scipy.special import ndtr
 
 from artifact.asymptotics import (
     MarginalSpec,
@@ -29,11 +30,7 @@ from artifact.asymptotics import (
     limit_mass,
     rv_quantile_expansion,
 )
-from artifact.gaussian import (
-    gaussian_joint_tail,
-    orthant_probability,
-    std_normal_cdf,
-)
+from artifact.gaussian import gaussian_joint_tail, orthant_probability
 from artifact.linalg import CorrelationMatrix, IndexSubset
 from artifact.qp import kkt_residuals, solve_qp
 from artifact.simulate import (
@@ -249,7 +246,7 @@ def test_criterion_09_conditional_exceedance_curves():
     # (1a: |z| <= 4, a false-alarm rate near 6e-5 per cell) and the vanishing
     # on the exact curve itself (1b, no sampling).
     def exact_conditional(t):
-        return joint_tail_quadrature(cfg.sigma, t) / std_normal_cdf(-t)
+        return joint_tail_quadrature(cfg.sigma, t) / ndtr(-t)
 
     failures = []
     for t, p_hat, count in zip(

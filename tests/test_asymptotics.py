@@ -38,7 +38,7 @@ from conftest import (
     tie_block_matrix,
     two_block_6x6,
 )
-from oracles import bivariate_rectangle_log_law, full_cone_scan
+from oracles import bivariate_rectangle_log_law, cone_log_scaling_inverse, full_cone_scan
 
 PARETO2 = MarginalSpec(alpha=2.0)
 ONE = CorrelationMatrix(np.eye(1))
@@ -61,12 +61,6 @@ class TestMarginalSpec:
     def test_parameters_are_finite_positive_reals(self, field, value):
         with pytest.raises(ValueError, match=field):
             MarginalSpec(**{"alpha": 2.0, field: value})
-
-    def test_log_b_inverse(self):
-        marg = MarginalSpec(alpha=1.5, scale_c=2.0)
-        assert marg.log_b_inverse(100.0) == pytest.approx(
-            math.log(2.0) + 1.5 * math.log(100.0), rel=1e-15
-        )
 
 
 class TestTailSetValidation:
@@ -458,7 +452,7 @@ class TestLimitMasses:
         est = asymptotic_estimate(sigma, marg, tail_set)
         log_mu = math.log(limit_mass(sigma, marg, tail_set))
         for t in (10.0, 1e3, 1e6):
-            normalized = est.evaluate_log(t) + cone.log_scaling_inverse(t)
+            normalized = est.evaluate_log(t) + cone_log_scaling_inverse(cone, marg, t)
             assert normalized == pytest.approx(log_mu, abs=1e-12)
 
 

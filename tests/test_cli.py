@@ -445,6 +445,36 @@ class TestConfigErrors:
         assert code == 2
         assert "config error in field 'out':" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, job, blocked",
+        [
+            ("analyze", IDENTITY_JOB, "cones.csv"),
+            ("simulate", SIMULATE_JOB, "hill.csv"),
+            ("verify", dict(VERIFY_JOB, simulation={"n": 1000, "seed": 1}), "verify_1.csv"),
+        ],
+        ids=["analyze", "simulate", "verify"],
+    )
+    def test_unwritable_output_file_names_the_field(self, tmp_path, capsys, command, job, blocked):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(job))
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error in field 'out':" in err
+        assert str(out / blocked) in err
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [[[True, 0.5], [0.5, True]], [[1.0, "0.5"], ["0.5", 1.0]], [[1.0, None], [None, 1.0]]],
+        ids=["bool", "str", "null"],
+    )
+    def test_sigma_entries_must_be_json_numbers(self, runner, sigma):
+        result = runner(dict(IDENTITY_JOB, sigma=sigma), "analyze")
+        assert_config_error(result, "sigma")
+        assert "'sigma' must be a list of rows of numbers" in result[2]
+
     def test_argparse_rejects_unknown_command(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["frobnicate", "--config", "x", "--out", str(tmp_path)])

@@ -1,8 +1,8 @@
 """Checks on what lives beside the library: the benchmark's span tracer
 patches library functions by name, so every name it lists must still exist,
-or a traced benchmark run fails at start-up; the README's Python session
-must run as written; and the README states the dimension cap the code
-enforces."""
+or a traced benchmark run fails at start-up; the package exports only names
+it defines; the README's Python session must run as written; and the
+README states the dimension cap the code enforces."""
 
 import importlib
 import importlib.util
@@ -30,6 +30,17 @@ def traced_functions():
 def test_traced_function_exists(span, module_name, attr):
     module = importlib.import_module(module_name)
     assert callable(getattr(module, attr, None)), f"{span}: {module_name}.{attr} is gone"
+
+
+def test_package_exports_resolve():
+    # import artifact passes with a stale name in __all__; the star import does not.
+    import artifact
+
+    names = artifact.__all__
+    assert len(names) == len(set(names)), "artifact.__all__ lists a name twice"
+    namespace = {}
+    exec("from artifact import *", namespace)
+    assert set(names) <= namespace.keys()
 
 
 def test_readme_session_runs():
