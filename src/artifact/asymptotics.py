@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import reprlib
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -119,6 +119,8 @@ class TailSet:
     k: int
 
     def __post_init__(self):
+        if not isinstance(self.subset, IndexSubset):
+            raise ValueError(f"subset must be an IndexSubset, got {reprlib.repr(self.subset)}")
         thresholds = _positive_tuple(self.thresholds, "thresholds")
         object.__setattr__(self, "thresholds", thresholds)
         size = len(self.subset)
@@ -246,24 +248,29 @@ def _log_mass(coeff: TailCoefficients, marg: MarginalSpec, thresholds) -> float:
 class ConeAnalysis:
     """Which exceedance sets rule the requested simultaneity level.
 
-    gamma is the minimal QP value over subsets of size >= level; alpha the
-    cone decay index alpha * gamma; minimizing_family every subset attaining
-    it (ties within GAMMA_TIE_REL), ordered by size, then labels;
-    min_active_size the smallest active-set size across that family;
-    principal_family the members achieving it (only they carry limit mass).
+    gamma is the minimal QP value over subsets of size >= level;
+    coefficients are those of every subset attaining it (ties within
+    GAMMA_TIE_REL), the minimizing family, ordered by size, then labels;
+    min_active_size, derived from them, is the smallest active-set size
+    across that family.
     gamma_next is the minimum over subsets of size >= level + 1 (None at
-    the largest level).
+    the largest level). The cone's decay index is alpha * gamma.
     """
 
     level: int
     gamma: float
-    alpha: float
-    min_active_size: int
-    minimizing_family: tuple[IndexSubset, ...]
-    principal_family: tuple[IndexSubset, ...]
+    min_active_size: int = field(init=False)
     coefficients: tuple[TailCoefficients, ...]
-    principal_active: IndexSubset
     gamma_next: Optional[float]
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "min_active_size", min(len(c.active_set) for c in self.coefficients)
+        )
+
+    def principal(self) -> tuple[TailCoefficients, ...]:
+        """The members with the smallest active set: only they carry limit mass."""
+        return tuple(c for c in self.coefficients if len(c.active_set) == self.min_active_size)
 
     def carriers(self, tail_set: TailSet) -> tuple[TailCoefficients, ...]:
         """The principal members of size k inside the set's subset: the sets
@@ -272,14 +279,12 @@ class ConeAnalysis:
         inside = set(tail_set.subset.members)
         return tuple(
             c
-            for c in self.coefficients
-            if len(c.subset) == tail_set.k
-            and len(c.active_set) == self.min_active_size
-            and inside.issuperset(c.subset.members)
+            for c in self.principal()
+            if len(c.subset) == tail_set.k and inside.issuperset(c.subset.members)
         )
 
 
-def cone_analysis(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> ConeAnalysis:
+def cone_analysis(sigma: CorrelationMatrix, level: int) -> ConeAnalysis:
     """Find the minimizers over all subsets of size >= level.
 
     gamma_S <= gamma_T for S a subset of T (a Schur complement argument), so
@@ -296,16 +301,13 @@ def cone_analysis(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> C
     bounds all C(d, level) subsets, and cmd_analyze scans every level.
     """
     level = _integer(level, "level", 2, sigma.dim)
-    return _cone(sigma, marg, level, IndexSubset.full(sigma.dim))
+    return _cone(sigma, level, IndexSubset.full(sigma.dim))
 
 
-def _cone(
-    sigma: CorrelationMatrix, marg: MarginalSpec, level: int, scanned: IndexSubset
-) -> ConeAnalysis:
+def _cone(sigma: CorrelationMatrix, level: int, scanned: IndexSubset) -> ConeAnalysis:
     """cone_analysis over the subsets of scanned only: the cone of "at least
     level of scanned". At level = |scanned| it is the one subset scanned,
-    which has no cap. A decay index alpha * gamma past the largest float
-    raises ValueError."""
+    which has no cap."""
     if level < len(scanned) and len(scanned) > MAX_ENUMERATION_DIM:
         raise ValueError(
             f"cone analysis supports d <= {MAX_ENUMERATION_DIM}, got d={len(scanned)}"
@@ -329,11 +331,6 @@ def _cone(
 
     found = scan(level, lambda best: best + GAMMA_TIE_REL * max(1.0, best))
     gamma_min = min(found.values())
-    if marg.alpha * gamma_min == math.inf:
-        raise ValueError(
-            f"the level-{level} cone's decay index alpha * gamma = {marg.alpha!r} * "
-            f"{gamma_min!r} is past the largest float"
-        )
     tie = gamma_min + GAMMA_TIE_REL * max(1.0, gamma_min)
     family: list[tuple[int, ...]] = []
     for size in range(level, len(labels) + 1):
@@ -343,24 +340,13 @@ def _cone(
         if not tied:
             break
         family += tied
-    coeffs = tuple(subset_coefficients(sigma, IndexSubset(c)) for c in family)
-    min_active = min(len(c.active_set) for c in coeffs)
-    principal = tuple(c.subset for c in coeffs if len(c.active_set) == min_active)
-    principal_active = next(
-        c.active_set for c in coeffs if len(c.active_set) == min_active
-    )
     gamma_next = None
     if level < len(labels):
         gamma_next = min(scan(level + 1, lambda best: best).values())
     return ConeAnalysis(
         level=level,
         gamma=gamma_min,
-        alpha=marg.alpha * gamma_min,
-        min_active_size=min_active,
-        minimizing_family=tuple(IndexSubset(c) for c in family),
-        principal_family=principal,
-        coefficients=coeffs,
-        principal_active=principal_active,
+        coefficients=tuple(subset_coefficients(sigma, IndexSubset(c)) for c in family),
         gamma_next=gamma_next,
     )
 
@@ -395,7 +381,7 @@ def limit_mass(sigma: CorrelationMatrix, marg: MarginalSpec, tail_set: TailSet) 
 
     At k = 1 the scaling is the marginal one and the mass is
     sum_{j in S} x_j^{-alpha}. At k >= 2 the scaling is that of the level-k
-    cone over all coordinates (cone_analysis(sigma, marg, k)), and the mass
+    cone over all coordinates (cone_analysis(sigma, k)), and the mass
     sums the rectangular masses Upsilon_T prod_{i in I_T} x_i^{-alpha h_i}
     of the set's carriers T in that cone; it is 0 for a set with no
     carrier, whose own decay law (asymptotic_estimate) is nonzero at a
@@ -407,7 +393,7 @@ def limit_mass(sigma: CorrelationMatrix, marg: MarginalSpec, tail_set: TailSet) 
         if tail_set.k == 1:
             mass = float(sum(xj ** -marg.alpha for xj in tail_set.thresholds))
         else:
-            cone = _cone(sigma, marg, tail_set.k, IndexSubset.full(sigma.dim))
+            cone = _cone(sigma, tail_set.k, IndexSubset.full(sigma.dim))
             terms = _log_masses(cone, marg, tail_set)
             mass = sum((math.exp(log_mass) for _, log_mass in terms), 0.0)
     except OverflowError:  # x ** -alpha or exp past the largest float
@@ -452,12 +438,13 @@ def asymptotic_estimate(
     scale_c^{-gamma} times the sum of the carriers' rectangular masses,
     summed in log space. A rectangle (k = |S|) has the one carrier S, so
     its constant folds Upsilon_S, (2 pi)^{gamma_S/2}, scale_c^{-gamma_S}
-    and the active thresholds x_s^{-alpha h_s}.
+    and the active thresholds x_s^{-alpha h_s}. An a past the largest
+    float (a huge alpha) is refused by AsymptoticEstimate as a ValueError.
     """
     tail_set.subset.validate_within(sigma.dim)
     if tail_set.k == 1:
         return _additive_estimate(marg, tail_set)
-    cone = _cone(sigma, marg, tail_set.k, tail_set.subset)
+    cone = _cone(sigma, tail_set.k, tail_set.subset)
     terms = _log_masses(cone, marg, tail_set)
     return AsymptoticEstimate(
         log_constant=_log_scale(cone.gamma, marg) + float(logsumexp([m for _, m in terms])),

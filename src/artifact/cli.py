@@ -240,8 +240,8 @@ def load_job_config(path: str, seed_override: Optional[int] = None) -> JobConfig
     return JobConfig(sigma=sigma, marg=marg, sets=sets, t_grid=t_grid, n=n, seed=seed, k_grid=k_grid)
 
 
-def _family_text(family) -> str:
-    return " ".join(str(s) for s in family)
+def _subsets_text(coeffs, sep: str) -> str:
+    return sep.join(str(c.subset) for c in coeffs)
 
 
 def _write_csv(path, header, rows) -> None:
@@ -264,26 +264,30 @@ def cmd_analyze(job: JobConfig, out_dir: str) -> int:
     """Cone analysis for every level plus per-set decay laws; writes
     cones.csv and sets.csv."""
     d = job.sigma.dim
-    # A cone decay index past the largest float (a huge alpha) is a config error.
-    cones = {
-        level: _checked("alpha", cone_analysis, job.sigma, job.marg, level)
-        for level in range(2, d + 1)
+    cones = {level: cone_analysis(job.sigma, level) for level in range(2, d + 1)}
+    # A cone decay index alpha * gamma past the largest float (a huge alpha)
+    # is a config error.
+    alphas = {
+        level: _checked("alpha", _finite_real, job.marg.alpha * cone.gamma,
+                        f"the level-{level} cone's decay index alpha * gamma = "
+                        f"{job.marg.alpha!r} * {cone.gamma!r}")
+        for level, cone in cones.items()
     }
 
     print(f"dimension d={d}, alpha={job.marg.alpha:g}, scale_c={job.marg.scale_c:g}")
     print("== cone analysis ==")
     for level, cone in cones.items():
         print(
-            f"level {level}: gamma={cone.gamma:.12g} alpha_{level}={cone.alpha:.12g} "
-            f"|I|={cone.min_active_size} minimizing: {_family_text(cone.minimizing_family)} "
-            f"principal: {_family_text(cone.principal_family)}"
+            f"level {level}: gamma={cone.gamma:.12g} alpha_{level}={alphas[level]:.12g} "
+            f"|I|={cone.min_active_size} minimizing: {_subsets_text(cone.coefficients, ' ')} "
+            f"principal: {_subsets_text(cone.principal(), ' ')}"
         )
     _write_csv(
         os.path.join(out_dir, "cones.csv"),
         ["level", "gamma", "alpha", "min_active_size", "minimizing_family", "principal_family"],
         (
-            (level, cone.gamma, cone.alpha, cone.min_active_size,
-             "|".join(map(str, cone.minimizing_family)), "|".join(map(str, cone.principal_family)))
+            (level, cone.gamma, alphas[level], cone.min_active_size,
+             _subsets_text(cone.coefficients, "|"), _subsets_text(cone.principal(), "|"))
             for level, cone in cones.items()
         ),
     )
@@ -355,7 +359,9 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     series.append(("min_all", full, d))
     series.append(("max_all", full, 1))
 
-    curves = hill_curves(x, [(subset, rank) for _, subset, rank in series], k_grid)
+    # At a small alpha the largest Pareto values pass the largest float,
+    # which hill_curves refuses: a config error.
+    curves = _checked("alpha", hill_curves, x, [(subset, rank) for _, subset, rank in series], k_grid)
     _write_csv(
         os.path.join(out_dir, "hill.csv"),
         ["series", "k", "alpha_hat"],

@@ -408,7 +408,7 @@ def gaussian_joint_tail(
             raise ValueError(
                 f"z_shift must have length {sigma.dim}, got shape {full_shift.shape}"
             )
-        shift = full_shift[act]
+        shift = np.array([_finite_real(v, "z_shift") for v in full_shift])[act]
         inner = float(shift @ sol.h)
     log_tail = (
         ups.log_upsilon

@@ -87,9 +87,6 @@ class IndexSubset:
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, label: int) -> bool:
-        return label in self.members
-
     def as_indices(self) -> np.ndarray:
         """0-based integer indices for numpy slicing."""
         return np.asarray(self.members, dtype=int) - 1

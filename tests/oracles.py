@@ -215,7 +215,7 @@ def enumeration_qp(sigma: CorrelationMatrix, subset: IndexSubset) -> QpSolution:
     raise qp.SolverInconsistency(f"no candidate active set is feasible over {subset}")
 
 
-def full_cone_scan(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> ConeAnalysis:
+def full_cone_scan(sigma: CorrelationMatrix, level: int) -> ConeAnalysis:
     """Oracle for cone_analysis: solves every subset of size >= level and
     takes the minimum, the tied family and gamma_next from all of them,
     without the monotonicity of gamma in the subset."""
@@ -229,31 +229,23 @@ def full_cone_scan(sigma: CorrelationMatrix, marg: MarginalSpec, level: int) -> 
     gamma_min = min(gammas.values())
     tol = GAMMA_TIE_REL * max(1.0, gamma_min)
     family = sorted((c for c, g in gammas.items() if g <= gamma_min + tol), key=lambda c: (len(c), c))
-    coeffs = tuple(subset_coefficients(sigma, IndexSubset(c)) for c in family)
-    min_active = min(len(c.active_set) for c in coeffs)
-    principal = tuple(c for c in coeffs if len(c.active_set) == min_active)
     return ConeAnalysis(
         level=level,
         gamma=gamma_min,
-        alpha=marg.alpha * gamma_min,
-        min_active_size=min_active,
-        minimizing_family=tuple(IndexSubset(c) for c in family),
-        principal_family=tuple(c.subset for c in principal),
-        coefficients=coeffs,
-        principal_active=principal[0].active_set,
+        coefficients=tuple(subset_coefficients(sigma, IndexSubset(c)) for c in family),
         gamma_next=min((g for c, g in gammas.items() if len(c) > level), default=None),
     )
 
 
 def cone_log_scaling_inverse(cone: ConeAnalysis, marg: MarginalSpec, t: float) -> float:
     """Log of the cone-level normalization 1/b_level(t), written out from the
-    cone's gamma and principal active set I and the marginal tail:
+    cone's gamma, its smallest active-set size |I| and the marginal tail:
     -gamma/2 log(2 pi) + (|I| - gamma)/2 log(2 alpha log t)
     + gamma (log scale_c + alpha log t)."""
     loglog = math.log(2.0 * marg.alpha * math.log(t))
     return (
         -0.5 * cone.gamma * math.log(2.0 * math.pi)
-        + 0.5 * (len(cone.principal_active) - cone.gamma) * loglog
+        + 0.5 * (cone.min_active_size - cone.gamma) * loglog
         + cone.gamma * (math.log(marg.scale_c) + marg.alpha * math.log(t))
     )
 

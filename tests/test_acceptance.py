@@ -75,27 +75,29 @@ def test_criterion_01_equicorrelation_closed_forms():
 
 def test_criterion_02_coupled_pair_cone_indices():
     weak = coupled_pair_matrix(0.2)
-    alpha2 = cone_analysis(weak, PARETO2, 2).alpha
-    alpha3 = cone_analysis(weak, PARETO2, 3).alpha
+    alpha2 = PARETO2.alpha * cone_analysis(weak, 2).gamma
+    alpha3 = PARETO2.alpha * cone_analysis(weak, 3).gamma
     assert abs(alpha2 - 3.12) <= 0.005, f"alpha_2={alpha2!r}"
     assert abs(alpha3 - 3.98) <= 0.005, f"alpha_3={alpha3!r}"
 
     strong = coupled_pair_matrix(0.6)
-    cone2 = cone_analysis(strong, PARETO2, 2)
-    cone3 = cone_analysis(strong, PARETO2, 3)
-    assert abs(cone2.alpha - 2.16) <= 0.005, f"alpha_2={cone2.alpha!r}"
-    assert abs(cone3.alpha - 2.5) <= 1e-12, f"alpha_3={cone3.alpha!r}"
-    assert cone3.principal_active == IndexSubset.of(1, 2)
+    cone2 = cone_analysis(strong, 2)
+    cone3 = cone_analysis(strong, 3)
+    alpha2 = PARETO2.alpha * cone2.gamma
+    alpha3 = PARETO2.alpha * cone3.gamma
+    assert abs(alpha2 - 2.16) <= 0.005, f"alpha_2={alpha2!r}"
+    assert abs(alpha3 - 2.5) <= 1e-12, f"alpha_3={alpha3!r}"
+    assert cone3.principal()[0].active_set == IndexSubset.of(1, 2)
 
 
 def test_criterion_03_two_block_tie_and_subdominance():
     sigma = two_block_6x6()
-    cone = cone_analysis(sigma, PARETO2, 3)
+    cone = cone_analysis(sigma, 3)
     assert abs(cone.gamma - 1.25) <= 1e-12, f"gamma_3={cone.gamma!r}"
-    assert {str(s) for s in cone.minimizing_family} == {"{1,2,3}", "{4,5,6}"}
+    assert {str(c.subset) for c in cone.coefficients} == {"{1,2,3}", "{4,5,6}"}
     active_view = {str(c.active_set) for c in cone.coefficients}
     assert active_view == {"{1,2}", "{4,5,6}"}, active_view
-    assert cone.principal_active == IndexSubset.of(1, 2)
+    assert cone.principal()[0].active_set == IndexSubset.of(1, 2)
     assert cone.min_active_size == 2
 
     # equal power decay, but the fully active block loses at the log-log level
@@ -303,7 +305,7 @@ def test_criterion_10_property_suites():
     for i in range(200):
         d = int(rng.integers(2, 7))
         sigma = random_correlation(rng, d)
-        alphas = [cone_analysis(sigma, PARETO2, level).alpha for level in range(2, d + 1)]
+        alphas = [PARETO2.alpha * cone_analysis(sigma, level).gamma for level in range(2, d + 1)]
         assert all(a <= b + 1e-12 for a, b in zip(alphas, alphas[1:])), (i, alphas)
 
     # multiplier sum rule and limit-mass scaling
@@ -317,7 +319,7 @@ def test_criterion_10_property_suites():
         level = int(rng.integers(2, d + 1))
         members = tuple(sorted(rng.choice(np.arange(1, d + 1), size=level, replace=False).tolist()))
         thresholds = tuple(float(v) for v in rng.uniform(0.5, 3.0, size=level))
-        cone = cone_analysis(sigma, PARETO2, level)
+        cone = cone_analysis(sigma, level)
         mass = limit_mass(sigma, PARETO2, rect(IndexSubset(members), thresholds))
         if mass == 0.0:
             continue
@@ -351,6 +353,6 @@ def test_criterion_10_property_suites():
         )
         level = int(rng.integers(2, d + 1))
         assert abs(
-            cone_analysis(sigma, PARETO2, level).gamma
-            - cone_analysis(permuted, PARETO2, level).gamma
+            cone_analysis(sigma, level).gamma
+            - cone_analysis(permuted, level).gamma
         ) <= 1e-9

@@ -86,6 +86,10 @@ class TestTailSetValidation:
         with pytest.raises(ValueError, match="nonempty"):
             box_complement(())
 
+    def test_subset_is_an_index_subset(self):
+        with pytest.raises(ValueError, match="subset must be an IndexSubset, got \\(1, 2\\)"):
+            TailSet((1, 2), (1.0, 1.0), 2)
+
 
 def marginal_tail(marg: MarginalSpec, x: float):
     """Decay law of a single coordinate's exceedance, X_1 > t x."""
@@ -226,9 +230,9 @@ def assert_scans_agree(sigma: CorrelationMatrix) -> None:
     before the unpruned scan solves every subset.
     """
     levels = range(2, sigma.dim + 1)
-    cones = [cone_analysis(sigma, PARETO2, level) for level in levels]
+    cones = [cone_analysis(sigma, level) for level in levels]
     for level, got in zip(levels, cones):
-        want = full_cone_scan(sigma, PARETO2, level)
+        want = full_cone_scan(sigma, level)
         for field in dataclasses.fields(ConeAnalysis):
             if field.name != "coefficients":
                 assert getattr(got, field.name) == getattr(want, field.name), field.name
@@ -245,39 +249,39 @@ class TestConeAnalysis:
     def test_equicorrelation_levels(self, rho):
         sigma = equi_matrix(3, rho)
         for level in (2, 3):
-            cone = cone_analysis(sigma, PARETO2, level)
+            cone = cone_analysis(sigma, level)
             expected = level * 2.0 / (1.0 + (level - 1) * rho)
-            assert cone.alpha == pytest.approx(expected, rel=1e-12)
+            assert PARETO2.alpha * cone.gamma == pytest.approx(expected, rel=1e-12)
             assert cone.gamma == pytest.approx(expected / 2.0, rel=1e-12)
-        two = cone_analysis(sigma, PARETO2, 2)
-        assert {s.members for s in two.minimizing_family} == {(1, 2), (1, 3), (2, 3)}
+        two = cone_analysis(sigma, 2)
+        assert {c.subset.members for c in two.coefficients} == {(1, 2), (1, 3), (2, 3)}
         assert two.min_active_size == 2
-        three = cone_analysis(sigma, PARETO2, 3)
-        assert [s.members for s in three.minimizing_family] == [(1, 2, 3)]
+        three = cone_analysis(sigma, 3)
+        assert [c.subset.members for c in three.coefficients] == [(1, 2, 3)]
         assert three.gamma_next is None
         assert two.gamma_next == pytest.approx(three.gamma, rel=1e-15)
 
     def test_coupled_pair_level_two_prefers_strong_pairs(self):
-        cone = cone_analysis(coupled_pair_matrix(0.6), PARETO2, 2)
+        cone = cone_analysis(coupled_pair_matrix(0.6), 2)
         r2 = math.sqrt(2.0) * 0.6
         assert cone.gamma == pytest.approx(2.0 / (1.0 + r2), rel=1e-12)
-        assert cone.alpha == pytest.approx(2.1638837510877567, rel=1e-12)
-        assert {s.members for s in cone.minimizing_family} == {(1, 3), (2, 3)}
+        assert PARETO2.alpha * cone.gamma == pytest.approx(2.1638837510877567, rel=1e-12)
+        assert {c.subset.members for c in cone.coefficients} == {(1, 3), (2, 3)}
 
     def test_coupled_pair_level_three_rides_the_pair(self):
-        cone = cone_analysis(coupled_pair_matrix(0.6), PARETO2, 3)
+        cone = cone_analysis(coupled_pair_matrix(0.6), 3)
         assert cone.gamma == pytest.approx(1.25, abs=1e-12)
-        assert cone.alpha == pytest.approx(2.5, abs=1e-12)
-        assert [s.members for s in cone.minimizing_family] == [(1, 2, 3)]
-        assert cone.principal_active.members == (1, 2)
+        assert PARETO2.alpha * cone.gamma == pytest.approx(2.5, abs=1e-12)
+        assert [c.subset.members for c in cone.coefficients] == [(1, 2, 3)]
+        assert cone.principal()[0].active_set.members == (1, 2)
         assert cone.min_active_size == 2
 
     def test_coupled_pair_rho_02_indices(self):
         sigma = coupled_pair_matrix(0.2)
-        two = cone_analysis(sigma, PARETO2, 2)
-        three = cone_analysis(sigma, PARETO2, 3)
-        assert two.alpha == pytest.approx(3.11807516315383, rel=1e-12)
-        assert three.alpha == pytest.approx(3.978132980964469, rel=1e-12)
+        two = cone_analysis(sigma, 2)
+        three = cone_analysis(sigma, 3)
+        assert PARETO2.alpha * two.gamma == pytest.approx(3.11807516315383, rel=1e-12)
+        assert PARETO2.alpha * three.gamma == pytest.approx(3.978132980964469, rel=1e-12)
         # closed form for the full-active level-3 value
         r = 0.2
         p = (1.0 - math.sqrt(2.0) * r) / (1.0 + r - 4.0 * r * r)
@@ -285,31 +289,29 @@ class TestConeAnalysis:
         assert three.gamma == pytest.approx(gamma3, rel=1e-12)
 
     def test_two_block_exact_tie(self):
-        cone = cone_analysis(two_block_6x6(), PARETO2, 3)
+        cone = cone_analysis(two_block_6x6(), 3)
         assert cone.gamma == pytest.approx(1.25, abs=1e-12)
-        assert {s.members for s in cone.minimizing_family} == {(1, 2, 3), (4, 5, 6)}
+        assert {c.subset.members for c in cone.coefficients} == {(1, 2, 3), (4, 5, 6)}
         assert cone.min_active_size == 2
-        assert [s.members for s in cone.principal_family] == [(1, 2, 3)]
-        assert cone.principal_active.members == (1, 2)
-        active_sets = {
-            c.active_set.members for c in cone.coefficients if c.subset in cone.minimizing_family
-        }
+        assert [c.subset.members for c in cone.principal()] == [(1, 2, 3)]
+        assert cone.principal()[0].active_set.members == (1, 2)
+        active_sets = {c.active_set.members for c in cone.coefficients}
         assert active_sets == {(1, 2), (4, 5, 6)}
 
     def test_level_validation(self):
         sigma = equi_matrix(3, 0.2)
         with pytest.raises(ValueError, match="level must be an integer in 2..3"):
-            cone_analysis(sigma, PARETO2, 1)
+            cone_analysis(sigma, 1)
         with pytest.raises(ValueError, match="level must be an integer in 2..3"):
-            cone_analysis(sigma, PARETO2, 4)
-        numpy_level = cone_analysis(sigma, PARETO2, np.int64(2))
-        int_level = cone_analysis(sigma, PARETO2, 2)
-        assert (numpy_level.gamma, numpy_level.minimizing_family) == (
-            int_level.gamma, int_level.minimizing_family
+            cone_analysis(sigma, 4)
+        numpy_level = cone_analysis(sigma, np.int64(2))
+        int_level = cone_analysis(sigma, 2)
+        assert (numpy_level.gamma, [c.subset for c in numpy_level.coefficients]) == (
+            int_level.gamma, [c.subset for c in int_level.coefficients]
         )
         assert type(numpy_level.level) is int
         with pytest.raises(ValueError, match="d <= 16, got d=17"):
-            cone_analysis(CorrelationMatrix(np.eye(17)), PARETO2, 2)
+            cone_analysis(CorrelationMatrix(np.eye(17)), 2)
 
     @pytest.mark.parametrize(
         "make",
@@ -330,7 +332,7 @@ class TestConeAnalysis:
     def test_level_scans_skip_subsets_that_cannot_tie(self):
         sigma = two_block_6x6()
         for level in range(2, 7):
-            cone_analysis(sigma, PARETO2, level)
+            cone_analysis(sigma, level)
         # 57 subsets have size >= 2; their dual bounds rule out the rest
         assert len(subset_solver(sigma)._solutions) == 13
 
@@ -345,12 +347,23 @@ class TestConeAnalysis:
         for _ in range(25):
             d = int(rng.integers(2, 7))
             sigma = random_correlation(rng, d)
-            alphas = [cone_analysis(sigma, PARETO2, i).alpha for i in range(2, d + 1)]
+            alphas = [PARETO2.alpha * cone_analysis(sigma, i).gamma for i in range(2, d + 1)]
             assert PARETO2.alpha <= alphas[0] + 1e-12
             assert all(a <= b + 1e-12 for a, b in zip(alphas, alphas[1:]))
 
 
 class TestLimitMasses:
+    def test_cone_index_past_largest_float(self):
+        # alpha * gamma = 1.7e308 * 4/3 is past the largest float: the law
+        # refuses its power exponent, while the mass at thresholds 1 is
+        # Upsilon, whatever alpha.
+        sigma = equi_matrix(2, 0.5)
+        marg = MarginalSpec(alpha=1.7e308)
+        both = rect((1, 2), (1.0, 1.0))
+        with pytest.raises(ValueError, match="power_exponent must be a finite number, got inf"):
+            asymptotic_estimate(sigma, marg, both)
+        assert limit_mass(sigma, marg, both) == pytest.approx(pair_upsilon(0.5), rel=1e-12)
+
     def test_level_one_additive(self):
         sigma = equi_matrix(3, 0.5)
         assert limit_mass(sigma, PARETO2, box_complement((1.0, 1.0, 1.0))) == 3.0
@@ -380,7 +393,7 @@ class TestLimitMasses:
 
     def test_rectangular_mass_homogeneity(self):
         sigma = equi_matrix(3, 0.5)
-        cone = cone_analysis(sigma, PARETO2, 2)
+        cone = cone_analysis(sigma, 2)
         lam = 3.0
         base = limit_mass(sigma, PARETO2, rect(IndexSubset.of(1, 2), (1.0, 2.0)))
         scaled = limit_mass(sigma, PARETO2, rect(IndexSubset.of(1, 2), (lam, 2.0 * lam)))
@@ -408,7 +421,7 @@ class TestLimitMasses:
 
     def test_at_least_homogeneity(self):
         sigma = equi_matrix(3, 0.4)
-        cone = cone_analysis(sigma, PARETO2, 2)
+        cone = cone_analysis(sigma, 2)
         lam = 2.5
         base = limit_mass(sigma, PARETO2, at_least((1.0, 2.0, 3.0), 2))
         scaled = limit_mass(sigma, PARETO2, at_least((lam, 2.0 * lam, 3.0 * lam), 2))
@@ -418,7 +431,7 @@ class TestLimitMasses:
 
     def test_degenerate_gap_refused(self):
         sigma = near_tie_4x4()
-        cone = cone_analysis(sigma, PARETO2, 3)
+        cone = cone_analysis(sigma, 3)
         assert cone.gamma_next == cone.gamma  # float-identical collapse
         with pytest.raises(UnsupportedDegeneracy, match="levels 3 and 4 share"):
             limit_mass(sigma, PARETO2, at_least((1.0,) * 4, 3))
@@ -448,7 +461,7 @@ class TestLimitMasses:
         # decay law has no other t-dependence, so the identity holds at every t
         marg = MarginalSpec(alpha=1.7, scale_c=scale_c)
         tail_set = at_least(tuple(np.linspace(0.7, 1.6, sigma.dim)), level)
-        cone = cone_analysis(sigma, marg, level)
+        cone = cone_analysis(sigma, level)
         est = asymptotic_estimate(sigma, marg, tail_set)
         log_mu = math.log(limit_mass(sigma, marg, tail_set))
         for t in (10.0, 1e3, 1e6):
@@ -564,7 +577,7 @@ class TestOneLawPerSet:
         pair = asymptotic_estimate(PAIR_LED_3X3, PARETO2, rect((1, 2), big[:2]))
         assert math.isfinite(law.log_constant)
         assert law.log_constant == pair.log_constant
-        cone = cone_analysis(PAIR_LED_3X3, PARETO2, 2)
+        cone = cone_analysis(PAIR_LED_3X3, 2)
         assert [c.subset for c in cone.carriers(at_least(big, 2))] == [IndexSubset.of(1, 2)]
         assert [c.subset for c in cone.carriers(rect((1, 2), big[:2]))] == [IndexSubset.of(1, 2)]
         assert cone.carriers(rect((1, 3), big[:2])) == ()
@@ -577,7 +590,7 @@ class TestOneLawPerSet:
         monkeypatch.setattr(asymptotics, "upsilon", lambda *a: calls.append(a) or original(*a))
         sigma = equi_matrix(4, 0.3)
         first = subset_coefficients(sigma, IndexSubset.of(1, 2, 3))
-        cone_analysis(sigma, PARETO2, 3)
+        cone_analysis(sigma, 3)
         asymptotic_estimate(sigma, PARETO2, rect((1, 2, 3), (1.0, 2.0, 3.0)))
         assert subset_coefficients(sigma, IndexSubset.of(1, 2, 3)) is first
         members = [sol.support.members for _, sol in calls]
@@ -705,7 +718,7 @@ class TestPropertySuites:
         for _ in range(20):
             d = int(rng.integers(2, 7))
             sigma = random_correlation(rng, d)
-            cone = cone_analysis(sigma, PARETO2, 2)
+            cone = cone_analysis(sigma, 2)
             for coeff in cone.coefficients:
                 assert abs(float(np.sum(coeff.h)) - coeff.gamma) <= 1e-10 * max(1.0, coeff.gamma)
 
@@ -727,7 +740,7 @@ class TestPropertySuites:
             assert moved.log_log_exponent == pytest.approx(base.log_log_exponent, abs=1e-11)
             assert moved.log_constant == pytest.approx(base.log_constant, abs=1e-9)
             for level in range(2, d + 1):
-                a = cone_analysis(sigma, PARETO2, level)
-                b = cone_analysis(permuted, PARETO2, level)
+                a = cone_analysis(sigma, level)
+                b = cone_analysis(permuted, level)
                 assert b.gamma == pytest.approx(a.gamma, rel=1e-12)
                 assert b.min_active_size == a.min_active_size

@@ -765,6 +765,16 @@ class TestSimulate:
     def test_simulate_without_block_is_config_error(self, runner):
         assert_config_error(runner(IDENTITY_JOB, "simulate"), "simulation")
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+    def test_small_alpha_overflow_is_config_error(self, runner):
+        # At alpha = 0.01 the top rows of n = 2e4 map past the largest float
+        # on the Pareto scale (numpy warns of the overflow), which the Hill
+        # curves refuse.
+        cfg = dict(SIMULATE_JOB, alpha=0.01, simulation={"n": 20000, "seed": 1})
+        result = runner(cfg, "simulate")
+        assert_config_error(result, "alpha")
+        assert "Traceback" not in result[2]
+
 
 class TestOnePassSimulate:
     """cmd_simulate fills its samples block by block; its CSVs must be those

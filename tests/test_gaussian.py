@@ -382,6 +382,10 @@ class TestJointTail:
             gaussian_joint_tail(equi_matrix(2, 0.2), -1.0)
         with pytest.raises(ValueError, match="length 2"):
             gaussian_joint_tail(equi_matrix(2, 0.2), 5.0, z_shift=np.ones(3))
+        for bad in (math.nan, math.inf, -math.inf):
+            for order in (1, 2):
+                with pytest.raises(ValueError, match="z_shift must be a finite number"):
+                    gaussian_joint_tail(equi_matrix(2, 0.2), 5.0, z_shift=[bad, 0.0], order=order)
 
 
 def scaled_tail_reference(rho: float, u: float) -> float:

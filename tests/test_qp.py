@@ -356,7 +356,7 @@ class TestBeyondEnumeration:
         est = asymptotic_estimate(sigma, marg, rect(IndexSubset.full(40), (1.0,) * 40))
         assert est.power_exponent == pytest.approx(2.0 * solve_qp(sigma).gamma, rel=1e-15)
         with pytest.raises(ValueError, match="cone analysis supports d <= 16, got d=40"):
-            cone_analysis(sigma, marg, 2)
+            cone_analysis(sigma, 2)
 
 
 class TestSolverCache:
@@ -372,7 +372,7 @@ class TestSolverCache:
         sigma = equi_matrix(3, 0.5)
         marg = MarginalSpec(alpha=2.0)
         for level in (2, 3, 2):
-            cone_analysis(sigma, marg, level)
+            cone_analysis(sigma, level)
         for tail_set in [
             rect(IndexSubset.of(1, 2), (1.0, 1.0)),
             rect(IndexSubset.full(3), (1.0, 2.0, 1.0)),
