@@ -252,16 +252,15 @@ class ConeAnalysis:
     coefficients are those of every subset attaining it (ties within
     GAMMA_TIE_REL), the minimizing family, ordered by size, then labels;
     min_active_size, derived from them, is the smallest active-set size
-    across that family.
-    gamma_next is the minimum over subsets of size >= level + 1 (None at
-    the largest level). The cone's decay index is alpha * gamma.
+    across that family. The next level ties this one exactly when the
+    family has a member of size > level. The cone's decay index is
+    alpha * gamma.
     """
 
     level: int
     gamma: float
     min_active_size: int = field(init=False)
     coefficients: tuple[TailCoefficients, ...]
-    gamma_next: Optional[float]
 
     def __post_init__(self):
         object.__setattr__(
@@ -289,16 +288,16 @@ def cone_analysis(sigma: CorrelationMatrix, level: int) -> ConeAnalysis:
 
     gamma_S <= gamma_T for S a subset of T (a Schur complement argument), so
     the minimum over sizes >= level is the minimum over the level-size
-    subsets, a size with no tied subset has no tied superset either, and
-    gamma_next is the minimum over the (level + 1)-size subsets. Each size
-    is bounded from below at once by weak duality
+    subsets, and a size with no tied subset has no tied superset either.
+    Each size is bounded from below at once by weak duality
     (SubsetQpSolver.dual_bounds, computed once per matrix); a size scan
     solves its subsets in increasing bound order and stops once the bound
     passes the running minimum (plus the tie tolerance), or the tie window
-    of the minimum for the larger members of the family. The minimum, the
-    family and gamma_next are the solver's values, so they equal those of
-    solving every subset. Capacity-limited to d <= 16 below level d: a level
-    bounds all C(d, level) subsets, and cmd_analyze scans every level.
+    of the minimum for the larger members of the family. The minimum and
+    the family are the solver's values, so they equal those of solving
+    every subset; the next level's gamma is cone_analysis(sigma, level + 1).
+    Capacity-limited to d <= 16 below level d: a level bounds all
+    C(d, level) subsets, and cmd_analyze scans every level.
     """
     level = _integer(level, "level", 2, sigma.dim)
     return _cone(sigma, level, IndexSubset.full(sigma.dim))
@@ -307,7 +306,7 @@ def cone_analysis(sigma: CorrelationMatrix, level: int) -> ConeAnalysis:
 def _cone(sigma: CorrelationMatrix, level: int, scanned: IndexSubset) -> ConeAnalysis:
     """cone_analysis over the subsets of scanned only: the cone of "at least
     level of scanned". At level = |scanned| it is the one subset scanned,
-    which has no cap."""
+    which has no cap. Only here is GAMMA_TIE_REL applied (the tie window)."""
     if level < len(scanned) and len(scanned) > MAX_ENUMERATION_DIM:
         raise ValueError(
             f"cone analysis supports d <= {MAX_ENUMERATION_DIM}, got d={len(scanned)}"
@@ -340,35 +339,26 @@ def _cone(sigma: CorrelationMatrix, level: int, scanned: IndexSubset) -> ConeAna
         if not tied:
             break
         family += tied
-    gamma_next = None
-    if level < len(labels):
-        gamma_next = min(scan(level + 1, lambda best: best).values())
     return ConeAnalysis(
         level=level,
         gamma=gamma_min,
         coefficients=tuple(subset_coefficients(sigma, IndexSubset(c)) for c in family),
-        gamma_next=gamma_next,
     )
-
-
-def _require_level_gap(cone: ConeAnalysis) -> None:
-    """Refuse a cone whose next level ties it; the cone has a next level."""
-    tol = GAMMA_TIE_REL * max(1.0, cone.gamma)
-    if cone.gamma_next <= cone.gamma + tol:
-        raise UnsupportedDegeneracy(
-            f"levels {cone.level} and {cone.level + 1} share the decay value "
-            f"gamma = {cone.gamma!r}; the at-least-{cone.level} formula "
-            "assumes a strict gap between adjacent levels"
-        )
 
 
 def _log_masses(
     cone: ConeAnalysis, marg: MarginalSpec, tail_set: TailSet
 ) -> list[tuple[TailCoefficients, float]]:
     """(coefficients, log mass) of each carrier of the set in the level-k
-    cone. Below k = |S| the formula needs a strict gap to level k + 1."""
-    if tail_set.k < len(tail_set.subset):
-        _require_level_gap(cone)
+    cone. Below k = |S| the formula needs a strict gap to level k + 1, so a
+    cone whose family (ordered by size) ends in a member larger than k is
+    refused."""
+    if tail_set.k < len(tail_set.subset) and len(cone.coefficients[-1].subset) > cone.level:
+        raise UnsupportedDegeneracy(
+            f"levels {cone.level} and {cone.level + 1} share the decay value "
+            f"gamma = {cone.gamma!r}; the at-least-{cone.level} formula "
+            "assumes a strict gap between adjacent levels"
+        )
     x = np.asarray(tail_set.thresholds)
     return [
         (c, _log_mass(c, marg, x[c.subset.positions_in(tail_set.subset)]))

@@ -57,6 +57,11 @@ GAUSSIAN_T_GRID = tuple(round(0.1 * i, 1) for i in range(1, 21))
 PARETO_KAPPAS = (1.0, 2.0, 3.0, 4.0, 5.0)
 PARETO_T_GRID = tuple(float(i) for i in range(1, 51))
 
+# The keys each config object may hold; load_job_config refuses any other.
+CONFIG_KEYS = ("sigma", "alpha", "scale_c", "sets", "t_grid", "simulation")
+SET_KEYS = ("type", "subset", "thresholds", "level", "label", "slope_target")
+SIMULATION_KEYS = ("n", "seed", "k_grid")
+
 
 class ConfigError(ValueError):
     """Invalid or missing config content; field says where."""
@@ -99,6 +104,16 @@ def _checked(field: str, check, *args):
         raise
     except ValueError as err:
         raise ConfigError(field, str(err)) from None
+
+
+def _require_known_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
+    """Refuse a key of the config object obj that no field reads, named
+    where + key, so a misspelled key is not silently ignored."""
+    for key in obj:
+        if key not in known:
+            raise ConfigError(
+                f"{where}{key}", f"unknown field {key!r}; the known fields are {', '.join(known)}"
+            )
 
 
 def _is_list_of(value, kinds) -> bool:
@@ -148,6 +163,7 @@ def _parse_tail_set(raw, position: int, dim: int) -> TailSetJob:
     field = f"sets[{position}]"
     if not isinstance(raw, dict):
         raise ConfigError(field, f"each set must be an object, got {raw!r}")
+    _require_known_keys(raw, SET_KEYS, f"{field}.")
     kind = raw.get("type")
     label = raw.get("label")
     if label is not None and not isinstance(label, str):
@@ -197,6 +213,7 @@ def load_job_config(path: str, seed_override: Optional[int] = None) -> JobConfig
         raise ConfigError("config", f"config is not valid JSON: {err}") from None
     if not isinstance(obj, dict):
         raise ConfigError("config", "config root must be an object")
+    _require_known_keys(obj, CONFIG_KEYS, "")
 
     sigma = _parse_sigma(obj)
     if "alpha" not in obj:
@@ -223,6 +240,7 @@ def load_job_config(path: str, seed_override: Optional[int] = None) -> JobConfig
     if sim is not None:
         if not isinstance(sim, dict):
             raise ConfigError("simulation", "'simulation' must be an object")
+        _require_known_keys(sim, SIMULATION_KEYS, "simulation.")
         n = _checked("simulation.n", _integer, sim.get("n"), "n", 1, _MAX_N)
         seed = _checked("simulation.seed", _integer, sim.get("seed", 0), "seed", 0, _MAX_SEED)
         raw_k = sim.get("k_grid")
@@ -347,7 +365,9 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     x = _gaussian_sample(cfg)
     if d >= 2:
         sides = {"gaussian": conditional_exceedance_curves([x], GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID)}
-    _to_pareto(x, job.marg.alpha)
+    # At a small alpha the largest Pareto values pass the largest float:
+    # a config error.
+    _checked("alpha", _to_pareto, x, job.marg.alpha)
 
     full = IndexSubset.full(d)
     series = [(f"X{j}", IndexSubset.of(j), 1) for j in range(1, d + 1)]
@@ -359,9 +379,7 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     series.append(("min_all", full, d))
     series.append(("max_all", full, 1))
 
-    # At a small alpha the largest Pareto values pass the largest float,
-    # which hill_curves refuses: a config error.
-    curves = _checked("alpha", hill_curves, x, [(subset, rank) for _, subset, rank in series], k_grid)
+    curves = hill_curves(x, [(subset, rank) for _, subset, rank in series], k_grid)
     _write_csv(
         os.path.join(out_dir, "hill.csv"),
         ["series", "k", "alpha_hat"],
@@ -417,8 +435,8 @@ def cmd_verify(job: JobConfig, out_dir: str, tolerance_pct: float) -> int:
 
     print(f"verification: n={cfg.n} seed={cfg.seed} tolerance={tolerance_pct:g}%")
     failed = False
-    for position, (item, table) in enumerate(zip(job.sets, tables), start=1):
-        target = item.slope_target if item.slope_target is not None else table.slope_target
+    for position, (item, (_, est), table) in enumerate(zip(job.sets, laws, tables), start=1):
+        target = item.slope_target if item.slope_target is not None else -est.power_exponent
         if math.isnan(table.slope) or target == 0.0:
             ok = False
             deviation_pct = math.nan

@@ -228,16 +228,25 @@ def _to_pareto(z: np.ndarray, alpha: float) -> np.ndarray:
     """Exact Pareto(alpha) coordinates of the normal ones of an n x d array:
     survival(z)^{-1/alpha}, computed in place in z, which is returned. The
     columns are split between the workers (_on_workers), and each is mapped
-    on its own, so a column-major z is mapped without a copy."""
+    on its own, so a column-major z is mapped without a copy. A value past
+    the largest float (a small alpha) raises ValueError, with z partly
+    mapped."""
 
     def transform(columns: Iterator[int]) -> None:
         for j in columns:
             column = z[:, j]
             np.negative(column, out=column)
             ndtr(column, out=column)
-            np.power(column, -1.0 / alpha, out=column)
+            # numpy's error state is per thread, so each worker sets it.
+            with np.errstate(over="raise", divide="raise"):
+                np.power(column, -1.0 / alpha, out=column)
 
-    _on_workers(range(z.shape[1]), transform)
+    try:
+        _on_workers(range(z.shape[1]), transform)
+    except FloatingPointError:
+        raise ValueError(
+            f"the Pareto sample at alpha = {alpha!r} passes the largest float"
+        ) from None
     return z
 
 
@@ -265,7 +274,8 @@ def _normal_event(
 
 def sample_rvgc(cfg: SimulationConfig) -> np.ndarray:
     """n x d sample of the heavy-tailed vector, X_j = survival(Z_j)^{-1/alpha}:
-    the column-major normal sample, mapped in place."""
+    the column-major normal sample, mapped in place. A sample past the
+    largest float (a small alpha) raises ValueError."""
     return _to_pareto(_gaussian_sample(cfg), cfg.marg.alpha)
 
 
@@ -522,13 +532,12 @@ class VerificationTable:
     """Empirical versus asymptotic tail probabilities plus a slope diagnostic.
 
     slope is the least-squares slope of log empirical against log t over the
-    rows with enough hits (nan when fewer than two qualify); slope_target is
-    -a from the estimate.
+    rows with enough hits (nan when fewer than two qualify); the law's
+    -power_exponent is its target.
     """
 
     rows: tuple[VerificationRow, ...]
     slope: float
-    slope_target: float
 
 
 def verify_asymptotics(
@@ -566,8 +575,8 @@ def verify_asymptotics(
     for other in others:
         counter.bins += other.bins
     return tuple(
-        _verification_table(ts, counts, cfg.n, est, log_law)
-        for counts, (_, est), log_law in zip(counter.hits(), laws, log_laws)
+        _verification_table(ts, counts, cfg.n, log_law)
+        for counts, log_law in zip(counter.hits(), log_laws)
     )
 
 
@@ -615,10 +624,10 @@ class _EventCounter:
 
 
 def _verification_table(
-    ts: tuple[float, ...], counts: np.ndarray, n: int, est: AsymptoticEstimate, log_law
+    ts: tuple[float, ...], counts: np.ndarray, n: int, log_law
 ) -> VerificationTable:
-    """Rows hits/n with binomial errors sqrt(p(1-p)/n) against the law est,
-    whose logs at ts are log_law."""
+    """Rows hits/n with binomial errors sqrt(p(1-p)/n) against a law whose
+    logs at ts are log_law."""
     rows = []
     fit_points = []
     for t, hits, log_asym in zip(ts, counts.tolist(), log_law):
@@ -637,7 +646,7 @@ def _verification_table(
         )
     else:
         slope = math.nan
-    return VerificationTable(tuple(rows), slope, -est.power_exponent)
+    return VerificationTable(tuple(rows), slope)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 None of these routines is on any library path: the grid search re-derives
 the QP value without the active-set algebra, the enumeration makes the QP's
 discrete decisions by ranking every candidate active set, the full cone scan
-finds the cone minimizers without pruning, the quadrature computes small
+finds the cone minimizers without pruning, the level tie compares the
+minima of two sizes over every subset, the quadrature computes small
 normal joint tails without the asymptotic expansion, the bivariate
 rectangle law is written out in closed form at d = 2, so is the cone-level
 normalization that turns a decay law into its limit mass, and the scaling
@@ -217,8 +218,8 @@ def enumeration_qp(sigma: CorrelationMatrix, subset: IndexSubset) -> QpSolution:
 
 def full_cone_scan(sigma: CorrelationMatrix, level: int) -> ConeAnalysis:
     """Oracle for cone_analysis: solves every subset of size >= level and
-    takes the minimum, the tied family and gamma_next from all of them,
-    without the monotonicity of gamma in the subset."""
+    takes the minimum and the tied family from all of them, without the
+    monotonicity of gamma in the subset."""
     d = sigma.dim
     solver = qp.subset_solver(sigma)
     gammas = {
@@ -233,8 +234,22 @@ def full_cone_scan(sigma: CorrelationMatrix, level: int) -> ConeAnalysis:
         level=level,
         gamma=gamma_min,
         coefficients=tuple(subset_coefficients(sigma, IndexSubset(c)) for c in family),
-        gamma_next=min((g for c, g in gammas.items() if len(c) > level), default=None),
     )
+
+
+def levels_tie(sigma: CorrelationMatrix, level: int) -> bool:
+    """Oracle for the level-gap refusal: whether the minimum over every
+    (level + 1)-subset is within GAMMA_TIE_REL of the minimum over every
+    level-subset, each subset solved, none skipped by a bound."""
+    solver = qp.subset_solver(sigma)
+    low, high = (
+        min(
+            solver.solve(IndexSubset(combo)).gamma
+            for combo in itertools.combinations(range(1, sigma.dim + 1), size)
+        )
+        for size in (level, level + 1)
+    )
+    return high <= low + GAMMA_TIE_REL * max(1.0, low)
 
 
 def cone_log_scaling_inverse(cone: ConeAnalysis, marg: MarginalSpec, t: float) -> float:

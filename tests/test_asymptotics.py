@@ -38,7 +38,12 @@ from conftest import (
     tie_block_matrix,
     two_block_6x6,
 )
-from oracles import bivariate_rectangle_log_law, cone_log_scaling_inverse, full_cone_scan
+from oracles import (
+    bivariate_rectangle_log_law,
+    cone_log_scaling_inverse,
+    full_cone_scan,
+    levels_tie,
+)
 
 PARETO2 = MarginalSpec(alpha=2.0)
 ONE = CorrelationMatrix(np.eye(1))
@@ -258,8 +263,8 @@ class TestConeAnalysis:
         assert two.min_active_size == 2
         three = cone_analysis(sigma, 3)
         assert [c.subset.members for c in three.coefficients] == [(1, 2, 3)]
-        assert three.gamma_next is None
-        assert two.gamma_next == pytest.approx(three.gamma, rel=1e-15)
+        # a strict gap: the level-2 family holds no 3-subset
+        assert two.gamma < three.gamma
 
     def test_coupled_pair_level_two_prefers_strong_pairs(self):
         cone = cone_analysis(coupled_pair_matrix(0.6), 2)
@@ -432,9 +437,50 @@ class TestLimitMasses:
     def test_degenerate_gap_refused(self):
         sigma = near_tie_4x4()
         cone = cone_analysis(sigma, 3)
-        assert cone.gamma_next == cone.gamma  # float-identical collapse
+        assert cone.coefficients[-1].subset.members == (1, 2, 3, 4)
+        assert cone_analysis(sigma, 4).gamma == cone.gamma  # float-identical collapse
         with pytest.raises(UnsupportedDegeneracy, match="levels 3 and 4 share"):
             limit_mass(sigma, PARETO2, at_least((1.0,) * 4, 3))
+
+    @staticmethod
+    def assert_level_gap_refusals_match_oracle(sigma: CorrelationMatrix) -> list[int]:
+        """Both laws of "at least k of all", 2 <= k < d, refuse exactly at
+        the levels the all-subsets oracle ties to the next; returns them."""
+        tied = []
+        for level in range(2, sigma.dim):
+            tail_set = at_least((1.0,) * sigma.dim, level)
+            expect = levels_tie(sigma, level)
+            for law in (asymptotic_estimate, limit_mass):
+                try:
+                    law(sigma, PARETO2, tail_set)
+                    refused = False
+                except UnsupportedDegeneracy:
+                    refused = True
+                assert refused == expect, (law.__name__, level)
+            if expect:
+                tied.append(level)
+        return tied
+
+    @pytest.mark.parametrize(
+        "make, tied",
+        [
+            (near_tie_4x4, [3]),
+            (two_block_6x6, []),
+            (lambda: coupled_pair_matrix(0.2), []),
+            (lambda: coupled_pair_matrix(0.6), []),
+            (lambda: tie_block_matrix(6), []),
+            (lambda: tie_block_matrix(7), []),
+            (lambda: tie_block_matrix(8), []),
+        ],
+        ids=["near_tie_4x4", "two_block_6x6", "cp_0.2", "cp_0.6", "tie_block_6", "tie_block_7", "tie_block_8"],
+    )
+    def test_level_gap_refusal_matches_all_subsets_oracle(self, make, tied):
+        assert self.assert_level_gap_refusals_match_oracle(make()) == tied
+
+    def test_level_gap_refusal_matches_all_subsets_oracle_random(self, rng):
+        for d in range(3, 8):
+            for _ in range(4):
+                self.assert_level_gap_refusals_match_oracle(random_correlation(rng, d))
 
     def test_two_block_level_three_mass_single_term(self):
         # {4,5,6} ties on gamma but has a larger active set, so only the

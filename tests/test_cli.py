@@ -177,6 +177,24 @@ class TestConfigErrors:
         assert_config_error(result, field)
         assert "Traceback" not in result[2]
 
+    @pytest.mark.parametrize(
+        "cfg, field, command",
+        [
+            ({**VERIFY_JOB, "scale": 3.0}, "scale", "analyze"),
+            (dict(VERIFY_JOB, sets=[{**VERIFY_JOB["sets"][0], "levle": 2}]), "sets[0].levle", "verify"),
+            (dict(VERIFY_JOB, simulation={"n": 300000, "sede": 11}), "simulation.sede", "simulate"),
+        ],
+        ids=["top", "set", "simulation"],
+    )
+    def test_unknown_key_names_the_field(self, runner, cfg, field, command):
+        # A misspelled key (scale for scale_c, levle, sede) is refused
+        # before any output, not ignored.
+        result = runner(cfg, command)
+        assert_config_error(result, field)
+        assert f"unknown field '{field.rsplit('.', 1)[-1]}'" in result[2]
+        assert result[1] == ""
+        assert not result[3].exists()
+
     def test_at_least_needs_integer_level(self, runner):
         cfg = dict(IDENTITY_JOB, sets=[{"type": "at-least", "level": 1.5, "thresholds": [1.0, 1.0]}])
         assert_config_error(runner(cfg, "analyze"), "sets[0].level")
@@ -765,15 +783,18 @@ class TestSimulate:
     def test_simulate_without_block_is_config_error(self, runner):
         assert_config_error(runner(IDENTITY_JOB, "simulate"), "simulation")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_small_alpha_overflow_is_config_error(self, runner):
         # At alpha = 0.01 the top rows of n = 2e4 map past the largest float
-        # on the Pareto scale (numpy warns of the overflow), which the Hill
-        # curves refuse.
+        # on the Pareto scale, which the Pareto map refuses without a warning:
+        # stderr is the one line of the config error.
         cfg = dict(SIMULATE_JOB, alpha=0.01, simulation={"n": 20000, "seed": 1})
         result = runner(cfg, "simulate")
         assert_config_error(result, "alpha")
-        assert "Traceback" not in result[2]
+        assert result[2] == (
+            "config error in field 'alpha': the Pareto sample at alpha = 0.01 "
+            "passes the largest float\n"
+        )
 
 
 class TestOnePassSimulate:

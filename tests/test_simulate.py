@@ -142,6 +142,16 @@ class TestSampling:
         assert np.min(x) > 1.0
         assert np.all(np.isfinite(x))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_small_alpha_past_largest_float_raises(self, set_workers, workers):
+        # alpha = 0.01 maps the top rows of n = 2e4 past the largest float;
+        # every worker raises numpy's overflow as an error, not a warning.
+        set_workers(workers)
+        cfg = SimulationConfig(sigma=IDENTITY_2, marg=MarginalSpec(alpha=0.01), n=20000, seed=1)
+        with pytest.raises(ValueError, match=r"at alpha = 0\.01 passes the largest float"):
+            sample_rvgc(cfg)
+
     def test_seed_determinism(self):
         a = sample_rvgc(config(IDENTITY_2, 20000, 7))
         b = sample_rvgc(config(IDENTITY_2, 20000, 7))
@@ -532,10 +542,9 @@ class TestIncreasingGrid:
 class TestVerifyAsymptotics:
     def test_independence_ratios_near_one(self):
         cfg = config(IDENTITY_2, 300000, 11)
-        (table,) = verify_asymptotics(
-            cfg, laws(cfg, [rect(IndexSubset.of(1, 2), (0.3, 0.3))]), [10.0, 13.0, 17.0, 22.0, 28.0]
-        )
-        assert table.slope_target == -4.0
+        pairs = laws(cfg, [rect(IndexSubset.of(1, 2), (0.3, 0.3))])
+        (table,) = verify_asymptotics(cfg, pairs, [10.0, 13.0, 17.0, 22.0, 28.0])
+        assert -pairs[0][1].power_exponent == -4.0
         for row in table.rows:
             if row.hits >= 500:
                 assert 0.9 <= row.ratio <= 1.1
@@ -544,18 +553,16 @@ class TestVerifyAsymptotics:
     def test_correlated_slope_at_scale(self):
         # 10^7-sample slope diagnostic against the -8/3 decay law
         cfg = config(equi_matrix(2, 0.5), 10**7, 0)
-        (table,) = verify_asymptotics(
-            cfg,
-            laws(cfg, [rect(IndexSubset.of(1, 2), (1.0, 1.0))]),
-            [10.0, 13.0, 17.0, 22.0, 29.0, 38.0, 50.0],
-        )
-        assert table.slope_target == pytest.approx(-8.0 / 3.0, rel=1e-12)
+        pairs = laws(cfg, [rect(IndexSubset.of(1, 2), (1.0, 1.0))])
+        (table,) = verify_asymptotics(cfg, pairs, [10.0, 13.0, 17.0, 22.0, 29.0, 38.0, 50.0])
+        assert -pairs[0][1].power_exponent == pytest.approx(-8.0 / 3.0, rel=1e-12)
         assert -2.93 <= table.slope <= -2.40
 
     def test_at_least_slope_target(self):
         cfg = config(coupled_pair_matrix(0.6), 50000, 2)
-        (table,) = verify_asymptotics(cfg, laws(cfg, [at_least((1.0, 1.0, 1.0), 3)]), [10.0, 14.0, 18.0])
-        assert table.slope_target == pytest.approx(-2.5, abs=1e-12)
+        pairs = laws(cfg, [at_least((1.0, 1.0, 1.0), 3)])
+        verify_asymptotics(cfg, pairs, [10.0, 14.0, 18.0])
+        assert -pairs[0][1].power_exponent == pytest.approx(-2.5, abs=1e-12)
 
     def test_low_hit_rows_flagged_and_excluded(self):
         cfg = config(IDENTITY_2, 2000, 5)
