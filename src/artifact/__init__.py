@@ -38,7 +38,6 @@ from .gaussian import (
     upsilon,
 )
 from .linalg import (
-    CholeskyFactor,
     CorrelationMatrix,
     IndexSubset,
     NotPositiveDefinite,
@@ -80,7 +79,6 @@ __all__ = [
     "BLOCK_ROWS",
     "BOUNDARY_EPS",
     "BivariateComparison",
-    "CholeskyFactor",
     "ConditionalCurve",
     "ConeAnalysis",
     "ContributingSet",

@@ -371,12 +371,13 @@ def limit_mass(sigma: CorrelationMatrix, marg: MarginalSpec, tail_set: TailSet) 
 
     At k = 1 the scaling is the marginal one and the mass is
     sum_{j in S} x_j^{-alpha}. At k >= 2 the scaling is that of the level-k
-    cone over all coordinates (cone_analysis(sigma, k)), and the mass
-    sums the rectangular masses Upsilon_T prod_{i in I_T} x_i^{-alpha h_i}
-    of the set's carriers T in that cone; it is 0 for a set with no
-    carrier, whose own decay law (asymptotic_estimate) is nonzero at a
-    faster rate. A mass past the largest float (a huge alpha) raises
-    ValueError.
+    cone over all coordinates (cone_analysis(sigma, k)), which caps d at
+    MAX_ENUMERATION_DIM = 16 even for a rectangle, whose decay law reaches
+    d = 64; the mass sums the rectangular masses Upsilon_T prod_{i in I_T}
+    x_i^{-alpha h_i} of the set's carriers T in that cone, and is 0 for a
+    set with no carrier, whose own decay law (asymptotic_estimate) is
+    nonzero at a faster rate. A larger d at k >= 2 and a mass past the
+    largest float (a huge alpha) raise ValueError.
     """
     tail_set.subset.validate_within(sigma.dim)
     try:

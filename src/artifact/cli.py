@@ -171,6 +171,10 @@ def _parse_tail_set(raw, position: int, dim: int) -> TailSetJob:
     slope_target = raw.get("slope_target")
     if slope_target is not None:
         slope_target = _checked(f"{field}.slope_target", _finite_real, slope_target, "slope_target")
+        if slope_target == 0.0:
+            raise ConfigError(
+                f"{field}.slope_target", "'slope_target' must be nonzero: the deviation is relative to it"
+            )
 
     if kind == "rectangular":
         members = raw.get("subset")
@@ -437,7 +441,7 @@ def cmd_verify(job: JobConfig, out_dir: str, tolerance_pct: float) -> int:
     failed = False
     for position, (item, (_, est), table) in enumerate(zip(job.sets, laws, tables), start=1):
         target = item.slope_target if item.slope_target is not None else -est.power_exponent
-        if math.isnan(table.slope) or target == 0.0:
+        if math.isnan(table.slope):
             ok = False
             deviation_pct = math.nan
         else:

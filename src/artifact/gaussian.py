@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .linalg import MAX_DIM, CorrelationMatrix, IndexSubset, solve_spd, spd_factorize
-from .qp import BOUNDARY_EPS, QpSolution, solve_qp
+from .linalg import MAX_DIM, CorrelationMatrix, solve_spd, spd_factorize
+from .qp import QpSolution, solve_qp
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -310,13 +310,11 @@ class UpsilonResult:
     """Joint-tail constant with its assembly pieces.
 
     The constant is kept as log_upsilon only: it underflows a float long
-    before the laws built on it do. boundary_set holds the inactive
-    coordinates sitting exactly at 1 in the QP minimizer; only those enter
-    the orthant factor.
+    before the laws built on it do. orthant_factor is 1 unless the QP
+    solution's boundary_set is nonempty; orthant_se is its standard error.
     """
 
     orthant_factor: float
-    boundary_set: IndexSubset
     log_upsilon: float
     orthant_se: float = 0.0
 
@@ -328,25 +326,18 @@ def upsilon(sigma: CorrelationMatrix, sol: QpSolution) -> UpsilonResult:
     in log space, where I is the QP active set. The orthant factor is the
     probability that the conditional normal on the boundary coordinates
     stays nonnegative; strictly interior inactive coordinates contribute 1.
-    With more than 3 boundary coordinates the factor is the orthant QMC
-    estimate at seed 0.
+    With more than 3 boundary coordinates (sol.boundary_set) the factor is
+    the orthant QMC estimate at seed 0.
     """
     act = sol.active_set.as_indices()
     entries = sigma.entries
-    fact_active = spd_factorize(entries[np.ix_(act, act)])
+    lower = spd_factorize(entries[np.ix_(act, act)])
 
-    inact_pos = sol.inactive_set.positions_in(sol.support)
-    on_boundary = np.abs(sol.e_star[inact_pos] - 1.0) <= BOUNDARY_EPS
-    boundary = IndexSubset(
-        tuple(lab for lab, hit in zip(sol.inactive_set.members, on_boundary) if hit)
-    )
-    if len(boundary) > 0:
+    if len(sol.boundary_set) > 0:
         inact = sol.inactive_set.as_indices()
         cross = entries[np.ix_(inact, act)]
-        conditional = entries[np.ix_(inact, inact)] - cross @ solve_spd(
-            fact_active, cross.T
-        )
-        k_pos = np.flatnonzero(on_boundary)
+        conditional = entries[np.ix_(inact, inact)] - cross @ solve_spd(lower, cross.T)
+        k_pos = sol.boundary_set.positions_in(sol.inactive_set)
         orthant = orthant_probability(conditional[np.ix_(k_pos, k_pos)])
     else:
         orthant = OrthantEstimate(1.0, 0.0)
@@ -354,12 +345,11 @@ def upsilon(sigma: CorrelationMatrix, sol: QpSolution) -> UpsilonResult:
     log_up = (
         math.log(orthant.value)
         - 0.5 * len(sol.active_set) * LOG_TWO_PI
-        - 0.5 * fact_active.log_det
+        - float(np.sum(np.log(np.diagonal(lower))))
         - float(np.sum(np.log(sol.h)))
     )
     return UpsilonResult(
         orthant_factor=orthant.value,
-        boundary_set=boundary,
         log_upsilon=log_up,
         orthant_se=orthant.se,
     )
@@ -418,9 +408,9 @@ def gaussian_joint_tail(
     )
     if order == 1:
         return log_tail
-    if len(ups.boundary_set) > 0:
+    if len(sol.boundary_set) > 0:
         raise ValueError(
-            f"order=2 is not available with boundary set {ups.boundary_set}: "
+            f"order=2 is not available with boundary set {sol.boundary_set}: "
             "the orthant factor's correction is not derived"
         )
     inv = solve_spd(spd_factorize(sigma.entries[np.ix_(act, act)]), np.eye(len(act)))

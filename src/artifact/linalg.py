@@ -26,9 +26,10 @@ import numpy as np
 # (off-diagonals approaching +-1) are out of scope.
 PD_TOLERANCE = 1e-10
 
-# Relative asymmetry tolerated by spd_factorize. Computed conditional
-# covariances are only near-symmetric in floating point, so this cannot be
-# exact the way CorrelationMatrix construction is.
+# Relative asymmetry tolerated by spd_factorize. The library passes it only
+# principal blocks of exactly symmetric matrices, but arrays from public
+# callers may be symmetric only to rounding (a product A A'), so this
+# cannot be exact the way CorrelationMatrix construction is.
 SYMMETRY_TOLERANCE = 1e-10
 
 MAX_DIM = 64
@@ -158,18 +159,6 @@ class CorrelationMatrix:
         return f"CorrelationMatrix(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor L with L L^T = m, plus log|m|."""
-
-    lower: np.ndarray
-    log_det: float
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
-
 def _cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Row-by-row Cholesky with explicit pivot control.
 
@@ -192,7 +181,7 @@ def _cholesky_lower(a: np.ndarray) -> np.ndarray:
     return lower
 
 
-def spd_factorize(m) -> CholeskyFactor:
+def spd_factorize(m) -> np.ndarray:
     """Factor a symmetric positive definite matrix.
 
     Args:
@@ -201,7 +190,7 @@ def spd_factorize(m) -> CholeskyFactor:
            one actually read).
 
     Returns:
-        CholeskyFactor with lower factor and log-determinant.
+        The lower-triangular factor L with L L' = m.
 
     Raises:
         NotPositiveDefinite: if any pivot falls at or below PD_TOLERANCE;
@@ -220,13 +209,11 @@ def spd_factorize(m) -> CholeskyFactor:
     asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if asym > SYMMETRY_TOLERANCE * scale:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds tolerance")
-    lower = _cholesky_lower(a)
-    log_det = float(2.0 * np.sum(np.log(np.diagonal(lower))))
-    return CholeskyFactor(lower=lower, log_det=log_det)
+    return _cholesky_lower(a)
 
 
-def solve_spd(fact: CholeskyFactor, rhs) -> np.ndarray:
-    """Solve m x = rhs given the factorization of m.
+def solve_spd(lower: np.ndarray, rhs) -> np.ndarray:
+    """Solve m x = rhs given the lower factor of m from spd_factorize.
 
     Accepts a vector or a matrix right-hand side, which is left unmodified;
     relative residual is at the 1e-12 scale for well-conditioned desk-size
@@ -234,12 +221,12 @@ def solve_spd(fact: CholeskyFactor, rhs) -> np.ndarray:
     L' x = y, both in place on one copy of rhs.
     """
     x = np.array(rhs, dtype=float)
-    lower = fact.lower
-    if x.shape[0] != fact.dim:
-        raise ValueError(f"rhs has leading dimension {x.shape[0]}, expected {fact.dim}")
-    for i in range(fact.dim):
+    dim = lower.shape[0]
+    if x.shape[0] != dim:
+        raise ValueError(f"rhs has leading dimension {x.shape[0]}, expected {dim}")
+    for i in range(dim):
         x[i] = (x[i] - lower[i, :i] @ x[:i]) / lower[i, i]
-    for i in reversed(range(fact.dim)):
+    for i in reversed(range(dim)):
         x[i] = (x[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
     return x
 

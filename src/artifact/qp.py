@@ -51,10 +51,10 @@ import numpy as np
 
 from .linalg import MAX_DIM, CorrelationMatrix, IndexSubset, solve_spd, spd_factorize
 
-# Classification threshold for e*_j = 1 versus e*_j > 1 on the inactive set.
-# This split feeds the orthant factor downstream (a boundary coordinate
-# contributes a half-space, a strictly interior one contributes nothing), so
-# it is explicit and tested.
+# Classification threshold for e*_j = 1 versus e*_j > 1 on the inactive set,
+# drawn once, in SubsetQpSolver._assemble (QpSolution.boundary_set). It feeds
+# the orthant factor downstream (a boundary coordinate contributes a
+# half-space, a strictly interior one nothing), so it is explicit and tested.
 BOUNDARY_EPS = 1e-9
 
 # Strict positivity threshold for the weights h. The degenerate boundary case
@@ -95,8 +95,9 @@ class QpSolution:
         active_set: labels I where e*_i = 1 exactly.
         inactive_set: labels J (possibly empty) where e*_j >= 1.
         h: weights Sigma_I^{-1} 1, parallel to active_set.members.
-        support: the coordinate labels this solution refers to (the full
-            matrix for solve_qp; a subset when produced by SubsetQpSolver).
+        support: the coordinate labels the program was solved over.
+        boundary_set: labels j of J with |e*_j - 1| <= BOUNDARY_EPS; only
+            these enter the orthant factor of the tail constant.
     """
 
     gamma: float
@@ -105,6 +106,7 @@ class QpSolution:
     inactive_set: IndexSubset
     h: np.ndarray
     support: IndexSubset
+    boundary_set: IndexSubset
 
 
 @dataclass(frozen=True)
@@ -142,12 +144,14 @@ class SubsetQpSolver:
     def _assemble(
         self, subset: IndexSubset, value: float, labels: tuple[int, ...], h: np.ndarray
     ) -> QpSolution | None:
-        """The solution with active set labels, or None when it fails a check."""
+        """The solution with active set labels, or None when it fails a check;
+        the one place where its inactive coordinates are classified."""
         if not h.min() > H_TOLERANCE:
             return None
         inactive_pos = [p for p, m in enumerate(subset.members) if m not in labels]
         inactive = tuple(subset.members[p] for p in inactive_pos)
         e_star = np.ones(len(subset))
+        boundary: tuple[int, ...] = ()
         if inactive:
             rows = np.asarray(inactive, dtype=int) - 1
             cols = np.asarray(labels, dtype=int) - 1
@@ -155,6 +159,7 @@ class SubsetQpSolver:
             if e_inactive.min() < 1.0 - BOUNDARY_EPS:
                 return None
             e_star[inactive_pos] = e_inactive
+            boundary = tuple(m for m, e in zip(inactive, e_inactive) if abs(e - 1.0) <= BOUNDARY_EPS)
         return QpSolution(
             gamma=value,
             e_star=e_star,
@@ -162,6 +167,7 @@ class SubsetQpSolver:
             inactive_set=IndexSubset(inactive),
             h=np.array(h),
             support=subset,
+            boundary_set=IndexSubset(boundary),
         )
 
     def dual_bounds(

@@ -182,7 +182,7 @@ def _draw_blocks(
     whole-block product.
     """
     # A C-contiguous copy of the transposed factor, made once per call.
-    factor = np.ascontiguousarray(spd_factorize(cfg.sigma).lower.T)
+    factor = np.ascontiguousarray(spd_factorize(cfg.sigma).T)
     n, d = cfg.n, cfg.sigma.dim
     step = BLOCK_ROWS
     while step > 1 and step * d * d > _PRODUCT_BUDGET:

@@ -177,7 +177,8 @@ def enumeration_qp(sigma: CorrelationMatrix, subset: IndexSubset) -> QpSolution:
     Ranks every nonempty candidate active set I of the subset by
     (value 1' Sigma_I^{-1} 1, size, labels) and accepts the first whose
     weights h = Sigma_I^{-1} 1 all exceed H_TOLERANCE and whose assembled
-    point Sigma_{JI} h on the inactive coordinates J is >= 1 - BOUNDARY_EPS.
+    point Sigma_{JI} h on the inactive coordinates J is >= 1 - BOUNDARY_EPS,
+    and takes as its boundary set the j in J within BOUNDARY_EPS of 1.
     A feasible candidate's point attains its value, so the first feasible
     one is the minimizer. The arithmetic of each candidate is the library's
     (spd_factorize, solve_spd, the same products), so a solution that makes
@@ -198,6 +199,7 @@ def enumeration_qp(sigma: CorrelationMatrix, subset: IndexSubset) -> QpSolution:
             continue
         inactive = tuple(m for m in subset.members if m not in combo)
         e_star = np.ones(len(subset))
+        boundary = ()
         if inactive:
             rows = np.asarray(inactive, dtype=int) - 1
             cols = np.asarray(combo, dtype=int) - 1
@@ -205,6 +207,7 @@ def enumeration_qp(sigma: CorrelationMatrix, subset: IndexSubset) -> QpSolution:
             if np.min(e_inactive) < 1.0 - qp.BOUNDARY_EPS:
                 continue
             e_star[IndexSubset(inactive).positions_in(subset)] = e_inactive
+            boundary = tuple(np.asarray(inactive)[np.abs(e_inactive - 1.0) <= qp.BOUNDARY_EPS])
         return QpSolution(
             gamma=value,
             e_star=e_star,
@@ -212,6 +215,7 @@ def enumeration_qp(sigma: CorrelationMatrix, subset: IndexSubset) -> QpSolution:
             inactive_set=IndexSubset(inactive),
             h=np.array(h),
             support=subset,
+            boundary_set=IndexSubset(boundary),
         )
     raise qp.SolverInconsistency(f"no candidate active set is feasible over {subset}")
 
@@ -268,7 +272,7 @@ def cone_log_scaling_inverse(cone: ConeAnalysis, marg: MarginalSpec, t: float) -
 def serial_gaussian_blocks(cfg: SimulationConfig):
     """(first row, block) pairs of the sampler's correlated normal rows, block
     by block in order, each drawn into a new C-ordered array as eta @ L'."""
-    factor = np.ascontiguousarray(spd_factorize(cfg.sigma).lower.T)
+    factor = np.ascontiguousarray(spd_factorize(cfg.sigma).T)
     for block, start in enumerate(range(0, cfg.n, BLOCK_ROWS)):
         rows = min(BLOCK_ROWS, cfg.n - start)
         yield start, _block_rng(cfg.seed, block).standard_normal((rows, cfg.sigma.dim)) @ factor

@@ -488,6 +488,16 @@ class TestLimitMasses:
         value = limit_mass(two_block_6x6(), PARETO2, at_least((1.0,) * 6, 3))
         assert value == pytest.approx(pair_upsilon(0.6), rel=1e-12)
 
+    def test_cone_levels_cap_the_dimension(self):
+        # A rectangle's law reads only the subsets of its own labels; its
+        # mass scans the level-2 cone over all 20 coordinates, past d = 16.
+        sigma = equi_matrix(20, 0.2)
+        both = rect((1, 2), (1.0, 1.0))
+        assert asymptotic_estimate(sigma, PARETO2, both).power_exponent == pytest.approx(10.0 / 3.0, rel=1e-12)
+        with pytest.raises(ValueError, match="cone analysis supports d <= 16, got d=20"):
+            limit_mass(sigma, PARETO2, both)
+        assert limit_mass(sigma, PARETO2, box_complement((1.0,) * 20)) == 20.0
+
     @pytest.mark.parametrize("scale_c", [1.0, 2.0])
     @pytest.mark.parametrize(
         "sigma, level",

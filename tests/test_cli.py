@@ -213,6 +213,15 @@ class TestConfigErrors:
         assert "finite number" in result[2]
         assert result[1] == ""
 
+    @pytest.mark.parametrize("value", [0, 0.0, -0.0])
+    def test_slope_target_must_be_nonzero(self, runner, value):
+        # the deviation is relative to the target, so 0 could never pass
+        cfg = dict(VERIFY_JOB, sets=[{**VERIFY_JOB["sets"][0], "slope_target": value}])
+        result = runner(cfg, "verify")
+        assert_config_error(result, "sets[0].slope_target")
+        assert "nonzero" in result[2]
+        assert result[1] == ""
+
     @pytest.mark.parametrize(
         "tail_set",
         [
@@ -661,9 +670,11 @@ class TestAnalyze:
 class TestGoldenAnalyze:
     """analyze against recorded outputs, at alpha = 1.7, scale_c = 2.5 and
     non-unit thresholds, so that every part of the set constant (scale,
-    Upsilon, threshold weights) reaches the CSVs; every set kind appears."""
+    Upsilon, threshold weights) reaches the CSVs; every set kind appears.
+    In tie_block_6x6 the rectangle {1..6} has a 4-dimensional boundary set,
+    so its Upsilon goes through the orthant QMC."""
 
-    @pytest.mark.parametrize("name", ["two_block_6x6", "equi4"])
+    @pytest.mark.parametrize("name", ["two_block_6x6", "equi4", "tie_block_6x6"])
     def test_matches_recorded_csvs(self, runner, name):
         job = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
         code, _, _, out_dir = runner(job, "analyze", out_name=name)

@@ -252,7 +252,7 @@ class TestUpsilon:
         expected = (1.0 + rho) ** 1.5 / (2.0 * math.pi * math.sqrt(1.0 - rho))
         assert math.exp(result.log_upsilon) == pytest.approx(expected, rel=1e-12)
         assert result.orthant_factor == 1.0
-        assert len(result.boundary_set) == 0
+        assert len(solve_qp(sigma).boundary_set) == 0
         assert result.log_upsilon == pytest.approx(math.log(expected), abs=1e-12)
 
     def test_identity_three_dim(self):
@@ -265,7 +265,7 @@ class TestUpsilon:
         # at this correlation the floating coordinate sits exactly at 1
         sigma = coupled_pair_matrix(RHO_BOUNDARY)
         result = upsilon(sigma, solve_qp(sigma))
-        assert result.boundary_set.members == (3,)
+        assert solve_qp(sigma).boundary_set.members == (3,)
         assert result.orthant_factor == 0.5
         rho = RHO_BOUNDARY
         pair = (1.0 + rho) ** 1.5 / (2.0 * math.pi * math.sqrt(1.0 - rho))
@@ -274,7 +274,7 @@ class TestUpsilon:
     def test_interior_coordinate_contributes_factor_one(self):
         sigma = coupled_pair_matrix(0.6)
         result = upsilon(sigma, solve_qp(sigma))
-        assert len(result.boundary_set) == 0
+        assert len(solve_qp(sigma).boundary_set) == 0
         assert result.orthant_factor == 1.0
         assert isinstance(result, UpsilonResult)
 

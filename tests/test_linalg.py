@@ -9,7 +9,6 @@ import pytest
 from artifact.linalg import (
     MAX_DIM,
     PD_TOLERANCE,
-    CholeskyFactor,
     CorrelationMatrix,
     IndexSubset,
     NotPositiveDefinite,
@@ -122,22 +121,27 @@ class TestCorrelationMatrix:
             CorrelationMatrix(a)
 
 
+def log_det(lower: np.ndarray) -> float:
+    """log|m| from the lower factor of m, as upsilon reads it: twice the sum
+    of the logs of the diagonal."""
+    return 2.0 * float(np.sum(np.log(np.diagonal(lower))))
+
+
 class TestSpdFactorize:
     def test_identity(self):
-        fact = spd_factorize(np.eye(2))
-        assert isinstance(fact, CholeskyFactor)
-        assert np.array_equal(fact.lower, np.eye(2))
-        assert fact.log_det == 0.0
-        assert fact.dim == 2
+        lower = spd_factorize(np.eye(2))
+        assert isinstance(lower, np.ndarray)
+        assert np.array_equal(lower, np.eye(2))
+        assert log_det(lower) == 0.0
 
     def test_two_by_two_log_det(self):
-        fact = spd_factorize(np.array([[1.0, 0.6], [0.6, 1.0]]))
-        assert fact.log_det == pytest.approx(math.log(0.64), abs=1e-12)
+        lower = spd_factorize(np.array([[1.0, 0.6], [0.6, 1.0]]))
+        assert log_det(lower) == pytest.approx(math.log(0.64), abs=1e-12)
 
     def test_log_det_matches_one_minus_rho_squared(self):
         for rho in np.linspace(-0.95, 0.95, 39):
-            fact = spd_factorize(np.array([[1.0, rho], [rho, 1.0]]))
-            assert fact.log_det == pytest.approx(math.log1p(-rho * rho), abs=1e-12)
+            lower = spd_factorize(np.array([[1.0, rho], [rho, 1.0]]))
+            assert log_det(lower) == pytest.approx(math.log1p(-rho * rho), abs=1e-12)
 
     def test_invalid_correlation_value_fails_pd(self):
         with pytest.raises(NotPositiveDefinite):
@@ -149,11 +153,11 @@ class TestSpdFactorize:
 
     def test_reconstruction_and_triangularity(self, rng):
         sigma = random_correlation(rng, 12)
-        fact = spd_factorize(sigma)
-        assert np.allclose(np.triu(fact.lower, 1), 0.0)
-        assert np.allclose(fact.lower @ fact.lower.T, sigma.entries, atol=1e-12)
+        lower = spd_factorize(sigma)
+        assert np.allclose(np.triu(lower, 1), 0.0)
+        assert np.allclose(lower @ lower.T, sigma.entries, atol=1e-12)
         _, ref = np.linalg.slogdet(sigma.entries)
-        assert fact.log_det == pytest.approx(ref, abs=1e-10)
+        assert log_det(lower) == pytest.approx(ref, abs=1e-10)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="exceeds supported maximum"):
@@ -162,17 +166,17 @@ class TestSpdFactorize:
 
 class TestSolveSpd:
     def test_identity(self):
-        fact = spd_factorize(np.eye(2))
-        assert np.allclose(solve_spd(fact, np.array([1.0, 1.0])), [1.0, 1.0])
+        lower = spd_factorize(np.eye(2))
+        assert np.allclose(solve_spd(lower, np.array([1.0, 1.0])), [1.0, 1.0])
 
     def test_equicorrelated_pair(self):
-        fact = spd_factorize(np.array([[1.0, 0.6], [0.6, 1.0]]))
-        x = solve_spd(fact, np.array([1.0, 1.0]))
+        lower = spd_factorize(np.array([[1.0, 0.6], [0.6, 1.0]]))
+        x = solve_spd(lower, np.array([1.0, 1.0]))
         assert x == pytest.approx([0.625, 0.625], abs=1e-14)
 
     def test_uncorrelated_passthrough(self):
-        fact = spd_factorize(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.allclose(solve_spd(fact, np.array([3.0, -2.0])), [3.0, -2.0])
+        lower = spd_factorize(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert np.allclose(solve_spd(lower, np.array([3.0, -2.0])), [3.0, -2.0])
 
     def test_roundtrip_recovers_solution(self, rng):
         sigma = random_correlation(rng, 12)
@@ -188,9 +192,9 @@ class TestSolveSpd:
         assert np.allclose(sigma.entries @ got, rhs, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        fact = spd_factorize(np.eye(3))
+        lower = spd_factorize(np.eye(3))
         with pytest.raises(ValueError, match="leading dimension"):
-            solve_spd(fact, np.ones(2))
+            solve_spd(lower, np.ones(2))
 
     @pytest.mark.parametrize("family", [random_correlation, small_eigenvalue_correlation])
     @pytest.mark.parametrize("columns", [None, 3])

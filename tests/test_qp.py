@@ -35,6 +35,7 @@ from conftest import (
     random_correlation,
     rect,
     small_eigenvalue_correlation,
+    tie_block_matrix,
     two_block_6x6,
 )
 from oracles import brute_force_qp, enumeration_qp
@@ -194,6 +195,7 @@ def assert_same_solution(got: QpSolution, want: QpSolution) -> None:
     assert got.active_set == want.active_set
     assert got.inactive_set == want.inactive_set
     assert got.support == want.support
+    assert got.boundary_set == want.boundary_set
 
 
 PARITY_FIXTURES = {
@@ -204,6 +206,7 @@ PARITY_FIXTURES = {
     "coupled_pair_threshold": lambda: coupled_pair_matrix(1.0 / (2.0 * math.sqrt(2.0) - 1.0)),
     "coupled_pair_0.6": lambda: coupled_pair_matrix(0.6),
     "drop_then_add_4x4": drop_then_add_4x4,
+    "tie_block_6x6": lambda: tie_block_matrix(6),
 }
 
 
@@ -238,6 +241,26 @@ class TestEnumerationParity:
                 assert_same_solution(solver.solve(subset), enumeration_qp(sigma, subset))
 
 
+class TestBoundarySet:
+    """The inactive coordinates that sit at 1 in the minimizer, classified
+    where the solution is assembled."""
+
+    @pytest.mark.parametrize(
+        "make,want",
+        [
+            # 3-6 at 0.75 * 2 / 1.5 = 1 over the active pair {1,2}
+            (lambda: tie_block_matrix(6), (3, 4, 5, 6)),
+            (lambda: coupled_pair_matrix(1.0 / (2.0 * math.sqrt(2.0) - 1.0)), (3,)),
+            (lambda: coupled_pair_matrix(0.6), ()),
+        ],
+        ids=["tie_block_6x6", "coupled_pair_threshold", "coupled_pair_0.6"],
+    )
+    def test_full_set(self, make, want):
+        sol = solve_qp(make())
+        assert sol.boundary_set.members == want
+        assert set(want) <= set(sol.inactive_set)
+
+
 class TestDualWeights:
     """The in-house NNLS for the dual: scipy's weights, and a bounded loop."""
 
@@ -252,7 +275,7 @@ class TestDualWeights:
         for i in range(180):
             d = int(rng.integers(2, 41))
             sigma = families[i % 3](rng, d)
-            lower = spd_factorize(sigma).lower
+            lower = spd_factorize(sigma)
             ref, _ = nnls(lower.T, np.linalg.inv(lower).sum(axis=1))
             lam = qp_module._dual_weights(sigma.entries)
             gamma = float(np.sum(ref))

@@ -1,8 +1,9 @@
 """Checks on what lives beside the library: the benchmark's span tracer
 patches library functions by name, so every name it lists must still exist,
 or a traced benchmark run fails at start-up; the package exports only names
-it defines; the README's Python session must run as written; and the
-README states the dimension cap the code enforces."""
+it defines; the README's Python session must run as written; the
+README states the dimension cap the code enforces; and each decision
+tolerance is applied in the one module that owns it."""
 
 import importlib
 import importlib.util
@@ -53,3 +54,18 @@ def test_readme_session_runs():
 def test_readme_states_the_sigma_dimension_cap():
     stated = re.findall(r"`sigma`: correlation matrix, dimension 1\.\.(\d+)", (ROOT / "README.md").read_text())
     assert stated == [str(MAX_ENUMERATION_DIM)]
+
+
+@pytest.mark.parametrize(
+    "name,owner",
+    [("BOUNDARY_EPS", "qp.py"), ("H_TOLERANCE", "qp.py"), ("GAMMA_TIE_REL", "asymptotics.py")],
+)
+def test_tolerance_has_one_owner(name, owner):
+    # A tolerance read in a second module is a second copy of its decision;
+    # the package's re-exports are not reads.
+    readers = sorted(
+        path.name
+        for path in (ROOT / "src" / "artifact").glob("*.py")
+        if path.name not in (owner, "__init__.py") and re.search(rf"\b{name}\b", path.read_text())
+    )
+    assert readers == [], f"{name} is read outside {owner}"
