@@ -1,8 +1,9 @@
 """Orthant probabilities and the joint-tail constant of a normal vector.
 
 Everything the asymptotic layer needs from the Gaussian side lives here:
-multivariate orthant probabilities P(Y >= 0) (closed forms for dimension
-<= 3, randomized quasi-Monte Carlo up to dimension 64 above, on an in-house
+multivariate orthant probabilities P(Y >= 0) for a positive definite
+covariance (closed forms for dimension <= 3, randomized quasi-Monte Carlo up
+to dimension 64 above, through linalg's Cholesky factor and an in-house
 scrambled Sobol' engine that keeps scipy.stats off the import path), the
 tail constant Upsilon assembled from a QP solution, and the joint-tail law
 built on it (first order, and Savage's second order). The input guards
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .linalg import MAX_DIM, CorrelationMatrix, solve_spd, spd_factorize
+from .linalg import CorrelationMatrix, _cholesky_lower, solve_spd, spd_factorize
 from .qp import QpSolution, solve_qp
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -89,41 +90,6 @@ class OrthantEstimate:
     se: float
 
 
-def _as_psd(cov) -> np.ndarray:
-    c = np.atleast_2d(np.asarray(cov, dtype=float))
-    if c.size == 0:
-        return np.empty((0, 0))
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"covariance must be square, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("covariance has non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(c))))
-    if float(np.max(np.abs(c - c.T))) > 1e-8 * scale:
-        raise ValueError("covariance is not symmetric")
-    c = 0.5 * (c + c.T)
-    min_eig = float(np.min(np.linalg.eigvalsh(c)))
-    if min_eig < -1e-10 * scale:
-        raise ValueError(
-            f"covariance is not positive semidefinite (min eigenvalue {min_eig:.3e})"
-        )
-    return c
-
-
-def _semidefinite_cholesky(corr: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor tolerating singular directions (zeroed columns)."""
-    m = corr.shape[0]
-    lower = np.zeros((m, m))
-    for j in range(m):
-        pivot = corr[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= 1e-12:
-            continue
-        ljj = math.sqrt(pivot)
-        lower[j, j] = ljj
-        for i in range(j + 1, m):
-            lower[i, j] = (corr[i, j] - lower[i, :j] @ lower[j, :j]) / ljj
-    return lower
-
-
 def _sov_orthant(lower: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Sequential-conditioning integrand for P(Y >= 0), vectorized over w rows.
 
@@ -139,11 +105,7 @@ def _sov_orthant(lower: np.ndarray, w: np.ndarray) -> np.ndarray:
     for i in range(1, m):
         u = d + w[:, i - 1] * (1.0 - d)
         ys[:, i - 1] = ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
-        partial = ys[:, :i] @ lower[i, :i]
-        if lower[i, i] > 0.0:
-            d = ndtr(-partial / lower[i, i])
-        else:
-            d = np.where(partial >= 0.0, 0.0, 1.0)
+        d = ndtr(-(ys[:, :i] @ lower[i, :i]) / lower[i, i])
         prob *= 1.0 - d
     return prob
 
@@ -245,7 +207,7 @@ def _scrambled_sobol(dim: int, n: int, seq: np.random.SeedSequence) -> np.ndarra
 
 
 def _rqmc_orthant(corr: np.ndarray, seed: int) -> OrthantEstimate:
-    lower = _semidefinite_cholesky(corr)
+    lower = _cholesky_lower(corr)
     m = corr.shape[0]
     n_points = ORTHANT_BASE_POINTS
     value = se = math.inf
@@ -267,33 +229,29 @@ def _rqmc_orthant(corr: np.ndarray, seed: int) -> OrthantEstimate:
 def orthant_probability(cov, seed: int = 0) -> OrthantEstimate:
     """P(Y >= 0) for a centered normal Y with the given covariance.
 
-    Closed forms for dimension m <= 3 (arcsine formulas); randomized
-    quasi-Monte Carlo with 25 scrambled replications for 4 <= m <= 64,
-    targeting standard error 1e-4 and reporting the one achieved. Each
-    replication integrates over m - 1 dimensions of the in-house scrambled
-    Sobol' engine, whose direction table stops at dimension 64. Same seed,
-    same result; distinct seeds are independent replications.
+    cov must be what spd_factorize accepts: a square, finite, symmetric
+    positive definite matrix of dimension m <= 64. Closed forms for m <= 3
+    (arcsine formulas); randomized quasi-Monte Carlo with 25 scrambled
+    replications for 4 <= m <= 64, targeting standard error 1e-4 and
+    reporting the one achieved. Each replication integrates over m - 1
+    dimensions of the in-house scrambled Sobol' engine, whose direction table
+    stops at dimension 64, through the Cholesky factor of the correlation
+    matrix. Same seed, same result; distinct seeds are independent
+    replications.
 
-    Raises ValueError when cov is not symmetric positive semidefinite, when
-    m > 64, and when seed is not an integer in 0..2**64 - 1.
+    Raises ValueError (NotPositiveDefinite for a pivot at or below
+    PD_TOLERANCE, naming the leading minor) for any cov that spd_factorize
+    refuses, and when seed is not an integer in 0..2**64 - 1.
     """
     seed = _integer(seed, "seed", 0, _MAX_SEED)
-    c = _as_psd(cov)
+    c = np.asarray(cov, dtype=float)
+    spd_factorize(c)
     m = c.shape[0]
-    if m > MAX_DIM:
-        raise ValueError(f"orthant_probability supports m <= {MAX_DIM}, got m={m}")
     if m == 0:
         return OrthantEstimate(1.0, 0.0)
-    diag = np.diag(c).copy()
-    # Zero-variance coordinates are almost surely 0 and never bind.
-    keep = diag > 1e-14 * max(1.0, float(np.max(diag)))
-    if not np.all(keep):
-        c = c[np.ix_(keep, keep)]
-        diag = diag[keep]
-        m = c.shape[0]
-        if m == 0:
-            return OrthantEstimate(1.0, 0.0)
-    inv_sd = 1.0 / np.sqrt(diag)
+    # upsilon's conditional block is symmetric only to rounding.
+    c = 0.5 * (c + c.T)
+    inv_sd = 1.0 / np.sqrt(np.diag(c))
     corr = np.clip(c * inv_sd[:, None] * inv_sd[None, :], -1.0, 1.0)
     if m == 1:
         return OrthantEstimate(0.5, 0.0)
@@ -326,8 +284,10 @@ def upsilon(sigma: CorrelationMatrix, sol: QpSolution) -> UpsilonResult:
     in log space, where I is the QP active set. The orthant factor is the
     probability that the conditional normal on the boundary coordinates
     stays nonnegative; strictly interior inactive coordinates contribute 1.
-    With more than 3 boundary coordinates (sol.boundary_set) the factor is
-    the orthant QMC estimate at seed 0.
+    Its covariance is the Schur complement of Sigma_I in the principal block
+    of I and the boundary coordinates (sol.boundary_set), so it is positive
+    definite like that block. With more than 3 boundary coordinates the
+    factor is the orthant QMC estimate at seed 0.
     """
     act = sol.active_set.as_indices()
     entries = sigma.entries
@@ -388,6 +348,11 @@ def gaussian_joint_tail(
             stacklevel=2,
         )
     sol = solve_qp(sigma)
+    if order == 2 and len(sol.boundary_set) > 0:
+        raise ValueError(
+            f"order=2 is not available with boundary set {sol.boundary_set}: "
+            "the orthant factor's correction is not derived"
+        )
     ups = upsilon(sigma, sol)
     act = sol.active_set.as_indices()
     shift = None
@@ -408,11 +373,6 @@ def gaussian_joint_tail(
     )
     if order == 1:
         return log_tail
-    if len(sol.boundary_set) > 0:
-        raise ValueError(
-            f"order=2 is not available with boundary set {sol.boundary_set}: "
-            "the orthant factor's correction is not derived"
-        )
     inv = solve_spd(spd_factorize(sigma.entries[np.ix_(act, act)]), np.eye(len(act)))
     w = 1.0 / (u * sol.h)
     factor = 1.0 - 0.5 * (float(w @ inv @ w) + float(np.diagonal(inv) @ (w * w)))

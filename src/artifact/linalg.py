@@ -195,7 +195,7 @@ def spd_factorize(m) -> np.ndarray:
     Raises:
         NotPositiveDefinite: if any pivot falls at or below PD_TOLERANCE;
             the exception names the failing leading minor.
-        ValueError: non-square or visibly asymmetric input.
+        ValueError: non-square, oversized, non-finite or visibly asymmetric input.
     """
     if isinstance(m, CorrelationMatrix):
         a = m.entries
@@ -205,10 +205,12 @@ def spd_factorize(m) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] > MAX_DIM:
         raise ValueError(f"dimension {a.shape[0]} exceeds supported maximum {MAX_DIM}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
     asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if asym > SYMMETRY_TOLERANCE * scale:
-        raise ValueError(f"matrix asymmetry {asym:.3e} exceeds tolerance")
+        raise ValueError(f"matrix is not symmetric: asymmetry {asym:.3e} exceeds tolerance")
     return _cholesky_lower(a)
 
 

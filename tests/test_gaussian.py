@@ -21,9 +21,15 @@ from artifact.gaussian import (
     orthant_probability,
     upsilon,
 )
-from artifact.linalg import CorrelationMatrix
+from artifact.linalg import CorrelationMatrix, NotPositiveDefinite
 from artifact.qp import solve_qp
-from conftest import coupled_pair_matrix, equi_matrix, near_tie_4x4, two_block_6x6
+from conftest import (
+    coupled_pair_matrix,
+    equi_matrix,
+    near_tie_4x4,
+    tie_block_matrix,
+    two_block_6x6,
+)
 from oracles import joint_tail_quadrature, normal_pdf
 
 
@@ -119,7 +125,6 @@ class TestOrthant:
     def test_degenerate_dimensions(self):
         assert orthant_probability(np.empty((0, 0))) == OrthantEstimate(1.0, 0.0)
         assert orthant_probability([[2.5]]).value == 0.5
-        assert orthant_probability([[0.0]]).value == 1.0
 
     def test_bivariate_values(self):
         assert orthant_probability([[1.0, 0.0], [0.0, 1.0]]).value == 0.25
@@ -130,9 +135,6 @@ class TestOrthant:
     def test_bivariate_covariance_is_rescaled(self):
         est = orthant_probability([[4.0, 1.0], [1.0, 1.0]])
         assert est.value == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-    def test_comonotone_limit(self):
-        assert orthant_probability([[1.0, 1.0], [1.0, 1.0]]).value == pytest.approx(0.5)
 
     def test_trivariate_equicorrelated(self):
         cov = equi_matrix(3, 0.5).entries
@@ -155,15 +157,19 @@ class TestOrthant:
         est = orthant_probability(cov, seed=11)
         assert abs(est.value - 0.125) <= max(3.0 * est.se, 1e-5)
 
-    @pytest.mark.parametrize("copies", [[0], [0, 1]], ids=["m4", "m5"])
-    def test_qmc_with_repeated_coordinates_matches_trivariate(self, copies):
-        # A repeated coordinate makes the covariance singular: its Cholesky
-        # pivot is zero, and the integrand takes it as a copy of the first.
+    @pytest.mark.parametrize(
+        "index, minor",
+        [([], 1), ([0, 0], 2), ([0, 1, 2, 0], 4), ([0, 1, 2, 0, 1], 4)],
+        ids=["zero_variance", "comonotone", "m4", "m5"],
+    )
+    def test_singular_covariance_is_refused(self, index, minor):
+        # A zero variance, or a coordinate repeated, makes the covariance
+        # singular: the pivot of the first dependent coordinate is zero.
         base = np.array([[1.0, 0.3, 0.5], [0.3, 1.0, 0.2], [0.5, 0.2, 1.0]])
-        index = [0, 1, 2] + copies
-        est = orthant_probability(base[np.ix_(index, index)], seed=0)
-        assert est.se > 0.0
-        assert abs(est.value - orthant_probability(base).value) <= 5.0 * est.se
+        cov = base[np.ix_(index, index)] if index else np.zeros((1, 1))
+        with pytest.raises(NotPositiveDefinite, match=f"leading minor of order {minor} ") as err:
+            orthant_probability(cov, seed=0)
+        assert err.value.minor == minor
 
     def test_qmc_deterministic_per_seed(self):
         cov = block_diag([[1.0, 0.3], [0.3, 1.0]], np.eye(2))
@@ -175,10 +181,15 @@ class TestOrthant:
             orthant_probability(cov, seed=True)
 
     def test_input_validation(self):
-        with pytest.raises(ValueError, match="semidefinite"):
+        with pytest.raises(ValueError, match="positive definite"):
             orthant_probability([[1.0, 1.5], [1.5, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
             orthant_probability([[1.0, 0.2], [0.4, 1.0]])
+        # Relative asymmetry 1e-9: above linalg's SYMMETRY_TOLERANCE.
+        with pytest.raises(ValueError, match="not symmetric"):
+            orthant_probability([[1.0, 0.2], [0.2 + 1e-9, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            orthant_probability([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(ValueError, match="square"):
             orthant_probability(np.ones((2, 3)))
 
@@ -209,7 +220,7 @@ class TestOrthant:
         assert orthant_probability(cov, seed=5) == est
 
     def test_dimension_cap(self):
-        with pytest.raises(ValueError, match="m <= 64"):
+        with pytest.raises(ValueError, match="dimension 65 exceeds supported maximum 64"):
             orthant_probability(np.eye(65))
 
 
@@ -366,6 +377,22 @@ class TestJointTail:
         for order in (3, True, 2.0):
             with pytest.raises(ValueError, match=r"order must be an integer in 1\.\.2"):
                 gaussian_joint_tail(equi_matrix(2, 0.3), 5.0, order=order)
+
+    def test_second_order_boundary_refusal_runs_no_orthant(self, monkeypatch):
+        # The 6 x 6 tie block's minimizer has the 4-dimensional boundary set
+        # {3,4,5,6}; order=2 is refused before the orthant QMC is run.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return orthant_probability(*args, **kwargs)
+
+        monkeypatch.setattr(gaussian_module, "orthant_probability", counting)
+        with pytest.raises(ValueError, match=r"boundary set \{3,4,5,6\}"):
+            gaussian_joint_tail(tie_block_matrix(6), 5.0, order=2)
+        assert calls == []
+        gaussian_joint_tail(tie_block_matrix(6), 5.0)
+        assert len(calls) == 1
 
     def test_shift_moves_result_by_weighted_inner_product(self):
         sigma = equi_matrix(2, 0.5)

@@ -151,6 +151,11 @@ class TestSpdFactorize:
         with pytest.raises(ValueError, match="asymmetry"):
             spd_factorize(np.array([[1.0, 0.2], [0.3, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            spd_factorize(np.array([[1.0, bad], [bad, 1.0]]))
+
     def test_reconstruction_and_triangularity(self, rng):
         sigma = random_correlation(rng, 12)
         lower = spd_factorize(sigma)
