@@ -29,6 +29,7 @@ from scipy.special import logsumexp
 
 from .gaussian import (
     LOG_TWO_PI,
+    UnsupportedDegeneracy,
     UpsilonResult,
     _finite_real,
     _integer,
@@ -36,7 +37,7 @@ from .gaussian import (
     _real_or_nan,
     upsilon,
 )
-from .linalg import MAX_ENUMERATION_DIM, CorrelationMatrix, IndexSubset
+from .linalg import CorrelationMatrix, IndexSubset
 from .qp import subset_solver
 
 # Two QP values tie (same cone family) when they differ by less than this,
@@ -46,10 +47,10 @@ GAMMA_TIE_REL = 1e-9
 
 MIN_EVAL_T = 10.0
 
-
-class UnsupportedDegeneracy(ValueError):
-    """Adjacent cone levels decay at the same rate; the at-least-i constant
-    formula assumes a strict gap and is refused rather than silently wrong."""
+# The largest coordinate set a cone scan covers below its top level: a level
+# k bounds all C(d, k) subsets at once on the stack of their principal
+# blocks (at d = 16, at most C(16, 8) blocks of 8 x 8 floats, 6.6 MB).
+MAX_ENUMERATION_DIM = 16
 
 
 def _require_eval_t(t, what: str) -> None:
@@ -296,8 +297,7 @@ def cone_analysis(sigma: CorrelationMatrix, level: int) -> ConeAnalysis:
     of the minimum for the larger members of the family. The minimum and
     the family are the solver's values, so they equal those of solving
     every subset; the next level's gamma is cone_analysis(sigma, level + 1).
-    Capacity-limited to d <= 16 below level d: a level bounds all
-    C(d, level) subsets, and cmd_analyze scans every level.
+    Below level d it needs d <= MAX_ENUMERATION_DIM = 16 (see _cone).
     """
     level = _integer(level, "level", 2, sigma.dim)
     return _cone(sigma, level, IndexSubset.full(sigma.dim))
@@ -305,8 +305,13 @@ def cone_analysis(sigma: CorrelationMatrix, level: int) -> ConeAnalysis:
 
 def _cone(sigma: CorrelationMatrix, level: int, scanned: IndexSubset) -> ConeAnalysis:
     """cone_analysis over the subsets of scanned only: the cone of "at least
-    level of scanned". At level = |scanned| it is the one subset scanned,
-    which has no cap. Only here is GAMMA_TIE_REL applied (the tie window)."""
+    level of scanned". Below level |scanned| a level bounds all
+    C(|scanned|, level) subsets, so more than MAX_ENUMERATION_DIM = 16
+    scanned coordinates raise ValueError; this is the one dimension cap of
+    the cone scan, and every caller (cone_analysis, asymptotic_estimate,
+    limit_mass) reaches it here. At level = |scanned| it is the one subset
+    scanned, which has no cap. Only here is GAMMA_TIE_REL applied (the tie
+    window)."""
     if level < len(scanned) and len(scanned) > MAX_ENUMERATION_DIM:
         raise ValueError(
             f"cone analysis supports d <= {MAX_ENUMERATION_DIM}, got d={len(scanned)}"
@@ -371,12 +376,13 @@ def limit_mass(sigma: CorrelationMatrix, marg: MarginalSpec, tail_set: TailSet) 
 
     At k = 1 the scaling is the marginal one and the mass is
     sum_{j in S} x_j^{-alpha}. At k >= 2 the scaling is that of the level-k
-    cone over all coordinates (cone_analysis(sigma, k)), which caps d at
-    MAX_ENUMERATION_DIM = 16 even for a rectangle, whose decay law reaches
-    d = 64; the mass sums the rectangular masses Upsilon_T prod_{i in I_T}
-    x_i^{-alpha h_i} of the set's carriers T in that cone, and is 0 for a
-    set with no carrier, whose own decay law (asymptotic_estimate) is
-    nonzero at a faster rate. A larger d at k >= 2 and a mass past the
+    cone over all coordinates (cone_analysis(sigma, k)); the mass sums the
+    rectangular masses Upsilon_T prod_{i in I_T} x_i^{-alpha h_i} of the
+    set's carriers T in that cone, and is 0 for a set with no carrier, whose
+    own decay law (asymptotic_estimate) is nonzero at a faster rate. Below
+    the top level k = d that cone is _cone's scan over all d coordinates,
+    so it needs d <= MAX_ENUMERATION_DIM = 16 even for a rectangle, whose
+    decay law reaches d = 64. A larger d at 2 <= k < d and a mass past the
     largest float (a huge alpha) raise ValueError.
     """
     tail_set.subset.validate_within(sigma.dim)

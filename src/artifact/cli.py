@@ -35,7 +35,7 @@ from .asymptotics import (
     limit_mass,
 )
 from .gaussian import _MAX_SEED, _finite_real, _integer, _positive_real
-from .linalg import MAX_ENUMERATION_DIM, CorrelationMatrix, IndexSubset
+from .linalg import CorrelationMatrix, IndexSubset
 from .qp import SolverInconsistency
 from .simulate import (
     _MAX_N,
@@ -147,16 +147,9 @@ def _parse_sigma(obj: dict) -> CorrelationMatrix:
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError("sigma", f"'sigma' is not a numeric matrix: {err}") from None
     try:
-        sigma = CorrelationMatrix(entries)
+        return CorrelationMatrix(entries)
     except ValueError as err:
         raise ConfigError("sigma", f"'sigma' is not a valid correlation matrix: {err}") from None
-    if sigma.dim > MAX_ENUMERATION_DIM:
-        raise ConfigError(
-            "sigma",
-            f"'sigma' dimension {sigma.dim} exceeds the d <= {MAX_ENUMERATION_DIM} capacity "
-            "of the cone scan, which bounds all C(d, k) subsets of every level k",
-        )
-    return sigma
 
 
 def _parse_tail_set(raw, position: int, dim: int) -> TailSetJob:
@@ -284,9 +277,10 @@ def _write_csv(path, header, rows) -> None:
 
 def cmd_analyze(job: JobConfig, out_dir: str) -> int:
     """Cone analysis for every level plus per-set decay laws; writes
-    cones.csv and sets.csv."""
+    cones.csv and sets.csv. A sigma past the cone scan's dimension cap is a
+    config error in sigma."""
     d = job.sigma.dim
-    cones = {level: cone_analysis(job.sigma, level) for level in range(2, d + 1)}
+    cones = {level: _checked("sigma", cone_analysis, job.sigma, level) for level in range(2, d + 1)}
     # A cone decay index alpha * gamma past the largest float (a huge alpha)
     # is a config error.
     alphas = {

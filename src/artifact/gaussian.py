@@ -2,9 +2,11 @@
 
 Everything the asymptotic layer needs from the Gaussian side lives here:
 multivariate orthant probabilities P(Y >= 0) for a positive definite
-covariance (closed forms for dimension <= 3, randomized quasi-Monte Carlo up
-to dimension 64 above, through linalg's Cholesky factor and an in-house
-scrambled Sobol' engine that keeps scipy.stats off the import path), the
+covariance (closed forms for dimension <= 3; above that, the product over
+the independent components of the correlation's nonzero pattern of their
+closed forms or, for a component of 4 to 64 coordinates, randomized
+quasi-Monte Carlo through linalg's Cholesky factor and an in-house scrambled
+Sobol' engine that keeps scipy.stats off the import path), the
 tail constant Upsilon assembled from a QP solution, and the joint-tail law
 built on it (first order, and Savage's second order). The input guards
 every layer shares live here too: _finite_real for every real number and
@@ -41,6 +43,12 @@ _MAX_SEED = 2**64 - 1
 
 class AsymptoticRegimeWarning(UserWarning):
     """A limit formula was evaluated at a point where the limit may be loose."""
+
+
+class UnsupportedDegeneracy(ValueError):
+    """A degenerate matrix that a constant formula would get silently wrong,
+    so it is refused: adjacent cone levels that decay at the same rate (the
+    at-least-i formula assumes a strict gap), or an orthant factor of 0."""
 
 
 def _finite_real(value, name: str) -> float:
@@ -226,18 +234,56 @@ def _rqmc_orthant(corr: np.ndarray, seed: int) -> OrthantEstimate:
     return OrthantEstimate(value, se)
 
 
+def _closed_form_orthant(corr: np.ndarray) -> float:
+    """P(Y >= 0) for m <= 3 coordinates with correlation corr (arcsine formulas)."""
+    m = corr.shape[0]
+    if m == 1:
+        return 0.5
+    if m == 2:
+        return 0.25 + math.asin(corr[0, 1]) / (2.0 * math.pi)
+    arc = math.asin(corr[0, 1]) + math.asin(corr[0, 2]) + math.asin(corr[1, 2])
+    return 0.125 + arc / (4.0 * math.pi)
+
+
+def _components(corr: np.ndarray) -> list[np.ndarray]:
+    """Sorted 0-based indices of each connected component of corr's nonzero
+    pattern, in the order of their least index."""
+    linked = corr != 0.0
+    parts = []
+    seen = np.zeros(corr.shape[0], dtype=bool)
+    for start in range(corr.shape[0]):
+        if seen[start]:
+            continue
+        member = np.zeros_like(seen)
+        member[start] = True
+        frontier = member.copy()
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~member
+            member |= frontier
+        seen |= member
+        parts.append(np.flatnonzero(member))
+    return parts
+
+
 def orthant_probability(cov, seed: int = 0) -> OrthantEstimate:
     """P(Y >= 0) for a centered normal Y with the given covariance.
 
     cov must be what spd_factorize accepts: a square, finite, symmetric
     positive definite matrix of dimension m <= 64. Closed forms for m <= 3
-    (arcsine formulas); randomized quasi-Monte Carlo with 25 scrambled
-    replications for 4 <= m <= 64, targeting standard error 1e-4 and
-    reporting the one achieved. Each replication integrates over m - 1
-    dimensions of the in-house scrambled Sobol' engine, whose direction table
-    stops at dimension 64, through the Cholesky factor of the correlation
-    matrix. Same seed, same result; distinct seeds are independent
-    replications.
+    (arcsine formulas). For m >= 4 the coordinates split into the connected
+    components of the correlation's nonzero pattern, which are independent,
+    and the probability is the product of theirs: a component of at most 3
+    coordinates takes its closed form, and a larger one randomized
+    quasi-Monte Carlo with 25 scrambled replications, targeting standard
+    error 1e-4 and reporting the one achieved. Each replication integrates
+    over one dimension less than the component of the in-house scrambled
+    Sobol' engine, whose direction table stops at dimension 64, through the
+    Cholesky factor of the component's correlation. Every component is
+    integrated at the same seed, so a component's factor is the one it has
+    on its own; the product's standard error combines theirs by the delta
+    method, adding the terms because errors at one seed are correlated,
+    and one component returns its estimate unchanged. Same seed, same
+    result; distinct seeds are independent replications.
 
     Raises ValueError (NotPositiveDefinite for a pivot at or below
     PD_TOLERANCE, naming the leading minor) for any cov that spd_factorize
@@ -253,14 +299,24 @@ def orthant_probability(cov, seed: int = 0) -> OrthantEstimate:
     c = 0.5 * (c + c.T)
     inv_sd = 1.0 / np.sqrt(np.diag(c))
     corr = np.clip(c * inv_sd[:, None] * inv_sd[None, :], -1.0, 1.0)
-    if m == 1:
-        return OrthantEstimate(0.5, 0.0)
-    if m == 2:
-        return OrthantEstimate(0.25 + math.asin(corr[0, 1]) / (2.0 * math.pi), 0.0)
-    if m == 3:
-        arc = math.asin(corr[0, 1]) + math.asin(corr[0, 2]) + math.asin(corr[1, 2])
-        return OrthantEstimate(0.125 + arc / (4.0 * math.pi), 0.0)
-    return _rqmc_orthant(corr, seed)
+    if m <= 3:
+        return OrthantEstimate(_closed_form_orthant(corr), 0.0)
+    parts = []
+    for idx in _components(corr):
+        block = corr[np.ix_(idx, idx)]
+        if len(idx) > 3:
+            parts.append(_rqmc_orthant(block, seed))
+        else:
+            parts.append(OrthantEstimate(_closed_form_orthant(block), 0.0))
+    if len(parts) == 1:
+        return parts[0]
+    values = [part.value for part in parts]
+    # Delta method: the product's derivative in one factor is the product
+    # of the others. The components share the seed, so their QMC errors
+    # are correlated; the terms are added, which bounds the se at any
+    # correlation.
+    se = sum(part.se * math.prod(values[:i] + values[i + 1 :]) for i, part in enumerate(parts))
+    return OrthantEstimate(math.prod(values), se)
 
 
 @dataclass(frozen=True)
@@ -287,7 +343,9 @@ def upsilon(sigma: CorrelationMatrix, sol: QpSolution) -> UpsilonResult:
     Its covariance is the Schur complement of Sigma_I in the principal block
     of I and the boundary coordinates (sol.boundary_set), so it is positive
     definite like that block. With more than 3 boundary coordinates the
-    factor is the orthant QMC estimate at seed 0.
+    factor is orthant_probability's product over the block's components at
+    seed 0. A factor that is 0 (or not finite), whose log would be -inf,
+    raises UnsupportedDegeneracy naming the boundary set.
     """
     act = sol.active_set.as_indices()
     entries = sigma.entries
@@ -301,6 +359,12 @@ def upsilon(sigma: CorrelationMatrix, sol: QpSolution) -> UpsilonResult:
         orthant = orthant_probability(conditional[np.ix_(k_pos, k_pos)])
     else:
         orthant = OrthantEstimate(1.0, 0.0)
+    if not 0.0 < orthant.value < math.inf:
+        raise UnsupportedDegeneracy(
+            f"the orthant factor of boundary set {sol.boundary_set} is "
+            f"{orthant.value!r}: its conditional normal is too nearly singular "
+            "for the tail constant"
+        )
 
     log_up = (
         math.log(orthant.value)

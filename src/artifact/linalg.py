@@ -3,11 +3,7 @@
 Everything downstream (the box-constrained quadratic program, the Gaussian
 tail constants, the sampler) runs on principal submatrices of one small
 correlation matrix, so the representation stays dense and the validation
-strict. Dimensions are desk-scale: everything accepts d <= MAX_DIM = 64,
-except cone_analysis and the CLI's sigma, which stop at
-d <= MAX_ENUMERATION_DIM = 16 because analyze scans every cone level: a
-level k bounds all C(d, k) subsets at once on the stack of their principal
-blocks (at d = 16, at most C(16, 8) blocks of 8 x 8 floats, 6.6 MB).
+strict. Dimensions are desk-scale: everything accepts d <= MAX_DIM = 64.
 
 Solves against a Cholesky factor are forward and back substitution written
 in numpy, one row of the factor at a time; at these sizes that costs little,
@@ -33,7 +29,6 @@ PD_TOLERANCE = 1e-10
 SYMMETRY_TOLERANCE = 1e-10
 
 MAX_DIM = 64
-MAX_ENUMERATION_DIM = 16
 
 
 class NotPositiveDefinite(ValueError):

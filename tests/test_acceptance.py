@@ -30,7 +30,7 @@ from artifact.asymptotics import (
     limit_mass,
     rv_quantile_expansion,
 )
-from artifact.gaussian import gaussian_joint_tail, orthant_probability
+from artifact.gaussian import OrthantEstimate, _rqmc_orthant, gaussian_joint_tail, orthant_probability
 from artifact.linalg import CorrelationMatrix, IndexSubset
 from artifact.qp import kkt_residuals, solve_qp
 from artifact.simulate import (
@@ -136,17 +136,23 @@ def test_criterion_05_orthant_probabilities():
         exact = 0.25 + math.asin(r) / (2.0 * math.pi)
         assert abs(got - exact) <= 1e-12, f"r={r}: {got!r} vs {exact!r}"
 
-    # rank-checked closed forms embedded in 4-dim problems force the QMC path
-    embedded_pair = orthant_probability(block_diag(equi_matrix(2, 0.6).entries, np.eye(2)))
+    # rank-checked closed forms embedded in 4-dim problems: the QMC path
+    # matches them, and orthant_probability, which splits the independent
+    # blocks apart, returns the product of their closed forms exactly
+    pair_cov = block_diag(equi_matrix(2, 0.6).entries, np.eye(2))
+    embedded_pair = _rqmc_orthant(pair_cov, 0)
     exact = (0.25 + math.asin(0.6) / (2.0 * math.pi)) * 0.25
     assert embedded_pair.se > 0.0
     assert abs(embedded_pair.value - exact) <= 3.0 * embedded_pair.se, (
         f"{embedded_pair} vs {exact}"
     )
+    assert orthant_probability(pair_cov) == OrthantEstimate(exact, 0.0)
 
-    embedded_triple = orthant_probability(block_diag(equi_matrix(3, 0.5).entries, np.eye(1)))
+    triple_cov = block_diag(equi_matrix(3, 0.5).entries, np.eye(1))
+    embedded_triple = _rqmc_orthant(triple_cov, 0)
     assert embedded_triple.se > 0.0
     assert abs(embedded_triple.value - 0.125) <= 3.0 * embedded_triple.se, embedded_triple
+    assert orthant_probability(triple_cov) == OrthantEstimate(0.125, 0.0)
 
 
 def test_criterion_06_quantile_expansion_accuracy():

@@ -348,6 +348,26 @@ class TestConeAnalysis:
     def test_pruned_scan_matches_full_scan_tie_block_d13(self):
         assert_scans_agree(tie_block_matrix(13))
 
+    def test_block_diagonal_levels_are_min_plus(self, rng):
+        # The QP separates over independent blocks, so for Sigma = diag(A, B)
+        # gamma_k = min over i of gamma^A_i + gamma^B_(k-i), with gamma_0 = 0
+        # and gamma_1 = 1.
+        def gammas(sigma):
+            return [0.0, 1.0] + [cone_analysis(sigma, k).gamma for k in range(2, sigma.dim + 1)]
+
+        blocks = [random_correlation(rng, d) for d in (2, 3, 4, 5)]
+        blocks += [near_tie_4x4(), coupled_pair_matrix(0.6), equi_matrix(3, 0.5)]
+        for a, b in zip(blocks, blocks[1:] + blocks[:1]):
+            entries = np.zeros((a.dim + b.dim, a.dim + b.dim))
+            entries[: a.dim, : a.dim] = a.entries
+            entries[a.dim :, a.dim :] = b.entries
+            joint, ga, gb = gammas(CorrelationMatrix(entries)), gammas(a), gammas(b)
+            for k in range(2, a.dim + b.dim + 1):
+                expected = min(
+                    ga[i] + gb[k - i] for i in range(max(0, k - b.dim), min(k, a.dim) + 1)
+                )
+                assert joint[k] == pytest.approx(expected, rel=1e-12), (a.dim, b.dim, k)
+
     def test_monotone_indices_random(self, rng):
         for _ in range(25):
             d = int(rng.integers(2, 7))

@@ -18,9 +18,11 @@ import pytest
 
 import artifact.asymptotics as asymptotics_module
 import artifact.cli as cli_module
+import artifact.gaussian as gaussian_module
 import artifact.qp as qp_module
 import artifact.simulate as simulate_module
-from artifact.asymptotics import MarginalSpec
+from artifact.asymptotics import MAX_ENUMERATION_DIM, MarginalSpec
+from artifact.gaussian import OrthantEstimate
 from artifact.cli import (
     GAUSSIAN_KAPPAS,
     GAUSSIAN_T_GRID,
@@ -31,14 +33,20 @@ from artifact.cli import (
     load_job_config,
     main,
 )
-from artifact.linalg import MAX_ENUMERATION_DIM
 from artifact.simulate import (
     BLOCK_ROWS,
     SimulationConfig,
     _gaussian_sample,
     sample_rvgc,
 )
-from conftest import coupled_pair_matrix, equi_matrix, near_tie_4x4, tie_block_matrix, two_block_6x6
+from conftest import (
+    coupled_pair_matrix,
+    equi_matrix,
+    near_tie_4x4,
+    random_correlation,
+    tie_block_matrix,
+    two_block_6x6,
+)
 from oracles import masked_conditional_curves, sorted_hill_estimator
 
 IDENTITY_JOB = {
@@ -144,7 +152,7 @@ class TestConfigErrors:
         eye = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
         result = runner({"sigma": eye, "alpha": 2.0}, "analyze")
         assert_config_error(result, "sigma")
-        assert "exceeds the d <= 16" in result[2]
+        assert "cone analysis supports d <= 16, got d=17" in result[2]
 
     def test_missing_alpha(self, runner):
         assert_config_error(runner({"sigma": [[1.0]]}, "analyze"), "alpha")
@@ -635,6 +643,36 @@ class TestAnalyze:
         rows = list(csv.DictReader(io.StringIO((out_dir / "cones.csv").read_text())))
         assert [int(row["level"]) for row in rows] == list(range(2, d + 1))
 
+    def test_independent_near_singular_pairs(self, runner):
+        # diag(near_tie_4x4, near_tie_4x4): the full set's boundary block is
+        # two independent 2 x 2 blocks at correlation -1 + eps, whose
+        # product is a closed form, where one QMC over the four coordinates
+        # integrated exactly 0
+        nt = near_tie_4x4().entries
+        sigma = np.zeros((8, 8))
+        sigma[:4, :4] = sigma[4:, 4:] = nt
+        cfg = {
+            "sigma": sigma.tolist(),
+            "alpha": 2.0,
+            "sets": [{"type": "rectangular", "subset": [1, 2], "thresholds": [1.0, 1.0]}],
+            "t_grid": [100.0],
+        }
+        code, _, err, out_dir = runner(cfg, "analyze")
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO((out_dir / "cones.csv").read_text())))
+        assert [int(row["level"]) for row in rows] == list(range(2, 9))
+
+    def test_zero_orthant_factor_exits_three(self, runner, monkeypatch):
+        # tie_block_6x6's rectangle {1..6} has the 4-dim boundary set {3,4,5,6}
+        monkeypatch.setattr(
+            gaussian_module, "_rqmc_orthant", lambda corr, seed: OrthantEstimate(0.0, 0.0)
+        )
+        job = json.loads((GOLDEN_DIR / "tie_block_6x6.json").read_text())
+        code, _, err, _ = runner(job, "analyze")
+        assert code == 3
+        assert err.startswith("unsupported degeneracy: the orthant factor of boundary set {3,4,5,6} is 0.0")
+        assert len(err.splitlines()) == 1
+
     def test_solver_breakdown_exits_five(self, runner, monkeypatch):
         # no candidate active set can pass the weight-positivity gate
         monkeypatch.setattr(qp_module, "H_TOLERANCE", math.inf)
@@ -806,6 +844,68 @@ class TestSimulate:
             "config error in field 'alpha': the Pareto sample at alpha = 0.01 "
             "passes the largest float\n"
         )
+
+
+def wide_job(d: int, sets) -> dict:
+    """A job at dimension d past the cone scan's cap, on a random matrix."""
+    return {
+        "sigma": random_correlation(np.random.default_rng(d), d).entries.tolist(),
+        "alpha": 2.0,
+        "sets": sets,
+        "t_grid": [10.0, 13.0, 17.0],
+        "simulation": {"n": 20000, "seed": 1},
+    }
+
+
+def wide_sets(d: int) -> list:
+    """Two rectangles and a box complement: laws that scan no cone below
+    their top level, so they hold at any d."""
+    return [
+        {"type": "rectangular", "subset": [1, 2], "thresholds": [0.3, 0.3]},
+        {"type": "rectangular", "subset": [3, 4, 5, 6, 7], "thresholds": [0.3] * 5},
+        {"type": "complement-box", "thresholds": [1.0] * d},
+    ]
+
+
+@pytest.mark.parametrize("d", [MAX_ENUMERATION_DIM + 1, 20])
+class TestPastTheConeCap:
+    """Only the cone scan caps d at MAX_ENUMERATION_DIM: analyze, and an
+    at-least set below its top level, are refused as config errors; the
+    sampler and the rectangle and box-complement laws take any d."""
+
+    def test_analyze_names_sigma(self, runner, d):
+        result = runner(wide_job(d, wide_sets(d)), "analyze")
+        assert_config_error(result, "sigma")
+        _, _, err, out_dir = result
+        assert f"cone analysis supports d <= {MAX_ENUMERATION_DIM}, got d={d}" in err
+        assert "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
+
+    def test_verify_writes_every_table(self, runner, d):
+        code, out, err, out_dir = runner(wide_job(d, wide_sets(d)), "verify")
+        assert code in (0, 4), err
+        assert err == ""
+        assert out.count("usable=") == 3
+        for position in (1, 2, 3):
+            rows = (out_dir / f"verify_{position}.csv").read_text().splitlines()
+            assert rows[0] == "t,empirical,se,asymptotic,ratio,flag"
+            assert len(rows) == 4
+
+    def test_verify_names_an_at_least_set(self, runner, d):
+        sets = wide_sets(d)[:1] + [{"type": "at-least", "level": 2, "thresholds": [1.0] * d}]
+        result = runner(wide_job(d, sets), "verify")
+        assert_config_error(result, "sets[1]")
+        _, _, err, out_dir = result
+        assert f"cone analysis supports d <= {MAX_ENUMERATION_DIM}, got d={d}" in err
+        assert "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
+
+    def test_simulate_runs(self, runner, d):
+        code, out, err, out_dir = runner(wide_job(d, []), "simulate")
+        assert (code, err) == (0, "")
+        assert f"hill.csv: {d * (d + 1) // 2 + 3} series" in out
+        assert (out_dir / "hill.csv").stat().st_size > 0
+        assert (out_dir / "condprob.csv").stat().st_size > 0
 
 
 class TestOnePassSimulate:

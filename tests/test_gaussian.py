@@ -15,7 +15,9 @@ from artifact.gaussian import (
     ORTHANT_RANDOMIZATIONS,
     AsymptoticRegimeWarning,
     OrthantEstimate,
+    UnsupportedDegeneracy,
     UpsilonResult,
+    _components,
     _scrambled_sobol,
     gaussian_joint_tail,
     orthant_probability,
@@ -145,17 +147,21 @@ class TestOrthant:
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_qmc_matches_embedded_bivariate(self):
+        # The QMC path on its own; orthant_probability splits the blocks
+        # apart and multiplies their closed forms.
         for r in [-0.4, 0.2, 0.6]:
             cov = block_diag([[1.0, r], [r, 1.0]], np.eye(2))
-            est = orthant_probability(cov, seed=7)
+            est = gaussian_module._rqmc_orthant(cov, 7)
             assert est.se > 0.0
             expected = closed_form_2(r) * 0.25
             assert abs(est.value - expected) <= max(3.0 * est.se, 1e-5)
+            assert orthant_probability(cov, seed=7) == OrthantEstimate(expected, 0.0)
 
     def test_qmc_matches_embedded_trivariate(self):
         cov = block_diag(equi_matrix(3, 0.5).entries, [[1.0]])
-        est = orthant_probability(cov, seed=11)
+        est = gaussian_module._rqmc_orthant(cov, 11)
         assert abs(est.value - 0.125) <= max(3.0 * est.se, 1e-5)
+        assert orthant_probability(cov, seed=11) == OrthantEstimate(0.125, 0.0)
 
     @pytest.mark.parametrize(
         "index, minor",
@@ -172,7 +178,7 @@ class TestOrthant:
         assert err.value.minor == minor
 
     def test_qmc_deterministic_per_seed(self):
-        cov = block_diag([[1.0, 0.3], [0.3, 1.0]], np.eye(2))
+        cov = equi_matrix(4, 0.3).entries
         a = orthant_probability(cov, seed=3)
         b = orthant_probability(cov, seed=3)
         assert (a.value, a.se) == (b.value, b.se)
@@ -222,6 +228,28 @@ class TestOrthant:
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="dimension 65 exceeds supported maximum 64"):
             orthant_probability(np.eye(65))
+
+
+class TestOrthantComponents:
+    """Above 3 coordinates the orthant splits into the independent
+    components of the correlation's nonzero pattern."""
+
+    def test_components_follow_the_nonzero_pattern(self):
+        corr = np.eye(6)
+        for i, j in [(0, 3), (3, 5), (1, 4)]:
+            corr[i, j] = corr[j, i] = 0.3
+        assert [part.tolist() for part in _components(corr)] == [[0, 3, 5], [1, 4], [2]]
+
+    def test_factors_multiply_and_se_by_delta_method(self):
+        a, b = equi_matrix(4, 0.5).entries, equi_matrix(5, 0.2).entries
+        cov = block_diag(a, [[1.0, 0.3], [0.3, 1.0]], b)
+        est = orthant_probability(cov, seed=5)
+        pa, pb = orthant_probability(a, seed=5), orthant_probability(b, seed=5)
+        pair = closed_form_2(0.3)
+        assert pa.se > 0.0 and pb.se > 0.0
+        assert est.value == math.prod([pa.value, pair, pb.value])
+        # The delta-method terms are added: one seed's errors are correlated.
+        assert est.se == pytest.approx(pa.se * pair * pb.value + pb.se * pa.value * pair, rel=1e-12)
 
 
 class TestScrambledSobol:
@@ -297,6 +325,39 @@ class TestUpsilon:
         moved = upsilon(permuted, solve_qp(permuted))
         assert moved.log_upsilon == pytest.approx(base.log_upsilon, abs=1e-12)
         assert solve_qp(permuted).gamma == pytest.approx(solve_qp(sigma).gamma, abs=1e-13)
+
+    def test_independent_near_singular_pairs(self):
+        # diag(near_tie_4x4, near_tie_4x4): the full set's boundary block is
+        # two independent 2 x 2 blocks at correlation -1 + eps, on which one
+        # QMC over the four coordinates integrates exactly 0
+        one = near_tie_4x4()
+        both = CorrelationMatrix(block_diag(one.entries, one.entries))
+        sol = solve_qp(both)
+        assert sol.boundary_set.members == (3, 4, 7, 8)
+        single = upsilon(one, solve_qp(one))
+        assert single.log_upsilon == pytest.approx(-12.29830779632155, rel=1e-15)
+        assert upsilon(both, sol).log_upsilon == pytest.approx(2.0 * single.log_upsilon, abs=1e-12)
+
+    def test_independent_blocks_multiply(self):
+        # diag(tie block, near_tie_4x4): the boundary block is the tie
+        # block's 4-dim orthant and the near-tie pair, with zeros between
+        tie, near = tie_block_matrix(6), near_tie_4x4()
+        both = CorrelationMatrix(block_diag(tie.entries, near.entries))
+        factors = [upsilon(s, solve_qp(s)).orthant_factor for s in (tie, near)]
+        assert factors == pytest.approx([0.1130120731756465, 1.102657836682397e-05], rel=1e-15)
+        joint = upsilon(both, solve_qp(both))
+        assert joint.orthant_factor == pytest.approx(factors[0] * factors[1], rel=1e-12)
+
+    @pytest.mark.parametrize("value", [0.0, math.nan])
+    def test_degenerate_orthant_factor_is_refused(self, monkeypatch, value):
+        monkeypatch.setattr(
+            gaussian_module, "_rqmc_orthant", lambda corr, seed: OrthantEstimate(value, 0.0)
+        )
+        sigma = tie_block_matrix(6)
+        with pytest.raises(
+            UnsupportedDegeneracy, match=rf"orthant factor of boundary set \{{3,4,5,6\}} is {value!r}"
+        ):
+            upsilon(sigma, solve_qp(sigma))
 
 
 class TestJointTail:

@@ -2,7 +2,7 @@
 patches library functions by name, so every name it lists must still exist,
 or a traced benchmark run fails at start-up; the package exports only names
 it defines; the README's Python session must run as written; the
-README states the dimension cap the code enforces; and each decision
+README states the dimension caps the code enforces; and each decision
 tolerance is applied in the one module that owns it."""
 
 import importlib
@@ -12,7 +12,8 @@ import re
 
 import pytest
 
-from artifact.linalg import MAX_ENUMERATION_DIM
+from artifact.asymptotics import MAX_ENUMERATION_DIM
+from artifact.linalg import MAX_DIM
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACER_PATH = ROOT / "bench" / "tracer.py"
@@ -52,13 +53,21 @@ def test_readme_session_runs():
 
 
 def test_readme_states_the_sigma_dimension_cap():
-    stated = re.findall(r"`sigma`: correlation matrix, dimension 1\.\.(\d+)", (ROOT / "README.md").read_text())
-    assert stated == [str(MAX_ENUMERATION_DIM)]
+    stated = re.findall(
+        r"`sigma`: correlation matrix, dimension 1\.\.(\d+) \(`analyze` needs d <= (\d+)",
+        (ROOT / "README.md").read_text(),
+    )
+    assert stated == [(str(MAX_DIM), str(MAX_ENUMERATION_DIM))]
 
 
 @pytest.mark.parametrize(
     "name,owner",
-    [("BOUNDARY_EPS", "qp.py"), ("H_TOLERANCE", "qp.py"), ("GAMMA_TIE_REL", "asymptotics.py")],
+    [
+        ("BOUNDARY_EPS", "qp.py"),
+        ("H_TOLERANCE", "qp.py"),
+        ("GAMMA_TIE_REL", "asymptotics.py"),
+        ("MAX_ENUMERATION_DIM", "asymptotics.py"),
+    ],
 )
 def test_tolerance_has_one_owner(name, owner):
     # A tolerance read in a second module is a second copy of its decision;
