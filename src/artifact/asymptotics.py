@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .gaussian import (
     LOG_TWO_PI,
@@ -57,6 +56,19 @@ def _require_eval_t(t, what: str) -> None:
     """Every limit formula is evaluated only at finite t >= MIN_EVAL_T."""
     if not _finite_real(t, "t") >= MIN_EVAL_T:
         raise ValueError(f"{what} is guarded to t >= {MIN_EVAL_T:g}, got {reprlib.repr(t)}")
+
+
+def _logsumexp(values) -> float:
+    """log(sum(exp(v))) over a short nonempty list, shifted by its largest
+    entry: that entry's term is the 1 of log1p, and the others are summed
+    exactly (math.fsum). A largest entry that is not finite is the result
+    (-inf when every entry is -inf)."""
+    values = list(values)
+    top = max(values)
+    if not math.isfinite(top):
+        return top
+    values.remove(top)
+    return top + math.log1p(math.fsum(math.exp(v - top) for v in values))
 
 
 def _positive_tuple(values, name: str) -> tuple[float, ...]:
@@ -414,7 +426,7 @@ def _additive_estimate(marg: MarginalSpec, tail_set: TailSet) -> AsymptoticEstim
         for j, xj in zip(tail_set.subset, tail_set.thresholds)
     )
     return AsymptoticEstimate(
-        log_constant=float(logsumexp([c.log_constant for c in contribs])),
+        log_constant=_logsumexp([c.log_constant for c in contribs]),
         power_exponent=marg.alpha,
         log_log_exponent=0.0,
         alpha=marg.alpha,
@@ -444,7 +456,7 @@ def asymptotic_estimate(
     cone = _cone(sigma, tail_set.k, tail_set.subset)
     terms = _log_masses(cone, marg, tail_set)
     return AsymptoticEstimate(
-        log_constant=_log_scale(cone.gamma, marg) + float(logsumexp([m for _, m in terms])),
+        log_constant=_log_scale(cone.gamma, marg) + _logsumexp([m for _, m in terms]),
         power_exponent=marg.alpha * cone.gamma,
         log_log_exponent=0.5 * (cone.gamma - cone.min_active_size),
         alpha=marg.alpha,

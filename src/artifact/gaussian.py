@@ -6,11 +6,13 @@ covariance (closed forms for dimension <= 3; above that, the product over
 the independent components of the correlation's nonzero pattern of their
 closed forms or, for a component of 4 to 64 coordinates, randomized
 quasi-Monte Carlo through linalg's Cholesky factor and an in-house scrambled
-Sobol' engine that keeps scipy.stats off the import path), the
-tail constant Upsilon assembled from a QP solution, and the joint-tail law
-built on it (first order, and Savage's second order). The input guards
-every layer shares live here too: _finite_real for every real number and
-_integer for every integer, each naming the parameter in its ValueError.
+Sobol' engine), the tail constant Upsilon assembled from a QP solution, and
+the joint-tail law built on it (first order, and Savage's second order).
+The input guards every layer shares live here too: _finite_real for every
+real number and _integer for every integer, each naming the parameter in its
+ValueError. So do the two scalar kernels under the orthant QMC and the
+sampler: the normal cdf _ndtr (Cephes' ndtr) and its inverse _ndtri
+(Wichura's AS 241), vectorized in numpy, so that no command imports scipy.
 
 All probability assembly happens in log space; the constants underflow well
 before the asymptotics lose accuracy.
@@ -26,7 +28,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+# Loaded here, at import time (numpy loads it on first use): the orthant
+# QMC draws from it.
+import numpy.random
 
 from .linalg import CorrelationMatrix, _cholesky_lower, solve_spd, spd_factorize
 from .qp import QpSolution, solve_qp
@@ -39,6 +43,85 @@ ORTHANT_TARGET_SE = 1e-4
 
 # Seeds are 64-bit unsigned integers, for the orthant QMC and the sampler.
 _MAX_SEED = 2**64 - 1
+
+# The normal cdf and quantile kernels below run in chunks of this many
+# values by default, on two scratch rows allocated once per call, so a call
+# holds about 27 bytes per value of one chunk, not of its input. Smaller
+# chunks cost more ufunc calls, and on two workers each call may wait for
+# the GIL: on simulate-d12's 6e6 values, the two workers mapped them in
+# about 0.2 s with 8192-value chunks and 0.065 s with 65536-value ones.
+_KERNEL_CHUNK = 1 << 14
+
+# Cephes' ndtr (S. L. Moshier), on Cody's rational forms: erf(x) =
+# x T(x^2) / U(x^2) for |x| < 1, and erfc(x) = exp(-x^2) P(x) / Q(x) for
+# 1 <= x < 8, exp(-x^2) R(x) / S(x) from 8 on. Coefficients run from the
+# highest degree down; U, Q and S are monic, their leading 1 written out.
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+# T halved, exactly: x T_HALF(z) / U(z) is erf(x) / 2 to the bit.
+_ERF_T_HALF = tuple(0.5 * c for c in _ERF_T)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+# Cephes' MAXLOG, log of the largest float: erfc(x) is 0 where x^2 passes it.
+_MAXLOG = 7.09782712893383996843e2
+
+# Wichura's AS 241 (PPND16; Appl. Statist. 37, 1988), as in the standard
+# library's statistics.NormalDist.inv_cdf: Phi^{-1}(p) = q A(r) / B(r) with
+# r = 0.180625 - q^2 for |q| = |p - 0.5| <= 0.425; beyond, with
+# r = sqrt(-log(min(p, 1 - p))), C(r - 1.6) / D(r - 1.6) for r <= 5 and
+# E(r - 5) / F(r - 5) past it, negated below p = 0.5.
+_AS241_A = (
+    2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+    4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+    1.3314166789178437745e2, 3.3871328727963666080e0,
+)
+_AS241_B = (
+    5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+    2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+    4.2313330701600911252e1, 1.0,
+)
+_AS241_C = (
+    7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+    1.2704582524523683826e0, 3.6478483247632046050e0, 5.7694972214606914055e0,
+    4.6303378461565452959e0, 1.4234371107496835773e0,
+)
+_AS241_D = (
+    1.05075007164441684324e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+    1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
+    2.0531916266377588219e0, 1.0,
+)
+_AS241_E = (
+    2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+    2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+    5.46378491116411436990e0, 6.65790464350110377720e0,
+)
+_AS241_F = (
+    2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+    7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+    5.99832206555887937690e-1, 1.0,
+)
 
 
 class AsymptoticRegimeWarning(UserWarning):
@@ -90,6 +173,163 @@ def _positive_real(value, name: str) -> float:
     return out
 
 
+def _polevl(coefs: tuple, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The polynomial with coefs (highest degree first) at x, into out, by
+    Horner's rule in Cephes' polevl order, ((c0 x + c1) x + c2) x + ..."""
+    if coefs[0] == 1.0:  # Cephes' p1evl: 1 x is x
+        np.add(x, coefs[1], out=out)
+    else:
+        np.multiply(x, coefs[0], out=out)
+        out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _where(mask: np.ndarray):
+    """The indices where mask holds, or None where it holds nowhere."""
+    return mask.nonzero()[0] if mask.any() else None
+
+
+def _chunked(kernel, x, out, chunk: int) -> np.ndarray:
+    """kernel(part, result, scratch) over x in parts of chunk values, into
+    out (a new array of x's shape when None), which is returned; scratch
+    is 2 rows of the part's length. out may be x itself:
+    a kernel reads its chunk before it writes the chunk's result. A 1-D
+    input or output is used as it is, strided or not; an N-D one that is
+    not C-contiguous is copied."""
+    x = np.asarray(x, dtype=float)
+    result = np.empty(x.shape) if out is None else out
+    if result.shape != x.shape:
+        raise ValueError(f"out has shape {result.shape}, the input {x.shape}")
+    values = x.reshape(-1)
+    flat = result.ndim <= 1 or result.flags.c_contiguous
+    results = result.reshape(-1) if flat else np.empty(x.size)
+    scratch = np.empty((2, min(values.size, chunk)))
+    # The discarded branches overflow or take the log of 0, and nan propagates.
+    with np.errstate(all="ignore"):
+        for start in range(0, values.size, chunk):
+            stop = min(start + chunk, values.size)
+            kernel(values[start:stop], results[start:stop], scratch[:, : stop - start])
+    if not flat:
+        result[...] = results.reshape(x.shape)
+    return result
+
+
+def _ndtr_chunk(a: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> None:
+    z, acc = scratch
+    # x = a / sqrt(2) is held in y (which may be a).
+    x = np.multiply(a, math.sqrt(0.5), out=y)
+    np.multiply(x, x, out=z)
+    # |x| >= 1 takes erfc's forms, on its values gathered before y is written.
+    tail = _where(z >= 1.0)
+    if tail is not None:
+        x_tail = x[tail]
+    # Phi(a) = 1/2 + erf(x) / 2 with erf(x) = x T(z) / U(z), below |x| = 1.
+    y *= _polevl(_ERF_T_HALF, z, acc)
+    y /= _polevl(_ERF_U, z, acc)
+    y += 0.5
+    if tail is not None:
+        y[tail] = _ndtr_tail(x_tail)
+
+
+def _ndtr_tail(x: np.ndarray) -> np.ndarray:
+    """Phi(sqrt(2) x) from Cephes' erfc(|x|), for |x| >= 1."""
+    g = np.abs(x)
+    p, q = np.empty((2, g.size))
+    _polevl(_ERFC_P, g, p)
+    _polevl(_ERFC_Q, g, q)
+    far = _where(g >= 8.0)
+    if far is not None:
+        g_far = g[far]
+        p[far] = _polevl(_ERFC_R, g_far, np.empty(far.size))
+        q[far] = _polevl(_ERFC_S, g_far, np.empty(far.size))
+        # erfc is 0 where exp(-x^2) underflows, past _MAXLOG.
+        under = far[g_far * g_far > _MAXLOG]
+    # Cephes' expx2: exp(-x^2) = exp(-m^2) exp(-(2 m f + f^2)), with m = |x|
+    # rounded to a multiple of 1/128 (ties down) and f = |x| - m, so that
+    # the exponent's rounding error does not grow with x^2.
+    u = np.empty((2, g.size))
+    m = np.multiply(g, 128.0, out=u[0])
+    m -= 0.5
+    np.ceil(m, out=m)
+    m *= 1.0 / 128.0
+    f = np.subtract(g, m, out=g)
+    np.multiply(m, 2.0, out=u[1])
+    u[1] *= f
+    u[1] += np.multiply(f, f, out=f)
+    m *= m
+    np.exp(np.negative(u, out=u), out=u)
+    e = np.multiply(u[0], u[1], out=u[0])
+    # erfc(|x|) = exp(-x^2) P / Q, halved, and reflected above 0.
+    e *= p
+    e /= q
+    if far is not None:
+        e[under] = 0.0
+    e *= 0.5
+    np.subtract(1.0, e, out=e, where=x > 0.0)
+    return e
+
+
+def _ndtr(x, out=None, chunk: int = _KERNEL_CHUNK) -> np.ndarray:
+    """Phi(x), the standard normal cdf, elementwise: Cephes' ndtr, with
+    0 and 1 at -inf and inf and nan at nan. out (an array of x's shape,
+    which may be x) takes the result.
+
+    The erf form runs on every value; the erfc forms run only on the values
+    with |x| >= sqrt(2), gathered, and each of them only on its own range.
+    The values are taken chunk at a time."""
+    return _chunked(_ndtr_chunk, x, out, chunk)
+
+
+def _ndtri_chunk(p: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> None:
+    q, acc = scratch
+    np.subtract(p, 0.5, out=q)
+    # |q| > 0.425 takes the tail forms, on its values gathered before y
+    # (which may be p) is written.
+    tail = _where(np.abs(q, out=acc) > 0.425)
+    if tail is not None:
+        p_tail, q_tail = p[tail], q[tail]
+    # Phi^{-1}(p) = q A(r) / B(r) with r = 0.180625 - q^2, held in y.
+    r = np.multiply(q, q, out=y)
+    np.subtract(0.180625, r, out=r)
+    num = _polevl(_AS241_A, r, acc)
+    num *= q
+    np.divide(num, _polevl(_AS241_B, r, q), out=y)
+    if tail is not None:
+        y[tail] = _ndtri_tail(p_tail, q_tail)
+
+
+def _ndtri_tail(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Phi^{-1}(p) for |q| = |p - 0.5| > 0.425; p is overwritten."""
+    r = np.minimum(p, 1.0 - p)
+    np.log(r, out=r)
+    np.sqrt(np.negative(r, out=r), out=r)
+    far = _where(r > 5.0)
+    if far is not None:
+        r_far = r[far]
+    r -= 1.6
+    x = _polevl(_AS241_C, r, p)
+    x /= _polevl(_AS241_D, r, np.empty(r.size))
+    if far is not None:
+        r_far -= 5.0
+        x_far = _polevl(_AS241_E, r_far, np.empty(far.size))
+        x_far /= _polevl(_AS241_F, r_far, np.empty(far.size))
+        # p = 0 or 1 (r infinite) is the infinite quantile.
+        x_far[r_far == math.inf] = math.inf
+        x[far] = x_far
+    return np.copysign(x, q, out=x)
+
+
+def _ndtri(p) -> np.ndarray:
+    """Phi^{-1}(p), the standard normal quantile, elementwise: AS 241, with
+    -inf at 0, inf at 1 and nan outside [0, 1]. The central form runs on
+    every value; the tail forms run only on the values with |p - 0.5| > 0.425,
+    gathered, and each only on its own range."""
+    return _chunked(_ndtri_chunk, p, None, _KERNEL_CHUNK)
+
+
 @dataclass(frozen=True)
 class OrthantEstimate:
     """Orthant probability and its standard error (0 on closed-form paths)."""
@@ -112,8 +352,8 @@ def _sov_orthant(lower: np.ndarray, w: np.ndarray) -> np.ndarray:
     prob = np.full(n, 0.5)
     for i in range(1, m):
         u = d + w[:, i - 1] * (1.0 - d)
-        ys[:, i - 1] = ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
-        d = ndtr(-(ys[:, :i] @ lower[i, :i]) / lower[i, i])
+        ys[:, i - 1] = _ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
+        d = _ndtr(-(ys[:, :i] @ lower[i, :i]) / lower[i, i])
         prob *= 1.0 - d
     return prob
 
@@ -159,6 +399,7 @@ _SOBOL_BITS = 30
 # Bit positions from the most significant down: column j of a direction
 # table carries m_j << _SOBOL_MSB_FIRST[j].
 _SOBOL_MSB_FIRST = np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+_SOBOL_WEIGHTS = 2.0**_SOBOL_MSB_FIRST
 
 
 @functools.cache
@@ -183,6 +424,16 @@ def _sobol_directions(dim: int) -> np.ndarray:
     return v
 
 
+# One entry per sample size of the orthant QMC's three levels.
+@functools.lru_cache(maxsize=3)
+def _gray_code_steps(n: int) -> np.ndarray:
+    """ctz(i) for i = 1..n - 1: the direction that Gray-code point i adds."""
+    index = np.arange(1, n)
+    steps = np.frexp(index & -index)[1] - 1
+    steps.flags.writeable = False
+    return steps
+
+
 def _scrambled_sobol(dim: int, n: int, seq: np.random.SeedSequence) -> np.ndarray:
     """First n points of a scrambled dim-dimensional Sobol' sequence, as (n, dim).
 
@@ -191,25 +442,26 @@ def _scrambled_sobol(dim: int, n: int, seq: np.random.SeedSequence) -> np.ndarra
     generator on seq's first child: the shift bits first, then the lower
     triangular matrices. Points come in Gray-code order, point i being the
     shift XOR the directions of ctz(1), ..., ctz(i). The points are bit for
-    bit those of scipy.stats.qmc.Sobol(dim, rng=np.random.default_rng(seq)),
-    without importing scipy.stats.
+    bit those of scipy.stats.qmc.Sobol(dim, rng=np.random.default_rng(seq)).
     """
     rng = np.random.Generator(np.random.PCG64(seq.spawn(1)[0]))
     shift_bits = rng.integers(2, size=(dim, _SOBOL_BITS), dtype=np.uint32)
     shift = shift_bits @ (np.uint32(1) << _SOBOL_MSB_FIRST[::-1])
-    lms = np.tril(rng.integers(2, size=(dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    draws = rng.integers(2, size=(dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32)
+    lms = np.tril(draws).astype(float)
     diagonal = np.arange(_SOBOL_BITS)
-    lms[:, diagonal, diagonal] = 1
+    lms[:, diagonal, diagonal] = 1.0
     # Output bit p (from the top) is the parity of lms[p] with the input
-    # bits, so each digit mixes in only the more significant ones.
+    # bits, so each digit mixes in only the more significant ones. The
+    # products are sums of at most 30 zero-one terms, exact in floats (and a
+    # BLAS product, where numpy has none for integers); so is the sum of
+    # the parities' powers of two.
     bits = (_sobol_directions(dim)[:, None, :] >> _SOBOL_MSB_FIRST[:, None]) & 1
-    mixed = (lms @ bits) & 1
-    directions = np.bitwise_or.reduce(mixed << _SOBOL_MSB_FIRST[:, None], axis=1)
-    index = np.arange(1, n)
-    trailing_zeros = np.frexp(index & -index)[1] - 1
+    mixed = np.fmod(lms @ bits.astype(float), 2.0)
+    directions = (_SOBOL_WEIGHTS @ mixed).astype(np.uint32)
     points = np.empty((n, dim), dtype=np.uint32)
     points[0] = shift
-    points[1:] = directions[:, trailing_zeros].T
+    np.take(directions.T, _gray_code_steps(n), axis=0, out=points[1:])
     np.bitwise_xor.accumulate(points, axis=0, out=points)
     return points * 2.0**-_SOBOL_BITS
 

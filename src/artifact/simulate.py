@@ -59,10 +59,20 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+# Loaded here, at import time (numpy loads it on first use): every sample
+# is drawn from it.
+import numpy.random
 
 from .asymptotics import AsymptoticEstimate, MarginalSpec, TailSet
-from .gaussian import _MAX_SEED, _finite_real, _integer, _positive_real
+from .gaussian import (
+    _KERNEL_CHUNK,
+    _MAX_SEED,
+    _finite_real,
+    _integer,
+    _ndtr,
+    _ndtri,
+    _positive_real,
+)
 from .linalg import CorrelationMatrix, IndexSubset, spd_factorize
 
 # Substreams are derived per logical block of this many rows. The block size
@@ -232,17 +242,30 @@ def _to_pareto(z: np.ndarray, alpha: float) -> np.ndarray:
     the largest float (a small alpha) raises ValueError, with z partly
     mapped."""
 
+    # _ndtr's scratch, about 27 bytes per value of a chunk on each worker,
+    # stays within 1/16 of the sample's bytes on the two together; up to
+    # 65536 values, a larger chunk spends less of its time in numpy's work
+    # per call and in waiting for the GIL.
+    chunk = min(1 << 16, max(_KERNEL_CHUNK, z.size // 112))
+
     def transform(columns: Iterator[int]) -> None:
         for j in columns:
             column = z[:, j]
             np.negative(column, out=column)
-            ndtr(column, out=column)
+            _ndtr(column, out=column, chunk=chunk)
             # numpy's error state is per thread, so each worker sets it.
             with np.errstate(over="raise", divide="raise"):
                 np.power(column, -1.0 / alpha, out=column)
 
+    columns = range(z.shape[1])
     try:
-        _on_workers(range(z.shape[1]), transform)
+        # Two chunks or fewer (a sampler block at d <= 4) gain nothing from
+        # a second worker, and on the calling thread alone one chunk's
+        # scratch is held at a time.
+        if z.size <= 2 * chunk:
+            transform(iter(columns))
+        else:
+            _on_workers(columns, transform)
     except FloatingPointError:
         raise ValueError(
             f"the Pareto sample at alpha = {alpha!r} passes the largest float"
@@ -260,7 +283,7 @@ def _normal_event(
     when at least k of the Z_j, j in S, exceed c[j, m] = -Phi^{-1}((t_m x_j)^{-alpha}).
     A coordinate with t_m x_j <= 1 always exceeds (c = -inf). Each row of c
     is nondecreasing in t, as the events are nested: rounding in the power
-    and in ndtri can lower a threshold by an ulp between grid points a few
+    and in _ndtri can lower a threshold by an ulp between grid points a few
     ulps apart, and the running maximum undoes that.
     """
     tail_set.subset.validate_within(dim)
@@ -268,7 +291,7 @@ def _normal_event(
     return (
         tail_set.subset.as_indices(),
         tail_set.k,
-        np.maximum.accumulate(-ndtri(np.minimum(1.0, survival)), axis=1),
+        np.maximum.accumulate(-_ndtri(np.minimum(1.0, survival)), axis=1),
     )
 
 
@@ -371,10 +394,9 @@ def default_k_grid(n: int) -> tuple[int, ...]:
     """40 log-spaced order-statistic counts in [10, n/4], deduplicated."""
     if n < 41:
         raise ValueError(f"default grid needs n >= 41 observations, got {n}")
-    ks = np.unique(
-        np.round(np.geomspace(10, max(10, n // 4), DEFAULT_HILL_POINTS)).astype(int)
-    )
-    return tuple(int(k) for k in ks)
+    ks = np.round(np.geomspace(10, max(10, n // 4), DEFAULT_HILL_POINTS))
+    # Deduplicated in Python: np.unique imports numpy.ma on its first call.
+    return tuple(sorted({int(k) for k in ks}))
 
 
 def _increasing(values: tuple, name: str) -> tuple:

@@ -7,6 +7,7 @@ import gc
 import math
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from artifact.asymptotics import (
     UnsupportedDegeneracy,
     _log_mass,
     _log_scale,
+    _logsumexp,
     asymptotic_estimate,
     bivariate_comparison,
     cone_analysis,
@@ -209,6 +211,33 @@ class TestRectangular:
         assert est.min_threshold == 0.001
         with pytest.raises(ValueError, match=r"is 9\.90\d*, above 0: the limit law does not apply"):
             est.evaluate_log(10.0)
+
+
+class TestLogSumExp:
+    """The max-shifted log-sum of the additive and carrier laws."""
+
+    def test_single_entry_is_itself(self):
+        for v in (-745.0, -1.5, 0.0, 3.25, 700.0):
+            assert _logsumexp([v]) == v
+
+    def test_minus_infinity_adds_nothing(self):
+        assert _logsumexp([-math.inf, 1.5]) == 1.5
+        assert _logsumexp([-math.inf, -math.inf]) == -math.inf
+        assert _logsumexp([2.0, -math.inf, 2.0]) == 2.0 + math.log(2.0)
+        assert _logsumexp([math.inf, 1.0]) == math.inf
+        assert math.isnan(_logsumexp([1.0, math.nan]))
+
+    def test_matches_mpmath(self):
+        # Within 2 eps of the 40-digit value; far-apart entries do not
+        # overflow or lose the largest.
+        rng = np.random.default_rng(8)
+        lists = [list(rng.normal(0.0, 5.0, rng.integers(1, 8))) for _ in range(300)]
+        lists += [[-1000.0, 1000.0, 0.0], [1e-300, -1e-300], [-800.0, -801.0]]
+        with mpmath.workdps(40):
+            for values in lists:
+                exact = mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(v)) for v in values))
+                got = _logsumexp(values)
+                assert abs(got - exact) <= 2 * np.finfo(float).eps * max(1.0, abs(exact)), values
 
 
 class TestEstimateAlgebra:

@@ -8,6 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
+from scipy.special import ndtr as scipy_ndtr
+from scipy.special import ndtri as scipy_ndtri
 
 import artifact.gaussian as gaussian_module
 from artifact.asymptotics import MarginalSpec, rv_quantile_expansion
@@ -17,7 +19,10 @@ from artifact.gaussian import (
     OrthantEstimate,
     UnsupportedDegeneracy,
     UpsilonResult,
+    _KERNEL_CHUNK,
     _components,
+    _ndtr,
+    _ndtri,
     _scrambled_sobol,
     gaussian_joint_tail,
     orthant_probability,
@@ -250,6 +255,139 @@ class TestOrthantComponents:
         assert est.value == math.prod([pa.value, pair, pb.value])
         # The delta-method terms are added: one seed's errors are correlated.
         assert est.se == pytest.approx(pa.se * pair * pb.value + pb.se * pa.value * pair, rel=1e-12)
+
+
+EPS = np.finfo(float).eps
+
+
+def ulps(values, reference) -> np.ndarray:
+    """Relative error of each value against its mpmath reference, in units
+    of the double epsilon."""
+    return np.array([float(abs((mpmath.mpf(v) - r) / r)) for v, r in zip(values, reference)]) / EPS
+
+
+def quantile_reference(p: float, start: float):
+    """Phi^{-1}(p) to 50 digits: three Newton steps on mpmath's ncdf from a
+    start within a few ulps (erfinv(2p - 1) loses p's digits near 0)."""
+    with mpmath.workdps(50):
+        x, target = mpmath.mpf(start), mpmath.mpf(p)
+        for _ in range(3):
+            x -= (mpmath.ncdf(x) - target) / mpmath.npdf(x)
+        return +x
+
+
+class TestNormalKernels:
+    """The in-house Phi (Cephes' ndtr) and Phi^{-1} (AS 241) against mpmath,
+    with scipy.special as the bar to meet."""
+
+    @pytest.mark.parametrize(
+        "num,den,low,high,target,bound",
+        [
+            ("_ERF_T", "_ERF_U", 0.0, 1.0, lambda x: mpmath.erf(x) / x, 2.0),
+            ("_ERFC_P", "_ERFC_Q", 1.0, 8.0, lambda x: mpmath.erfc(x) * mpmath.exp(x * x), 6.0),
+            ("_ERFC_R", "_ERFC_S", 8.0, 27.0, lambda x: mpmath.erfc(x) * mpmath.exp(x * x), 4.0),
+        ],
+        ids=["erf", "erfc", "erfc-far"],
+    )
+    def test_cephes_coefficients(self, num, den, low, high, target, bound):
+        # Each rational form against the function it approximates, to about
+        # 1.5 times its worst error (1.1, 4.0 and 2.8 eps): a wrong digit in
+        # a coefficient shows here, whatever the other forms do. A change
+        # of 2e-14 in one coefficient of U reads 6.4 eps.
+        x = np.linspace(low, high, 401)[1:]
+        arg = x * x if num == "_ERF_T" else x
+        ratio = gaussian_module._polevl(getattr(gaussian_module, num), arg, np.empty(x.size))
+        ratio /= gaussian_module._polevl(getattr(gaussian_module, den), arg, np.empty(x.size))
+        with mpmath.workdps(40):
+            reference = [target(mpmath.mpf(v)) for v in x]
+        assert ulps(ratio, reference).max() <= bound
+
+    @staticmethod
+    def ndtr_errors(low, high):
+        """Relative errors in eps of _ndtr and of scipy's ndtr on a grid and
+        seeded uniform points in [low, high]."""
+        x = np.concatenate([np.linspace(low, high, 501), np.random.default_rng(1).uniform(low, high, 1500)])
+        with mpmath.workdps(40):
+            reference = [mpmath.ncdf(mpmath.mpf(v)) for v in x]
+        return ulps(_ndtr(x), reference), ulps(scipy_ndtr(x), reference)
+
+    @pytest.mark.parametrize(
+        "low,high,share", [(-1.5, 1.5, 1.0), (-8, -1.5, 1.0), (-20, -8, 0.9), (-37.5, -20, 0.9)]
+    )
+    def test_ndtr_no_less_accurate_than_scipy(self, low, high, share):
+        # The worst relative error grows into the lower tail for both:
+        # about 6, 45, 270 and 1000 eps on these ranges for scipy. Below -8,
+        # Cephes' split of exp(-x^2), which scipy's ndtr does not take,
+        # keeps the port more than 10% below it (0.84 and 0.81 measured).
+        ours, theirs = self.ndtr_errors(low, high)
+        assert ours.max() <= share * theirs.max(), (ours.max(), theirs.max())
+
+    def test_ndtr_upper_tail_within_an_ulp(self):
+        # Phi is in [0.93, 1) here, where an ulp is eps / 2.
+        ours, _ = self.ndtr_errors(1.5, 8.3)
+        assert ours.max() <= 0.5
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            np.random.default_rng(2).uniform(0.0, 1.0, 600),
+            10.0 ** -np.random.default_rng(3).uniform(1.2, 300.0, 600),
+            1.0 - np.random.default_rng(4).uniform(1e-16, 0.075, 600),
+        ],
+        ids=["unit", "lower-tail", "upper-tail"],
+    )
+    def test_ndtri_matches_mpmath_and_scipy(self, p):
+        ours = _ndtri(p)
+        reference = [quantile_reference(v, start) for v, start in zip(p, ours)]
+        assert ulps(ours, reference).max() <= 1e-15 / EPS
+        assert np.all(np.abs(ours - scipy_ndtri(p)) <= 5.0 * EPS * np.abs(ours))
+
+    def test_ndtri_inverts_ndtr(self):
+        p = np.random.default_rng(5).uniform(0.0, 1.0, 10000)
+        np.testing.assert_allclose(_ndtr(_ndtri(p)), p, rtol=1e-14)
+
+    def test_special_values(self):
+        cdf = _ndtr(np.array([-np.inf, np.inf, np.nan, 0.0, -40.0, 40.0]))
+        assert cdf.tolist()[:2] == [0.0, 1.0] and math.isnan(cdf[2])
+        # Phi(-40) underflows to 0, as in Cephes.
+        assert cdf.tolist()[3:] == [0.5, 0.0, 1.0]
+        quantile = _ndtri(np.array([0.0, 1.0, 0.5, np.nan, -0.1, 1.1, 5e-324]))
+        assert quantile.tolist()[:3] == [-np.inf, np.inf, 0.0]
+        assert np.isnan(quantile[3:6]).all()
+        # The least subnormal is still in the far tail form's range.
+        reference = quantile_reference(5e-324, quantile[6])
+        assert ulps(quantile[6:], [reference]).max() <= 1e-15 / EPS
+
+    @pytest.mark.parametrize("kernel", [_ndtr, _ndtri], ids=["ndtr", "ndtri"])
+    def test_shapes(self, kernel):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-1.0, 1.0, (3, 4)) if kernel is _ndtr else rng.uniform(0.0, 1.0, (3, 4))
+        want = kernel(x.ravel()).reshape(3, 4)
+        assert kernel(x[0, 0]).shape == ()
+        assert kernel(x[0, 0]) == want[0, 0]
+        assert np.array_equal(kernel(x), want)
+        assert np.array_equal(kernel(x.T), want.T)
+
+    def test_ndtr_out(self):
+        x = np.random.default_rng(6).normal(0.0, 3.0, (3, 4))
+        want = _ndtr(x)
+        # out may be the input itself: contiguous, a strided column, or an
+        # N-D array that is not C-contiguous.
+        for view in (lambda a: a, lambda a: a[:, 1], lambda a: a.T):
+            target = view(x.copy())
+            assert _ndtr(target, out=target) is target
+            assert np.array_equal(target, view(want))
+        with pytest.raises(ValueError, match="shape"):
+            _ndtr(x, out=np.empty(12))
+
+    @pytest.mark.parametrize("kernel", [_ndtr, _ndtri], ids=["ndtr", "ndtri"])
+    def test_chunks_do_not_change_values(self, kernel):
+        # 3 chunks and 5 values, against one value at a time.
+        rng = np.random.default_rng(7)
+        size = 3 * _KERNEL_CHUNK + 5
+        x = rng.normal(0.0, 3.0, size) if kernel is _ndtr else rng.uniform(0.0, 1.0, size)
+        single = np.array([kernel(x[i : i + 1])[0] for i in range(0, size, 97)])
+        assert np.array_equal(kernel(x)[::97], single)
 
 
 class TestScrambledSobol:

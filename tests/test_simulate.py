@@ -9,12 +9,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 from scipy.stats import kstest
 
 import artifact.simulate as simulate
 from artifact.asymptotics import MarginalSpec
 from artifact.cli import _write_csv
+from artifact.gaussian import _ndtr, _ndtri
 from artifact.linalg import CorrelationMatrix, IndexSubset
 from artifact.simulate import (
     BLOCK_ROWS,
@@ -125,7 +126,7 @@ class TestSampling:
             tracemalloc.stop()
         assert peak < 1.1 * n * d * 8, peak / (n * d * 8)
         assert x.flags.f_contiguous
-        want = np.power(ndtr(-_gaussian_sample(cfg)), -1.0 / PARETO2.alpha)
+        want = np.power(_ndtr(-_gaussian_sample(cfg)), -1.0 / PARETO2.alpha)
         assert x.tobytes() == want.tobytes()
 
     def test_marginal_tail_frequency(self):
@@ -481,6 +482,12 @@ class TestHill:
         with pytest.raises(ValueError, match="n >= 41"):
             default_k_grid(40)
 
+    @pytest.mark.parametrize("n", [41, 45, 100, 1000, 5 * 10**5, 10**7, 2**40])
+    def test_default_grid_is_the_rounded_geometric_grid_deduplicated(self, n):
+        ks = np.round(np.geomspace(10, max(10, n // 4), 40)).astype(int)
+        assert default_k_grid(n) == tuple(int(k) for k in np.unique(ks))
+        assert all(type(k) is int for k in default_k_grid(n))
+
     def test_k_grid_validation(self):
         data = np.arange(1.0, 101.0)
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -716,10 +723,10 @@ class TestStreamedVerification:
     def test_thresholds_are_nondecreasing_on_an_ulp_grid(self):
         # At these t the rounded normal threshold falls by an ulp from one
         # float to the next; the events are nested, so the thresholds may not.
-        grid = [35.65216314007357]
+        grid = [64.59721981904619]
         for _ in range(3):
             grid.append(float(np.nextafter(grid[-1], np.inf)))
-        raw = -ndtri(np.power(np.array(grid), -2.0))
+        raw = -_ndtri(np.power(np.array(grid), -2.0))
         assert np.any(np.diff(raw) < 0)
         events = [_normal_event(rect(IndexSubset.of(1), (1.0,)), 1, 2.0, grid)]
         c = events[0][2]
@@ -886,7 +893,7 @@ class TestBlockWorkers:
     def test_pareto_transform_equals_the_serial_map_bit_for_bit(self, set_workers, workers, d):
         cfg = config(equi_matrix(d, 0.5), 2 * BLOCK_ROWS + 37, 4)
         z = _gaussian_sample(cfg)
-        want = np.power(ndtr(-z), -1.0 / PARETO2.alpha).tobytes()
+        want = np.power(_ndtr(-z), -1.0 / PARETO2.alpha).tobytes()
         set_workers(workers)
         assert sample_rvgc(cfg).tobytes() == want
         # A C-ordered array is mapped column by column, in place.
