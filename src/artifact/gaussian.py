@@ -2,12 +2,12 @@
 
 Everything the asymptotic layer needs from the Gaussian side lives here:
 multivariate orthant probabilities P(Y >= 0) for a positive definite
-covariance (closed forms for dimension <= 3; above that, the product over
-the independent components of the correlation's nonzero pattern of their
-closed forms or, for a component of 4 to 64 coordinates, randomized
-quasi-Monte Carlo through linalg's Cholesky factor and an in-house scrambled
-Sobol' engine), the tail constant Upsilon assembled from a QP solution, and
-the joint-tail law built on it (first order, and Savage's second order).
+covariance (at every dimension, the product over the independent
+components of the correlation's nonzero pattern of their closed forms or,
+for a component of 4 to 64 coordinates, randomized quasi-Monte Carlo
+through linalg's Cholesky factor and an in-house scrambled Sobol' engine),
+the tail constant Upsilon assembled from a QP solution, and the joint-tail
+law built on it (first order, and Savage's second order).
 The input guards every layer shares live here too: _finite_real for every
 real number and _integer for every integer, each naming the parameter in its
 ValueError. So do the two scalar kernels under the orthant QMC and the
@@ -131,7 +131,8 @@ class AsymptoticRegimeWarning(UserWarning):
 class UnsupportedDegeneracy(ValueError):
     """A degenerate matrix that a constant formula would get silently wrong,
     so it is refused: adjacent cone levels that decay at the same rate (the
-    at-least-i formula assumes a strict gap), or an orthant factor of 0."""
+    at-least-i formula assumes a strict gap), an orthant factor of 0, or an
+    orthant QMC estimate that misses its relative target."""
 
 
 def _finite_real(value, name: str) -> float:
@@ -467,11 +468,12 @@ def _scrambled_sobol(dim: int, n: int, seq: np.random.SeedSequence) -> np.ndarra
 
 
 def _rqmc_orthant(corr: np.ndarray, seed: int) -> OrthantEstimate:
+    """One component's QMC estimate; UnsupportedDegeneracy where its relative
+    standard error misses ORTHANT_TARGET_SE at the last level."""
     lower = _cholesky_lower(corr)
     m = corr.shape[0]
     n_points = ORTHANT_BASE_POINTS
-    value = se = math.inf
-    # Sample size escalates fourfold at most twice if the target SE is missed.
+    # Sample size escalates fourfold at most twice if the target is missed.
     for level in range(3):
         root = np.random.SeedSequence(entropy=seed, spawn_key=(level,))
         means = np.empty(ORTHANT_RANDOMIZATIONS)
@@ -480,10 +482,14 @@ def _rqmc_orthant(corr: np.ndarray, seed: int) -> OrthantEstimate:
             means[r] = float(np.mean(_sov_orthant(lower, points)))
         value = float(np.mean(means))
         se = float(np.std(means, ddof=1) / math.sqrt(ORTHANT_RANDOMIZATIONS))
-        if se <= ORTHANT_TARGET_SE:
-            break
+        if se <= ORTHANT_TARGET_SE * value:
+            return OrthantEstimate(value, se)
         n_points *= 4
-    return OrthantEstimate(value, se)
+    raise UnsupportedDegeneracy(
+        f"the orthant QMC over a component of {m} coordinates reached a "
+        f"relative standard error of {se / value:.3g}, above the target "
+        f"{ORTHANT_TARGET_SE:g}"
+    )
 
 
 def _closed_form_orthant(corr: np.ndarray) -> float:
@@ -521,13 +527,14 @@ def orthant_probability(cov, seed: int = 0) -> OrthantEstimate:
     """P(Y >= 0) for a centered normal Y with the given covariance.
 
     cov must be what spd_factorize accepts: a square, finite, symmetric
-    positive definite matrix of dimension m <= 64. Closed forms for m <= 3
-    (arcsine formulas). For m >= 4 the coordinates split into the connected
-    components of the correlation's nonzero pattern, which are independent,
-    and the probability is the product of theirs: a component of at most 3
-    coordinates takes its closed form, and a larger one randomized
-    quasi-Monte Carlo with 25 scrambled replications, targeting standard
-    error 1e-4 and reporting the one achieved. Each replication integrates
+    positive definite matrix of dimension m <= 64. At every m the
+    coordinates split into the connected components of the correlation's
+    nonzero pattern, which are independent, and the probability is the
+    product of theirs (1.0 for m = 0): a component of at most 3 coordinates
+    takes its closed form (arcsine formulas), and a larger one randomized
+    quasi-Monte Carlo with 25 scrambled replications, targeting a standard
+    error of ORTHANT_TARGET_SE (1e-4) times its value and reporting the one
+    achieved. Each replication integrates
     over one dimension less than the component of the in-house scrambled
     Sobol' engine, whose direction table stops at dimension 64, through the
     Cholesky factor of the component's correlation. Every component is
@@ -540,19 +547,17 @@ def orthant_probability(cov, seed: int = 0) -> OrthantEstimate:
     Raises ValueError (NotPositiveDefinite for a pivot at or below
     PD_TOLERANCE, naming the leading minor) for any cov that spd_factorize
     refuses, and when seed is not an integer in 0..2**64 - 1.
+    Raises UnsupportedDegeneracy, naming the component's size and relative
+    standard error, when a component's QMC still misses its target after
+    its sample size has grown fourfold twice.
     """
     seed = _integer(seed, "seed", 0, _MAX_SEED)
     c = np.asarray(cov, dtype=float)
     spd_factorize(c)
-    m = c.shape[0]
-    if m == 0:
-        return OrthantEstimate(1.0, 0.0)
     # upsilon's conditional block is symmetric only to rounding.
     c = 0.5 * (c + c.T)
     inv_sd = 1.0 / np.sqrt(np.diag(c))
     corr = np.clip(c * inv_sd[:, None] * inv_sd[None, :], -1.0, 1.0)
-    if m <= 3:
-        return OrthantEstimate(_closed_form_orthant(corr), 0.0)
     parts = []
     for idx in _components(corr):
         block = corr[np.ix_(idx, idx)]
@@ -567,8 +572,9 @@ def orthant_probability(cov, seed: int = 0) -> OrthantEstimate:
     # of the others. The components share the seed, so their QMC errors
     # are correlated; the terms are added, which bounds the se at any
     # correlation.
-    se = sum(part.se * math.prod(values[:i] + values[i + 1 :]) for i, part in enumerate(parts))
-    return OrthantEstimate(math.prod(values), se)
+    terms = (part.se * math.prod(values[:i] + values[i + 1 :]) for i, part in enumerate(parts))
+    se = sum(terms, 0.0)
+    return OrthantEstimate(math.prod(values, start=1.0), se)
 
 
 @dataclass(frozen=True)
@@ -593,22 +599,27 @@ def upsilon(sigma: CorrelationMatrix, sol: QpSolution) -> UpsilonResult:
     probability that the conditional normal on the boundary coordinates
     stays nonnegative; strictly interior inactive coordinates contribute 1.
     Its covariance is the Schur complement of Sigma_I in the principal block
-    of I and the boundary coordinates (sol.boundary_set), so it is positive
-    definite like that block. With more than 3 boundary coordinates the
-    factor is orthant_probability's product over the block's components at
-    seed 0. A factor that is 0 (or not finite), whose log would be -inf,
-    raises UnsupportedDegeneracy naming the boundary set.
+    of I and the boundary coordinates (sol.boundary_set), taken on the
+    boundary coordinates alone, so it is positive definite like that block.
+    The factor is orthant_probability's product over the block's components
+    at seed 0. A factor that is 0 (or not finite), whose log would be -inf,
+    or a QMC estimate that misses its relative target, raises
+    UnsupportedDegeneracy naming the boundary set.
     """
     act = sol.active_set.as_indices()
     entries = sigma.entries
     lower = spd_factorize(entries[np.ix_(act, act)])
 
     if len(sol.boundary_set) > 0:
-        inact = sol.inactive_set.as_indices()
-        cross = entries[np.ix_(inact, act)]
-        conditional = entries[np.ix_(inact, inact)] - cross @ solve_spd(lower, cross.T)
-        k_pos = sol.boundary_set.positions_in(sol.inactive_set)
-        orthant = orthant_probability(conditional[np.ix_(k_pos, k_pos)])
+        bnd = sol.boundary_set.as_indices()
+        cross = entries[np.ix_(bnd, act)]
+        conditional = entries[np.ix_(bnd, bnd)] - cross @ solve_spd(lower, cross.T)
+        try:
+            orthant = orthant_probability(conditional)
+        except UnsupportedDegeneracy as err:
+            raise UnsupportedDegeneracy(
+                f"the orthant factor of boundary set {sol.boundary_set}: {err}"
+            ) from None
     else:
         orthant = OrthantEstimate(1.0, 0.0)
     if not 0.0 < orthant.value < math.inf:

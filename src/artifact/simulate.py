@@ -237,10 +237,10 @@ def _row_chunks(n: int) -> Iterator[slice]:
 def _to_pareto(z: np.ndarray, alpha: float) -> np.ndarray:
     """Exact Pareto(alpha) coordinates of the normal ones of an n x d array:
     survival(z)^{-1/alpha}, computed in place in z, which is returned. The
-    columns are split between the workers (_on_workers), and each is mapped
-    on its own, so a column-major z is mapped without a copy. A value past
-    the largest float (a small alpha) raises ValueError, with z partly
-    mapped."""
+    columns are split between the workers (_on_workers) at any sample size,
+    and each is mapped on its own, so a column-major z is mapped without a
+    copy. A value past the largest float (a small alpha) raises ValueError,
+    with z partly mapped."""
 
     # _ndtr's scratch, about 27 bytes per value of a chunk on each worker,
     # stays within 1/16 of the sample's bytes on the two together; up to
@@ -257,15 +257,8 @@ def _to_pareto(z: np.ndarray, alpha: float) -> np.ndarray:
             with np.errstate(over="raise", divide="raise"):
                 np.power(column, -1.0 / alpha, out=column)
 
-    columns = range(z.shape[1])
     try:
-        # Two chunks or fewer (a sampler block at d <= 4) gain nothing from
-        # a second worker, and on the calling thread alone one chunk's
-        # scratch is held at a time.
-        if z.size <= 2 * chunk:
-            transform(iter(columns))
-        else:
-            _on_workers(columns, transform)
+        _on_workers(range(z.shape[1]), transform)
     except FloatingPointError:
         raise ValueError(
             f"the Pareto sample at alpha = {alpha!r} passes the largest float"

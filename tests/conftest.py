@@ -7,7 +7,7 @@ import pytest
 
 import artifact.simulate as simulate
 from artifact import CorrelationMatrix, IndexSubset, TailSet, asymptotic_estimate
-from artifact.simulate import _to_pareto
+from artifact.gaussian import _ndtr
 from oracles import serial_gaussian_blocks
 
 
@@ -138,8 +138,9 @@ def normal_blocks(cfg):
 
 
 def pareto_blocks(cfg):
-    """Coordinates 1-2 of the sampler's heavy-tailed rows, one block at a time."""
-    return (_to_pareto(z[:, :2], cfg.marg.alpha) for _, z in serial_gaussian_blocks(cfg))
+    """Coordinates 1-2 of the sampler's heavy-tailed rows, one block at a time,
+    by the map's reference form survival(z)^{-1/alpha}."""
+    return (np.power(_ndtr(-z[:, :2]), -1.0 / cfg.marg.alpha) for _, z in serial_gaussian_blocks(cfg))
 
 
 @pytest.fixture

@@ -278,6 +278,36 @@ def assert_scans_agree(sigma: CorrelationMatrix) -> None:
             assert np.array_equal(a.h, b.h)
 
 
+def assert_relabelled(sigma: CorrelationMatrix, perm: np.ndarray) -> None:
+    """Moving coordinate perm[i] to position i relabels every QP solution,
+    active set, boundary set and cone family, and keeps each gamma within
+    1e-12; each log Upsilon too, where every boundary component has at most
+    3 coordinates (closed forms, se 0), as a QMC factor integrates its
+    coordinates in another order."""
+    moved = CorrelationMatrix(sigma.entries[np.ix_(perm, perm)])
+    new_label = {old + 1: new + 1 for new, old in enumerate(perm)}
+
+    def relabel(subset: IndexSubset) -> tuple[int, ...]:
+        return tuple(sorted(new_label[j] for j in subset.members))
+
+    for level in range(2, sigma.dim + 1):
+        base, cone = cone_analysis(sigma, level), cone_analysis(moved, level)
+        assert abs(cone.gamma - base.gamma) <= 1e-12
+        twins = {c.subset.members: c for c in cone.coefficients}
+        assert sorted(twins) == sorted(relabel(c.subset) for c in base.coefficients)
+        for c in base.coefficients:
+            twin = twins[relabel(c.subset)]
+            sol = subset_solver(sigma).solve(c.subset)
+            twin_sol = subset_solver(moved).solve(twin.subset)
+            assert abs(twin.gamma - c.gamma) <= 1e-12
+            for part in ("active_set", "inactive_set", "boundary_set"):
+                assert getattr(twin_sol, part).members == relabel(getattr(sol, part)), part
+            h = dict(zip(map(new_label.get, sol.active_set.members), sol.h))
+            assert twin_sol.h == pytest.approx([h[j] for j in twin_sol.active_set.members], rel=1e-12)
+            if c.upsilon.orthant_se == 0.0:
+                assert abs(twin.upsilon.log_upsilon - c.upsilon.log_upsilon) <= 1e-12
+
+
 class TestConeAnalysis:
     @pytest.mark.parametrize("rho", [-0.3, 0.25, 0.5])
     def test_equicorrelation_levels(self, rho):
@@ -396,6 +426,28 @@ class TestConeAnalysis:
                     ga[i] + gb[k - i] for i in range(max(0, k - b.dim), min(k, a.dim) + 1)
                 )
                 assert joint[k] == pytest.approx(expected, rel=1e-12), (a.dim, b.dim, k)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            near_tie_4x4,
+            two_block_6x6,
+            lambda: coupled_pair_matrix(0.2),
+            lambda: coupled_pair_matrix(0.6),
+            lambda: tie_block_matrix(6),
+        ],
+        ids=["near_tie_4x4", "two_block_6x6", "cp_0.2", "cp_0.6", "tie_block_6x6"],
+    )
+    def test_relabelling_permutes_every_solution(self, rng, make):
+        sigma = make()
+        for _ in range(20):
+            assert_relabelled(sigma, rng.permutation(sigma.dim))
+
+    def test_relabelling_permutes_every_solution_random(self, rng):
+        for _ in range(30):
+            sigma = random_correlation(rng, int(rng.integers(3, 7)))
+            for _ in range(20):
+                assert_relabelled(sigma, rng.permutation(sigma.dim))
 
     def test_monotone_indices_random(self, rng):
         for _ in range(25):

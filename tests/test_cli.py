@@ -617,6 +617,23 @@ class TestAnalyze:
         assert rows == [("rect{1,2}#1", "rectangular", "10.0"), ("rect{1,2}#1", "rectangular", "100.0")]
         assert out.endswith("  t=100: log_probability=-12.9094662532\n")
 
+    def test_orthant_missing_its_relative_target_exits_three(self, runner):
+        # Coordinates 1-2 as in the tie block and 3-8 at 0.75 to both:
+        # the full set's boundary set is {3..8}, whose conditional
+        # correlation is equi(6, -0.197). Its orthant QMC ends with a
+        # relative se of 0.2%, above the 1e-4 target.
+        sigma = np.full((8, 8), 0.75 - 0.197 * 0.25)
+        sigma[:2, :] = sigma[:, :2] = 0.75
+        sigma[0, 1] = sigma[1, 0] = 0.5
+        np.fill_diagonal(sigma, 1.0)
+        code, _, err, _ = runner({"sigma": sigma.tolist(), "alpha": 2.0, "sets": [], "t_grid": []}, "analyze")
+        assert code == 3
+        assert err == (
+            "unsupported degeneracy: the orthant factor of boundary set {3,4,5,6,7,8}: the orthant QMC "
+            "over a component of 6 coordinates reached a relative standard error of 0.00207, above the "
+            "target 0.0001\n"
+        )
+
     def test_underflowing_masses(self, runner):
         # every limit mass underflows to 0 at thresholds 1e200; the at-least
         # law stays in log space, and a set is flagged null by structure
@@ -736,9 +753,11 @@ class TestGoldenAnalyze:
     non-unit thresholds, so that every part of the set constant (scale,
     Upsilon, threshold weights) reaches the CSVs; every set kind appears.
     In tie_block_6x6 the rectangle {1..6} has a 4-dimensional boundary set,
-    so its Upsilon goes through the orthant QMC."""
+    so its Upsilon goes through the orthant QMC. tie_block_5x5 is its
+    leading 5 x 5 block, where the rectangle {1..5} has the boundary set
+    {3,4,5}, so its orthant factor is a closed form."""
 
-    @pytest.mark.parametrize("name", ["two_block_6x6", "equi4", "tie_block_6x6"])
+    @pytest.mark.parametrize("name", ["two_block_6x6", "equi4", "tie_block_6x6", "tie_block_5x5"])
     def test_matches_recorded_csvs(self, runner, name):
         job = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
         code, _, _, out_dir = runner(job, "analyze", out_name=name)

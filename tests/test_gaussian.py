@@ -130,7 +130,10 @@ def closed_form_2(r: float) -> float:
 
 class TestOrthant:
     def test_degenerate_dimensions(self):
-        assert orthant_probability(np.empty((0, 0))) == OrthantEstimate(1.0, 0.0)
+        # No coordinates: the empty product, the float 1.0 with se 0.0.
+        empty = orthant_probability(np.empty((0, 0)))
+        assert empty == OrthantEstimate(1.0, 0.0)
+        assert type(empty.value) is float and type(empty.se) is float
         assert orthant_probability([[2.5]]).value == 0.5
 
     def test_bivariate_values(self):
@@ -212,8 +215,8 @@ class TestOrthant:
 
     def test_qmc_escalates_twice_when_the_target_is_missed(self, monkeypatch):
         # A target of 0 is never met: each of the three levels takes four
-        # times the points of the one before. The equicorrelated (rho = 1/2)
-        # orthant in m dimensions is 1 / (m + 1).
+        # times the points of the one before, and then the estimate is
+        # refused.
         monkeypatch.setattr(gaussian_module, "ORTHANT_TARGET_SE", 0.0)
         sizes = []
         sobol = gaussian_module._scrambled_sobol
@@ -223,12 +226,23 @@ class TestOrthant:
             return sobol(dim, n, seq)
 
         monkeypatch.setattr(gaussian_module, "_scrambled_sobol", recording)
-        cov = equi_matrix(4, 0.5).entries
-        est = orthant_probability(cov, seed=5)
+        with pytest.raises(
+            UnsupportedDegeneracy,
+            match=r"^the orthant QMC over a component of 4 coordinates reached a relative standard error of .*, above the target 0$",
+        ):
+            orthant_probability(equi_matrix(4, 0.5).entries, seed=5)
         assert sizes == [n for n in (8192, 32768, 131072) for _ in range(ORTHANT_RANDOMIZATIONS)]
-        assert est.se > 0.0
-        assert abs(est.value - 0.2) <= 4.0 * est.se
-        assert orthant_probability(cov, seed=5) == est
+
+    def test_relative_target_missed_is_refused(self):
+        # equi(6, -0.197) is nearly singular (smallest eigenvalue 0.015).
+        # Its orthant, about 1.06e-6, meets an absolute se of 1e-4 at the
+        # first level with 4% relative error; after the last level its
+        # relative se is still 0.2%, 20 times the target.
+        with pytest.raises(
+            UnsupportedDegeneracy,
+            match=r"^the orthant QMC over a component of 6 coordinates reached a relative standard error of 0\.00207, above the target 0\.0001$",
+        ):
+            orthant_probability(equi_matrix(6, -0.197).entries, seed=0)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="dimension 65 exceeds supported maximum 64"):
@@ -236,14 +250,35 @@ class TestOrthant:
 
 
 class TestOrthantComponents:
-    """Above 3 coordinates the orthant splits into the independent
-    components of the correlation's nonzero pattern."""
+    """The orthant splits into the independent components of the
+    correlation's nonzero pattern, at every size."""
 
     def test_components_follow_the_nonzero_pattern(self):
         corr = np.eye(6)
         for i, j in [(0, 3), (3, 5), (1, 4)]:
             corr[i, j] = corr[j, i] = 0.3
         assert [part.tolist() for part in _components(corr)] == [[0, 3, 5], [1, 4], [2]]
+
+    @pytest.mark.parametrize(
+        "corr",
+        [
+            [[1.0]],
+            [[1.0, 0.3], [0.3, 1.0]],
+            np.eye(2),
+            [[1.0, 0.2, 0.5], [0.2, 1.0, -0.1], [0.5, -0.1, 1.0]],
+            [[1.0, 0.4, 0.0], [0.4, 1.0, -0.3], [0.0, -0.3, 1.0]],
+            [[1.0, 0.0, 0.6], [0.0, 1.0, 0.0], [0.6, 0.0, 1.0]],
+            np.eye(3),
+        ],
+        ids=["single", "pair", "two_singles", "triple", "chain", "pair_and_single", "three_singles"],
+    )
+    def test_up_to_three_coordinates_the_components_give_the_closed_form(self, corr):
+        # A connected pattern is one component with the same block, and a
+        # split one multiplies by 1/2 per single, which is exact: the
+        # product is the whole correlation's closed form to the bit.
+        corr = np.array(corr)
+        want = OrthantEstimate(gaussian_module._closed_form_orthant(corr), 0.0)
+        assert orthant_probability(corr) == want
 
     def test_factors_multiply_and_se_by_delta_method(self):
         a, b = equi_matrix(4, 0.5).entries, equi_matrix(5, 0.2).entries
