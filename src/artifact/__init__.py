@@ -19,7 +19,6 @@ from .asymptotics import (
     ConeAnalysis,
     ContributingSet,
     MarginalSpec,
-    TailCoefficients,
     TailSet,
     UnsupportedDegeneracy,
     asymptotic_estimate,
@@ -32,7 +31,7 @@ from .asymptotics import (
 from .gaussian import (
     AsymptoticRegimeWarning,
     OrthantEstimate,
-    UpsilonResult,
+    TailCoefficients,
     gaussian_joint_tail,
     orthant_probability,
     upsilon,
@@ -99,7 +98,6 @@ __all__ = [
     "TailCoefficients",
     "TailSet",
     "UnsupportedDegeneracy",
-    "UpsilonResult",
     "VerificationRow",
     "VerificationTable",
     "asymptotic_estimate",

@@ -28,8 +28,8 @@ import numpy as np
 
 from .gaussian import (
     LOG_TWO_PI,
+    TailCoefficients,
     UnsupportedDegeneracy,
-    UpsilonResult,
     _finite_real,
     _integer,
     _positive_real,
@@ -37,7 +37,7 @@ from .gaussian import (
     upsilon,
 )
 from .linalg import CorrelationMatrix, IndexSubset
-from .qp import subset_solver
+from .qp import QpSolution, subset_solver
 
 # Two QP values tie (same cone family) when they differ by less than this,
 # relative to max(1, gamma). Membership is a discrete decision fed by
@@ -208,18 +208,6 @@ class AsymptoticEstimate:
         return self.log_log_exponent < other.log_log_exponent - 1e-12
 
 
-@dataclass(frozen=True)
-class TailCoefficients:
-    """Structural tail data of one exceedance set: its QP value gamma, active
-    set, weights h (parallel to active_set), and tail constant."""
-
-    subset: IndexSubset
-    gamma: float
-    active_set: IndexSubset
-    h: np.ndarray
-    upsilon: UpsilonResult
-
-
 # Tail coefficients of each subset, per matrix: computed once, and released
 # together with the matrix, as subset_solver's solutions are.
 _COEFFICIENTS: weakref.WeakKeyDictionary[
@@ -228,19 +216,12 @@ _COEFFICIENTS: weakref.WeakKeyDictionary[
 
 
 def subset_coefficients(sigma: CorrelationMatrix, subset: IndexSubset) -> TailCoefficients:
-    """Solve the sub-QP for one coordinate subset and attach its tail
-    constant; each subset of a matrix is computed once."""
+    """upsilon of the sub-QP solution of one coordinate subset; each subset
+    of a matrix is computed once."""
     cached = _COEFFICIENTS.setdefault(sigma, {})
     coeff = cached.get(subset.members)
     if coeff is None:
-        sol = subset_solver(sigma).solve(subset)
-        coeff = cached[subset.members] = TailCoefficients(
-            subset=subset,
-            gamma=sol.gamma,
-            active_set=sol.active_set,
-            h=sol.h,
-            upsilon=upsilon(sigma, sol),
-        )
+        coeff = cached[subset.members] = upsilon(sigma, subset_solver(sigma).solve(subset))
     return coeff
 
 
@@ -251,10 +232,10 @@ def _log_scale(gamma: float, marg: MarginalSpec) -> float:
 
 def _log_mass(coeff: TailCoefficients, marg: MarginalSpec, thresholds) -> float:
     """Mass part of a set constant: log(Upsilon_S prod_{i in I_S} x_i^{-alpha h_i}),
-    with thresholds parallel to coeff.subset."""
-    pos = coeff.active_set.positions_in(coeff.subset)
-    log_x_active = np.log(np.asarray(thresholds))[pos]
-    return coeff.upsilon.log_upsilon - marg.alpha * float(coeff.h @ log_x_active)
+    with thresholds parallel to coeff.solution.support."""
+    sol = coeff.solution
+    log_x_active = np.log(np.asarray(thresholds))[sol.active_set.positions_in(sol.support)]
+    return coeff.log_upsilon - marg.alpha * float(sol.h @ log_x_active)
 
 
 @dataclass(frozen=True)
@@ -277,12 +258,14 @@ class ConeAnalysis:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "min_active_size", min(len(c.active_set) for c in self.coefficients)
+            self, "min_active_size", min(len(c.solution.active_set) for c in self.coefficients)
         )
 
     def principal(self) -> tuple[TailCoefficients, ...]:
         """The members with the smallest active set: only they carry limit mass."""
-        return tuple(c for c in self.coefficients if len(c.active_set) == self.min_active_size)
+        return tuple(
+            c for c in self.coefficients if len(c.solution.active_set) == self.min_active_size
+        )
 
     def carriers(self, tail_set: TailSet) -> tuple[TailCoefficients, ...]:
         """The principal members of size k inside the set's subset: the sets
@@ -292,7 +275,8 @@ class ConeAnalysis:
         return tuple(
             c
             for c in self.principal()
-            if len(c.subset) == tail_set.k and inside.issuperset(c.subset.members)
+            if len(c.solution.support) == tail_set.k
+            and inside.issuperset(c.solution.support.members)
         )
 
 
@@ -365,12 +349,13 @@ def _cone(sigma: CorrelationMatrix, level: int, scanned: IndexSubset) -> ConeAna
 
 def _log_masses(
     cone: ConeAnalysis, marg: MarginalSpec, tail_set: TailSet
-) -> list[tuple[TailCoefficients, float]]:
-    """(coefficients, log mass) of each carrier of the set in the level-k
+) -> list[tuple[QpSolution, float]]:
+    """(QP solution, log mass) of each carrier of the set in the level-k
     cone. Below k = |S| the formula needs a strict gap to level k + 1, so a
     cone whose family (ordered by size) ends in a member larger than k is
     refused."""
-    if tail_set.k < len(tail_set.subset) and len(cone.coefficients[-1].subset) > cone.level:
+    largest = cone.coefficients[-1].solution.support
+    if tail_set.k < len(tail_set.subset) and len(largest) > cone.level:
         raise UnsupportedDegeneracy(
             f"levels {cone.level} and {cone.level + 1} share the decay value "
             f"gamma = {cone.gamma!r}; the at-least-{cone.level} formula "
@@ -378,7 +363,7 @@ def _log_masses(
         )
     x = np.asarray(tail_set.thresholds)
     return [
-        (c, _log_mass(c, marg, x[c.subset.positions_in(tail_set.subset)]))
+        (c.solution, _log_mass(c, marg, x[c.solution.support.positions_in(tail_set.subset)]))
         for c in cone.carriers(tail_set)
     ]
 
@@ -461,8 +446,8 @@ def asymptotic_estimate(
         log_log_exponent=0.5 * (cone.gamma - cone.min_active_size),
         alpha=marg.alpha,
         contributing_sets=tuple(
-            ContributingSet(c.subset, c.active_set, c.gamma, _log_scale(c.gamma, marg) + m)
-            for c, m in terms
+            ContributingSet(s.support, s.active_set, s.gamma, _log_scale(s.gamma, marg) + m)
+            for s, m in terms
         ),
         min_threshold=min(tail_set.thresholds),
     )

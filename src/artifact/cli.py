@@ -58,8 +58,14 @@ PARETO_KAPPAS = (1.0, 2.0, 3.0, 4.0, 5.0)
 PARETO_T_GRID = tuple(float(i) for i in range(1, 51))
 
 # The keys each config object may hold; load_job_config refuses any other.
+# A set holds SET_KEYS and the keys its type reads.
 CONFIG_KEYS = ("sigma", "alpha", "scale_c", "sets", "t_grid", "simulation")
-SET_KEYS = ("type", "subset", "thresholds", "level", "label", "slope_target")
+SET_KEYS = ("type", "label", "slope_target")
+SET_TYPE_KEYS = {
+    "rectangular": ("subset", "thresholds"),
+    "at-least": ("thresholds", "level"),
+    "complement-box": ("thresholds",),
+}
 SIMULATION_KEYS = ("n", "seed", "k_grid")
 
 
@@ -106,13 +112,15 @@ def _checked(field: str, check, *args):
         raise ConfigError(field, str(err)) from None
 
 
-def _require_known_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
+def _require_known_keys(obj: dict, known: tuple[str, ...], where: str, owner: str = "") -> None:
     """Refuse a key of the config object obj that no field reads, named
-    where + key, so a misspelled key is not silently ignored."""
+    where + key, so a misspelled key is not silently ignored; owner says
+    whose fields known are."""
     for key in obj:
         if key not in known:
             raise ConfigError(
-                f"{where}{key}", f"unknown field {key!r}; the known fields are {', '.join(known)}"
+                f"{where}{key}",
+                f"unknown field {key!r}{owner}; the known fields are {', '.join(known)}",
             )
 
 
@@ -156,8 +164,13 @@ def _parse_tail_set(raw, position: int, dim: int) -> TailSetJob:
     field = f"sets[{position}]"
     if not isinstance(raw, dict):
         raise ConfigError(field, f"each set must be an object, got {raw!r}")
-    _require_known_keys(raw, SET_KEYS, f"{field}.")
     kind = raw.get("type")
+    if not isinstance(kind, str) or kind not in SET_TYPE_KEYS:
+        raise ConfigError(
+            f"{field}.type",
+            f"'type' must be one of {', '.join(SET_TYPE_KEYS)}; got {kind!r}",
+        )
+    _require_known_keys(raw, SET_KEYS + SET_TYPE_KEYS[kind], f"{field}.", f" for type {kind!r}")
     label = raw.get("label")
     if label is not None and not isinstance(label, str):
         raise ConfigError(f"{field}.label", "'label' must be a string")
@@ -186,14 +199,9 @@ def _parse_tail_set(raw, position: int, dim: int) -> TailSetJob:
         thresholds = _parse_thresholds(raw, field, dim)
         spec = _checked(f"{field}.level", TailSet, IndexSubset.full(dim), thresholds, raw.get("level"))
         default_label = f"atleast{spec.k}"
-    elif kind == "complement-box":
+    else:  # complement-box
         spec = TailSet(IndexSubset.full(dim), _parse_thresholds(raw, field, dim), 1)
         default_label = "box-complement"
-    else:
-        raise ConfigError(
-            f"{field}.type",
-            f"'type' must be one of rectangular, at-least, complement-box; got {kind!r}",
-        )
     return TailSetJob(
         kind=kind, spec=spec, label=label or f"{default_label}#{position + 1}", slope_target=slope_target
     )
@@ -256,7 +264,7 @@ def load_job_config(path: str, seed_override: Optional[int] = None) -> JobConfig
 
 
 def _subsets_text(coeffs, sep: str) -> str:
-    return sep.join(str(c.subset) for c in coeffs)
+    return sep.join(str(c.solution.support) for c in coeffs)
 
 
 def _write_csv(path, header, rows) -> None:

@@ -6,7 +6,8 @@ covariance (at every dimension, the product over the independent
 components of the correlation's nonzero pattern of their closed forms or,
 for a component of 4 to 64 coordinates, randomized quasi-Monte Carlo
 through linalg's Cholesky factor and an in-house scrambled Sobol' engine),
-the tail constant Upsilon assembled from a QP solution, and the joint-tail
+the tail constant Upsilon assembled from a QP solution (one TailCoefficients
+record per solved subset), and the joint-tail
 law built on it (first order, and Savage's second order).
 The input guards every layer shares live here too: _finite_real for every
 real number and _integer for every integer, each naming the parameter in its
@@ -578,23 +579,22 @@ def orthant_probability(cov, seed: int = 0) -> OrthantEstimate:
 
 
 @dataclass(frozen=True)
-class UpsilonResult:
-    """Joint-tail constant with its assembly pieces.
+class TailCoefficients:
+    """One solved subset: its QP solution, the orthant factor of its
+    boundary set (value 1 and se 0 when that set is empty), and its tail
+    constant, kept as log_upsilon only: it underflows a float long before
+    the laws built on it do."""
 
-    The constant is kept as log_upsilon only: it underflows a float long
-    before the laws built on it do. orthant_factor is 1 unless the QP
-    solution's boundary_set is nonempty; orthant_se is its standard error.
-    """
-
-    orthant_factor: float
+    solution: QpSolution
+    orthant: OrthantEstimate
     log_upsilon: float
-    orthant_se: float = 0.0
 
 
-def upsilon(sigma: CorrelationMatrix, sol: QpSolution) -> UpsilonResult:
-    """Tail constant for the coordinates in sol.support.
+def upsilon(sigma: CorrelationMatrix, sol: QpSolution) -> TailCoefficients:
+    """The record of the subset sol.support: sol, its orthant factor and
+    its tail constant.
 
-    Assembles orthant_factor / ((2 pi)^{|I|/2} |Sigma_I|^{1/2} prod_i h_i)
+    Assembles the orthant factor / ((2 pi)^{|I|/2} |Sigma_I|^{1/2} prod_i h_i)
     in log space, where I is the QP active set. The orthant factor is the
     probability that the conditional normal on the boundary coordinates
     stays nonnegative; strictly interior inactive coordinates contribute 1.
@@ -635,11 +635,7 @@ def upsilon(sigma: CorrelationMatrix, sol: QpSolution) -> UpsilonResult:
         - float(np.sum(np.log(np.diagonal(lower))))
         - float(np.sum(np.log(sol.h)))
     )
-    return UpsilonResult(
-        orthant_factor=orthant.value,
-        log_upsilon=log_up,
-        orthant_se=orthant.se,
-    )
+    return TailCoefficients(sol, orthant, log_up)
 
 
 def gaussian_joint_tail(

@@ -87,17 +87,17 @@ def test_criterion_02_coupled_pair_cone_indices():
     alpha3 = PARETO2.alpha * cone3.gamma
     assert abs(alpha2 - 2.16) <= 0.005, f"alpha_2={alpha2!r}"
     assert abs(alpha3 - 2.5) <= 1e-12, f"alpha_3={alpha3!r}"
-    assert cone3.principal()[0].active_set == IndexSubset.of(1, 2)
+    assert cone3.principal()[0].solution.active_set == IndexSubset.of(1, 2)
 
 
 def test_criterion_03_two_block_tie_and_subdominance():
     sigma = two_block_6x6()
     cone = cone_analysis(sigma, 3)
     assert abs(cone.gamma - 1.25) <= 1e-12, f"gamma_3={cone.gamma!r}"
-    assert {str(c.subset) for c in cone.coefficients} == {"{1,2,3}", "{4,5,6}"}
-    active_view = {str(c.active_set) for c in cone.coefficients}
+    assert {str(c.solution.support) for c in cone.coefficients} == {"{1,2,3}", "{4,5,6}"}
+    active_view = {str(c.solution.active_set) for c in cone.coefficients}
     assert active_view == {"{1,2}", "{4,5,6}"}, active_view
-    assert cone.principal()[0].active_set == IndexSubset.of(1, 2)
+    assert cone.principal()[0].solution.active_set == IndexSubset.of(1, 2)
     assert cone.min_active_size == 2
 
     # equal power decay, but the fully active block loses at the log-log level

@@ -27,8 +27,15 @@ from artifact.asymptotics import (
     limit_mass,
     subset_coefficients,
 )
-from artifact.linalg import CorrelationMatrix, IndexSubset, NotPositiveDefinite
-from artifact.qp import subset_solver
+from artifact.gaussian import orthant_probability
+from artifact.linalg import (
+    CorrelationMatrix,
+    IndexSubset,
+    NotPositiveDefinite,
+    solve_spd,
+    spd_factorize,
+)
+from artifact.qp import BOUNDARY_EPS, kkt_residuals, subset_solver
 from conftest import (
     at_least,
     box_complement,
@@ -272,10 +279,11 @@ def assert_scans_agree(sigma: CorrelationMatrix) -> None:
                 assert getattr(got, field.name) == getattr(want, field.name), field.name
         assert len(got.coefficients) == len(want.coefficients)
         for a, b in zip(got.coefficients, want.coefficients):
-            assert (a.subset, a.gamma, a.active_set, a.upsilon) == (
-                b.subset, b.gamma, b.active_set, b.upsilon
+            sa, sb = a.solution, b.solution
+            assert (sa.support, sa.gamma, sa.active_set, a.orthant, a.log_upsilon) == (
+                sb.support, sb.gamma, sb.active_set, b.orthant, b.log_upsilon
             )
-            assert np.array_equal(a.h, b.h)
+            assert np.array_equal(sa.h, sb.h)
 
 
 def assert_relabelled(sigma: CorrelationMatrix, perm: np.ndarray) -> None:
@@ -293,19 +301,18 @@ def assert_relabelled(sigma: CorrelationMatrix, perm: np.ndarray) -> None:
     for level in range(2, sigma.dim + 1):
         base, cone = cone_analysis(sigma, level), cone_analysis(moved, level)
         assert abs(cone.gamma - base.gamma) <= 1e-12
-        twins = {c.subset.members: c for c in cone.coefficients}
-        assert sorted(twins) == sorted(relabel(c.subset) for c in base.coefficients)
+        twins = {c.solution.support.members: c for c in cone.coefficients}
+        assert sorted(twins) == sorted(relabel(c.solution.support) for c in base.coefficients)
         for c in base.coefficients:
-            twin = twins[relabel(c.subset)]
-            sol = subset_solver(sigma).solve(c.subset)
-            twin_sol = subset_solver(moved).solve(twin.subset)
-            assert abs(twin.gamma - c.gamma) <= 1e-12
+            twin = twins[relabel(c.solution.support)]
+            sol, twin_sol = c.solution, twin.solution
+            assert abs(twin_sol.gamma - sol.gamma) <= 1e-12
             for part in ("active_set", "inactive_set", "boundary_set"):
                 assert getattr(twin_sol, part).members == relabel(getattr(sol, part)), part
             h = dict(zip(map(new_label.get, sol.active_set.members), sol.h))
             assert twin_sol.h == pytest.approx([h[j] for j in twin_sol.active_set.members], rel=1e-12)
-            if c.upsilon.orthant_se == 0.0:
-                assert abs(twin.upsilon.log_upsilon - c.upsilon.log_upsilon) <= 1e-12
+            if c.orthant.se == 0.0:
+                assert abs(twin.log_upsilon - c.log_upsilon) <= 1e-12
 
 
 class TestConeAnalysis:
@@ -318,10 +325,10 @@ class TestConeAnalysis:
             assert PARETO2.alpha * cone.gamma == pytest.approx(expected, rel=1e-12)
             assert cone.gamma == pytest.approx(expected / 2.0, rel=1e-12)
         two = cone_analysis(sigma, 2)
-        assert {c.subset.members for c in two.coefficients} == {(1, 2), (1, 3), (2, 3)}
+        assert {c.solution.support.members for c in two.coefficients} == {(1, 2), (1, 3), (2, 3)}
         assert two.min_active_size == 2
         three = cone_analysis(sigma, 3)
-        assert [c.subset.members for c in three.coefficients] == [(1, 2, 3)]
+        assert [c.solution.support.members for c in three.coefficients] == [(1, 2, 3)]
         # a strict gap: the level-2 family holds no 3-subset
         assert two.gamma < three.gamma
 
@@ -330,14 +337,14 @@ class TestConeAnalysis:
         r2 = math.sqrt(2.0) * 0.6
         assert cone.gamma == pytest.approx(2.0 / (1.0 + r2), rel=1e-12)
         assert PARETO2.alpha * cone.gamma == pytest.approx(2.1638837510877567, rel=1e-12)
-        assert {c.subset.members for c in cone.coefficients} == {(1, 3), (2, 3)}
+        assert {c.solution.support.members for c in cone.coefficients} == {(1, 3), (2, 3)}
 
     def test_coupled_pair_level_three_rides_the_pair(self):
         cone = cone_analysis(coupled_pair_matrix(0.6), 3)
         assert cone.gamma == pytest.approx(1.25, abs=1e-12)
         assert PARETO2.alpha * cone.gamma == pytest.approx(2.5, abs=1e-12)
-        assert [c.subset.members for c in cone.coefficients] == [(1, 2, 3)]
-        assert cone.principal()[0].active_set.members == (1, 2)
+        assert [c.solution.support.members for c in cone.coefficients] == [(1, 2, 3)]
+        assert cone.principal()[0].solution.active_set.members == (1, 2)
         assert cone.min_active_size == 2
 
     def test_coupled_pair_rho_02_indices(self):
@@ -355,11 +362,11 @@ class TestConeAnalysis:
     def test_two_block_exact_tie(self):
         cone = cone_analysis(two_block_6x6(), 3)
         assert cone.gamma == pytest.approx(1.25, abs=1e-12)
-        assert {c.subset.members for c in cone.coefficients} == {(1, 2, 3), (4, 5, 6)}
+        assert {c.solution.support.members for c in cone.coefficients} == {(1, 2, 3), (4, 5, 6)}
         assert cone.min_active_size == 2
-        assert [c.subset.members for c in cone.principal()] == [(1, 2, 3)]
-        assert cone.principal()[0].active_set.members == (1, 2)
-        active_sets = {c.active_set.members for c in cone.coefficients}
+        assert [c.solution.support.members for c in cone.principal()] == [(1, 2, 3)]
+        assert cone.principal()[0].solution.active_set.members == (1, 2)
+        active_sets = {c.solution.active_set.members for c in cone.coefficients}
         assert active_sets == {(1, 2), (4, 5, 6)}
 
     def test_level_validation(self):
@@ -370,8 +377,8 @@ class TestConeAnalysis:
             cone_analysis(sigma, 4)
         numpy_level = cone_analysis(sigma, np.int64(2))
         int_level = cone_analysis(sigma, 2)
-        assert (numpy_level.gamma, [c.subset for c in numpy_level.coefficients]) == (
-            int_level.gamma, [c.subset for c in int_level.coefficients]
+        assert (numpy_level.gamma, [c.solution.support for c in numpy_level.coefficients]) == (
+            int_level.gamma, [c.solution.support for c in int_level.coefficients]
         )
         assert type(numpy_level.level) is int
         with pytest.raises(ValueError, match="d <= 16, got d=17"):
@@ -406,6 +413,38 @@ class TestConeAnalysis:
 
     def test_pruned_scan_matches_full_scan_tie_block_d13(self):
         assert_scans_agree(tie_block_matrix(13))
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            two_block_6x6(),
+            near_tie_4x4(),
+            coupled_pair_matrix(0.2),
+            coupled_pair_matrix(0.6),
+            tie_block_matrix(6),
+            tie_block_matrix(10),
+        ],
+        ids=[
+            "two_block_6x6",
+            "near_tie_4x4",
+            "coupled_0.2",
+            "coupled_0.6",
+            "tie_block_6",
+            "tie_block_10",
+        ],
+    )
+    def test_every_cone_member_certifies(self, sigma):
+        # Each member's own record carries the solution that kkt_residuals
+        # certifies, within the bounds of its docstring.
+        for level in range(2, sigma.dim + 1):
+            for c in cone_analysis(sigma, level).coefficients:
+                report = kkt_residuals(sigma, c.solution)
+                where = (level, c.solution.support, report)
+                assert report.stationarity < 1e-9, where
+                assert report.min_h > 0.0, where
+                assert report.min_inactive_slack >= -BOUNDARY_EPS, where
+                assert report.gamma_gap < 1e-10, where
+                assert report.max_active_violation == 0.0, where
 
     def test_block_diagonal_levels_are_min_plus(self, rng):
         # The QP separates over independent blocks, so for Sigma = diag(A, B)
@@ -538,7 +577,7 @@ class TestLimitMasses:
     def test_degenerate_gap_refused(self):
         sigma = near_tie_4x4()
         cone = cone_analysis(sigma, 3)
-        assert cone.coefficients[-1].subset.members == (1, 2, 3, 4)
+        assert cone.coefficients[-1].solution.support.members == (1, 2, 3, 4)
         assert cone_analysis(sigma, 4).gamma == cone.gamma  # float-identical collapse
         with pytest.raises(UnsupportedDegeneracy, match="levels 3 and 4 share"):
             limit_mass(sigma, PARETO2, at_least((1.0,) * 4, 3))
@@ -662,9 +701,10 @@ class TestDispatcherAndTailProbability:
         sigma = equi_matrix(2, 0.35)
         a = asymptotic_estimate(sigma, PARETO2, at_least((1.0, 2.0), 2))
         coeff = subset_coefficients(sigma, IndexSubset.of(1, 2))
-        assert a.power_exponent == PARETO2.alpha * coeff.gamma
-        assert a.log_log_exponent == 0.5 * (coeff.gamma - len(coeff.active_set))
-        assert a.log_constant == _log_scale(coeff.gamma, PARETO2) + _log_mass(coeff, PARETO2, (1.0, 2.0))
+        sol = coeff.solution
+        assert a.power_exponent == PARETO2.alpha * sol.gamma
+        assert a.log_log_exponent == 0.5 * (sol.gamma - len(sol.active_set))
+        assert a.log_constant == _log_scale(sol.gamma, PARETO2) + _log_mass(coeff, PARETO2, (1.0, 2.0))
         assert [c.subset for c in a.contributing_sets] == [IndexSubset.of(1, 2)]
 
     def test_at_least_two_of_three_composition(self):
@@ -735,8 +775,10 @@ class TestOneLawPerSet:
         assert math.isfinite(law.log_constant)
         assert law.log_constant == pair.log_constant
         cone = cone_analysis(PAIR_LED_3X3, 2)
-        assert [c.subset for c in cone.carriers(at_least(big, 2))] == [IndexSubset.of(1, 2)]
-        assert [c.subset for c in cone.carriers(rect((1, 2), big[:2]))] == [IndexSubset.of(1, 2)]
+        assert [c.solution.support for c in cone.carriers(at_least(big, 2))] == [IndexSubset.of(1, 2)]
+        assert [c.solution.support for c in cone.carriers(rect((1, 2), big[:2]))] == [
+            IndexSubset.of(1, 2)
+        ]
         assert cone.carriers(rect((1, 3), big[:2])) == ()
 
     def test_coefficients_computed_once_per_matrix(self, monkeypatch):
@@ -760,6 +802,22 @@ class TestOneLawPerSet:
         del sigma
         gc.collect()
         assert coeff() is None
+
+    def test_record_holds_the_solution_and_orthant_factor(self):
+        # The record keeps the solver's own solution, not a copy, and the
+        # orthant estimate of its boundary block with its standard error.
+        sigma = tie_block_matrix(6)
+        full = IndexSubset.full(6)
+        c = subset_coefficients(sigma, full)
+        assert c.solution is subset_solver(sigma).solve(full)
+        act = c.solution.active_set.as_indices()
+        bnd = c.solution.boundary_set.as_indices()
+        assert len(bnd) == 4
+        cross = sigma.entries[np.ix_(bnd, act)]
+        lower = spd_factorize(sigma.entries[np.ix_(act, act)])
+        block = sigma.entries[np.ix_(bnd, bnd)] - cross @ solve_spd(lower, cross.T)
+        assert c.orthant == orthant_probability(block)
+        assert c.orthant.se > 0.0
 
 
 class TestBivariateComparison:
@@ -877,7 +935,8 @@ class TestPropertySuites:
             sigma = random_correlation(rng, d)
             cone = cone_analysis(sigma, 2)
             for coeff in cone.coefficients:
-                assert abs(float(np.sum(coeff.h)) - coeff.gamma) <= 1e-10 * max(1.0, coeff.gamma)
+                sol = coeff.solution
+                assert abs(float(np.sum(sol.h)) - sol.gamma) <= 1e-10 * max(1.0, sol.gamma)
 
     def test_permutation_equivariance(self, rng):
         for _ in range(10):

@@ -229,6 +229,33 @@ class TestConfigErrors:
         assert result[1] == ""
         assert not result[3].exists()
 
+    @pytest.mark.parametrize(
+        "tail_set, key",
+        [
+            ({"type": "rectangular", "subset": [1, 2], "thresholds": [1.0, 1.0], "level": 2}, "level"),
+            ({"type": "complement-box", "thresholds": [1.0] * 3, "level": 2}, "level"),
+            ({"type": "at-least", "level": 2, "thresholds": [1.0] * 3, "subset": [1, 2]}, "subset"),
+            ({"type": "complement-box", "thresholds": [1.0] * 3, "subset": [1, 2]}, "subset"),
+        ],
+        ids=[
+            "level-on-rectangular",
+            "level-on-complement-box",
+            "subset-on-at-least",
+            "subset-on-complement-box",
+        ],
+    )
+    def test_key_its_type_does_not_read(self, runner, tail_set, key):
+        # A key valid on another type is refused, not ignored: a subset on
+        # an at-least set would otherwise count "at least 2 of all 3", not
+        # "at least 2 of {1, 2}".
+        cfg = {"sigma": np.eye(3).tolist(), "alpha": 2.0, "sets": [tail_set], "t_grid": [100.0]}
+        result = runner(cfg, "analyze")
+        assert_config_error(result, f"sets[0].{key}")
+        assert f"unknown field '{key}' for type '{tail_set['type']}'" in result[2]
+        assert result[2].count("\n") == 1
+        assert result[1] == ""
+        assert not result[3].exists()
+
     def test_at_least_needs_integer_level(self, runner):
         cfg = dict(IDENTITY_JOB, sets=[{"type": "at-least", "level": 1.5, "thresholds": [1.0, 1.0]}])
         assert_config_error(runner(cfg, "analyze"), "sets[0].level")

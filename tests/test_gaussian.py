@@ -17,8 +17,8 @@ from artifact.gaussian import (
     ORTHANT_RANDOMIZATIONS,
     AsymptoticRegimeWarning,
     OrthantEstimate,
+    TailCoefficients,
     UnsupportedDegeneracy,
-    UpsilonResult,
     _KERNEL_CHUNK,
     _components,
     _ndtr,
@@ -463,7 +463,7 @@ class TestUpsilon:
         result = upsilon(sigma, solve_qp(sigma))
         expected = (1.0 + rho) ** 1.5 / (2.0 * math.pi * math.sqrt(1.0 - rho))
         assert math.exp(result.log_upsilon) == pytest.approx(expected, rel=1e-12)
-        assert result.orthant_factor == 1.0
+        assert result.orthant.value == 1.0
         assert len(solve_qp(sigma).boundary_set) == 0
         assert result.log_upsilon == pytest.approx(math.log(expected), abs=1e-12)
 
@@ -471,14 +471,14 @@ class TestUpsilon:
         sigma = CorrelationMatrix(np.eye(3))
         result = upsilon(sigma, solve_qp(sigma))
         assert math.exp(result.log_upsilon) == pytest.approx((2.0 * math.pi) ** -1.5, rel=1e-12)
-        assert result.orthant_factor == 1.0
+        assert result.orthant.value == 1.0
 
     def test_boundary_coordinate_halves_the_constant(self):
         # at this correlation the floating coordinate sits exactly at 1
         sigma = coupled_pair_matrix(RHO_BOUNDARY)
         result = upsilon(sigma, solve_qp(sigma))
         assert solve_qp(sigma).boundary_set.members == (3,)
-        assert result.orthant_factor == 0.5
+        assert result.orthant.value == 0.5
         rho = RHO_BOUNDARY
         pair = (1.0 + rho) ** 1.5 / (2.0 * math.pi * math.sqrt(1.0 - rho))
         assert math.exp(result.log_upsilon) == pytest.approx(0.5 * pair, rel=1e-10)
@@ -487,8 +487,8 @@ class TestUpsilon:
         sigma = coupled_pair_matrix(0.6)
         result = upsilon(sigma, solve_qp(sigma))
         assert len(solve_qp(sigma).boundary_set) == 0
-        assert result.orthant_factor == 1.0
-        assert isinstance(result, UpsilonResult)
+        assert result.orthant.value == 1.0
+        assert isinstance(result, TailCoefficients)
 
     def test_permutation_leaves_constant_unchanged(self):
         sigma = coupled_pair_matrix(0.6)
@@ -516,10 +516,10 @@ class TestUpsilon:
         # block's 4-dim orthant and the near-tie pair, with zeros between
         tie, near = tie_block_matrix(6), near_tie_4x4()
         both = CorrelationMatrix(block_diag(tie.entries, near.entries))
-        factors = [upsilon(s, solve_qp(s)).orthant_factor for s in (tie, near)]
+        factors = [upsilon(s, solve_qp(s)).orthant.value for s in (tie, near)]
         assert factors == pytest.approx([0.1130120731756465, 1.102657836682397e-05], rel=1e-15)
         joint = upsilon(both, solve_qp(both))
-        assert joint.orthant_factor == pytest.approx(factors[0] * factors[1], rel=1e-12)
+        assert joint.orthant.value == pytest.approx(factors[0] * factors[1], rel=1e-12)
 
     @pytest.mark.parametrize("value", [0.0, math.nan])
     def test_degenerate_orthant_factor_is_refused(self, monkeypatch, value):
