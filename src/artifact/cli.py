@@ -42,8 +42,7 @@ from .simulate import (
     SimulationConfig,
     _gaussian_sample,
     _increasing_grid,
-    _to_pareto,
-    conditional_exceedance_curves,
+    _pareto_pass,
     hill_curves,
     resolve_k_grid,
     verify_asymptotics,
@@ -366,14 +365,13 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     cfg = _simulation_config(job)
     k_grid = _checked("simulation.n", resolve_k_grid, job.k_grid, cfg.n)
     d = job.sigma.dim
-    # One draw feeds both sides: the gaussian-side curves are counted on
-    # the normal sample, which is then mapped to the Pareto scale in place.
+    # One draw feeds both sides: one pass maps the sample to the Pareto
+    # scale in place and, at d >= 2, counts the gaussian-side curves on each
+    # chunk before it is mapped and the pareto-side curves after. At a small
+    # alpha the largest Pareto values pass the largest float: a config error.
     x = _gaussian_sample(cfg)
-    if d >= 2:
-        sides = {"gaussian": conditional_exceedance_curves([x], GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID)}
-    # At a small alpha the largest Pareto values pass the largest float:
-    # a config error.
-    _checked("alpha", _to_pareto, x, job.marg.alpha)
+    grids = ((GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID), (PARETO_KAPPAS, PARETO_T_GRID)) if d >= 2 else None
+    sides = _checked("alpha", _pareto_pass, x, job.marg.alpha, grids)
 
     full = IndexSubset.full(d)
     series = [(f"X{j}", IndexSubset.of(j), 1) for j in range(1, d + 1)]
@@ -397,13 +395,12 @@ def cmd_simulate(job: JobConfig, out_dir: str) -> int:
     )
 
     if d >= 2:
-        sides["pareto"] = conditional_exceedance_curves([x], PARETO_KAPPAS, PARETO_T_GRID)
         _write_csv(
             os.path.join(out_dir, "condprob.csv"),
             ["side", "kappa", "t", "probability", "conditioning_count"],
             (
                 (side, curve.kappa, t, p, c)
-                for side, side_curves in sides.items()
+                for side, side_curves in zip(("gaussian", "pareto"), sides)
                 for curve in side_curves
                 for t, p, c in zip(curve.t_values, curve.probability, curve.conditioning_count)
             ),

@@ -578,12 +578,13 @@ def orthant_probability(cov, seed: int = 0) -> OrthantEstimate:
     return OrthantEstimate(math.prod(values, start=1.0), se)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TailCoefficients:
     """One solved subset: its QP solution, the orthant factor of its
     boundary set (value 1 and se 0 when that set is empty), and its tail
     constant, kept as log_upsilon only: it underflows a float long before
-    the laws built on it do."""
+    the laws built on it do. Compared and hashed by identity, as its
+    solution is."""
 
     solution: QpSolution
     orthant: OrthantEstimate

@@ -85,9 +85,10 @@ class SolverInconsistency(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QpSolution:
-    """Structural solution of the quadratic program.
+    """Structural solution of the quadratic program, compared and hashed
+    by identity (its ndarray fields have no single truth value).
 
     Fields:
         gamma: optimal value 1' Sigma_I^{-1} 1, always > 1 for d >= 2.

@@ -8,14 +8,16 @@ first rows of a sample do not depend on how many rows follow them. So the
 blocks may be drawn in any order. One routine, _on_workers, splits a pass
 between one worker per usable CPU, at most two (the calling thread and one
 pool thread), and three passes run on it: _draw_blocks draws the blocks,
-each worker into buffers it allocates once; _to_pareto maps the columns of
-a sample in place; and hill_curves ranks the derived series. Each item of
-a pass gives the same bytes on any worker, so no output depends on the
-worker count. A block's product by the Cholesky factor is taken in row
-slices of at most _PRODUCT_BUDGET multiply-adds (the whole block for
-d <= 8): numpy's OpenBLAS runs a larger product on threads of its own,
-which spin on the CPUs the workers need. A row of a product does not
-depend on the rows beside it, so the slices give the same bytes.
+each worker into buffers it allocates once; _pareto_pass maps a sample in
+place, row chunk by row chunk, and counts the conditional curves of each
+chunk before and after its map, each worker on counters of its own whose
+integer bins are summed at the end; and hill_curves ranks the derived
+series. Each item of a pass gives the same bytes on any worker, so no
+output depends on the worker count. A block's product by the Cholesky
+factor is taken in row slices of at most _PRODUCT_BUDGET multiply-adds (the
+whole block for d <= 8): numpy's OpenBLAS runs a larger product on threads
+of its own, which spin on the CPUs the workers need. A row of a product
+does not depend on the rows beside it, so the slices give the same bytes.
 
 On top of the sampler: derived per-row series (the rank-th largest value
 over a coordinate subset, merged column by column into buffers allocated
@@ -29,14 +31,13 @@ allocated once, partitions the buffer whenever it is full, and sorts the
 top in place at the end (the logs and cumulative sums go to the buffer's
 first k_max + 1 floats), so no series allocates an n-float array.
 _gaussian_sample fills one new column-major n x d array (so every column
-is read whole, without a copy), _to_pareto maps it in place, and
-conditional_exceedance_curves counts any block in row chunks, so a sample
-needs no n-sized temporary beside it. Because
-every coordinate shares one increasing map Z_j -> X_j, verification counts
-each tail set on the normal rows directly: X in t * set is the event that
-at least k of the coordinates in a subset S exceed per-coordinate normal
-thresholds, which are nondecreasing in t; each worker counts its own
-blocks, and the integer counts are summed.
+is read whole, without a copy), _pareto_pass maps it in place, and the
+curves are counted in row chunks, so a sample needs no n-sized temporary
+beside it. Because every coordinate shares one increasing map Z_j -> X_j,
+verification counts each tail set on the normal rows directly: X in
+t * set is the event that at least k of the coordinates in a subset S
+exceed per-coordinate normal thresholds, which are nondecreasing in t;
+each worker counts its own blocks, and the integer counts are summed.
 The conditional curves are events of the same form on the rows they are
 given: V2 > kappa t is "at least 1 of {V2} exceeds kappa t", and
 V1 > t, V2 > kappa t is "at least 2 of {V1, V2} exceed (t, kappa t)". One
@@ -234,36 +235,60 @@ def _row_chunks(n: int) -> Iterator[slice]:
         yield slice(start, min(start + _CHUNK_ROWS, n))
 
 
-def _to_pareto(z: np.ndarray, alpha: float) -> np.ndarray:
-    """Exact Pareto(alpha) coordinates of the normal ones of an n x d array:
-    survival(z)^{-1/alpha}, computed in place in z, which is returned. The
-    columns are split between the workers (_on_workers) at any sample size,
-    and each is mapped on its own, so a column-major z is mapped without a
-    copy. A value past the largest float (a small alpha) raises ValueError,
-    with z partly mapped."""
+def _pareto_pass(z: np.ndarray, alpha: float, grids=None):
+    """Map the normal rows of an n x d array z in place to the exact
+    Pareto(alpha) scale, X_j = survival(Z_j)^{-1/alpha}. With grids, a pair
+    of (kappas, t_grid) pairs, also count the conditional curves of columns
+    1 and 2: those of the first grid on the normal values and those of the
+    second on the mapped ones, returned as two lists of curves; without
+    grids nothing is counted and None is returned.
 
-    # _ndtr's scratch, about 27 bytes per value of a chunk on each worker,
-    # stays within 1/16 of the sample's bytes on the two together; up to
-    # 65536 values, a larger chunk spends less of its time in numpy's work
-    # per call and in waiting for the GIL.
-    chunk = min(1 << 16, max(_KERNEL_CHUNK, z.size // 112))
+    One pass over the row chunks of z (_row_chunks), split between the
+    workers (_on_workers): in each chunk a worker counts the normal-scale
+    curves, maps the chunk's slice of each column, and counts the
+    heavy-tailed curves, each side on an _EventCounter of its own; the
+    workers' integer bins are summed at the end. A column-major z is read
+    and mapped without a copy. The map is elementwise, so neither the
+    chunks nor the worker count change a bit of it. A value past the
+    largest float (a small alpha) raises ValueError, with z partly mapped.
+    """
+    sides = [_curve_events(*grid) for grid in grids] if grids else []
+    # _ndtr's scratch, about 27 bytes per value of a kernel chunk on each
+    # worker, stays within 1/12 of the sample's bytes on the two together.
+    # Up to a row chunk's whole column slice (simulate-d12's 6e6 values
+    # take whole slices), a larger kernel chunk spends less of its time in
+    # numpy's work per call and in waiting for the GIL.
+    chunk = min(_CHUNK_ROWS, max(_KERNEL_CHUNK, z.size // 84))
 
-    def transform(columns: Iterator[int]) -> None:
-        for j in columns:
-            column = z[:, j]
-            np.negative(column, out=column)
-            _ndtr(column, out=column, chunk=chunk)
-            # numpy's error state is per thread, so each worker sets it.
-            with np.errstate(over="raise", divide="raise"):
-                np.power(column, -1.0 / alpha, out=column)
+    def map_and_count(chunks: Iterator[slice]) -> list[_EventCounter]:
+        counters = [_EventCounter(events, len(ts)) for _, ts, events in sides]
+        for rows in chunks:
+            block = z[rows]
+            if counters:
+                counters[0].add(block)
+            for j in range(block.shape[1]):
+                column = block[:, j]
+                np.negative(column, out=column)
+                _ndtr(column, out=column, chunk=chunk)
+                # numpy's error state is per thread, so each worker sets it.
+                with np.errstate(over="raise", divide="raise"):
+                    np.power(column, -1.0 / alpha, out=column)
+            if counters:
+                counters[1].add(block)
+        return counters
 
     try:
-        _on_workers(range(z.shape[1]), transform)
+        parts = _on_workers(list(_row_chunks(len(z))), map_and_count)
     except FloatingPointError:
         raise ValueError(
             f"the Pareto sample at alpha = {alpha!r} passes the largest float"
         ) from None
-    return z
+    if sides:
+        return tuple(
+            _curves(kappas, ts, [part[side] for part in parts])
+            for side, (kappas, ts, _) in enumerate(sides)
+        )
+    return None
 
 
 def _normal_event(
@@ -292,7 +317,9 @@ def sample_rvgc(cfg: SimulationConfig) -> np.ndarray:
     """n x d sample of the heavy-tailed vector, X_j = survival(Z_j)^{-1/alpha}:
     the column-major normal sample, mapped in place. A sample past the
     largest float (a small alpha) raises ValueError."""
-    return _to_pareto(_gaussian_sample(cfg), cfg.marg.alpha)
+    z = _gaussian_sample(cfg)
+    _pareto_pass(z, cfg.marg.alpha)
+    return z
 
 
 def _sample_matrix(samples) -> np.ndarray:
@@ -585,13 +612,10 @@ def verify_asymptotics(
             counter.add(z)
         return counter
 
-    # Each worker counts its own blocks; integer bins sum exactly.
-    counter, *others = _draw_blocks(cfg, count)
-    for other in others:
-        counter.bins += other.bins
+    # Each worker counts its own blocks.
+    counts = _summed(_draw_blocks(cfg, count)).hits()
     return tuple(
-        _verification_table(ts, counts, cfg.n, log_law)
-        for counts, log_law in zip(counter.hits(), log_laws)
+        _verification_table(ts, hits, cfg.n, log_law) for hits, log_law in zip(counts, log_laws)
     )
 
 
@@ -621,13 +645,17 @@ class _EventCounter:
 
     def add(self, z: np.ndarray) -> None:
         """Count the rows of z; its columns are read as they are, so a
-        column-major z is read without a copy."""
+        column-major z is read without a copy. One row of comparisons is
+        allocated per call and added to each rank in place, so no
+        threshold allocates."""
+        exceeds = np.empty(len(z), dtype=bool)
         ranks = []
         for j, thresholds in self.columns:
             column = z[:, j]
-            rank = np.zeros(len(column), dtype=self.rank_type)
+            rank = np.zeros(len(z), dtype=self.rank_type)
             for c in thresholds:
-                rank += column > c
+                np.greater(column, c, out=exceeds)
+                np.add(rank, exceeds.view(np.uint8), out=rank)
             ranks.append(rank)
         for bins, (members, k) in zip(self.bins, self.events):
             rank = _rowwise_kth_largest([ranks[i] for i in members], k)
@@ -636,6 +664,15 @@ class _EventCounter:
     def hits(self) -> np.ndarray:
         """events x points hit counts: [e, m] sums the bins past m."""
         return np.cumsum(self.bins[:, ::-1], axis=1)[:, ::-1][:, 1:]
+
+
+def _summed(counters: Sequence[_EventCounter]) -> _EventCounter:
+    """The first of the workers' counters, holding the bins of all of them:
+    integer bins sum exactly."""
+    counter, *others = counters
+    for other in others:
+        counter.bins += other.bins
+    return counter
 
 
 def _verification_table(
@@ -674,6 +711,34 @@ class ConditionalCurve:
     conditioning_count: tuple[int, ...]
 
 
+def _curve_events(kappas, t_grid) -> tuple[tuple[float, ...], tuple[float, ...], list]:
+    """The checked kappas and t grid of conditional curves, and their events
+    on columns 1 and 2 for _EventCounter: per kappa, the conditioning event
+    V2 > kappa t ("at least 1 of {V2}") and the joint event V1 > t,
+    V2 > kappa t ("at least 2 of {V1, V2}"), at the float products kappa * t
+    that a direct comparison uses."""
+    ts = _increasing_grid(t_grid)
+    kappas = tuple(_positive_real(kappa, "kappa") for kappa in kappas)
+    grid = np.array(ts)
+    events = []
+    for kappa in kappas:
+        conditioning = kappa * grid
+        events.append((np.array([1]), 1, conditioning[None]))
+        events.append((np.array([0, 1]), 2, np.stack([grid, conditioning])))
+    return kappas, ts, events
+
+
+def _curves(kappas, ts, counters: Sequence[_EventCounter]) -> list[ConditionalCurve]:
+    """The curves of _curve_events(kappas, ts) from its workers' counters.
+    Cells with an empty conditioning event are nan."""
+    hits = _summed(counters).hits().tolist()
+    curves = []
+    for kappa, denoms, joints in zip(kappas, hits[0::2], hits[1::2]):
+        probs = tuple(j / c if c else math.nan for j, c in zip(joints, denoms))
+        curves.append(ConditionalCurve(kappa, ts, probs, tuple(denoms)))
+    return curves
+
+
 def conditional_exceedance_curves(blocks, kappas, t_grid) -> list[ConditionalCurve]:
     """Empirical P(V1 > t | V2 > kappa t) of columns 1 and 2, per kappa, over
     the rows of blocks: an iterable of n_i x d arrays with d >= 2, each
@@ -683,19 +748,13 @@ def conditional_exceedance_curves(blocks, kappas, t_grid) -> list[ConditionalCur
     purely empirical curves. Cells with an empty conditioning event are nan.
 
     Per kappa, the conditioning event V2 > kappa t and the joint event
-    V1 > t, V2 > kappa t are counted on the t grid by _EventCounter, the
-    counter verify_asymptotics uses; the thresholds are the float products
-    kappa * t that a direct comparison uses. Only the first two columns of
-    a block are read, so a column-major block is not copied.
+    V1 > t, V2 > kappa t (_curve_events) are counted on the t grid by
+    _EventCounter, the counter verify_asymptotics uses, on the calling
+    thread; _pareto_pass counts the same curves on its workers. Only the
+    first two columns of a block are read, so a column-major block is not
+    copied.
     """
-    ts = _increasing_grid(t_grid)
-    kappas = [_positive_real(kappa, "kappa") for kappa in kappas]
-    grid = np.array(ts)
-    events = []
-    for kappa in kappas:
-        conditioning = kappa * grid
-        events.append((np.array([1]), 1, conditioning[None]))
-        events.append((np.array([0, 1]), 2, np.stack([grid, conditioning])))
+    kappas, ts, events = _curve_events(kappas, t_grid)
     counter = _EventCounter(events, len(ts))
     for block in blocks:
         block = np.asarray(block)
@@ -705,9 +764,4 @@ def conditional_exceedance_curves(blocks, kappas, t_grid) -> list[ConditionalCur
             )
         for rows in _row_chunks(len(block)):
             counter.add(block[rows, :2])
-    hits = counter.hits().tolist()
-    curves = []
-    for kappa, denoms, joints in zip(kappas, hits[0::2], hits[1::2]):
-        probs = tuple(j / c if c else math.nan for j, c in zip(joints, denoms))
-        curves.append(ConditionalCurve(kappa, ts, probs, tuple(denoms)))
-    return curves
+    return _curves(kappas, ts, [counter])

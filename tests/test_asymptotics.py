@@ -316,6 +316,22 @@ def assert_relabelled(sigma: CorrelationMatrix, perm: np.ndarray) -> None:
 
 
 class TestConeAnalysis:
+    def test_records_compare_and_hash_by_identity(self):
+        # QpSolution and TailCoefficients hold ndarrays, which have no single
+        # truth value, so they compare and hash by identity; ConeAnalysis,
+        # whose members they are, then compares and hashes by value.
+        e = coupled_pair_matrix(0.5).entries
+        sigma = CorrelationMatrix(e)
+        first, second = cone_analysis(sigma, 2), cone_analysis(CorrelationMatrix(e.copy()), 2)
+        coeffs = (first.coefficients[0], second.coefficients[0])
+        solutions = (coeffs[0].solution, coeffs[1].solution)
+        for a, b in (coeffs, solutions, (first, second)):
+            assert a == a and hash(a) == hash(a)
+            assert a != b
+        # The same matrix's cone holds the same cached records.
+        again = cone_analysis(sigma, 2)
+        assert again == first and hash(again) == hash(first)
+
     @pytest.mark.parametrize("rho", [-0.3, 0.25, 0.5])
     def test_equicorrelation_levels(self, rho):
         sigma = equi_matrix(3, rho)

@@ -33,10 +33,13 @@ from artifact.cli import (
     load_job_config,
     main,
 )
+from artifact.gaussian import _ndtr
 from artifact.simulate import (
+    _CHUNK_ROWS,
     BLOCK_ROWS,
     SimulationConfig,
     _gaussian_sample,
+    _row_chunks,
     sample_rvgc,
 )
 from conftest import (
@@ -916,6 +919,37 @@ class TestSimulate:
             "config error in field 'alpha': the Pareto sample at alpha = 0.01 "
             "passes the largest float\n"
         )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflow_in_a_helper_chunk_is_config_error(self, runner, set_workers, workers):
+        # At seed 35 and alpha = 0.018 only the second of three 65,536-row
+        # chunks, the helper's on two workers, maps past the largest float.
+        n, alpha = 2 * _CHUNK_ROWS + 37, 0.018
+        cfg = SimulationConfig(equi_matrix(2, 0.5), MarginalSpec(alpha=alpha), n, 35)
+        with np.errstate(over="ignore"):
+            x = np.power(_ndtr(-_gaussian_sample(cfg)), -1.0 / alpha)
+        assert [bool(np.isinf(x[rows]).any()) for rows in _row_chunks(n)] == [False, True, False]
+        set_workers(workers)
+        result = runner(dict(SIMULATE_JOB, alpha=alpha, simulation={"n": n, "seed": 35}), "simulate")
+        assert_config_error(result, "alpha")
+        assert result[2] == (
+            "config error in field 'alpha': the Pareto sample at alpha = 0.018 "
+            "passes the largest float\n"
+        )
+
+    def test_one_coordinate_writes_hill_curves_only(self, runner):
+        # At d = 1 there is no pair to condition on: hill.csv holds the
+        # coordinate, the minimum and the maximum, and no condprob.csv is
+        # written.
+        job = dict(SIMULATE_JOB, sigma=[[1.0]])
+        code, out, err, out_dir = runner(job, "simulate")
+        assert (code, err) == (0, "")
+        assert "hill.csv: 3 series over k in [10, 1250]" in out
+        hill = (out_dir / "hill.csv").read_text()
+        labels = [row[0] for row in csv.reader(io.StringIO(hill))][1:]
+        assert list(dict.fromkeys(labels)) == ["X1", "min_all", "max_all"]
+        assert not (out_dir / "condprob.csv").exists()
 
 
 def wide_job(d: int, sets) -> dict:

@@ -14,7 +14,13 @@ from scipy.stats import kstest
 
 import artifact.simulate as simulate
 from artifact.asymptotics import MarginalSpec
-from artifact.cli import _write_csv
+from artifact.cli import (
+    GAUSSIAN_KAPPAS,
+    GAUSSIAN_T_GRID,
+    PARETO_KAPPAS,
+    PARETO_T_GRID,
+    _write_csv,
+)
 from artifact.gaussian import _ndtr, _ndtri
 from artifact.linalg import CorrelationMatrix, IndexSubset
 from artifact.simulate import (
@@ -29,8 +35,8 @@ from artifact.simulate import (
     _increasing_grid,
     _normal_event,
     _on_workers,
+    _pareto_pass,
     _rowwise_kth_largest,
-    _to_pareto,
     conditional_exceedance_curves,
     default_k_grid,
     derived_series,
@@ -720,6 +726,25 @@ class TestStreamedVerification:
         counter.add(z[7:])
         assert counter.hits().tolist() == masked_event_hits(z, events)
 
+    @pytest.mark.parametrize("points", [255, 256, 300])
+    def test_infinite_thresholds_nan_and_ranks_past_255_points(self, points):
+        # Thresholds from -inf to inf: every value but nan and -inf exceeds
+        # the first, none the last, and nan exceeds nothing. Past 255 grid
+        # points the ranks are uint16: a uint8 rank would wrap to 0 on a
+        # value that exceeds 256 thresholds.
+        c = np.concatenate([[-np.inf], np.linspace(-3.0, 3.0, points - 2), [np.inf]])
+        values = np.concatenate([[np.nan, -np.inf, np.inf, 10.0], c[1:-1], np.nextafter(c[1:-1], np.inf)])
+        z = np.column_stack([values, values[::-1]])
+        events = [(np.array([0]), 1, c[None]), (np.array([0, 1]), 2, np.stack([c, c]))]
+        counter = _EventCounter(events, points)
+        assert counter.rank_type == (np.uint8 if points <= 255 else np.uint16)
+        counter.add(z)
+        hits = counter.hits().tolist()
+        assert hits == masked_event_hits(z, events)
+        assert (hits[0][0], hits[0][-1]) == (len(values) - 2, 0)
+        # inf, 10 and the float above 3 exceed every finite threshold.
+        assert hits[0][-2] == 3
+
     def test_thresholds_are_nondecreasing_on_an_ulp_grid(self):
         # At these t the rounded normal threshold falls by an ulp from one
         # float to the next; the events are nested, so the thresholds may not.
@@ -891,23 +916,73 @@ class TestBlockWorkers:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("d", [1, 2, 3, 12])
     def test_pareto_transform_equals_the_serial_map_bit_for_bit(self, set_workers, workers, d):
-        # At d = 2 the sample is 16458 values, one kernel chunk a column:
-        # a small sample is mapped on two workers too.
+        # Every n here is one 65,536-row chunk, which one worker maps;
+        # TestParetoPass maps larger samples on two.
         n = BLOCK_ROWS + 37 if d == 2 else 2 * BLOCK_ROWS + 37
         cfg = config(equi_matrix(d, 0.5), n, 4)
         z = _gaussian_sample(cfg)
         want = np.power(_ndtr(-z), -1.0 / PARETO2.alpha).tobytes()
         set_workers(workers)
         assert sample_rvgc(cfg).tobytes() == want
-        # A C-ordered array is mapped column by column, in place.
+        # A C-ordered array is mapped in place.
         c_order = np.ascontiguousarray(z)
-        assert _to_pareto(c_order, PARETO2.alpha) is c_order
+        assert _pareto_pass(c_order, PARETO2.alpha) is None
         assert np.asfortranarray(c_order).tobytes() == want
+
+
+class TestParetoPass:
+    """One pass after the draw maps the sample to the Pareto scale in place
+    and counts both sides' conditional curves, chunk by chunk, on the
+    workers; map and curves must be the serial reference's, bit for bit."""
+
+    GRIDS = ((GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID), (PARETO_KAPPAS, PARETO_T_GRID))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [2 * _CHUNK_ROWS + 37, 100])
+    @pytest.mark.parametrize("d", [2, 12])
+    def test_equals_the_serial_reference_bit_for_bit(self, set_workers, workers, n, d):
+        cfg = config(equi_matrix(d, 0.5), n, 9)
+        z = _gaussian_sample(cfg)
+        x = np.power(_ndtr(-z), -1.0 / PARETO2.alpha)
+        want = (
+            conditional_exceedance_curves([z], GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID),
+            conditional_exceedance_curves([x], PARETO_KAPPAS, PARETO_T_GRID),
+        )
+        set_workers(workers)
+        got = _pareto_pass(z, PARETO2.alpha, self.GRIDS)
+        assert z.tobytes() == x.tobytes()
+        assert len(got) == 2
+        for side, reference in zip(got, want):
+            assert_same_curves(side, reference)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_without_grids_it_maps_only(self, set_workers, workers, order):
+        # Three chunks, so two workers share them; a C-ordered array's
+        # column slices are strided, and are mapped in place too.
+        cfg = config(equi_matrix(3, 0.5), 2 * _CHUNK_ROWS + 37, 9)
+        z = np.asarray(_gaussian_sample(cfg), order=order)
+        x = np.power(_ndtr(-z), -1.0 / PARETO2.alpha)
+        set_workers(workers)
+        assert _pareto_pass(z, PARETO2.alpha) is None
+        assert z.flags[f"{order}_CONTIGUOUS"]
+        assert z.tobytes() == x.tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_overflow_in_the_helpers_chunk_raises(self, set_workers, workers):
+        # Only row 5 of the second chunk, the helper's on two workers, maps
+        # past the largest float at alpha = 0.01.
+        z = np.zeros((2 * _CHUNK_ROWS + 37, 2), order="F")
+        z[_CHUNK_ROWS + 5, 1] = 10.0
+        set_workers(workers)
+        with pytest.raises(ValueError, match=r"at alpha = 0\.01 passes the largest float"):
+            _pareto_pass(z, 0.01, self.GRIDS)
 
 
 class TestOnWorkers:
     """The one routine that splits a pass between the workers: the sampler's
-    blocks, the Pareto transform's columns and the Hill series."""
+    blocks, the Pareto pass's row chunks and the Hill series."""
 
     @pytest.mark.parametrize(
         "items, shares",
