@@ -45,14 +45,6 @@ ORTHANT_TARGET_SE = 1e-4
 # Seeds are 64-bit unsigned integers, for the orthant QMC and the sampler.
 _MAX_SEED = 2**64 - 1
 
-# The normal cdf and quantile kernels below run in chunks of this many
-# values by default, on two scratch rows allocated once per call, so a call
-# holds about 27 bytes per value of one chunk, not of its input. Smaller
-# chunks cost more ufunc calls, and on two workers each call may wait for
-# the GIL: on simulate-d12's 6e6 values, the two workers mapped them in
-# about 0.2 s with 8192-value chunks and 0.065 s with 65536-value ones.
-_KERNEL_CHUNK = 1 << 14
-
 # Cephes' ndtr (S. L. Moshier), on Cody's rational forms: erf(x) =
 # x T(x^2) / U(x^2) for |x| < 1, and erfc(x) = exp(-x^2) P(x) / Q(x) for
 # 1 <= x < 8, exp(-x^2) R(x) / S(x) from 8 on. Coefficients run from the
@@ -194,32 +186,28 @@ def _where(mask: np.ndarray):
     return mask.nonzero()[0] if mask.any() else None
 
 
-def _chunked(kernel, x, out, chunk: int) -> np.ndarray:
-    """kernel(part, result, scratch) over x in parts of chunk values, into
-    out (a new array of x's shape when None), which is returned; scratch
-    is 2 rows of the part's length. out may be x itself:
-    a kernel reads its chunk before it writes the chunk's result. A 1-D
-    input or output is used as it is, strided or not; an N-D one that is
-    not C-contiguous is copied."""
+def _kernel_call(kernel, x, out) -> np.ndarray:
+    """kernel(values, result, scratch) on all of x in one call, into out (a
+    new array of x's shape when None), which is returned; scratch is 2 rows
+    of x's size, so a caller bounds the call's memory by what it passes. out
+    may be x itself: a kernel reads its values before it writes their
+    results. A 1-D input or output is used as it is, strided or not; an N-D
+    one that is not C-contiguous is copied."""
     x = np.asarray(x, dtype=float)
     result = np.empty(x.shape) if out is None else out
     if result.shape != x.shape:
         raise ValueError(f"out has shape {result.shape}, the input {x.shape}")
-    values = x.reshape(-1)
     flat = result.ndim <= 1 or result.flags.c_contiguous
     results = result.reshape(-1) if flat else np.empty(x.size)
-    scratch = np.empty((2, min(values.size, chunk)))
     # The discarded branches overflow or take the log of 0, and nan propagates.
     with np.errstate(all="ignore"):
-        for start in range(0, values.size, chunk):
-            stop = min(start + chunk, values.size)
-            kernel(values[start:stop], results[start:stop], scratch[:, : stop - start])
+        kernel(x.reshape(-1), results, np.empty((2, x.size)))
     if not flat:
         result[...] = results.reshape(x.shape)
     return result
 
 
-def _ndtr_chunk(a: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> None:
+def _ndtr_kernel(a: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> None:
     z, acc = scratch
     # x = a / sqrt(2) is held in y (which may be a).
     x = np.multiply(a, math.sqrt(0.5), out=y)
@@ -274,18 +262,17 @@ def _ndtr_tail(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def _ndtr(x, out=None, chunk: int = _KERNEL_CHUNK) -> np.ndarray:
+def _ndtr(x, out=None) -> np.ndarray:
     """Phi(x), the standard normal cdf, elementwise: Cephes' ndtr, with
     0 and 1 at -inf and inf and nan at nan. out (an array of x's shape,
     which may be x) takes the result.
 
     The erf form runs on every value; the erfc forms run only on the values
-    with |x| >= sqrt(2), gathered, and each of them only on its own range.
-    The values are taken chunk at a time."""
-    return _chunked(_ndtr_chunk, x, out, chunk)
+    with |x| >= sqrt(2), gathered, and each of them only on its own range."""
+    return _kernel_call(_ndtr_kernel, x, out)
 
 
-def _ndtri_chunk(p: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> None:
+def _ndtri_kernel(p: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> None:
     q, acc = scratch
     np.subtract(p, 0.5, out=q)
     # |q| > 0.425 takes the tail forms, on its values gathered before y
@@ -329,7 +316,7 @@ def _ndtri(p) -> np.ndarray:
     -inf at 0, inf at 1 and nan outside [0, 1]. The central form runs on
     every value; the tail forms run only on the values with |p - 0.5| > 0.425,
     gathered, and each only on its own range."""
-    return _chunked(_ndtri_chunk, p, None, _KERNEL_CHUNK)
+    return _kernel_call(_ndtri_kernel, p, None)
 
 
 @dataclass(frozen=True)
@@ -566,8 +553,6 @@ def orthant_probability(cov, seed: int = 0) -> OrthantEstimate:
             parts.append(_rqmc_orthant(block, seed))
         else:
             parts.append(OrthantEstimate(_closed_form_orthant(block), 0.0))
-    if len(parts) == 1:
-        return parts[0]
     values = [part.value for part in parts]
     # Delta method: the product's derivative in one factor is the product
     # of the others. The components share the seed, so their QMC errors

@@ -9,8 +9,9 @@ blocks may be drawn in any order. One routine, _on_workers, splits a pass
 between one worker per usable CPU, at most two (the calling thread and one
 pool thread), and three passes run on it: _draw_blocks draws the blocks,
 each worker into buffers it allocates once; _pareto_pass maps a sample in
-place, row chunk by row chunk, and counts the conditional curves of each
-chunk before and after its map, each worker on counters of its own whose
+place, in row chunks sized from the sample with one normal cdf call per
+column slice, and counts the conditional curves of each chunk before and
+after its map, each worker on counters of its own whose
 integer bins are summed at the end; and hill_curves ranks the derived
 series. Each item of a pass gives the same bytes on any worker, so no
 output depends on the worker count. A block's product by the Cholesky
@@ -66,7 +67,6 @@ import numpy.random
 
 from .asymptotics import AsymptoticEstimate, MarginalSpec, TailSet
 from .gaussian import (
-    _KERNEL_CHUNK,
     _MAX_SEED,
     _finite_real,
     _integer,
@@ -87,8 +87,8 @@ BLOCK_ROWS = 8192
 _PRODUCT_BUDGET = 2**19
 
 # Passes over a whole sample (the Hill merges and the conditional curves)
-# run in row chunks of this many rows, so their temporaries take the size
-# of a chunk, not of n.
+# run in row chunks of at most this many rows, so their temporaries take
+# the size of a chunk, not of n.
 _CHUNK_ROWS = 8 * BLOCK_ROWS
 
 # Below this many exceedances an empirical/asymptotic ratio is noise.
@@ -243,8 +243,8 @@ def _pareto_pass(z: np.ndarray, alpha: float, grids=None):
     second on the mapped ones, returned as two lists of curves; without
     grids nothing is counted and None is returned.
 
-    One pass over the row chunks of z (_row_chunks), split between the
-    workers (_on_workers): in each chunk a worker counts the normal-scale
+    One pass over the row chunks of z, split between the workers
+    (_on_workers): in each chunk a worker counts the normal-scale
     curves, maps the chunk's slice of each column, and counts the
     heavy-tailed curves, each side on an _EventCounter of its own; the
     workers' integer bins are summed at the end. A column-major z is read
@@ -253,12 +253,15 @@ def _pareto_pass(z: np.ndarray, alpha: float, grids=None):
     largest float (a small alpha) raises ValueError, with z partly mapped.
     """
     sides = [_curve_events(*grid) for grid in grids] if grids else []
-    # _ndtr's scratch, about 27 bytes per value of a kernel chunk on each
-    # worker, stays within 1/12 of the sample's bytes on the two together.
-    # Up to a row chunk's whole column slice (simulate-d12's 6e6 values
-    # take whole slices), a larger kernel chunk spends less of its time in
+    # Each row chunk's column slices take one _ndtr call each, with about
+    # 27 bytes of scratch per value, so 54 bytes per chunk row on two
+    # workers: within 1/12 of the sample once it has 84 * 2 * BLOCK_ROWS
+    # values. A smaller sample takes the 2 * BLOCK_ROWS floor (its traced
+    # peak is 1.117 times the sample at n = 300,000, d = 3). Up to the
+    # _CHUNK_ROWS cap (simulate-d12's), a longer call spends less time in
     # numpy's work per call and in waiting for the GIL.
-    chunk = min(_CHUNK_ROWS, max(_KERNEL_CHUNK, z.size // 84))
+    step = min(_CHUNK_ROWS, max(2 * BLOCK_ROWS, z.size // 84))
+    slices = [slice(start, start + step) for start in range(0, len(z), step)]
 
     def map_and_count(chunks: Iterator[slice]) -> list[_EventCounter]:
         counters = [_EventCounter(events, len(ts)) for _, ts, events in sides]
@@ -269,7 +272,7 @@ def _pareto_pass(z: np.ndarray, alpha: float, grids=None):
             for j in range(block.shape[1]):
                 column = block[:, j]
                 np.negative(column, out=column)
-                _ndtr(column, out=column, chunk=chunk)
+                _ndtr(column, out=column)
                 # numpy's error state is per thread, so each worker sets it.
                 with np.errstate(over="raise", divide="raise"):
                     np.power(column, -1.0 / alpha, out=column)
@@ -278,7 +281,7 @@ def _pareto_pass(z: np.ndarray, alpha: float, grids=None):
         return counters
 
     try:
-        parts = _on_workers(list(_row_chunks(len(z))), map_and_count)
+        parts = _on_workers(slices, map_and_count)
     except FloatingPointError:
         raise ValueError(
             f"the Pareto sample at alpha = {alpha!r} passes the largest float"

@@ -39,7 +39,6 @@ from artifact.simulate import (
     BLOCK_ROWS,
     SimulationConfig,
     _gaussian_sample,
-    _row_chunks,
     sample_rvgc,
 )
 from conftest import (
@@ -923,13 +922,14 @@ class TestSimulate:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflow_in_a_helper_chunk_is_config_error(self, runner, set_workers, workers):
-        # At seed 35 and alpha = 0.018 only the second of three 65,536-row
-        # chunks, the helper's on two workers, maps past the largest float.
+        # At seed 35 and alpha = 0.018 only the sixth of the Pareto pass's
+        # nine 16,384-row chunks (the floor), the helper's on two workers,
+        # maps past the largest float.
         n, alpha = 2 * _CHUNK_ROWS + 37, 0.018
         cfg = SimulationConfig(equi_matrix(2, 0.5), MarginalSpec(alpha=alpha), n, 35)
         with np.errstate(over="ignore"):
             x = np.power(_ndtr(-_gaussian_sample(cfg)), -1.0 / alpha)
-        assert [bool(np.isinf(x[rows]).any()) for rows in _row_chunks(n)] == [False, True, False]
+        assert set(np.isinf(x).nonzero()[0] // (2 * BLOCK_ROWS)) == {5}
         set_workers(workers)
         result = runner(dict(SIMULATE_JOB, alpha=alpha, simulation={"n": n, "seed": 35}), "simulate")
         assert_config_error(result, "alpha")

@@ -19,7 +19,6 @@ from artifact.gaussian import (
     OrthantEstimate,
     TailCoefficients,
     UnsupportedDegeneracy,
-    _KERNEL_CHUNK,
     _components,
     _ndtr,
     _ndtri,
@@ -280,6 +279,28 @@ class TestOrthantComponents:
         want = OrthantEstimate(gaussian_module._closed_form_orthant(corr), 0.0)
         assert orthant_probability(corr) == want
 
+    @pytest.mark.parametrize(
+        "corr",
+        [
+            [[1.0]],
+            [[1.0, 0.3], [0.3, 1.0]],
+            [[1.0, 0.2, 0.5], [0.2, 1.0, -0.1], [0.5, -0.1, 1.0]],
+            equi_matrix(4, 0.5).entries,
+        ],
+        ids=["m1", "m2", "m3", "m4"],
+    )
+    def test_one_component_is_its_own_estimate_to_the_bit(self, corr):
+        # The product of one factor is 1.0 times its value, and its se 0.0
+        # plus its own: the component's estimate, unchanged.
+        corr = np.array(corr)
+        if len(corr) > 3:
+            want = gaussian_module._rqmc_orthant(corr, 0)
+            assert want.se > 0.0
+        else:
+            want = OrthantEstimate(gaussian_module._closed_form_orthant(corr), 0.0)
+        est = orthant_probability(corr, seed=0)
+        assert [est.value.hex(), est.se.hex()] == [want.value.hex(), want.se.hex()]
+
     def test_factors_multiply_and_se_by_delta_method(self):
         a, b = equi_matrix(4, 0.5).entries, equi_matrix(5, 0.2).entries
         cov = block_diag(a, [[1.0, 0.3], [0.3, 1.0]], b)
@@ -416,10 +437,11 @@ class TestNormalKernels:
             _ndtr(x, out=np.empty(12))
 
     @pytest.mark.parametrize("kernel", [_ndtr, _ndtri], ids=["ndtr", "ndtri"])
-    def test_chunks_do_not_change_values(self, kernel):
-        # 3 chunks and 5 values, against one value at a time.
+    def test_a_value_does_not_depend_on_the_array_it_arrives_in(self, kernel):
+        # A long array, across the 16,384- and 65,536-value marks where
+        # earlier kernels cut their input, against one value at a time.
         rng = np.random.default_rng(7)
-        size = 3 * _KERNEL_CHUNK + 5
+        size = 3 * 65536 + 5
         x = rng.normal(0.0, 3.0, size) if kernel is _ndtr else rng.uniform(0.0, 1.0, size)
         single = np.array([kernel(x[i : i + 1])[0] for i in range(0, size, 97)])
         assert np.array_equal(kernel(x)[::97], single)

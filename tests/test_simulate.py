@@ -916,8 +916,8 @@ class TestBlockWorkers:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("d", [1, 2, 3, 12])
     def test_pareto_transform_equals_the_serial_map_bit_for_bit(self, set_workers, workers, d):
-        # Every n here is one 65,536-row chunk, which one worker maps;
-        # TestParetoPass maps larger samples on two.
+        # At d = 2, n is one row chunk, which one worker maps; elsewhere it
+        # is a 16,384-row chunk (the floor) and a 37-row one, one per worker.
         n = BLOCK_ROWS + 37 if d == 2 else 2 * BLOCK_ROWS + 37
         cfg = config(equi_matrix(d, 0.5), n, 4)
         z = _gaussian_sample(cfg)
@@ -958,8 +958,9 @@ class TestParetoPass:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("order", ["F", "C"])
     def test_without_grids_it_maps_only(self, set_workers, workers, order):
-        # Three chunks, so two workers share them; a C-ordered array's
-        # column slices are strided, and are mapped in place too.
+        # Nine row chunks (16,384 rows, the floor, and a last one of 37), so
+        # two workers share them; a C-ordered array's column slices are
+        # strided, and are mapped in place too.
         cfg = config(equi_matrix(3, 0.5), 2 * _CHUNK_ROWS + 37, 9)
         z = np.asarray(_gaussian_sample(cfg), order=order)
         x = np.power(_ndtr(-z), -1.0 / PARETO2.alpha)
@@ -970,14 +971,24 @@ class TestParetoPass:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_an_overflow_in_the_helpers_chunk_raises(self, set_workers, workers):
-        # Only row 5 of the second chunk, the helper's on two workers, maps
-        # past the largest float at alpha = 0.01.
+    def test_an_overflow_in_the_helpers_chunk_raises(self, set_workers, monkeypatch, workers):
+        # Only row 5 of the second 16,384-row chunk, the helper's on two
+        # workers, maps past the largest float at alpha = 0.01.
         z = np.zeros((2 * _CHUNK_ROWS + 37, 2), order="F")
-        z[_CHUNK_ROWS + 5, 1] = 10.0
+        z[2 * BLOCK_ROWS + 5, 1] = 10.0
+        caller = threading.current_thread()
+        mapped_by = []
+
+        def recording(column, out):
+            if (column == -10.0).any():
+                mapped_by.append("caller" if threading.current_thread() is caller else "helper")
+            return _ndtr(column, out=out)
+
+        monkeypatch.setattr(simulate, "_ndtr", recording)
         set_workers(workers)
         with pytest.raises(ValueError, match=r"at alpha = 0\.01 passes the largest float"):
             _pareto_pass(z, 0.01, self.GRIDS)
+        assert mapped_by == ["helper" if workers == 2 else "caller"]
 
 
 class TestOnWorkers:
