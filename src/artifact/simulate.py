@@ -45,8 +45,14 @@ V1 > t, V2 > kappa t is "at least 2 of {V1, V2} exceed (t, kappa t)". One
 counter (_EventCounter) counts both kinds without testing each grid point
 on its own: a value is ranked once by how many grid thresholds it exceeds,
 an event's rank is the rowwise k-th largest over S, and the count at each
-grid point is a suffix sum of the rank's bins, so one pass over the blocks
-fills every grid cell.
+grid point is a suffix sum of the rank's bins past 0, so one pass over the
+blocks fills every grid cell. A row in which no value exceeds its lowest
+threshold would add to bin 0 alone, and is not ranked: the counter copies
+the other rows into a queue allocated once and ranks it in batches of
+_QUEUE_ROWS rows, so a sparse tail costs a few numpy calls per block
+and one ranking per batch, not a ranking of every block. A block in
+which at least half the rows reach the grid (the Pareto pass's chunks) is
+ranked where it lies.
 """
 
 from __future__ import annotations
@@ -90,6 +96,9 @@ _PRODUCT_BUDGET = 2**19
 # run in row chunks of at most this many rows, so their temporaries take
 # the size of a chunk, not of n.
 _CHUNK_ROWS = 8 * BLOCK_ROWS
+
+# The rows an _EventCounter queues before it ranks them as one batch.
+_QUEUE_ROWS = BLOCK_ROWS // 4
 
 # Below this many exceedances an empirical/asymptotic ratio is noise.
 LOW_HIT_THRESHOLD = 50
@@ -599,11 +608,13 @@ def verify_asymptotics(
     One pass over the sampler's normal blocks: each set at each t is the
     event "at least k of the coordinates in S exceed their thresholds" on the
     normal rows, so no row is mapped to the Pareto scale, and memory is
-    bounded by one block per worker, not by n. The events are counted by
-    grid rank (_EventCounter, which also counts the conditional curves):
-    one comparison pass per coordinate and threshold, shared by every set
-    that uses it. Rows with fewer than LOW_HIT_THRESHOLD exceedances are flagged
-    "low-hits" and excluded from the slope fit.
+    bounded by one block and one counter queue of _QUEUE_ROWS rows per
+    worker, not by n. The events are counted by grid rank (_EventCounter,
+    which also counts the conditional curves): only the rows in which some
+    coordinate exceeds its lowest threshold are ranked, queued and taken in
+    batches, with one comparison pass per coordinate and threshold, shared
+    by every set that uses it. Rows with fewer than LOW_HIT_THRESHOLD
+    exceedances are flagged "low-hits" and excluded from the slope fit.
     """
     ts = _increasing_grid(t_grid)
     log_laws = [[est.evaluate_log(t) for t in ts] for _, est in laws]
@@ -626,13 +637,24 @@ class _EventCounter:
     """Hit counts of the events "at least k of the V_j, j in S, exceed
     c[j, m]" at each of the grid points m of one grid.
 
-    Each coordinate j with its threshold row c_j is ranked once per block,
+    Each coordinate j with its threshold row c_j is ranked once per batch,
     rank_j = #{m : V_j > c[j, m]} (0 for nan, which exceeds nothing), and
     the rank is shared by every event that uses the same (j, c_j). The rows
     of c are nondecreasing, so V_j > c[j, m] exactly when rank_j > m, and an
     event holds at m exactly when the rowwise k-th largest rank_j over S
     exceeds m: its hits at m are the suffix sums past m of the bin counts of
-    that rank.
+    that rank, so bin 0 is never read.
+
+    A row in which no coordinate exceeds its lowest threshold over the
+    slots that read it ranks 0 in every slot, so it adds to bin 0 alone.
+    add marks the other rows, the rows that reach the grid (by the same
+    strict >, so nan marks nothing and a -inf threshold marks every other
+    value), and copies them, in the columns up to the last one a slot
+    reads, into a queue of _QUEUE_ROWS rows allocated once per counter; a
+    full queue is ranked as one batch, and so is what is left in it before
+    the bins are read (_ranked). A batch in which at least half the rows
+    reach the grid is ranked where it lies, without a copy. Integer bins
+    sum exactly, so neither the batches nor their order change a count.
     """
 
     def __init__(self, events: Sequence[tuple[np.ndarray, int, np.ndarray]], points: int):
@@ -644,13 +666,50 @@ class _EventCounter:
             keys = [(j, tuple(row.tolist())) for j, row in zip(indices.tolist(), c)]
             self.events.append(([slots.setdefault(key, len(slots)) for key in keys], k))
         self.columns = list(slots)
+        # Each column's lowest threshold over the slots that read it, inf
+        # for a column no slot reads, up to the last column read.
+        self.lowest = np.full(1 + max((j for j, _ in slots), default=-1), np.inf)
+        for j, c in self.columns:
+            self.lowest[j] = min(self.lowest[j], c[0])
+        self.queue = np.empty((_QUEUE_ROWS, len(self.lowest)), order="F")
+        self.queued = 0
         self.bins = np.zeros((len(self.events), points + 1), dtype=np.int64)
 
     def add(self, z: np.ndarray) -> None:
         """Count the rows of z; its columns are read as they are, so a
-        column-major z is read without a copy. One row of comparisons is
-        allocated per call and added to each rank in place, so no
-        threshold allocates."""
+        column-major z is read without a copy, and no view of z is kept:
+        the caller may overwrite it once add returns."""
+        z = z[:, : len(self.lowest)]
+        # Column by column: one comparison of a row-major z whole would run
+        # its inner loop over a row's few values.
+        reach = np.zeros(len(z), dtype=bool)
+        exceeds = np.empty(len(z), dtype=bool)
+        for j, c in enumerate(self.lowest):
+            np.greater(z[:, j], c, out=exceeds)
+            np.logical_or(reach, exceeds, out=reach)
+        if 2 * np.count_nonzero(reach) >= len(z):
+            self._rank(z)
+            return
+        rows = np.flatnonzero(reach)
+        while len(rows):
+            take = rows[: _QUEUE_ROWS - self.queued]
+            self.queue[self.queued : self.queued + len(take)] = z[take]
+            self.queued += len(take)
+            rows = rows[len(take) :]
+            if self.queued == _QUEUE_ROWS:
+                self._ranked()
+
+    def _ranked(self) -> "_EventCounter":
+        """This counter, with the rows in its queue ranked into the bins."""
+        if self.queued:
+            self._rank(self.queue[: self.queued])
+            self.queued = 0
+        return self
+
+    def _rank(self, z: np.ndarray) -> None:
+        """Add the rows of z to the bins (column j of z holds V_j). One
+        row of comparisons is allocated per call and added to each rank in
+        place, so no threshold allocates."""
         exceeds = np.empty(len(z), dtype=bool)
         ranks = []
         for j, thresholds in self.columns:
@@ -666,13 +725,14 @@ class _EventCounter:
 
     def hits(self) -> np.ndarray:
         """events x points hit counts: [e, m] sums the bins past m."""
-        return np.cumsum(self.bins[:, ::-1], axis=1)[:, ::-1][:, 1:]
+        bins = self._ranked().bins
+        return np.cumsum(bins[:, ::-1], axis=1)[:, ::-1][:, 1:]
 
 
 def _summed(counters: Sequence[_EventCounter]) -> _EventCounter:
-    """The first of the workers' counters, holding the bins of all of them:
-    integer bins sum exactly."""
-    counter, *others = counters
+    """The first of the workers' counters, holding the bins of all of them,
+    each queue ranked: integer bins sum exactly."""
+    counter, *others = [counter._ranked() for counter in counters]
     for other in others:
         counter.bins += other.bins
     return counter

@@ -27,6 +27,7 @@ from artifact.simulate import (
     BLOCK_ROWS,
     _CHUNK_ROWS,
     _PRODUCT_BUDGET,
+    _QUEUE_ROWS,
     HillCurve,
     SimulationConfig,
     _draw_blocks,
@@ -134,6 +135,26 @@ class TestSampling:
         assert x.flags.f_contiguous
         want = np.power(_ndtr(-_gaussian_sample(cfg)), -1.0 / PARETO2.alpha)
         assert x.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sample_memory_at_d12_is_the_documented_plan(self, set_workers, workers):
+        # The documented plan: the sample, the draw's two BLOCK_ROWS x d
+        # buffers per worker, and per worker the scratch of one _ndtr call
+        # on a row chunk's column slice (about 27 bytes per value; the
+        # chunks have n d // 84 = 28,571 rows here), plus 64 kB.
+        n, d = 200_000, 12
+        set_workers(workers)
+        cfg = config(equi_matrix(d, 0.5), n, 1)
+        sample_rvgc(config(equi_matrix(d, 0.5), 100, 1))  # loads what a first pass loads
+        chunk = min(_CHUNK_ROWS, max(2 * BLOCK_ROWS, n * d // 84))
+        bound = n * d * 8 + 2 * workers * BLOCK_ROWS * d * 8 + workers * 27 * chunk + 2**16
+        tracemalloc.start()
+        try:
+            sample_rvgc(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
     def test_marginal_tail_frequency(self):
         n = 200000
@@ -794,6 +815,143 @@ class TestStreamedVerification:
                 tracemalloc.stop()
         assert max(peaks) <= 1.1 * min(peaks), peaks
         assert max(peaks) < 4 * 2**20, peaks
+
+
+# The sets and grid of the verify-d6 benchmark workload; the tests below
+# draw on a d = 6 matrix inside its correlation range (0.3 to 0.6).
+D6_SETS = (
+    rect(IndexSubset.of(1, 2), (1.0, 1.0)),
+    rect(IndexSubset.of(3, 4), (1.0, 1.0)),
+    at_least((1.0,) * 6, 2),
+    box_complement((1.0,) * 6),
+)
+D6_GRID = [10.0, 14.0, 20.0, 28.0, 40.0]
+
+
+def d6_events(grid=D6_GRID):
+    return [_normal_event(s, 6, 2.0, grid) for s in D6_SETS]
+
+
+def edge_values(counter, rng, rows) -> np.ndarray:
+    """rows x 6 normal rows, about 1 in 40 of their values replaced by a
+    threshold of the counter or a float either side of one (each slot's
+    lowest threshold among them), and every 50th row nan."""
+    z = rng.standard_normal((rows, 6))
+    edges = np.array([c for _, thresholds in counter.columns for c in thresholds])
+    edges = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    picked = rng.random(z.shape) < 0.025
+    z[picked] = rng.choice(edges, size=np.count_nonzero(picked))
+    z[::50] = np.nan
+    return z
+
+
+def ranked_batches(monkeypatch) -> list[int]:
+    """The row count of each batch that a counter ranks from now on."""
+    ranked, rank = [], _EventCounter._rank
+    monkeypatch.setattr(_EventCounter, "_rank", lambda self, z: ranked.append(len(z)) or rank(self, z))
+    return ranked
+
+
+class TestQueuedCounting:
+    """The counter ranks only the rows that reach its grid, queued in
+    batches; its hits must be the per-cell mask counts of every row."""
+
+    def test_a_reused_buffer_is_copied_into_the_queue(self, rng):
+        # Blocks are written into one buffer, as _draw_blocks does, and
+        # overwritten after each add: a queue that kept views of it would
+        # rank the overwritten values.
+        counter = _EventCounter(d6_events(), len(D6_GRID))
+        z = edge_values(counter, rng, 40_000)
+        reaches = (z[:, : len(counter.lowest)] > counter.lowest).any(axis=1)
+        assert 0 < np.count_nonzero(reaches) < len(z) / 2
+        buffer = np.empty((BLOCK_ROWS, 6), order="F")
+        queued = []
+        for start in range(0, len(z), 3001):
+            rows = z[start : start + 3001]
+            buffer[: len(rows)] = rows
+            counter.add(buffer[: len(rows)])
+            buffer.fill(np.inf)
+            queued.append(counter.queued)
+        assert any(queued)
+        assert counter.hits().tolist() == masked_event_hits(z, d6_events())
+        assert counter.queued == 0
+
+    def test_blocks_that_do_not_reach_the_grid_rank_nothing(self, rng, monkeypatch):
+        # Values at or below each slot's lowest threshold, nan and -inf:
+        # no row reaches the grid, so nothing is queued or ranked.
+        counter = _EventCounter(d6_events(), len(D6_GRID))
+        lowest = counter.lowest
+        below = np.stack([lowest, np.nextafter(lowest, -np.inf), lowest - 3.0, np.full(6, np.nan), np.full(6, -np.inf)])
+        ranked = ranked_batches(monkeypatch)
+        for _ in range(3):
+            counter.add(below[rng.integers(0, len(below), size=(BLOCK_ROWS, 6)), np.arange(6)])
+            assert counter.queued == 0
+        assert counter.hits().tolist() == [[0] * len(D6_GRID)] * len(D6_SETS)
+        assert ranked == []
+
+    def test_a_block_where_every_row_reaches_the_grid_is_ranked_in_place(self, rng, monkeypatch):
+        # At t = 10 a threshold of 0.05 is certain (t x <= 1, a -inf normal
+        # threshold), so every non-nan row reaches the grid, and the block
+        # is ranked as it lies, not queued.
+        sets = (rect(IndexSubset.of(1, 2), (0.05, 0.08)), at_least((0.05, 1.0, 1.0), 2))
+        events = [_normal_event(s, 3, 2.0, STREAM_GRID) for s in sets]
+        counter = _EventCounter(events, len(STREAM_GRID))
+        assert counter.lowest[0] == -np.inf
+        ranked = ranked_batches(monkeypatch)
+        z = rng.standard_normal((BLOCK_ROWS, 3))
+        z[::97] = np.nan
+        counter.add(z)
+        assert (counter.queued, ranked) == (0, [BLOCK_ROWS])
+        assert counter.hits().tolist() == masked_event_hits(z, events)
+        assert counter.hits()[0, 0] == BLOCK_ROWS - len(z[::97])
+
+    def test_ranks_past_255_points(self, rng):
+        grid = np.geomspace(10.0, 40.0, 300).tolist()
+        events = d6_events(grid)
+        counter = _EventCounter(events, len(grid))
+        assert counter.rank_type == np.uint16
+        z = edge_values(counter, rng, 3 * BLOCK_ROWS + 5)
+        for start in range(0, len(z), BLOCK_ROWS):
+            counter.add(z[start : start + BLOCK_ROWS])
+        assert counter.hits().tolist() == masked_event_hits(z, events)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_sampler_blocks_equal_the_masks(self, set_workers, workers):
+        cfg = config(equi_matrix(6, 0.45), 5 * BLOCK_ROWS + 5, 3)
+        set_workers(workers)
+        hits = streamed_hits(cfg, D6_SETS, D6_GRID)
+        z = _gaussian_sample(cfg)
+        assert hits == [tuple(row) for row in masked_event_hits(z, d6_events())]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_verify_ranks_its_queue_not_its_blocks(self, set_workers, monkeypatch, workers):
+        # Ranked block by block, the sample would take 65 batches; the
+        # queue takes _QUEUE_ROWS reaching rows at a time, and what is left
+        # in each worker's queue at the end.
+        cfg = config(equi_matrix(6, 0.45), 64 * BLOCK_ROWS + 5, 1)
+        ranked = ranked_batches(monkeypatch)
+        set_workers(workers)
+        verify_asymptotics(cfg, laws(cfg, D6_SETS), D6_GRID)
+        counter = _EventCounter(d6_events(), len(D6_GRID))
+        z = _gaussian_sample(cfg)
+        reaching = int(np.count_nonzero((z[:, : len(counter.lowest)] > counter.lowest).any(axis=1)))
+        assert sum(ranked) == reaching
+        assert len(ranked) <= -(-reaching // _QUEUE_ROWS) + workers
+        assert len(ranked) < 65
+        assert ranked.count(_QUEUE_ROWS) >= len(ranked) - workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_pareto_pass_ranks_each_chunk_in_place(self, set_workers, monkeypatch, workers):
+        # Both sides' chunks are dense: each is ranked once, as it lies.
+        cfg = config(equi_matrix(12, 0.5), 2 * _CHUNK_ROWS + 37, 9)
+        z = _gaussian_sample(cfg)
+        added, add = [], _EventCounter.add
+        monkeypatch.setattr(_EventCounter, "add", lambda self, z: added.append(len(z)) or add(self, z))
+        ranked = ranked_batches(monkeypatch)
+        set_workers(workers)
+        _pareto_pass(z, PARETO2.alpha, TestParetoPass.GRIDS)
+        assert sum(added) == 2 * len(z)
+        assert sorted(ranked) == sorted(added)
 
 
 class TestBlockWorkers:
