@@ -33,7 +33,7 @@ top in place at the end (the logs and cumulative sums go to the buffer's
 first k_max + 1 floats), so no series allocates an n-float array.
 _gaussian_sample fills one new column-major n x d array (so every column
 is read whole, without a copy), _pareto_pass maps it in place, and the
-curves are counted in row chunks, so a sample needs no n-sized temporary
+counter walks its rows in chunks, so a sample needs no n-sized temporary
 beside it. Because every coordinate shares one increasing map Z_j -> X_j,
 verification counts each tail set on the normal rows directly: X in
 t * set is the event that at least k of the coordinates in a subset S
@@ -52,7 +52,8 @@ the other rows into a queue allocated once and ranks it in batches of
 _QUEUE_ROWS rows, so a sparse tail costs a few numpy calls per block
 and one ranking per batch, not a ranking of every block. A block in
 which at least half the rows reach the grid (the Pareto pass's chunks) is
-ranked where it lies.
+ranked where it lies; only a chunk with strided columns (a row-major
+sample) is copied.
 """
 
 from __future__ import annotations
@@ -236,12 +237,6 @@ def _gaussian_sample(cfg: SimulationConfig) -> np.ndarray:
 
     _draw_blocks(cfg, fill)
     return z
-
-
-def _row_chunks(n: int) -> Iterator[slice]:
-    """Consecutive slices of at most _CHUNK_ROWS rows that cover n rows."""
-    for start in range(0, n, _CHUNK_ROWS):
-        yield slice(start, min(start + _CHUNK_ROWS, n))
 
 
 def _pareto_pass(z: np.ndarray, alpha: float, grids=None):
@@ -647,14 +642,14 @@ class _EventCounter:
 
     A row in which no coordinate exceeds its lowest threshold over the
     slots that read it ranks 0 in every slot, so it adds to bin 0 alone.
-    add marks the other rows, the rows that reach the grid (by the same
-    strict >, so nan marks nothing and a -inf threshold marks every other
-    value), and copies them, in the columns up to the last one a slot
-    reads, into a queue of _QUEUE_ROWS rows allocated once per counter; a
-    full queue is ranked as one batch, and so is what is left in it before
-    the bins are read (_ranked). A batch in which at least half the rows
-    reach the grid is ranked where it lies, without a copy. Integer bins
-    sum exactly, so neither the batches nor their order change a count.
+    In each row chunk, add marks the other rows, the rows that reach the
+    grid (by the same strict >, so nan marks nothing and a -inf threshold
+    marks every other value), and copies them, in the columns up to the
+    last one a slot reads, into a queue of _QUEUE_ROWS rows allocated once
+    per counter; a full queue is ranked as one batch, and so is what is
+    left in it before the bins are read (_ranked). A chunk in which at
+    least half the rows reach the grid is ranked where it lies. Integer
+    bins sum exactly, so neither the chunks nor the batches change a count.
     """
 
     def __init__(self, events: Sequence[tuple[np.ndarray, int, np.ndarray]], points: int):
@@ -676,28 +671,31 @@ class _EventCounter:
         self.bins = np.zeros((len(self.events), points + 1), dtype=np.int64)
 
     def add(self, z: np.ndarray) -> None:
-        """Count the rows of z; its columns are read as they are, so a
-        column-major z is read without a copy, and no view of z is kept:
-        the caller may overwrite it once add returns."""
+        """Count the rows of z in chunks of at most _CHUNK_ROWS rows; as each
+        pass reads one column at a time, a chunk with strided columns (of a
+        row-major z) is copied once, column-major. No view of z is kept: the
+        caller may overwrite it once add returns."""
         z = z[:, : len(self.lowest)]
-        # Column by column: one comparison of a row-major z whole would run
-        # its inner loop over a row's few values.
-        reach = np.zeros(len(z), dtype=bool)
-        exceeds = np.empty(len(z), dtype=bool)
-        for j, c in enumerate(self.lowest):
-            np.greater(z[:, j], c, out=exceeds)
-            np.logical_or(reach, exceeds, out=reach)
-        if 2 * np.count_nonzero(reach) >= len(z):
-            self._rank(z)
-            return
-        rows = np.flatnonzero(reach)
-        while len(rows):
-            take = rows[: _QUEUE_ROWS - self.queued]
-            self.queue[self.queued : self.queued + len(take)] = z[take]
-            self.queued += len(take)
-            rows = rows[len(take) :]
-            if self.queued == _QUEUE_ROWS:
-                self._ranked()
+        for start in range(0, len(z), _CHUNK_ROWS):
+            chunk = z[start : start + _CHUNK_ROWS]
+            if chunk.strides[0] != chunk.itemsize:
+                chunk = np.asfortranarray(chunk)
+            reach = np.zeros(len(chunk), dtype=bool)
+            exceeds = np.empty(len(chunk), dtype=bool)
+            for j, c in enumerate(self.lowest):
+                np.greater(chunk[:, j], c, out=exceeds)
+                np.logical_or(reach, exceeds, out=reach)
+            if 2 * np.count_nonzero(reach) >= len(chunk):
+                self._rank(chunk)
+                continue
+            rows = np.flatnonzero(reach)
+            while len(rows):
+                take = rows[: _QUEUE_ROWS - self.queued]
+                self.queue[self.queued : self.queued + len(take)] = chunk[take]
+                self.queued += len(take)
+                rows = rows[len(take) :]
+                if self.queued == _QUEUE_ROWS:
+                    self._ranked()
 
     def _ranked(self) -> "_EventCounter":
         """This counter, with the rows in its queue ranked into the bins."""
@@ -805,17 +803,18 @@ def _curves(kappas, ts, counters: Sequence[_EventCounter]) -> list[ConditionalCu
 def conditional_exceedance_curves(blocks, kappas, t_grid) -> list[ConditionalCurve]:
     """Empirical P(V1 > t | V2 > kappa t) of columns 1 and 2, per kappa, over
     the rows of blocks: an iterable of n_i x d arrays with d >= 2, each
-    counted in row chunks (_row_chunks), so a whole sample given as [x]
-    takes chunk-sized temporaries, and a generator of the sampler's blocks
-    keeps memory bounded by one block. Grid values may be small: these are
-    purely empirical curves. Cells with an empty conditioning event are nan.
+    given to the counter whole, which walks it in row chunks, so a whole
+    sample given as [x] takes chunk-sized temporaries, and a generator of
+    the sampler's blocks keeps memory bounded by one block. Grid values may
+    be small: these are purely empirical curves. Cells with an empty
+    conditioning event are nan.
 
     Per kappa, the conditioning event V2 > kappa t and the joint event
     V1 > t, V2 > kappa t (_curve_events) are counted on the t grid by
     _EventCounter, the counter verify_asymptotics uses, on the calling
     thread; _pareto_pass counts the same curves on its workers. Only the
     first two columns of a block are read, so a column-major block is not
-    copied.
+    copied, and a row-major one is copied a chunk at a time.
     """
     kappas, ts, events = _curve_events(kappas, t_grid)
     counter = _EventCounter(events, len(ts))
@@ -825,6 +824,5 @@ def conditional_exceedance_curves(blocks, kappas, t_grid) -> list[ConditionalCur
             raise ValueError(
                 f"blocks must be n x d arrays of samples with d >= 2, got shape {block.shape}"
             )
-        for rows in _row_chunks(len(block)):
-            counter.add(block[rows, :2])
+        counter.add(block)
     return _curves(kappas, ts, [counter])

@@ -852,6 +852,26 @@ def ranked_batches(monkeypatch) -> list[int]:
     return ranked
 
 
+def ranked_in_place(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(z, given) for each array z that a counter ranks from now on other
+    than its queue, given being the array of the add call that ranked it
+    (on the same thread: each worker counts on counters of its own)."""
+    pairs, given, add, rank = [], {}, _EventCounter.add, _EventCounter._rank
+
+    def adding(self, z):
+        given[threading.get_ident()] = z
+        add(self, z)
+
+    def ranking(self, z):
+        if not np.shares_memory(z, self.queue):
+            pairs.append((z, given[threading.get_ident()]))
+        rank(self, z)
+
+    monkeypatch.setattr(_EventCounter, "add", adding)
+    monkeypatch.setattr(_EventCounter, "_rank", ranking)
+    return pairs
+
+
 class TestQueuedCounting:
     """The counter ranks only the rows that reach its grid, queued in
     batches; its hits must be the per-cell mask counts of every row."""
@@ -952,6 +972,22 @@ class TestQueuedCounting:
         _pareto_pass(z, PARETO2.alpha, TestParetoPass.GRIDS)
         assert sum(added) == 2 * len(z)
         assert sorted(ranked) == sorted(added)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_commands_chunks_and_blocks_are_ranked_without_a_copy(self, set_workers, monkeypatch, workers):
+        # Every array ranked in place, not from the queue, must lie in the
+        # chunk or block that the Pareto pass or verify handed to add.
+        pairs = ranked_in_place(monkeypatch)
+        set_workers(workers)
+        cfg = config(equi_matrix(6, 0.5), 2 * _CHUNK_ROWS + 37, 9)
+        _pareto_pass(_gaussian_sample(cfg), PARETO2.alpha, TestParetoPass.GRIDS)
+        in_pass = len(pairs)
+        # Coordinate 1 exceeds 0.11 t at t = 10 with probability 1.1**-2:
+        # every block is dense, and ranked where it lies.
+        sets = D6_SETS + (rect(IndexSubset.of(1), (0.11,)),)
+        verify_asymptotics(cfg, laws(cfg, sets), D6_GRID)
+        assert 0 < in_pass < len(pairs)
+        assert all(np.shares_memory(z, given) for z, given in pairs)
 
 
 class TestBlockWorkers:
@@ -1350,6 +1386,64 @@ class TestConditionalCounting:
                 tracemalloc.stop()
         assert max(peaks) <= 1.1 * min(peaks), peaks
         assert max(peaks) < 2**20, peaks
+
+    def test_row_major_memory_is_one_copied_chunk_more(self):
+        # A row-major sample's chunks have strided columns: the counter
+        # copies each chunk's two slot columns once, column-major, so the
+        # plan of a column-major sample gains one such copy, not n floats.
+        sigma = equi_matrix(3, 0.5)
+        peaks = []
+        for n in (8 * BLOCK_ROWS + 5, 64 * BLOCK_ROWS + 5):
+            given = [np.ascontiguousarray(sample_rvgc(config(sigma, n, 1)))]
+            tracemalloc.start()
+            try:
+                conditional_exceedance_curves(given, [1.0, 2.0], [0.5, 1.0, 2.0])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.1 * min(peaks), peaks
+        assert max(peaks) < _CHUNK_ROWS * 2 * 8 + 2**20, peaks
+
+    @pytest.mark.parametrize("layout", ["row-major", "strided-columns", "one-long-block", "empty"])
+    def test_any_layout_gives_the_masked_curves(self, rng, layout):
+        # Normal rows with values on the Gaussian grid's thresholds, in
+        # blocks of each layout; every chunk walk and copy must count the
+        # rows that a mask over the whole sample counts.
+        kappas, grid = GAUSSIAN_KAPPAS, GAUSSIAN_T_GRID
+        ts = np.array(grid)
+        edges = np.concatenate([ts] + [kappa * ts for kappa in kappas])
+        n = 2 * _CHUNK_ROWS + 37
+        x = rng.standard_normal((n, 4))
+        picked = rng.random(x.shape) < 0.05
+        x[picked] = rng.choice(edges, size=np.count_nonzero(picked))
+        x[::97, 1] = np.nan
+        if layout == "row-major":
+            blocks = [x[start : start + 3001] for start in range(0, n, 3001)]
+        elif layout == "strided-columns":
+            blocks = [x[:, :2]]
+        elif layout == "one-long-block":
+            blocks = [np.asfortranarray(x)]
+        else:
+            x = np.empty((0, 2))
+            blocks = [x]
+        got = conditional_exceedance_curves(blocks, kappas, grid)
+        assert_same_curves(got, masked_conditional_curves(x, kappas, grid))
+        if layout == "empty":
+            assert all(curve.conditioning_count == (0,) * len(grid) for curve in got)
+
+    def test_a_row_major_sample_is_ranked_in_contiguous_columns(self, rng, monkeypatch):
+        # Each chunk of a row-major sample is copied column-major before it
+        # is ranked, whether it is ranked where it lies (dense, at low t)
+        # or through the queue (sparse, at high t).
+        ranked, rank = [], _EventCounter._rank
+        monkeypatch.setattr(_EventCounter, "_rank", lambda self, z: ranked.append(z) or rank(self, z))
+        x = rng.standard_normal((_CHUNK_ROWS + 5, 6))
+        for grid in ((0.1, 0.5, 1.0), (2.5, 3.0)):
+            got = conditional_exceedance_curves([x], [1.0, 2.0], grid)
+            assert_same_curves(got, masked_conditional_curves(x, [1.0, 2.0], grid))
+        assert len(ranked) > 2
+        assert any(len(z) == _CHUNK_ROWS for z in ranked)
+        assert all(z.strides[0] == z.itemsize for z in ranked), [z.strides for z in ranked]
 
 
 def hill_rows(label, curve):
